@@ -267,22 +267,23 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
     if binary is None:
         raise AnalyzerNotFound(f"analyzer binary {config.binary!r} not on PATH")
 
+    # The analyzer runs inside its temporary directory on relative paths, so
+    # its messages never quote that directory's random name.
     with tempfile.TemporaryDirectory(prefix="autopatch-cfg-") as workdir:
-        source = Path(workdir) / "input.cpp"
-        source.write_bytes(encoded)
-        plist = Path(workdir) / "out.plist"
+        (Path(workdir) / "input.cpp").write_bytes(encoded)
         argv = [
-            binary,
+            os.path.abspath(binary),
             *_DEFAULT_ARGS,
             f"-std={config.std}",
             *config.extra_flags,
-            str(source),
+            "input.cpp",
             "-o",
-            str(plist),
+            "out.plist",
         ]
         try:
             proc = subprocess.run(
                 argv,
+                cwd=workdir,
                 capture_output=True,
                 text=True,
                 timeout=config.timeout_s,

@@ -115,6 +115,13 @@ class ReplayMiss(AutopatchError):
         self.request_hash = request_hash
 
 
+class CassetteCorrupt(AutopatchError):
+    def __init__(self, path, line_no: int):
+        super().__init__(f"{path}: line {line_no} is not a cassette entry")
+        self.path = path
+        self.line_no = line_no
+
+
 # --- evaluation -----------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +47,11 @@ logger = logging.getLogger(__name__)
 SPLIT_MANIFEST = "split.json"
 INDEX_JOURNAL = "index_journal.jsonl"
 FAILURES_MANIFEST = "failures.json"
+
+# Records the index stage prepares at once. Preparation waits on analyzer
+# subprocesses and chat calls, so threads overlap it; this also bounds the
+# chat calls in flight.
+INDEX_WORKERS = 4
 
 _INDEX_FILES = {
     SourceKind.CFG_SERIALIZATION: "index_cfg.jsonl",
@@ -162,9 +168,10 @@ def run_index(
 ) -> IndexResult:
     """Build the vector index(es) over the database split.
 
-    Preparation results are journaled per record, so a rerun reuses finished
-    records and retries failed ones; per-record failures are logged and
-    skipped, never fatal.
+    Up to INDEX_WORKERS records are prepared at once; the journal and the
+    indexes list them in database order all the same. Preparation results
+    are journaled per record, so a rerun reuses finished records and retries
+    failed ones; per-record failures are logged and skipped, never fatal.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,19 +180,21 @@ def run_index(
     journal_path = out_dir / INDEX_JOURNAL
     previous = _load_journal(journal_path) if resume else {}
 
-    prepared: list[dict] = []
-    skipped: list[dict] = []
-    for pair in split.database_set:
+    def prepare(pair: CodePair) -> dict:
         cached = previous.get(pair.id)
         if cached is not None and cached.get("status") == "ok":
-            prepared.append(cached)
-            continue
+            return cached
         try:
-            prepared.append(_prepare_record(pair, llm, analyzer_config))
+            return _prepare_record(pair, llm, analyzer_config)
         except AutopatchError as exc:
-            entry = {"record_id": pair.id, "status": "failed", "reason": str(exc)}
-            skipped.append(entry)
             logger.warning("index: skipping %s: %s", pair.id, exc)
+            return {"record_id": pair.id, "status": "failed", "reason": str(exc)}
+
+    # map yields in database order, whatever order the records finish in.
+    with ThreadPoolExecutor(max_workers=INDEX_WORKERS) as pool:
+        entries = list(pool.map(prepare, split.database_set))
+    prepared = [entry for entry in entries if entry["status"] == "ok"]
+    skipped = [entry for entry in entries if entry["status"] != "ok"]
 
     with journal_path.open("w", encoding="utf-8") as handle:
         for entry in prepared + skipped:
@@ -339,7 +348,12 @@ def run_eval(
                 )
                 continue
             code = source.read_text(encoding="utf-8")
-            lexical = compute_lexical(code, pair.optimized_code)
+            try:
+                lexical = compute_lexical(code, pair.optimized_code)
+            except AutopatchError as exc:
+                failures.append({"record_id": pair.id, "mode": mode.value, "reason": str(exc)})
+                logger.warning("eval: %s/%s not scored: %s", mode.value, pair.id, exc)
+                continue
 
             if not pair.testcases:
                 failures.append(

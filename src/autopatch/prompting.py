@@ -29,7 +29,13 @@ from typing import Callable
 from ._http import http_post_json
 from .cfg_diff import CfgDiff, render_diff
 from .corpus import CodePair
-from .errors import ModeArgumentMismatch, NoCodeBlockInResponse, ReplayMiss, ServiceError
+from .errors import (
+    CassetteCorrupt,
+    ModeArgumentMismatch,
+    NoCodeBlockInResponse,
+    ReplayMiss,
+    ServiceError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -158,38 +164,79 @@ def request_hash(model: str, system_text: str, user_text: str) -> str:
 class Cassette:
     """Persisted request -> response map for offline replay.
 
-    Writes are serialized under a lock; the file is rewritten atomically.
+    The file is JSON Lines, one `{"key", "request", "response", "timestamp"}`
+    object per line; `store` appends one line under a lock, and on load the
+    last line for a key wins. A file in the older layout (one JSON map from
+    key to entry) is read as is and rewritten as lines on the first store.
+    A final line without its newline is what a crash mid-append leaves: it
+    is dropped with a warning and truncated away before the next append.
+    Any other line that is not an entry raises CassetteCorrupt.
     """
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._data: dict[str, dict] = {}
+        self._legacy = False  # the first store rewrites the file as lines
+        self._keep_bytes: int | None = None  # the first append truncates to this
         if self.path.exists():
-            self._data = json.loads(self.path.read_text(encoding="utf-8"))
+            self._load(self.path.read_bytes())
+
+    def _load(self, raw: bytes) -> None:
+        try:
+            whole = json.loads(raw)
+        except ValueError:  # JSON Lines hold more than one document
+            whole = None
+        if isinstance(whole, dict) and not isinstance(whole.get("key"), str):
+            self._data = whole
+            self._legacy = True
+            return
+        *lines, torn = raw.split(b"\n")
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                entry = None
+            if not isinstance(entry, dict) or not isinstance(entry.get("key"), str):
+                raise CassetteCorrupt(self.path, line_no)
+            self._data[entry.pop("key")] = entry
+        if torn:
+            logger.warning("%s: dropping a torn final line of %d bytes", self.path, len(torn))
+            self._keep_bytes = len(raw) - len(torn)
 
     def lookup(self, key: str) -> dict | None:
         return self._data.get(key)
 
     def store(self, key: str, request: dict, response: dict) -> None:
+        entry = {
+            "request": request,
+            "response": response,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        }
         with self._lock:
-            self._data[key] = {
-                "request": request,
-                "response": response,
-                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            }
-            self._save()
-
-    def _save(self) -> None:
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(
-            json.dumps(self._data, sort_keys=True, ensure_ascii=False, indent=1),
-            encoding="utf-8",
-        )
-        tmp.replace(self.path)
+            self._data[key] = entry
+            if self._legacy:
+                tmp = self.path.with_suffix(self.path.suffix + ".tmp")
+                with tmp.open("w", encoding="utf-8") as handle:
+                    for each_key, each in self._data.items():
+                        handle.write(_cassette_line(each_key, each))
+                tmp.replace(self.path)
+                self._legacy = False
+                return
+            with self.path.open("a", encoding="utf-8") as handle:
+                if self._keep_bytes is not None:
+                    handle.truncate(self._keep_bytes)
+                    self._keep_bytes = None
+                handle.write(_cassette_line(key, entry))
 
     def __len__(self) -> int:
         return len(self._data)
+
+
+def _cassette_line(key: str, entry: dict) -> str:
+    return json.dumps({"key": key, **entry}, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 @dataclass
@@ -226,7 +273,6 @@ class LlmClient:
         cassette: Cassette | None = None,
         mode: str = "live",
         transport: Transport | None = None,
-        max_in_flight: int = 4,
     ):
         if mode not in ("live", "record", "replay"):
             raise ValueError(f"unknown client mode {mode!r}")
@@ -236,7 +282,6 @@ class LlmClient:
         self.cassette = cassette
         self.mode = mode
         self._transport = transport or self._http_transport
-        self._in_flight = threading.BoundedSemaphore(max_in_flight)
 
     def _http_transport(self, request: dict) -> dict:
         headers = {}
@@ -264,8 +309,7 @@ class LlmClient:
             ],
             "temperature": self.config.temperature,
         }
-        with self._in_flight:  # bound concurrent service calls
-            response = self._transport(request)
+        response = self._transport(request)
         try:
             content = response["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -175,7 +174,6 @@ def build_index(
     records: Sequence[IndexRecord],
     provider,
     source_kind: SourceKind,
-    max_in_flight: int = 1,
     path: Path | str | None = None,
 ) -> VectorIndex:
     """Embed every record and assemble the index, persisting it to `path`
@@ -197,19 +195,12 @@ def build_index(
         else:
             texts.append(record.pair.original_code)
 
-    def embed_one(args: tuple[str, str]) -> np.ndarray:
-        record_id, text = args
+    vectors = []
+    for record, text in zip(records, texts):
         try:
-            return embed_text(text, provider)
+            vectors.append(embed_text(text, provider))
         except Exception as exc:
-            raise type(exc)(f"record {record_id}: {exc}") from exc
-
-    jobs = [(record.pair.id, text) for record, text in zip(records, texts)]
-    if max_in_flight > 1:
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            vectors = list(pool.map(embed_one, jobs))  # committed in record order
-    else:
-        vectors = [embed_one(job) for job in jobs]
+            raise type(exc)(f"record {record.pair.id}: {exc}") from exc
 
     dim = int(vectors[0].shape[0])
     for record, vector in zip(records, vectors):

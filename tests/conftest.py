@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from autopatch import pipeline
+from autopatch.analyzer import parse_cfg_dump
 from autopatch.corpus import write_corpus
 from autopatch.pipeline import run_index, run_ingest, run_optimize
+from autopatch.preprocess import preprocess_source
 from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
 from autopatch.retrieval import LocalHashingProvider
 
@@ -34,6 +37,18 @@ ALL_MODES = (PromptMode.ZERO_SHOT, PromptMode.NAIVE, PromptMode.CONTEXT)
 @pytest.fixture(scope="session")
 def pairs():
     return fixture_pairs()
+
+
+@pytest.fixture()
+def dump_graphs(monkeypatch, pairs):
+    """Stand in for the analyzer: each side of each pair maps to one of the
+    committed dumps, the two sides of a pair to different ones."""
+    graphs = [parse_cfg_dump(path.read_text()) for path in sorted(DUMP_DIR.glob("prog*.txt"))]
+    by_code = {}
+    for i, pair in enumerate(pairs):
+        by_code[preprocess_source(pair.original_code).output_code] = graphs[i % len(graphs)]
+        by_code[preprocess_source(pair.optimized_code).output_code] = graphs[(i + 1) % len(graphs)]
+    monkeypatch.setattr(pipeline, "extract_cfg", lambda code, config=None: by_code[code])
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,23 @@
 """Shared test utilities: oracle implementations, a random CFG generator,
-the ten-pair fixture corpus, and a scripted transport for recording
-deterministic cassettes without any network."""
+the ten-pair fixture corpus, a scripted transport for recording
+deterministic cassettes without any network, and a slower variant of it
+for driving the index stage's worker pool out of order."""
 
 from __future__ import annotations
 
 import random
 import re
 import textwrap
+import threading
+import time
 from itertools import count
 
 from autopatch.cfg import BasicBlock, ControlFlowGraph
 from autopatch.cfg_diff import _block_tokens, jaccard
 from autopatch.corpus import CodePair, OptimizationType, TestCase
-from autopatch.prompting import RATIONALE_SYSTEM_TEXT
+from autopatch.pipeline import run_index
+from autopatch.prompting import RATIONALE_SYSTEM_TEXT, Cassette, LlmClient, LlmConfig
+from autopatch.retrieval import LocalHashingProvider
 
 # --- oracles -----------------------------------------------------------------
 
@@ -502,4 +507,46 @@ def make_scripted_transport(pairs: list[CodePair]):
         return {"choices": [{"message": {"content": content}}]}
 
     transport.calls = calls
+    return transport
+
+
+_ORIGINAL_FENCE = re.compile(r"## Original program\n\n```cpp\n(.*?)```", re.DOTALL)
+
+
+class SlowFirstTransport:
+    """The scripted chat service, slower for records earlier in the database
+    order, so that records finish out of order. Counts calls in flight."""
+
+    def __init__(self, pairs, database_ids):
+        self._inner = make_scripted_transport(pairs)
+        self._position = {p.original_code.rstrip(): database_ids.index(p.id)
+                          for p in pairs if p.id in database_ids}
+        self._count = len(database_ids)
+        self._lock = threading.Lock()
+        self._active = 0
+        self.peak = 0
+        self.finished: list[int] = []
+
+    def __call__(self, request: dict) -> dict:
+        user = request["messages"][1]["content"]
+        position = self._position[_ORIGINAL_FENCE.search(user).group(1).rstrip()]
+        with self._lock:
+            self._active += 1
+            self.peak = max(self.peak, self._active)
+        time.sleep(0.02 * (self._count - position))
+        with self._lock:
+            self._active -= 1
+            self.finished.append(position)
+        return self._inner(request)
+
+
+def index_slow_first(root, ingest, pairs) -> SlowFirstTransport:
+    """Run the index stage over `ingest`'s database split into `root/index`,
+    recording rationales through a SlowFirstTransport, which is returned."""
+    database_ids = [p.id for p in ingest.split.database_set]
+    transport = SlowFirstTransport(pairs, database_ids)
+    llm = LlmClient(LlmConfig(), Cassette(root / "cassette.jsonl"), mode="record",
+                    transport=transport)
+    result = run_index(ingest.corpus, ingest.split, root / "index", LocalHashingProvider(), llm)
+    assert result.indexed_count == len(database_ids) and not result.skipped
     return transport

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
-import threading
-import time
-
+from autopatch import pipeline
 from autopatch.analyzer import AnalyzerConfig
 from autopatch.harness import ToolchainConfig
-from autopatch.prompting import LlmClient, LlmConfig
+from autopatch.pipeline import run_ingest
+from autopatch.prompting import LlmConfig
+
+from conftest import DB_COUNT, SEED
+from helpers import index_slow_first
 
 
 def test_analyzer_config_env_overrides(monkeypatch):
@@ -53,29 +55,9 @@ def test_llm_config_env(monkeypatch):
     assert config.temperature == 0.0
 
 
-def test_llm_client_bounds_in_flight_requests():
-    active = []
-    peak = []
-    lock = threading.Lock()
-
-    def slow_transport(request):
-        with lock:
-            active.append(1)
-            peak.append(len(active))
-        time.sleep(0.02)
-        with lock:
-            active.pop()
-        return {"choices": [{"message": {"content": "x"}}]}
-
-    client = LlmClient(
-        LlmConfig(model="m"), mode="live", transport=slow_transport, max_in_flight=2
-    )
-    threads = [
-        threading.Thread(target=client.complete, args=("s", f"u{i}")) for i in range(8)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert max(peak) <= 2
-    assert len(peak) == 8
+def test_llm_client_bounds_in_flight_requests(tmp_path, pairs, corpus_file, dump_graphs):
+    # The index stage's worker pool is what bounds chat calls in flight.
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    transport = index_slow_first(tmp_path, ingest, pairs)
+    assert 2 <= transport.peak <= pipeline.INDEX_WORKERS
+    assert sorted(transport.finished) == list(range(len(ingest.split.database_set)))

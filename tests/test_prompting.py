@@ -4,6 +4,8 @@ import copy
 import json
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from autopatch.cfg_diff import compute_diff, render_diff
 from autopatch.corpus import CodePair
 from autopatch.errors import (
+    CassetteCorrupt,
     ModeArgumentMismatch,
     NoCodeBlockInResponse,
     ReplayMiss,
@@ -234,10 +237,108 @@ def test_cassette_file_format(tmp_path):
         transport=_canned_transport(),
     )
     client.complete("sys", "user")
-    data = json.loads(cassette_path.read_text(encoding="utf-8"))
-    key = request_hash("m", "sys", "user")
-    assert set(data) == {key}
-    assert set(data[key]) == {"request", "response", "timestamp"}
+    client.complete("sys", "other user")
+    lines = cassette_path.read_text(encoding="utf-8").splitlines()
+    entries = [json.loads(line) for line in lines]
+    assert [e["key"] for e in entries] == [
+        request_hash("m", "sys", "user"),
+        request_hash("m", "sys", "other user"),
+    ]
+    for entry in entries:
+        assert set(entry) == {"key", "request", "response", "timestamp"}
+
+
+def _entry_line(key: str, content: str) -> str:
+    return json.dumps({
+        "key": key,
+        "request": {"model": "m"},
+        "response": {"choices": [{"message": {"content": content}}]},
+        "timestamp": "2000-01-01T00:00:00Z",
+    }) + "\n"
+
+
+def _content(cassette: Cassette, key: str) -> str:
+    return cassette.lookup(key)["response"]["choices"][0]["message"]["content"]
+
+
+def test_cassette_last_line_for_a_key_wins(tmp_path):
+    path = tmp_path / "cassette.jsonl"
+    path.write_text(_entry_line("a", "old") + _entry_line("b", "b") + _entry_line("a", "new"))
+    cassette = Cassette(path)
+    assert len(cassette) == 2
+    assert _content(cassette, "a") == "new"
+    cassette.store("a", {"model": "m"}, {"choices": [{"message": {"content": "newest"}}]})
+    assert _content(Cassette(path), "a") == "newest"
+
+
+def test_cassette_legacy_map_is_read_and_converted_once(tmp_path):
+    path = tmp_path / "cassette.json"
+    legacy = {key: json.loads(_entry_line(key, key)) for key in ("k1", "k2")}
+    for entry in legacy.values():
+        del entry["key"]
+    path.write_text(json.dumps(legacy, indent=1), encoding="utf-8")
+
+    cassette = Cassette(path)
+    assert _content(cassette, "k1") == "k1"
+    cassette.store("k3", {"model": "m"}, {"choices": [{"message": {"content": "k3"}}]})
+    keys = [json.loads(line)["key"] for line in path.read_text().splitlines()]
+    assert keys == ["k1", "k2", "k3"]
+
+    converted = path.read_bytes()
+    cassette.store("k4", {"model": "m"}, {"choices": [{"message": {"content": "k4"}}]})
+    assert path.read_bytes().startswith(converted)  # later stores only append
+    reloaded = Cassette(path)
+    assert [_content(reloaded, k) for k in ("k1", "k2", "k3", "k4")] == ["k1", "k2", "k3", "k4"]
+
+
+def test_cassette_torn_final_line_is_dropped_then_truncated(tmp_path, caplog):
+    path = tmp_path / "cassette.jsonl"
+    whole = _entry_line("a", "a")
+    path.write_text(whole + _entry_line("b", "b")[:25], encoding="utf-8")
+
+    with caplog.at_level("WARNING", logger="autopatch.prompting"):
+        cassette = Cassette(path)
+    assert "torn" in caplog.text
+    assert len(cassette) == 1 and cassette.lookup("b") is None
+
+    cassette.store("c", {"model": "m"}, {"choices": [{"message": {"content": "c"}}]})
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith(whole)
+    assert [json.loads(line)["key"] for line in text.splitlines()] == ["a", "c"]
+
+
+def test_cassette_garbage_line_raises(tmp_path):
+    path = tmp_path / "cassette.jsonl"
+    path.write_text(_entry_line("a", "a") + "not json\n" + _entry_line("b", "b"))
+    with pytest.raises(CassetteCorrupt, match="line 2"):
+        Cassette(path)
+    path.write_text(_entry_line("a", "a") + '{"no": "key"}\n' + _entry_line("b", "b"))
+    with pytest.raises(CassetteCorrupt, match="line 2"):
+        Cassette(path)
+
+
+def test_cassette_concurrent_stores_lose_nothing(tmp_path):
+    path = tmp_path / "cassette.jsonl"
+    cassette = Cassette(path)
+
+    def store_many(worker: int) -> None:
+        for i in range(50):
+            cassette.store(f"{worker}-{i}", {"model": "m"},
+                           {"choices": [{"message": {"content": str(i)}}]})
+
+    threads = [threading.Thread(target=store_many, args=(w,)) for w in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 400
+    assert len(Cassette(path)) == 400
 
 
 def test_malformed_service_response_raises():

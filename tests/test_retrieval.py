@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from autopatch.corpus import CodePair
+from autopatch.pipeline import INDEX_JOURNAL, index_path, run_ingest
 from autopatch.errors import (
     DimMismatch,
     DuplicateId,
@@ -31,6 +32,9 @@ from autopatch.retrieval import (
     retrieve_top1,
     save_index,
 )
+
+from conftest import DB_COUNT, SEED
+from helpers import index_slow_first
 
 
 def _pair(record_id: str, code: str = "int main(){return 0;}") -> CodePair:
@@ -164,15 +168,30 @@ def test_build_index_kind_selects_embedded_text():
         assert np.array_equal(src_entry.vector, provider.embed(record.pair.original_code))
 
 
-def test_build_index_concurrent_commit_order():
-    records = _records(8)
-    sequential = build_index(records, LocalHashingProvider(), SourceKind.RAW_SOURCE)
-    concurrent = build_index(
-        records, LocalHashingProvider(), SourceKind.RAW_SOURCE, max_in_flight=4
+def test_build_index_concurrent_commit_order(tmp_path, pairs, corpus_file, dump_graphs):
+    # The index stage prepares records concurrently and out of order, yet
+    # commits the journal and each index in database order, with the vectors
+    # a sequential build over the same records gives.
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    database = ingest.split.database_set
+    transport = index_slow_first(tmp_path, ingest, pairs)
+    assert transport.finished != sorted(transport.finished)
+
+    journal = (tmp_path / "index" / INDEX_JOURNAL).read_text(encoding="utf-8")
+    assert [json.loads(line)["record_id"] for line in journal.splitlines()] == [
+        p.id for p in database
+    ]
+    sequential = build_index(
+        [IndexRecord(pair=p, diff_text="", rationale="") for p in database],
+        LocalHashingProvider(),
+        SourceKind.RAW_SOURCE,
     )
+    concurrent = load_index(index_path(tmp_path / "index", SourceKind.RAW_SOURCE))
     assert [e.record_id for e in sequential.entries] == [e.record_id for e in concurrent.entries]
     for a, b in zip(sequential.entries, concurrent.entries):
         assert np.array_equal(a.vector, b.vector)
+    cfg_index = load_index(index_path(tmp_path / "index", SourceKind.CFG_SERIALIZATION))
+    assert [e.record_id for e in cfg_index.entries] == [p.id for p in database]
 
 
 def test_build_index_at_database_scale(tmp_path):
