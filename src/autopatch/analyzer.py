@@ -63,7 +63,6 @@ class AnalyzerConfig:
     std: str = "c++17"
     extra_flags: tuple[str, ...] = ()
     function: str = "main"
-    dump_stream: str = "stderr"  # "stderr" | "stdout" | "both"
     timeout_s: float = 120.0
 
     @classmethod
@@ -233,29 +232,6 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
         raise ParseError(0, str(exc)) from None
 
 
-def format_as_dump(cfg: ControlFlowGraph) -> str:
-    """Re-emit a graph in the analyzer's dump syntax (round-trip aid)."""
-    lines = ["reconstructed()"]
-    ordered = sorted(cfg.blocks, key=lambda b: -b.id)
-    for block in ordered:
-        if block.id == cfg.entry_id:
-            lines.append(f" [B{block.id} (ENTRY)]")
-        elif block.id == cfg.exit_id:
-            lines.append(f" [B{block.id} (EXIT)]")
-        else:
-            lines.append(f" [B{block.id}]")
-        for index, statement in enumerate(block.statements, start=1):
-            lines.append(f"{index:>4}: {statement}")
-        if block.terminator is not None:
-            lines.append(f"   T: {block.terminator}")
-        succs = cfg.successors(block.id)
-        if succs:
-            refs = " ".join(f"B{s}" for s in succs)
-            lines.append(f"   Succs ({len(succs)}): {refs}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def run_analyzer(code: str, config: AnalyzerConfig) -> str:
     """Invoke the analyzer on `code` and return the raw dump text."""
     try:
@@ -290,13 +266,11 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
             )
         except subprocess.TimeoutExpired:
             raise AnalyzerFailed(-1, f"analyzer timed out after {config.timeout_s}s") from None
+        except OSError as exc:  # e.g. a missing script interpreter
+            # Name the binary without its directory, which may be temporary.
+            raise AnalyzerFailed(-1, f"analyzer could not start: {exc.strerror}: {Path(binary).name}") from None
     if proc.returncode != 0:
         raise AnalyzerFailed(proc.returncode, proc.stderr)
-
-    if config.dump_stream == "stdout":
-        return proc.stdout
-    if config.dump_stream == "both":
-        return proc.stdout + proc.stderr
     return proc.stderr
 
 

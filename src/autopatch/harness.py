@@ -14,7 +14,6 @@ import shlex
 import shutil
 import statistics
 import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -72,23 +71,20 @@ class RunOutcome:
 
 def compile_program(
     code: str,
-    toolchain: ToolchainConfig | None = None,
-    out_dir: Path | str | None = None,
+    toolchain: ToolchainConfig | None,
+    out_dir: Path | str,
     name: str = "program",
 ) -> Path:
-    """Compile to a binary and return its path. The binary lands in `out_dir`
-    when given, else in a fresh temp directory the caller may clean up."""
+    """Compile to a binary in `out_dir` (created if missing) and return its
+    path; the source is written beside it as `<name>.cpp`. A `None`
+    toolchain is read from the environment."""
     toolchain = toolchain or ToolchainConfig.from_env()
     compiler = shutil.which(toolchain.compiler)
     if compiler is None:
         raise CompilerNotFound(f"compiler {toolchain.compiler!r} not on PATH")
 
-    if out_dir is None:
-        out_dir = Path(tempfile.mkdtemp(prefix="autopatch-bin-"))
-    else:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     source = out_dir / f"{name}.cpp"
     source.write_text(code, encoding="utf-8")
     binary = out_dir / name

@@ -347,12 +347,13 @@ def run_eval(
                     {"record_id": pair.id, "mode": mode.value, "reason": "patch missing"}
                 )
                 continue
-            code = source.read_text(encoding="utf-8")
             try:
+                code = source.read_text(encoding="utf-8")
                 lexical = compute_lexical(code, pair.optimized_code)
-            except AutopatchError as exc:
-                failures.append({"record_id": pair.id, "mode": mode.value, "reason": str(exc)})
-                logger.warning("eval: %s/%s not scored: %s", mode.value, pair.id, exc)
+            except (AutopatchError, UnicodeDecodeError) as exc:
+                reason = str(exc) if isinstance(exc, AutopatchError) else "patch is not valid UTF-8"
+                failures.append({"record_id": pair.id, "mode": mode.value, "reason": reason})
+                logger.warning("eval: %s/%s not scored: %s", mode.value, pair.id, reason)
                 continue
 
             if not pair.testcases:

@@ -281,7 +281,7 @@ class LlmClient:
         self.config = config or LlmConfig.from_env()
         self.cassette = cassette
         self.mode = mode
-        self._transport = transport or self._http_transport
+        self._transport = transport  # None: the HTTP service
 
     def _http_transport(self, request: dict) -> dict:
         headers = {}
@@ -309,7 +309,7 @@ class LlmClient:
             ],
             "temperature": self.config.temperature,
         }
-        response = self._transport(request)
+        response = (self._transport or self._http_transport)(request)
         try:
             content = response["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):

@@ -1,7 +1,8 @@
-"""Shared test utilities: oracle implementations, a random CFG generator,
-the ten-pair fixture corpus, a scripted transport for recording
-deterministic cassettes without any network, and a slower variant of it
-for driving the index stage's worker pool out of order."""
+"""Shared test utilities: oracle implementations, a writer of the
+analyzer's dump syntax, a random CFG generator, the ten-pair fixture
+corpus, a scripted transport for recording deterministic cassettes without
+any network, and a slower variant of it for driving the index stage's
+worker pool out of order."""
 
 from __future__ import annotations
 
@@ -12,12 +13,14 @@ import threading
 import time
 from itertools import count
 
+import numpy as np
+
 from autopatch.cfg import BasicBlock, ControlFlowGraph
 from autopatch.cfg_diff import _block_tokens, jaccard
 from autopatch.corpus import CodePair, OptimizationType, TestCase
 from autopatch.pipeline import run_index
 from autopatch.prompting import RATIONALE_SYSTEM_TEXT, Cassette, LlmClient, LlmConfig
-from autopatch.retrieval import LocalHashingProvider
+from autopatch.retrieval import LocalHashingProvider, VectorIndex, cosine_similarity
 
 # --- oracles -----------------------------------------------------------------
 
@@ -33,6 +36,17 @@ def dp_levenshtein(a: str, b: str) -> int:
             )
         previous = current
     return previous[-1]
+
+
+def scan_top1(index: VectorIndex, query: np.ndarray) -> tuple[str, float]:
+    """Exhaustive scan: score every row with `cosine_similarity` and keep the
+    max, exact ties going to the smallest record id. Returns (id, score)."""
+    best_id, best_score = None, -np.inf
+    for record_id, vector in zip(index.ids, index.matrix):
+        score = cosine_similarity(vector, query)
+        if best_id is None or score > best_score or (score == best_score and record_id < best_id):
+            best_id, best_score = record_id, score
+    return best_id, best_score
 
 
 def optimal_matching(g_o: ControlFlowGraph, g_p: ControlFlowGraph, threshold: float = 0.5):
@@ -64,6 +78,32 @@ def optimal_matching(g_o: ControlFlowGraph, g_p: ControlFlowGraph, threshold: fl
     top = max(score for score, _ in best)
     candidates = [pairs for score, pairs in best if abs(score - top) < 1e-12]
     return min(candidates)
+
+
+# --- dump writer ----------------------------------------------------------------
+
+
+def format_as_dump(cfg: ControlFlowGraph) -> str:
+    """Re-emit a graph in the analyzer's dump syntax (round-trip aid)."""
+    lines = ["reconstructed()"]
+    ordered = sorted(cfg.blocks, key=lambda b: -b.id)
+    for block in ordered:
+        if block.id == cfg.entry_id:
+            lines.append(f" [B{block.id} (ENTRY)]")
+        elif block.id == cfg.exit_id:
+            lines.append(f" [B{block.id} (EXIT)]")
+        else:
+            lines.append(f" [B{block.id}]")
+        for index, statement in enumerate(block.statements, start=1):
+            lines.append(f"{index:>4}: {statement}")
+        if block.terminator is not None:
+            lines.append(f"   T: {block.terminator}")
+        succs = cfg.successors(block.id)
+        if succs:
+            refs = " ".join(f"B{s}" for s in succs)
+            lines.append(f"   Succs ({len(succs)}): {refs}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 # --- random CFG generator ------------------------------------------------------

@@ -29,7 +29,7 @@ from autopatch.metrics import (
     tokenize,
 )
 from autopatch.report import improvement
-from autopatch.retrieval import IndexEntry, SourceKind, VectorIndex, cosine_similarity, retrieve_top1
+from autopatch.retrieval import SourceKind, VectorIndex, cosine_similarity, retrieve_top1
 from autopatch.cli import EXIT_OK, main
 
 from conftest import DUMP_DIR, requires_toolchain
@@ -79,11 +79,12 @@ def test_retrieval_matches_exhaustive_scan_on_1000_entries():
         vectors[500] = vectors[100]  # exact duplicates to force tie-breaks
         vectors[501] = vectors[100]
         vectors[900] = vectors[42]
-        entries = tuple(
-            IndexEntry(f"r{i:04d}", vectors[i], "", "", SourceKind.RAW_SOURCE)
-            for i in range(1000)
+        index = VectorIndex(
+            ids=tuple(f"r{i:04d}" for i in range(1000)),
+            matrix=vectors,
+            metadata=[("", "")] * 1000,
+            source_kind=SourceKind.RAW_SOURCE,
         )
-        index = VectorIndex(entries=entries, dim=dim, source_kind=SourceKind.RAW_SOURCE)
 
         norms = [math.sqrt(math.fsum(float(x) * float(x) for x in v)) for v in vectors]
 

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from autopatch.analyzer import format_as_dump, parse_cfg_dump, split_dump_functions
+from autopatch.analyzer import parse_cfg_dump, split_dump_functions
 from autopatch.cfg import serialize_cfg
 from autopatch.errors import ParseError
 
 from conftest import DUMP_DIR, GOLDEN_DIR
+from helpers import format_as_dump
 
 # Hand-counted from the committed dump files: unique non-NULL successor edges,
 # statements = numbered elements plus label lines (case/default/goto targets).

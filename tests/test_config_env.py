@@ -25,7 +25,6 @@ def test_analyzer_config_defaults(monkeypatch):
     assert config.binary == "clang"
     assert config.extra_flags == ()
     assert config.function == "main"
-    assert config.dump_stream == "stderr"
 
 
 def test_toolchain_config_env_overrides(monkeypatch):

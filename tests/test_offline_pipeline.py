@@ -1,7 +1,7 @@
 """Pipeline behaviour that runs without clang: the index stage's worker
 pool over CFGs parsed from the committed dumps (the `dump_graphs` fixture),
-analyzer failure reasons from a fake analyzer, and eval containment of
-unscorable ground truths."""
+analyzer failure reasons from fake analyzers, and eval containment of
+unscorable ground truths and undecodable patches."""
 
 from __future__ import annotations
 
@@ -16,8 +16,9 @@ from autopatch import pipeline
 from autopatch.analyzer import AnalyzerConfig, run_analyzer
 from autopatch.corpus import CorpusSplit, write_corpus
 from autopatch.errors import AnalyzerFailed
-from autopatch.pipeline import INDEX_JOURNAL, patch_path, run_eval, run_ingest
-from autopatch.prompting import Cassette, PromptMode
+from autopatch.pipeline import INDEX_JOURNAL, patch_path, run_eval, run_index, run_ingest
+from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
+from autopatch.retrieval import LocalHashingProvider
 
 from conftest import DB_COUNT, SEED, requires_gxx
 from helpers import index_slow_first
@@ -57,6 +58,49 @@ def test_analyzer_failure_reason_quotes_no_temp_path(tmp_path, monkeypatch):
     assert "input.cpp" in messages[0]
     assert tempfile.gettempdir() not in messages[0]
     assert messages[0] == messages[1]
+
+
+def test_analyzer_launch_error_fails_each_record(tmp_path, monkeypatch, corpus_file):
+    script = tmp_path / "fake-analyzer"
+    script.write_text("#!/nonexistent/python\n")
+    script.chmod(0o755)
+    monkeypatch.setenv("AUTOPATCH_ANALYZER_PATH", str(script))
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    llm = LlmClient(LlmConfig(), Cassette(tmp_path / "cassette.jsonl"), mode="replay")
+
+    result = run_index(ingest.corpus, ingest.split, tmp_path / "index", LocalHashingProvider(), llm)
+
+    journal = (tmp_path / "index" / INDEX_JOURNAL).read_text(encoding="utf-8").splitlines()
+    entries = [json.loads(line) for line in journal]
+    assert [e["record_id"] for e in entries] == [p.id for p in ingest.split.database_set]
+    assert {e["status"] for e in entries} == {"failed"}
+    assert result.indexed_count == 0 and len(result.skipped) == DB_COUNT
+    for entry in entries:
+        assert "could not start" in entry["reason"]
+        assert tempfile.gettempdir() not in entry["reason"]
+        assert "autopatch-cfg-" not in entry["reason"]
+
+
+def test_eval_logs_undecodable_patch(tmp_path, pairs):
+    pair = pairs[0]
+    corpus_path = tmp_path / "pairs.jsonl"
+    write_corpus([pair], corpus_path)
+    ingest = run_ingest(corpus_path, 0, SEED, tmp_path / "ingest")
+    split = CorpusSplit(database_set=(), test_set=(pair,))
+    mode = PromptMode.ZERO_SHOT
+    path = patch_path(tmp_path / "patches", mode, pair.id)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(b"\xff\xfe")
+
+    result = run_eval(ingest.corpus, split, tmp_path / "patches", tmp_path / "eval", (mode,),
+                      reps=1, timeout_s=10.0)
+
+    assert result.failures == [
+        {"record_id": pair.id, "mode": mode.value, "reason": "patch is not valid UTF-8"}
+    ]
+    assert result.report_json_path.exists()
+    manifest = json.loads((tmp_path / "eval" / pipeline.FAILURES_MANIFEST).read_text())
+    assert manifest == result.failures
 
 
 @requires_gxx

@@ -73,9 +73,9 @@ def test_index_entries_carry_diff_and_rationale(small_run):
     run_index(ingest.corpus, ingest.split, out, LocalHashingProvider(), recorder)
     index = load_index(out / "index_cfg.jsonl")
     assert index.source_kind is SourceKind.CFG_SERIALIZATION
-    for entry in index.entries:
-        assert "ΔS" in entry.diff_text and "ΔC" in entry.diff_text
-        assert entry.rationale
+    for diff_text, rationale in index.metadata:
+        assert "ΔS" in diff_text and "ΔC" in diff_text
+        assert rationale
 
 
 def test_optimize_context_prompts_draw_on_retrieved_entry(small_run):

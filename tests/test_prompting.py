@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import random
 import re
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,21 @@ def test_replay_miss(tmp_path):
     client = LlmClient(LlmConfig(model="m"), cassette, mode="replay")
     with pytest.raises(ReplayMiss):
         client.complete("sys", "never recorded")
+
+
+def test_client_is_freed_without_a_collector_pass(tmp_path):
+    # A client must not reference itself: the cassette it holds (every
+    # recorded exchange) is then freed as soon as the client is dropped.
+    for transport in (None, _canned_transport()):
+        client = LlmClient(LlmConfig(model="m"), Cassette(tmp_path / "c.jsonl"), mode="record",
+                           transport=transport)
+        freed = weakref.ref(client.cassette)
+        gc.disable()
+        try:
+            del client
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 def test_cassette_file_format(tmp_path):

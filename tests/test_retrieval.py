@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopatch.corpus import CodePair
 from autopatch.pipeline import INDEX_JOURNAL, index_path, run_ingest
@@ -34,7 +36,7 @@ from autopatch.retrieval import (
 )
 
 from conftest import DB_COUNT, SEED
-from helpers import index_slow_first
+from helpers import index_slow_first, scan_top1
 
 
 def _pair(record_id: str, code: str = "int main(){return 0;}") -> CodePair:
@@ -54,14 +56,14 @@ def _entry(record_id: str, vector) -> IndexEntry:
         vector=np.asarray(vector, dtype=np.float32),
         diff_text="",
         rationale="",
-        source_kind=SourceKind.RAW_SOURCE,
     )
 
 
 def _index(entries) -> VectorIndex:
     return VectorIndex(
-        entries=tuple(entries),
-        dim=entries[0].vector.shape[0],
+        ids=tuple(e.record_id for e in entries),
+        matrix=np.stack([e.vector for e in entries]),
+        metadata=[(e.diff_text, e.rationale) for e in entries],
         source_kind=SourceKind.RAW_SOURCE,
     )
 
@@ -146,10 +148,10 @@ def _records(n: int) -> list[IndexRecord]:
 
 def test_build_index_cardinality_and_dim():
     index = build_index(_records(5), LocalHashingProvider(), SourceKind.RAW_SOURCE)
-    assert len(index.entries) == 5
+    assert len(index.ids) == 5
     assert index.dim == 256
-    assert all(e.vector.shape == (256,) for e in index.entries)
-    assert [e.record_id for e in index.entries] == [f"r{i}" for i in range(5)]
+    assert all(vector.shape == (256,) for vector in index.matrix)
+    assert list(index.ids) == [f"r{i}" for i in range(5)]
 
 
 def test_build_index_duplicate_id():
@@ -163,9 +165,9 @@ def test_build_index_kind_selects_embedded_text():
     provider = LocalHashingProvider()
     cfg_index = build_index(records, provider, SourceKind.CFG_SERIALIZATION)
     src_index = build_index(records, provider, SourceKind.RAW_SOURCE)
-    for record, cfg_entry, src_entry in zip(records, cfg_index.entries, src_index.entries):
-        assert np.array_equal(cfg_entry.vector, provider.embed(record.cfg_text))
-        assert np.array_equal(src_entry.vector, provider.embed(record.pair.original_code))
+    for record, cfg_vector, src_vector in zip(records, cfg_index.matrix, src_index.matrix):
+        assert np.array_equal(cfg_vector, provider.embed(record.cfg_text))
+        assert np.array_equal(src_vector, provider.embed(record.pair.original_code))
 
 
 def test_build_index_concurrent_commit_order(tmp_path, pairs, corpus_file, dump_graphs):
@@ -187,11 +189,11 @@ def test_build_index_concurrent_commit_order(tmp_path, pairs, corpus_file, dump_
         SourceKind.RAW_SOURCE,
     )
     concurrent = load_index(index_path(tmp_path / "index", SourceKind.RAW_SOURCE))
-    assert [e.record_id for e in sequential.entries] == [e.record_id for e in concurrent.entries]
-    for a, b in zip(sequential.entries, concurrent.entries):
-        assert np.array_equal(a.vector, b.vector)
+    assert sequential.ids == concurrent.ids
+    for a, b in zip(sequential.matrix, concurrent.matrix):
+        assert np.array_equal(a, b)
     cfg_index = load_index(index_path(tmp_path / "index", SourceKind.CFG_SERIALIZATION))
-    assert [e.record_id for e in cfg_index.entries] == [p.id for p in database]
+    assert list(cfg_index.ids) == [p.id for p in database]
 
 
 def test_build_index_at_database_scale(tmp_path):
@@ -201,8 +203,8 @@ def test_build_index_at_database_scale(tmp_path):
         SourceKind.RAW_SOURCE,
         path=tmp_path / "big.jsonl",
     )
-    assert len(index.entries) == 1000
-    assert load_index(tmp_path / "big.jsonl").entries[999].record_id == "r999"
+    assert len(index.ids) == 1000
+    assert load_index(tmp_path / "big.jsonl").ids[999] == "r999"
 
 
 def test_index_round_trip_bit_exact(tmp_path):
@@ -212,12 +214,11 @@ def test_index_round_trip_bit_exact(tmp_path):
     loaded = load_index(path)
     assert loaded.dim == index.dim
     assert loaded.source_kind == index.source_kind
-    assert len(loaded.entries) == len(index.entries)
-    for original, restored in zip(index.entries, loaded.entries):
-        assert restored.record_id == original.record_id
-        assert restored.diff_text == original.diff_text
-        assert restored.rationale == original.rationale
-        assert original.vector.tobytes() == restored.vector.tobytes()
+    assert len(loaded.ids) == len(index.ids)
+    assert loaded.ids == index.ids
+    assert loaded.metadata == index.metadata
+    for original, restored in zip(index.matrix, loaded.matrix):
+        assert original.tobytes() == restored.tobytes()
 
 
 def test_index_header_format(tmp_path):
@@ -278,10 +279,68 @@ def test_retrieve_scale_invariant():
 
 def test_retrieve_empty_index_and_dim_mismatch():
     with pytest.raises(EmptyIndex):
-        retrieve_top1(VectorIndex((), 4, SourceKind.RAW_SOURCE), np.ones(4, dtype=np.float32))
+        retrieve_top1(VectorIndex((), np.zeros((0, 4), np.float32), [], SourceKind.RAW_SOURCE),
+                      np.ones(4, dtype=np.float32))
     index = _index([_entry("a", [1.0, 0.0])])
     with pytest.raises(DimMismatch):
         retrieve_top1(index, np.ones(3, dtype=np.float32))
+
+
+def test_retrieve_zero_query_and_zero_row_raise():
+    index = _index([_entry("a", [1.0, 0.0]), _entry("b", [0.0, 1.0])])
+    with pytest.raises(ZeroVector):
+        retrieve_top1(index, np.zeros(2, dtype=np.float32))
+    index = _index([_entry("a", [1.0, 0.0]), _entry("b", [0.0, 0.0])])
+    with pytest.raises(ZeroVector):
+        retrieve_top1(index, np.ones(2, dtype=np.float32))
+
+
+@st.composite
+def _planted_index_and_query(draw):
+    """A random index with shuffled ids and planted duplicate rows (exact,
+    positive-scaled, or one float32 step off) and a cluster of near-copies
+    of one hub row (perturbed by 1e-8 to 1e-5), plus a float32 or float64
+    query that is random, equal to a stored row, or a near-copy of the hub."""
+    n = draw(st.integers(1, 300))
+    dim = draw(st.integers(2, 1536))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def near(row):
+        return row + rng.normal(size=dim) * 10.0 ** rng.uniform(-8, -5)
+
+    matrix = rng.normal(size=(n, dim)).astype(np.float32)
+    for kind in draw(st.lists(st.sampled_from(["exact", "scaled", "step"]), max_size=8)):
+        src, dst = rng.integers(n, size=2)
+        if kind == "exact":
+            matrix[dst] = matrix[src]
+        elif kind == "scaled":
+            matrix[dst] = matrix[src] * np.float32(rng.uniform(0.01, 100.0))
+        else:
+            matrix[dst] = matrix[src]
+            k = rng.integers(dim)
+            matrix[dst, k] = np.nextafter(matrix[dst, k], np.float32(np.inf))
+    hub = matrix[rng.integers(n)].copy()
+    for dst in rng.integers(n, size=draw(st.integers(0, n))):
+        matrix[dst] = near(hub)
+    ids = [f"r{i:03d}" for i in rng.permutation(n)]
+    index = VectorIndex(tuple(ids), matrix, [(i, "") for i in ids], SourceKind.RAW_SOURCE)
+    query = draw(st.sampled_from(["random", "stored", "near"]))
+    query = {"random": rng.normal(size=dim), "stored": matrix[rng.integers(n)],
+             "near": near(hub)}[query]
+    return index, query.astype(draw(st.sampled_from([np.float32, np.float64])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_planted_index_and_query())
+def test_retrieve_equals_exhaustive_scan_oracle(case):
+    index, query = case
+    expected_id, expected_score = scan_top1(index, query)
+    entry, score = retrieve_top1(index, query)
+    assert entry.record_id == expected_id
+    assert np.float64(score).tobytes() == np.float64(expected_score).tobytes()
+    row = index.ids.index(expected_id)
+    assert entry.diff_text == index.metadata[row][0]
+    assert entry.vector.tobytes() == index.matrix[row].tobytes()
 
 
 # --- remote provider --------------------------------------------------------------
