@@ -261,7 +261,6 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
                 argv,
                 cwd=workdir,
                 capture_output=True,
-                text=True,
                 timeout=config.timeout_s,
             )
         except subprocess.TimeoutExpired:
@@ -269,9 +268,12 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
         except OSError as exc:  # e.g. a missing script interpreter
             # Name the binary without its directory, which may be temporary.
             raise AnalyzerFailed(-1, f"analyzer could not start: {exc.strerror}: {Path(binary).name}") from None
+    # Decoded leniently: bytes that are not UTF-8 must not escape as a
+    # UnicodeDecodeError, which no stage contains per record.
+    stderr = proc.stderr.decode("utf-8", "replace")
     if proc.returncode != 0:
-        raise AnalyzerFailed(proc.returncode, proc.stderr)
-    return proc.stderr
+        raise AnalyzerFailed(proc.returncode, stderr)
+    return stderr
 
 
 def extract_cfg(

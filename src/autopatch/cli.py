@@ -8,6 +8,7 @@ executable under every compared mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -55,7 +56,11 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--replay", action="store_true", help="replay from the cassette, offline")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: an argparse parser is a web of
+    reference cycles, which every rebuild would leave to the cyclic
+    collector. Parsing does not change it."""
     parser = argparse.ArgumentParser(prog="autopatch")
     sub = parser.add_subparsers(dest="command", required=True)
 

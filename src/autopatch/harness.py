@@ -3,8 +3,9 @@
 Timing discipline: per testcase one untimed warmup run, then `reps` timed
 runs; the testcase's time is the median of the reps (suppressing scheduler
 outliers) and the program's time is the mean across testcases. Output
-comparison uses the corpus normalization rule. Timed execution is meant to be
-run sequentially, one benchmark at a time; compilation can parallelize.
+comparison uses the corpus normalization rule. Timed runs are meant to have
+the CPU to themselves: `pipeline.run_eval` compiles every patch on a thread
+pool first and only then times them, one at a time.
 """
 
 from __future__ import annotations
@@ -92,13 +93,12 @@ def compile_program(
         proc = subprocess.run(
             [compiler, str(source), "-o", str(binary), *toolchain.flags],
             capture_output=True,
-            text=True,
             timeout=toolchain.compile_timeout_s,
         )
     except subprocess.TimeoutExpired:
         raise CompileError(f"compiler timed out after {toolchain.compile_timeout_s}s") from None
     if proc.returncode != 0:
-        raise CompileError(proc.stderr)
+        raise CompileError(proc.stderr.decode("utf-8", "replace"))
     return binary
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import repeat
 
 from .errors import BothEmpty, EmptyGroundTruth
 
@@ -88,28 +87,40 @@ def line_overlap(generated: str, ground_truth: str) -> float:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Character-level Levenshtein distance (row-vectorized DP)."""
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
+    """Character-level Levenshtein distance, computed with the bit-parallel
+    algorithm of Myers (J. ACM 46(3), 1999) in the formulation of Hyyrö
+    (2001), on Python ints of any width.
+
+    Bit i of the column vectors `pv`/`mv` says that cell i+1 of the current
+    DP column is one more/less than cell i; the shorter string indexes the
+    bits and the longer one is read once, one column per character. Every
+    operation carries information only towards higher bits, so bits past the
+    shorter string's length never reach the low ones: `pv` is masked only to
+    keep it from growing (`mv` never gets such bits, as it shares none with
+    `pv`). `mask ^ x` stands for `~x` and keeps every value non-negative,
+    which CPython operates on faster.
+    """
     if len(a) < len(b):
         a, b = b, a
-    b_codes = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-    positions = np.arange(1, len(b) + 1, dtype=np.int64)
-    previous = np.arange(len(b) + 1, dtype=np.int64)
-    for i, ch in enumerate(a):
-        substitution = previous[:-1] + (b_codes != ord(ch))
-        current = np.empty_like(previous)
-        current[0] = i + 1
-        current[1:] = np.minimum(previous[1:] + 1, substitution)
-        # Propagate insertions left to right: cost[j] = min_k<=j cost[k] + (j-k).
-        current[1:] = np.minimum(
-            current[1:],
-            positions + np.minimum.accumulate(current[:-1] - positions + 1),
-        )
-        previous = current
-    return int(previous[-1])
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}  # character -> bits of its positions in b
+    bit = 1
+    for ch in b:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    pv, mv = mask, 0
+    for eq in map(peq.get, a, repeat(0)):
+        x = eq | mv
+        d0 = (((x & pv) + pv) ^ pv) | x
+        hp = mv | ((d0 | pv) ^ mask)
+        hn = d0 & pv
+        hp = (hp << 1) | 1
+        pv = ((hn << 1) | ((d0 | hp) ^ mask)) & mask
+        mv = hp & d0
+    # The last column's top cell is len(a); the vertical deltas sum to the rest.
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
 def edit_distance_similarity(generated: str, ground_truth: str) -> float:

@@ -28,7 +28,7 @@ from .harness import (
     compile_program,
     measure_execution,
 )
-from .metrics import compute_lexical
+from .metrics import LexicalScores, compute_lexical
 from .preprocess import preprocess_source
 from .prompting import LlmClient, PromptMode, build_prompt, generate_patch, generate_rationale
 from .report import EvaluationReport, EvalResult, aggregate_report
@@ -48,10 +48,10 @@ SPLIT_MANIFEST = "split.json"
 INDEX_JOURNAL = "index_journal.jsonl"
 FAILURES_MANIFEST = "failures.json"
 
-# Records the index stage prepares at once. Preparation waits on analyzer
-# subprocesses and chat calls, so threads overlap it; this also bounds the
-# chat calls in flight.
-INDEX_WORKERS = 4
+# Threads in the pool of a stage that waits on subprocesses or chat calls:
+# the index stage prepares this many records at once (which also bounds the
+# chat calls in flight), and the eval stage compiles this many patches.
+STAGE_WORKERS = 4
 
 _INDEX_FILES = {
     SourceKind.CFG_SERIALIZATION: "index_cfg.jsonl",
@@ -168,7 +168,7 @@ def run_index(
 ) -> IndexResult:
     """Build the vector index(es) over the database split.
 
-    Up to INDEX_WORKERS records are prepared at once; the journal and the
+    Up to STAGE_WORKERS records are prepared at once; the journal and the
     indexes list them in database order all the same. Preparation results
     are journaled per record, so a rerun reuses finished records and retries
     failed ones; per-record failures are logged and skipped, never fatal.
@@ -191,7 +191,7 @@ def run_index(
             return {"record_id": pair.id, "status": "failed", "reason": str(exc)}
 
     # map yields in database order, whatever order the records finish in.
-    with ThreadPoolExecutor(max_workers=INDEX_WORKERS) as pool:
+    with ThreadPoolExecutor(max_workers=STAGE_WORKERS) as pool:
         entries = list(pool.map(prepare, split.database_set))
     prepared = [entry for entry in entries if entry["status"] == "ok"]
     skipped = [entry for entry in entries if entry["status"] != "ok"]
@@ -330,13 +330,21 @@ def run_eval(
     parameters: dict | None = None,
 ) -> EvalRunResult:
     """Score every patch lexically against the ground truth, compile it, time
-    it against the record's testcases, and aggregate the report."""
+    it against the record's testcases, and aggregate the report.
+
+    Three phases, each in (target, mode) order: score every patch; compile
+    the scored ones on a pool of STAGE_WORKERS threads; then, once every
+    compile has returned, time the binaries one at a time, so no timed run
+    shares the CPU with a compiler. A patch that is missing, undecodable,
+    unscorable or without testcases goes to the failures manifest; one that
+    does not compile is a COMPILE_ERROR result.
+    """
     patch_dir = Path(patch_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     toolchain = toolchain or ToolchainConfig.from_env()
 
-    results: list[EvalResult] = []
+    scored: list[tuple[CodePair, PromptMode, str, LexicalScores]] = []
     failures: list[dict] = []
 
     for pair in split.test_set:
@@ -361,25 +369,34 @@ def run_eval(
                     {"record_id": pair.id, "mode": mode.value, "reason": "no testcases"}
                 )
                 continue
+            scored.append((pair, mode, code, lexical))
 
-            try:
-                binary = compile_program(
-                    code, toolchain, out_dir / "bin" / mode.value / pair.id
-                )
-            except AutopatchError as exc:
-                outcome = RunOutcome.failure(RunStatus.COMPILE_ERROR, str(exc))
-            else:
-                outcome = measure_execution(binary, pair.testcases, reps, timeout_s)
+    def compile_patch(item) -> Path | RunOutcome:
+        pair, mode, code, _ = item
+        try:
+            return compile_program(code, toolchain, out_dir / "bin" / mode.value / pair.id)
+        except AutopatchError as exc:
+            return RunOutcome.failure(RunStatus.COMPILE_ERROR, str(exc))
 
-            results.append(
-                EvalResult(
-                    target_id=pair.id,
-                    mode=mode.value,
-                    lexical=lexical,
-                    outcome=outcome,
-                    labels=pair.labels,
-                )
+    # map yields in scoring order; leaving the block waits for every compile.
+    with ThreadPoolExecutor(max_workers=STAGE_WORKERS) as pool:
+        compiled = list(pool.map(compile_patch, scored))
+
+    results: list[EvalResult] = []
+    for (pair, mode, _, lexical), built in zip(scored, compiled):
+        if isinstance(built, RunOutcome):
+            outcome = built
+        else:
+            outcome = measure_execution(built, pair.testcases, reps, timeout_s)
+        results.append(
+            EvalResult(
+                target_id=pair.id,
+                mode=mode.value,
+                lexical=lexical,
+                outcome=outcome,
+                labels=pair.labels,
             )
+        )
 
     parameters = dict(parameters or {})
     parameters.update({"reps": reps, "timeout_s": timeout_s})

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import gc
 import json
 
 from autopatch.cli import EXIT_NO_COMMON_SET, EXIT_OK, EXIT_USAGE, main
@@ -39,6 +41,21 @@ def test_ingest_rerun_is_byte_identical(corpus_file, tmp_path):
     first = (tmp_path / "a" / "split.json").read_bytes()
     second = (tmp_path / "b" / "split.json").read_bytes()
     assert first == second
+
+
+def test_main_leaves_no_parser_garbage(corpus_file, tmp_path):
+    argv = ("ingest", "--corpus", str(corpus_file), "--db-count", "7", "--out", str(tmp_path))
+    assert run_cli(*argv) == EXIT_OK  # the first call may build what later calls reuse
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_cli(*argv) == EXIT_OK
+        gc.collect()
+        parsers = [obj for obj in gc.garbage if isinstance(obj, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert parsers == []
 
 
 def test_ingest_missing_file_exits_2(tmp_path, capsys):

@@ -58,5 +58,5 @@ def test_llm_client_bounds_in_flight_requests(tmp_path, pairs, corpus_file, dump
     # The index stage's worker pool is what bounds chat calls in flight.
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     transport = index_slow_first(tmp_path, ingest, pairs)
-    assert 2 <= transport.peak <= pipeline.INDEX_WORKERS
+    assert 2 <= transport.peak <= pipeline.STAGE_WORKERS
     assert sorted(transport.finished) == list(range(len(ingest.split.database_set)))

@@ -127,6 +127,70 @@ def test_levenshtein_matches_dp_oracle_random_sample():
         assert levenshtein(a, b) == dp_levenshtein(a, b)
 
 
+# Lengths at and around the 64-bit word boundaries, where a bit-vector
+# implementation that works word by word would carry between words.
+_BOUNDARY_LENGTHS = (0, 1, 2, 62, 63, 64, 65, 66, 127, 128, 129, 191, 192, 193, 300)
+_ALPHABETS = ("ab", "abc x\n", "aé€ж", "a😀𝄞\U0010fffd", "{}();=+ intmax0123")
+
+
+@st.composite
+def _string_pairs(draw):
+    """Two strings over one alphabet (ASCII, non-ASCII or astral-plane), each
+    0-300 characters long; the second is drawn independently or as a few
+    random edits of the first, so distances are both large and small."""
+    alphabet = draw(st.sampled_from(_ALPHABETS))
+    length = st.one_of(st.sampled_from(_BOUNDARY_LENGTHS), st.integers(0, 300))
+    chars = st.sampled_from(alphabet)
+
+    def text() -> str:
+        n = draw(length)
+        return "".join(draw(st.lists(chars, min_size=n, max_size=n)))
+
+    a = text()
+    if draw(st.booleans()):
+        b = text()
+    else:
+        b = list(a)
+        for _ in range(draw(st.integers(0, 5))):
+            at = draw(st.integers(0, len(b)))
+            edit = draw(st.sampled_from(("insert", "delete", "substitute")))
+            if edit == "insert" or not b:
+                b.insert(at, draw(chars))
+            else:
+                at = min(at, len(b) - 1)
+                if edit == "delete":
+                    del b[at]
+                else:
+                    b[at] = draw(chars)
+        b = "".join(b)
+    if draw(st.integers(0, 9)) == 0:  # one side empty
+        a, b = draw(st.sampled_from(((a, ""), ("", b))))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_string_pairs())
+def test_levenshtein_equals_dp_oracle_across_word_boundaries(strings):
+    a, b = strings
+    expected = dp_levenshtein(a, b)
+    assert levenshtein(a, b) == expected
+    assert levenshtein(b, a) == expected
+
+
+def test_levenshtein_long_texts_with_known_distance():
+    rng = random.Random(4096)
+    text = "".join(rng.choice("{}();=+-<> \nintforwhilex0123") for _ in range(4096))
+    middle = len(text) // 2
+    deleted = text[:middle] + text[middle + 1:]
+    substituted = text[:middle] + ("#" if text[middle] != "#" else "@") + text[middle + 1:]
+    assert levenshtein(text, text) == 0
+    assert levenshtein(text, deleted) == 1
+    assert levenshtein(deleted, text) == 1
+    assert levenshtein(text, substituted) == 1
+    assert levenshtein(text, "#" + text[1:] + "😀") == 2
+    assert levenshtein(text, "") == levenshtein("", text) == 4096
+
+
 # --- token overlap ---------------------------------------------------------------
 
 

@@ -1,27 +1,36 @@
 """Pipeline behaviour that runs without clang: the index stage's worker
 pool over CFGs parsed from the committed dumps (the `dump_graphs` fixture),
-analyzer failure reasons from fake analyzers, and eval containment of
-unscorable ground truths and undecodable patches."""
+analyzer and compiler failures from fake tools, eval containment of
+unscorable ground truths and undecodable patches, and the eval stage's
+phase order (every compile before any timed run) under fake compile and
+time functions."""
 
 from __future__ import annotations
 
 import json
 import sys
 import tempfile
+import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from autopatch import pipeline
 from autopatch.analyzer import AnalyzerConfig, run_analyzer
 from autopatch.corpus import CorpusSplit, write_corpus
-from autopatch.errors import AnalyzerFailed
+from autopatch.errors import AnalyzerFailed, CompileError
+from autopatch.harness import RunOutcome, RunStatus, ToolchainConfig
+from autopatch.metrics import compute_lexical
 from autopatch.pipeline import INDEX_JOURNAL, patch_path, run_eval, run_index, run_ingest
+from autopatch.preprocess import preprocess_source
 from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
+from autopatch.report import EvalResult, aggregate_report
 from autopatch.retrieval import LocalHashingProvider
 
-from conftest import DB_COUNT, SEED, requires_gxx
-from helpers import index_slow_first
+from conftest import ALL_MODES, DB_COUNT, DUMP_DIR, SEED, requires_gxx
+from helpers import index_slow_first, make_scripted_transport
 
 
 def test_index_pool_output_identical_across_runs(tmp_path, pairs, corpus_file, dump_graphs):
@@ -125,3 +134,173 @@ def test_eval_contains_empty_ground_truth(tmp_path, pairs):
     assert result.report_json_path.exists()
     manifest = json.loads((tmp_path / "eval" / pipeline.FAILURES_MANIFEST).read_text())
     assert manifest == result.failures
+
+
+def _fake_tool(path: Path, body: str) -> Path:
+    path.write_text(f"#!{sys.executable}\nimport os, sys\n" + body, encoding="utf-8")
+    path.chmod(0o755)
+    return path
+
+
+def _capture_results(monkeypatch) -> list[EvalResult]:
+    """Keep the per-patch results that run_eval hands to aggregate_report."""
+    captured: list[EvalResult] = []
+
+    def capture(results, *args, **kwargs):
+        captured[:] = results
+        return aggregate_report(results, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "aggregate_report", capture)
+    return captured
+
+
+def test_analyzer_undecodable_stderr_fails_one_record(tmp_path, monkeypatch, pairs, corpus_file):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    rejected = ingest.split.database_set[1]
+    reject_file = tmp_path / "reject.cpp"
+    reject_file.write_text(preprocess_source(rejected.original_code).output_code, encoding="utf-8")
+    # Rejects one program with bytes that are not UTF-8; dumps a fixed CFG
+    # for every other.
+    script = _fake_tool(tmp_path / "fake-analyzer", (
+        f"if open('input.cpp', encoding='utf-8').read() == open({str(reject_file)!r}, encoding='utf-8').read():\n"
+        "    sys.stderr.buffer.write(b'input.cpp: error: \\xff\\xfe\\n')\n"
+        "    sys.exit(1)\n"
+        f"sys.stderr.write(open({str(DUMP_DIR / 'prog01.txt')!r}).read())\n"
+    ))
+    monkeypatch.setenv("AUTOPATCH_ANALYZER_PATH", str(script))
+    llm = LlmClient(LlmConfig(), Cassette(tmp_path / "cassette.jsonl"), mode="record",
+                    transport=make_scripted_transport(pairs))
+
+    result = run_index(ingest.corpus, ingest.split, tmp_path / "index", LocalHashingProvider(), llm)
+
+    journal = (tmp_path / "index" / INDEX_JOURNAL).read_text(encoding="utf-8").splitlines()
+    entries = {e["record_id"]: e for e in map(json.loads, journal)}
+    assert set(entries) == {p.id for p in ingest.split.database_set}
+    assert [e["record_id"] for e in entries.values() if e["status"] != "ok"] == [rejected.id]
+    assert entries[rejected.id]["reason"] == "analyzer exited with 1: input.cpp: error: \ufffd\ufffd"
+    assert result.indexed_count == DB_COUNT - 1
+
+
+@requires_gxx
+def test_compiler_undecodable_stderr_is_compile_error(tmp_path, monkeypatch, pairs):
+    good, rejected = pairs[0], pairs[1]
+    corpus_path = tmp_path / "pairs.jsonl"
+    write_corpus([good, rejected], corpus_path)
+    ingest = run_ingest(corpus_path, 0, SEED, tmp_path / "ingest")
+    split = CorpusSplit(database_set=(), test_set=(good, rejected))
+    mode = PromptMode.ZERO_SHOT
+    for pair, prefix in ((good, ""), (rejected, "// reject me\n")):
+        path = patch_path(tmp_path / "patches", mode, pair.id)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(prefix + pair.original_code, encoding="utf-8")
+    # Fails on the marked patch with bytes that are not UTF-8; hands every
+    # other to g++.
+    compiler = _fake_tool(tmp_path / "fake-cxx", (
+        "if 'reject me' in open(sys.argv[1], encoding='utf-8').read():\n"
+        "    sys.stderr.buffer.write(b'error: \\xff\\xfe\\n')\n"
+        "    sys.exit(1)\n"
+        "os.execvp('g++', ['g++', *sys.argv[1:]])\n"
+    ))
+    captured = _capture_results(monkeypatch)
+
+    result = run_eval(ingest.corpus, split, tmp_path / "patches", tmp_path / "eval", (mode,),
+                      reps=1, timeout_s=10.0, toolchain=ToolchainConfig(compiler=str(compiler)))
+
+    assert result.failures == []
+    assert [(r.target_id, r.outcome.status) for r in captured] == [
+        (good.id, RunStatus.OK), (rejected.id, RunStatus.COMPILE_ERROR)
+    ]
+    assert captured[0].outcome.mean_s > 0
+    assert "\ufffd" in captured[1].outcome.detail
+
+
+def _sequential_eval(split, patch_dir, out_dir, modes, reps, timeout_s, compile_fn, measure_fn):
+    """Reference for run_eval's results: every patch scored, compiled and
+    timed in turn, one (target, mode) at a time."""
+    results = []
+    for pair in split.test_set:
+        for mode in modes:
+            try:
+                code = patch_path(patch_dir, mode, pair.id).read_text(encoding="utf-8")
+            except (FileNotFoundError, UnicodeDecodeError):
+                continue
+            lexical = compute_lexical(code, pair.optimized_code)
+            try:
+                binary = compile_fn(code, None, out_dir / "bin" / mode.value / pair.id)
+            except CompileError as exc:
+                outcome = RunOutcome.failure(RunStatus.COMPILE_ERROR, str(exc))
+            else:
+                outcome = measure_fn(binary, pair.testcases, reps, timeout_s)
+            results.append(EvalResult(pair.id, mode.value, lexical, outcome, pair.labels))
+    return aggregate_report(results, parameters={"reps": reps, "timeout_s": timeout_s})
+
+
+def test_eval_compiles_every_patch_before_timing_any(tmp_path, monkeypatch, pairs):
+    test_set = tuple(pairs[:5])
+    corpus_path = tmp_path / "pairs.jsonl"
+    write_corpus(test_set, corpus_path)
+    ingest = run_ingest(corpus_path, 0, SEED, tmp_path / "ingest")
+    split = CorpusSplit(database_set=(), test_set=test_set)
+    slots = [(pair.id, mode.value) for pair in test_set for mode in ALL_MODES]
+    missing = (test_set[1].id, PromptMode.NAIVE.value)
+    undecodable = (test_set[2].id, PromptMode.CONTEXT.value)
+    uncompilable = (test_set[0].id, PromptMode.CONTEXT.value)
+    for pair in test_set:
+        for mode in ALL_MODES:
+            path = patch_path(tmp_path / "patches", mode, pair.id)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if (pair.id, mode.value) == undecodable:
+                path.write_bytes(b"\xff\xfe")
+            elif (pair.id, mode.value) != missing:
+                code = pair.original_code if mode is PromptMode.ZERO_SHOT else pair.optimized_code
+                path.write_text(code, encoding="utf-8")
+
+    events: list[tuple[str, tuple[str, str]]] = []
+    lock = threading.Lock()
+    in_flight = [0, 0]  # now, peak
+
+    def fake_compile(code, toolchain, out_dir, name="program"):
+        slot = tuple(reversed(Path(out_dir).parts[-2:]))  # (target, mode)
+        with lock:
+            in_flight[0] += 1
+            in_flight[1] = max(in_flight)
+        time.sleep(0.01 * (len(slots) - slots.index(slot)))  # earlier patches compile slower
+        with lock:
+            in_flight[0] -= 1
+            events.append(("compiled", slot))
+        if slot == uncompilable:
+            raise CompileError("fake compiler rejects this patch")
+        return Path(out_dir) / name
+
+    def fake_measure(binary, testcases, reps, timeout_s):
+        slot = tuple(reversed(binary.parts[-3:-1]))
+        with lock:
+            events.append(("timed", slot))
+        seconds = 0.001 * (len(slots) - slots.index(slot))
+        return RunOutcome(RunStatus.OK, per_testcase_times_s=(seconds,) * len(testcases),
+                          mean_s=seconds, median_s=seconds)
+
+    monkeypatch.setattr(pipeline, "compile_program", fake_compile)
+    monkeypatch.setattr(pipeline, "measure_execution", fake_measure)
+    captured = _capture_results(monkeypatch)
+
+    result = run_eval(ingest.corpus, split, tmp_path / "patches", tmp_path / "eval", ALL_MODES,
+                      reps=2, timeout_s=10.0)
+
+    scored = [slot for slot in slots if slot not in (missing, undecodable)]
+    compiled = [slot for kind, slot in events if kind == "compiled"]
+    timed = [slot for kind, slot in events if kind == "timed"]
+    assert sorted(compiled) == sorted(scored)
+    assert compiled != scored  # finished out of order
+    assert in_flight[1] >= 2
+    assert [kind for kind, _ in events] == ["compiled"] * len(scored) + ["timed"] * len(timed)
+    assert timed == [slot for slot in scored if slot != uncompilable]
+
+    assert [(r.target_id, r.mode) for r in captured] == scored
+    assert [(f["record_id"], f["mode"]) for f in result.failures] == [missing, undecodable]
+    manifest = json.loads((tmp_path / "eval" / pipeline.FAILURES_MANIFEST).read_text())
+    assert manifest == result.failures
+
+    reference = _sequential_eval(split, tmp_path / "patches", tmp_path / "reference", ALL_MODES,
+                                 2, 10.0, fake_compile, fake_measure)
+    assert result.report.to_json_dict() == reference.to_json_dict()
