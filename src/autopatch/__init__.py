@@ -32,7 +32,6 @@ from .metrics import (
 from .preprocess import PreprocessReport, preprocess_source
 from .prompting import (
     Cassette,
-    GeneratedPatch,
     LlmClient,
     LlmConfig,
     Prompt,

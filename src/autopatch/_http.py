@@ -12,8 +12,9 @@ from .errors import ServiceError
 def http_post_json(url: str, payload: dict, headers: dict | None = None, timeout_s: float = 60.0) -> dict:
     """POST `payload` as JSON and decode the JSON response.
 
-    HTTP error statuses raise ServiceError; transport failures surface as the
-    underlying OSError for the caller to classify.
+    HTTP error statuses and a body that is not UTF-8 JSON raise
+    ServiceError; transport failures surface as the underlying OSError for
+    the caller to classify.
     """
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=body, method="POST")
@@ -22,6 +23,10 @@ def http_post_json(url: str, payload: dict, headers: dict | None = None, timeout
         request.add_header(key, value)
     try:
         with urllib.request.urlopen(request, timeout=timeout_s) as response:
-            return json.loads(response.read().decode("utf-8"))
+            status, raw = response.status, response.read()
     except urllib.error.HTTPError as exc:
         raise ServiceError(exc.code, exc.read().decode("utf-8", "replace")) from None
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ServiceError(status, f"response is not JSON: {exc}") from None

@@ -54,26 +54,25 @@ _DEFAULT_ARGS = (
     "-w",
     "-fno-caret-diagnostics",
     "-fno-color-diagnostics",
+    "-std=c++17",
 )
+ANALYZER_TIMEOUT_S = 120.0
 
 
 @dataclass
 class AnalyzerConfig:
     binary: str = "clang"
-    std: str = "c++17"
     extra_flags: tuple[str, ...] = ()
-    function: str = "main"
-    timeout_s: float = 120.0
 
     @classmethod
-    def from_env(cls, **overrides) -> "AnalyzerConfig":
-        config = cls(**overrides)
+    def from_env(cls) -> "AnalyzerConfig":
+        config = cls()
         env_binary = os.environ.get(ANALYZER_PATH_ENV)
         if env_binary:
             config.binary = env_binary
         env_flags = os.environ.get(ANALYZER_FLAGS_ENV)
         if env_flags:
-            config.extra_flags = config.extra_flags + tuple(shlex.split(env_flags))
+            config.extra_flags = tuple(shlex.split(env_flags))
         return config
 
 
@@ -250,7 +249,6 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
         argv = [
             os.path.abspath(binary),
             *_DEFAULT_ARGS,
-            f"-std={config.std}",
             *config.extra_flags,
             "input.cpp",
             "-o",
@@ -261,10 +259,10 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
                 argv,
                 cwd=workdir,
                 capture_output=True,
-                timeout=config.timeout_s,
+                timeout=ANALYZER_TIMEOUT_S,
             )
         except subprocess.TimeoutExpired:
-            raise AnalyzerFailed(-1, f"analyzer timed out after {config.timeout_s}s") from None
+            raise AnalyzerFailed(-1, f"analyzer timed out after {ANALYZER_TIMEOUT_S}s") from None
         except OSError as exc:  # e.g. a missing script interpreter
             # Name the binary without its directory, which may be temporary.
             raise AnalyzerFailed(-1, f"analyzer could not start: {exc.strerror}: {Path(binary).name}") from None
@@ -278,23 +276,22 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
 
 def extract_cfg(
     code: str,
-    function: str | None = None,
+    function: str = "main",
     config: AnalyzerConfig | None = None,
 ) -> ControlFlowGraph:
     """Run the analyzer on preprocessed source and parse the CFG of one
-    function (default taken from the config, normally `main`)."""
+    function. Without a config, the analyzer is read from the environment."""
     config = config or AnalyzerConfig.from_env()
-    target = function or config.function
 
     dump = _strip_diagnostics(run_analyzer(code, config))
     sections = split_dump_functions(dump)
     if not sections:
-        raise FunctionNotFound(f"analyzer produced no CFG dump (looking for {target!r})")
+        raise FunctionNotFound(f"analyzer produced no CFG dump (looking for {function!r})")
 
     for signature, body in sections:
         name = _signature_name(signature)
-        if name == target or name.split("::")[-1] == target:
+        if name == function or name.split("::")[-1] == function:
             return parse_cfg_dump(body)
 
     available = ", ".join(_signature_name(sig) for sig, _ in sections)
-    raise FunctionNotFound(f"function {target!r} not in dump (found: {available})")
+    raise FunctionNotFound(f"function {function!r} not in dump (found: {available})")

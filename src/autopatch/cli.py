@@ -15,9 +15,8 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .analyzer import AnalyzerConfig
 from .errors import AutopatchError
-from .harness import DEFAULT_REPS, DEFAULT_TIMEOUT_S, ToolchainConfig
+from .harness import DEFAULT_REPS, DEFAULT_TIMEOUT_S
 from .pipeline import load_split, run_eval, run_index, run_ingest, run_optimize
 from .prompting import LLM_BASE_ENV, Cassette, LlmClient, LlmConfig, PromptMode
 from .retrieval import EMBED_BASE_ENV, LocalHashingProvider, RemoteEmbeddingProvider
@@ -148,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
             llm = _build_llm(args, parser)
             provider = _build_provider(args, parser)
             result = run_index(corpus, split, args.out, provider, llm,
-                               analyzer_config=AnalyzerConfig.from_env(),
                                resume=not args.no_resume)
             print(f"indexed {result.indexed_count} record(s); "
                   f"skipped {len(result.skipped)}")
@@ -162,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
             llm = _build_llm(args, parser)
             provider = _build_provider(args, parser)
             result = run_optimize(corpus, split, args.index, args.out, args.mode,
-                                  llm, provider, AnalyzerConfig.from_env())
+                                  llm, provider)
             total = sum(len(ids) for ids in result.written.values())
             print(f"wrote {total} patch(es); {len(result.failures)} failure(s)")
             for failure in result.failures:
@@ -173,7 +171,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             result = run_eval(corpus, split, args.patches, args.out, args.mode,
                               args.reps, args.timeout,
-                              toolchain=ToolchainConfig.from_env(),
                               parameters={"patches": str(args.patches)})
             print(result.report.render_text())
             print(f"report: {result.report_json_path}")

@@ -1,4 +1,4 @@
-"""Code-pair dataset: ingestion, validation, splitting, and persistence.
+"""Code-pair dataset: ingestion, validation and splitting.
 
 The corpus file is UTF-8 line-delimited JSON, one record per line:
 
@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CountOutOfRange, DuplicateId, MalformedRecord, UnknownId
 
@@ -145,31 +145,6 @@ def parse_record(obj: object, line_no: int) -> CodePair:
         testcases=tuple(testcases),
         rationale=rationale,
     )
-
-
-def record_to_json(pair: CodePair) -> dict:
-    """Inverse of parse_record, up to JSON key order."""
-    obj: dict = {
-        "id": pair.id,
-        "problem_id": pair.problem_id,
-        "original_code": pair.original_code,
-        "optimized_code": pair.optimized_code,
-        "labels": sorted(label.value for label in pair.labels),
-        "testcases": [
-            {"input": case.input, "expected_output": case.expected_output}
-            for case in pair.testcases
-        ],
-    }
-    if pair.rationale is not None:
-        obj["rationale"] = pair.rationale
-    return obj
-
-
-def write_corpus(pairs: Iterable[CodePair], path: Path | str) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for pair in pairs:
-            handle.write(json.dumps(record_to_json(pair), ensure_ascii=False) + "\n")
 
 
 def ingest_pairs(path: Path | str, strict: bool = True) -> Corpus:

@@ -149,7 +149,3 @@ class BinaryNotFound(AutopatchError):
 
 class NonpositiveBaseline(AutopatchError):
     pass
-
-
-class NoCommonExecutableSet(AutopatchError):
-    pass

@@ -29,17 +29,17 @@ CXXFLAGS_ENV = "AUTOPATCH_CXXFLAGS"
 
 DEFAULT_REPS = 5
 DEFAULT_TIMEOUT_S = 10.0
+COMPILE_TIMEOUT_S = 120.0
 
 
 @dataclass
 class ToolchainConfig:
     compiler: str = "g++"
     flags: tuple[str, ...] = ("-O2", "-std=c++17")
-    compile_timeout_s: float = 120.0
 
     @classmethod
-    def from_env(cls, **overrides) -> "ToolchainConfig":
-        config = cls(**overrides)
+    def from_env(cls) -> "ToolchainConfig":
+        config = cls()
         env_compiler = os.environ.get(CXX_ENV)
         if env_compiler:
             config.compiler = env_compiler
@@ -70,33 +70,26 @@ class RunOutcome:
         return cls(status=status, detail=detail)
 
 
-def compile_program(
-    code: str,
-    toolchain: ToolchainConfig | None,
-    out_dir: Path | str,
-    name: str = "program",
-) -> Path:
-    """Compile to a binary in `out_dir` (created if missing) and return its
-    path; the source is written beside it as `<name>.cpp`. A `None`
-    toolchain is read from the environment."""
-    toolchain = toolchain or ToolchainConfig.from_env()
+def compile_program(code: str, toolchain: ToolchainConfig, out_dir: Path | str) -> Path:
+    """Compile to `out_dir/program` (the directory is created if missing)
+    and return its path; the source is written beside it as `program.cpp`."""
     compiler = shutil.which(toolchain.compiler)
     if compiler is None:
         raise CompilerNotFound(f"compiler {toolchain.compiler!r} not on PATH")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    source = out_dir / f"{name}.cpp"
+    source = out_dir / "program.cpp"
     source.write_text(code, encoding="utf-8")
-    binary = out_dir / name
+    binary = out_dir / "program"
     try:
         proc = subprocess.run(
             [compiler, str(source), "-o", str(binary), *toolchain.flags],
             capture_output=True,
-            timeout=toolchain.compile_timeout_s,
+            timeout=COMPILE_TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
-        raise CompileError(f"compiler timed out after {toolchain.compile_timeout_s}s") from None
+        raise CompileError(f"compiler timed out after {COMPILE_TIMEOUT_S}s") from None
     if proc.returncode != 0:
         raise CompileError(proc.stderr.decode("utf-8", "replace"))
     return binary

@@ -20,7 +20,7 @@ from .analyzer import AnalyzerConfig, extract_cfg
 from .cfg import serialize_cfg
 from .cfg_diff import compute_diff, render_diff
 from .corpus import Corpus, CodePair, CorpusSplit, load_record
-from .errors import AutopatchError, NoCommonExecutableSet
+from .errors import AutopatchError
 from .harness import (
     RunOutcome,
     RunStatus,
@@ -162,11 +162,10 @@ def run_index(
     out_dir: Path | str,
     provider,
     llm: LlmClient,
-    kinds: tuple[SourceKind, ...] = (SourceKind.CFG_SERIALIZATION, SourceKind.RAW_SOURCE),
-    analyzer_config: AnalyzerConfig | None = None,
     resume: bool = True,
 ) -> IndexResult:
-    """Build the vector index(es) over the database split.
+    """Build the CFG-keyed and the source-keyed vector index over the
+    database split.
 
     Up to STAGE_WORKERS records are prepared at once; the journal and the
     indexes list them in database order all the same. Preparation results
@@ -175,7 +174,7 @@ def run_index(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    analyzer_config = analyzer_config or AnalyzerConfig.from_env()
+    analyzer_config = AnalyzerConfig.from_env()
 
     journal_path = out_dir / INDEX_JOURNAL
     previous = _load_journal(journal_path) if resume else {}
@@ -211,7 +210,7 @@ def run_index(
             )
             for entry in prepared
         ]
-        for kind in kinds:
+        for kind in _INDEX_FILES:
             path = index_path(out_dir, kind)
             build_index(records, provider, kind, path=path)
             built[kind] = path
@@ -241,12 +240,11 @@ def run_optimize(
     modes: tuple[PromptMode, ...],
     llm: LlmClient,
     provider,
-    analyzer_config: AnalyzerConfig | None = None,
 ) -> OptimizeResult:
     """Generate one patch per test record per requested mode."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    analyzer_config = analyzer_config or AnalyzerConfig.from_env()
+    analyzer_config = AnalyzerConfig.from_env()
 
     indexes: dict[SourceKind, VectorIndex] = {}
     for mode in modes:
@@ -261,14 +259,14 @@ def run_optimize(
         for mode in modes:
             try:
                 prompt = _build_mode_prompt(pair, mode, indexes, corpus, provider, analyzer_config)
-                patch = generate_patch(prompt, llm)
+                code = generate_patch(prompt, llm)
             except AutopatchError as exc:
                 failures.append({"record_id": pair.id, "mode": mode.value, "reason": str(exc)})
                 logger.warning("optimize: %s/%s failed: %s", mode.value, pair.id, exc)
                 continue
             destination = patch_path(out_dir, mode, pair.id)
             destination.parent.mkdir(parents=True, exist_ok=True)
-            destination.write_text(patch.code, encoding="utf-8")
+            destination.write_text(code, encoding="utf-8")
             written[mode.value].append(pair.id)
 
     _write_json(out_dir / FAILURES_MANIFEST, failures)
@@ -315,7 +313,10 @@ class EvalRunResult:
     report_json_path: Path
     report_text_path: Path
     failures: list[dict] = field(default_factory=list)
-    common_empty: bool = False
+
+    @property
+    def common_empty(self) -> bool:
+        return not self.report.common_executable_ids
 
 
 def run_eval(
@@ -326,7 +327,6 @@ def run_eval(
     modes: tuple[PromptMode, ...],
     reps: int,
     timeout_s: float,
-    toolchain: ToolchainConfig | None = None,
     parameters: dict | None = None,
 ) -> EvalRunResult:
     """Score every patch lexically against the ground truth, compile it, time
@@ -342,7 +342,7 @@ def run_eval(
     patch_dir = Path(patch_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    toolchain = toolchain or ToolchainConfig.from_env()
+    toolchain = ToolchainConfig.from_env()
 
     scored: list[tuple[CodePair, PromptMode, str, LexicalScores]] = []
     failures: list[dict] = []
@@ -401,20 +401,9 @@ def run_eval(
     parameters = dict(parameters or {})
     parameters.update({"reps": reps, "timeout_s": timeout_s})
 
-    common_empty = False
-    if not results:
-        common_empty = True
-        parameters["no_common_executable_set"] = True
-        report = EvaluationReport(
-            modes={}, common_executable_ids=(), evaluated_count=0, parameters=parameters
-        )
-    else:
-        try:
-            report = aggregate_report(results, parameters=parameters)
-        except NoCommonExecutableSet:
-            common_empty = True
-            parameters["no_common_executable_set"] = True
-            report = aggregate_report(results, parameters=parameters, allow_empty_common=True)
+    report = aggregate_report(results, parameters=parameters)
+    if not report.common_executable_ids:
+        report.parameters["no_common_executable_set"] = True
 
     payload = report.to_json_dict()
     payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -430,5 +419,4 @@ def run_eval(
         report_json_path=json_path,
         report_text_path=text_path,
         failures=failures,
-        common_empty=common_empty,
     )

@@ -54,20 +54,16 @@ _UMBRELLA_INCLUDE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*[<"]bits/stdc\+\+\.h
 _INCLUDE_LINE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*[<"][^<>"]+[>"]')
 
 # Attribute constructs the analyzer toolchain rejects or warns about.
-DEFAULT_STRIP_PATTERNS: tuple[str, ...] = (
-    r"__attribute__\s*\(\(.*?\)\)",
-    r"__forceinline\b",
-    r"__declspec\s*\([^)]*\)",
+_INLINE_STRIPPERS = tuple(
+    re.compile(pattern, re.DOTALL)
+    for pattern in (
+        r"__attribute__\s*\(\(.*?\)\)",
+        r"__forceinline\b",
+        r"__declspec\s*\([^)]*\)",
+    )
 )
-_STRIP_LINE_PATTERNS: tuple[str, ...] = (
-    r"^[ \t]*#[ \t]*pragma[ \t]+GCC[ \t]+(optimize|target)\b.*$",
-)
-
-
-@dataclass
-class PreprocessConfig:
-    strip_patterns: tuple[str, ...] = DEFAULT_STRIP_PATTERNS
-    strip_line_patterns: tuple[str, ...] = _STRIP_LINE_PATTERNS
+# Directives removed as whole lines.
+_LINE_STRIPPERS = (re.compile(r"^[ \t]*#[ \t]*pragma[ \t]+GCC[ \t]+(optimize|target)\b.*$"),)
 
 
 @dataclass
@@ -76,7 +72,7 @@ class PreprocessReport:
     actions: list[str] = field(default_factory=list)
 
 
-def preprocess_source(code: str | bytes, config: PreprocessConfig | None = None) -> PreprocessReport:
+def preprocess_source(code: str | bytes) -> PreprocessReport:
     if isinstance(code, bytes):
         try:
             code = code.decode("utf-8")
@@ -88,13 +84,10 @@ def preprocess_source(code: str | bytes, config: PreprocessConfig | None = None)
         except UnicodeEncodeError as exc:
             raise NonUtf8Input(str(exc)) from None
 
-    config = config or PreprocessConfig()
     actions: list[str] = []
     lines = code.split("\n")
     out_lines: list[str] = []
     seen_includes: set[str] = set()
-    line_strippers = [re.compile(p) for p in config.strip_line_patterns]
-    inline_strippers = [re.compile(p, re.DOTALL) for p in config.strip_patterns]
 
     def include_key(text: str) -> str:
         return text.replace(" ", "").replace("\t", "")
@@ -110,7 +103,7 @@ def preprocess_source(code: str | bytes, config: PreprocessConfig | None = None)
             continue
 
         stripped_whole_line = False
-        for pattern in line_strippers:
+        for pattern in _LINE_STRIPPERS:
             if pattern.match(line):
                 actions.append(f"removed unsupported directive: {line.strip()}")
                 stripped_whole_line = True
@@ -127,7 +120,7 @@ def preprocess_source(code: str | bytes, config: PreprocessConfig | None = None)
             seen_includes.add(key)
 
         new_line = line
-        for pattern in inline_strippers:
+        for pattern in _INLINE_STRIPPERS:
             new_line, count = pattern.subn("", new_line)
             if count:
                 actions.append(f"removed {count} attribute(s) matching {pattern.pattern!r}")

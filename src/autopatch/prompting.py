@@ -53,27 +53,10 @@ class PromptMode(Enum):
 
 
 @dataclass(frozen=True)
-class PromptParts:
-    target_code: str
-    diff_text: str | None = None
-    rationale: str | None = None
-    example: CodePair | None = None
-
-
-@dataclass(frozen=True)
 class Prompt:
     mode: PromptMode
     system_text: str
     user_text: str
-    parts: PromptParts
-    target_id: str
-
-
-@dataclass(frozen=True)
-class GeneratedPatch:
-    code: str
-    raw_response: str
-    mode: PromptMode
     target_id: str
 
 
@@ -97,7 +80,7 @@ def _fence(code: str) -> str:
 def build_prompt(
     mode: PromptMode,
     target: CodePair,
-    diff: CfgDiff | str | None = None,
+    diff: str | None = None,
     rationale: str | None = None,
     example: CodePair | None = None,
 ) -> Prompt:
@@ -113,8 +96,6 @@ def build_prompt(
     if mode is PromptMode.CONTEXT and (diff is None or rationale is None or example is None):
         raise ModeArgumentMismatch("context prompts require diff, rationale, and example")
 
-    diff_text = render_diff(diff) if isinstance(diff, CfgDiff) else diff
-
     sections = ["## Target program", "", _fence(target.original_code)]
     if example is not None:
         sections += [
@@ -127,8 +108,8 @@ def build_prompt(
             "",
             _fence(example.optimized_code),
         ]
-    if diff_text is not None:
-        sections += ["", "## Control-flow changes in the reference example", "", diff_text.rstrip()]
+    if diff is not None:
+        sections += ["", "## Control-flow changes in the reference example", "", diff.rstrip()]
     if rationale is not None:
         sections += ["", "## Why the reference optimization works", "", rationale.rstrip()]
     sections += [
@@ -142,12 +123,6 @@ def build_prompt(
         mode=mode,
         system_text=OPTIMIZER_SYSTEM_TEXT,
         user_text="\n".join(sections),
-        parts=PromptParts(
-            target_code=target.original_code,
-            diff_text=diff_text,
-            rationale=rationale,
-            example=example,
-        ),
         target_id=target.id,
     )
 
@@ -289,7 +264,10 @@ class LlmClient:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
         if not self.config.base_url:
             raise ServiceError(0, "no chat service URL configured")
-        return http_post_json(self.config.base_url, request, headers, self.config.timeout_s)
+        try:
+            return http_post_json(self.config.base_url, request, headers, self.config.timeout_s)
+        except OSError as exc:  # e.g. connection refused; fails one record
+            raise ServiceError(0, f"chat service unreachable: {exc}") from exc
 
     def complete(self, system_text: str, user_text: str) -> str:
         """Send one system+user exchange at temperature 0, return the text."""
@@ -335,14 +313,9 @@ def extract_code_block(text: str) -> str:
     return code
 
 
-def generate_patch(prompt: Prompt, llm: LlmClient) -> GeneratedPatch:
-    raw = llm.complete(prompt.system_text, prompt.user_text)
-    return GeneratedPatch(
-        code=extract_code_block(raw),
-        raw_response=raw,
-        mode=prompt.mode,
-        target_id=prompt.target_id,
-    )
+def generate_patch(prompt: Prompt, llm: LlmClient) -> str:
+    """The code of the first fenced block of the service's answer."""
+    return extract_code_block(llm.complete(prompt.system_text, prompt.user_text))
 
 
 def generate_rationale(diff: CfgDiff, pair: CodePair, llm: LlmClient) -> str:

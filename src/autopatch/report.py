@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import OptimizationType
-from .errors import NoCommonExecutableSet, NonpositiveBaseline
+from .errors import NonpositiveBaseline
 from .harness import RunOutcome, RunStatus
 from .metrics import LexicalScores
 
@@ -54,12 +54,11 @@ class EvaluationReport:
     common_executable_ids: tuple[str, ...]
     evaluated_count: int
     parameters: dict = field(default_factory=dict)
-    averaging: str = "per program, then across programs"
 
     def to_json_dict(self) -> dict:
         out: dict = {
             "schema_version": 1,
-            "averaging": self.averaging,
+            "averaging": "per program, then across programs",
             "evaluated_count": self.evaluated_count,
             "common_executable_ids": list(self.common_executable_ids),
             "parameters": self.parameters,
@@ -141,14 +140,12 @@ def _mean_lexical(scores: Sequence[LexicalScores]) -> LexicalScores | None:
 
 def aggregate_report(
     results: Iterable[EvalResult],
-    baseline_mode: str = BASELINE_MODE,
     parameters: Mapping | None = None,
-    allow_empty_common: bool = False,
 ) -> EvaluationReport:
+    """Aggregate the results per mode. When no program is executable under
+    every mode (or there are no results), the common executable set is
+    empty and every average and improvement is None."""
     results = list(results)
-    if not results:
-        raise ValueError("no results to aggregate")
-
     modes = sorted({r.mode for r in results})
     by_mode: dict[str, dict[str, EvalResult]] = {mode: {} for mode in modes}
     for result in results:
@@ -164,10 +161,6 @@ def aggregate_report(
             for mode in modes
         )
     )
-    if not common_ids and not allow_empty_common:
-        raise NoCommonExecutableSet(
-            f"no program is executable under all modes ({', '.join(modes)})"
-        )
 
     avg_by_mode: dict[str, float | None] = {}
     for mode in modes:
@@ -178,7 +171,7 @@ def aggregate_report(
         else:
             avg_by_mode[mode] = None
 
-    baseline_avg = avg_by_mode.get(baseline_mode)
+    baseline_avg = avg_by_mode.get(BASELINE_MODE)
 
     mode_reports: dict[str, ModeReport] = {}
     for mode in modes:

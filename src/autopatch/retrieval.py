@@ -193,8 +193,8 @@ def build_index(
     path: Path | str | None = None,
 ) -> VectorIndex:
     """Embed every record and assemble the index, persisting it to `path`
-    when given. Provider failures propagate with the offending record id
-    attached; the caller decides skip policy."""
+    when given. A failure to embed a record raises ProviderUnavailable
+    naming that record; the caller decides skip policy."""
     if not records:
         raise EmptyIndex("no records to index")
 
@@ -216,7 +216,7 @@ def build_index(
         try:
             vectors.append(embed_text(text, provider))
         except Exception as exc:
-            raise type(exc)(f"record {record.pair.id}: {exc}") from exc
+            raise ProviderUnavailable(f"record {record.pair.id}: {exc}") from exc
 
     dim = int(vectors[0].shape[0])
     for record, vector in zip(records, vectors):

@@ -8,13 +8,12 @@ import pytest
 
 from autopatch import pipeline
 from autopatch.analyzer import parse_cfg_dump
-from autopatch.corpus import write_corpus
 from autopatch.pipeline import run_index, run_ingest, run_optimize
 from autopatch.preprocess import preprocess_source
 from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
 from autopatch.retrieval import LocalHashingProvider
 
-from helpers import fixture_pairs, make_scripted_transport
+from helpers import fixture_pairs, make_scripted_transport, write_corpus
 
 HAVE_CLANG = shutil.which("clang") is not None
 HAVE_GXX = shutil.which("g++") is not None

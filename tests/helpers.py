@@ -1,17 +1,20 @@
 """Shared test utilities: oracle implementations, a writer of the
 analyzer's dump syntax, a random CFG generator, the ten-pair fixture
-corpus, a scripted transport for recording deterministic cassettes without
-any network, and a slower variant of it for driving the index stage's
-worker pool out of order."""
+corpus and a corpus-file writer, a scripted transport for recording
+deterministic cassettes without any network, and a slower variant of it
+for driving the index stage's worker pool out of order."""
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import textwrap
 import threading
 import time
 from itertools import count
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -505,6 +508,31 @@ def fixture_pairs() -> list[CodePair]:
     ))
 
     return pairs
+
+
+def record_to_json(pair: CodePair) -> dict:
+    """Inverse of parse_record, up to JSON key order."""
+    obj: dict = {
+        "id": pair.id,
+        "problem_id": pair.problem_id,
+        "original_code": pair.original_code,
+        "optimized_code": pair.optimized_code,
+        "labels": sorted(label.value for label in pair.labels),
+        "testcases": [
+            {"input": case.input, "expected_output": case.expected_output}
+            for case in pair.testcases
+        ],
+    }
+    if pair.rationale is not None:
+        obj["rationale"] = pair.rationale
+    return obj
+
+
+def write_corpus(pairs: Iterable[CodePair], path: Path | str) -> None:
+    """Write `pairs` as a corpus file that ingest_pairs reads back."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for pair in pairs:
+            handle.write(json.dumps(record_to_json(pair), ensure_ascii=False) + "\n")
 
 
 # --- scripted transport ---------------------------------------------------------

@@ -5,11 +5,10 @@ import gc
 import json
 
 from autopatch.cli import EXIT_NO_COMMON_SET, EXIT_OK, EXIT_USAGE, main
-from autopatch.corpus import write_corpus
 from autopatch.pipeline import INDEX_JOURNAL
 
 from conftest import requires_toolchain
-from helpers import fixture_pairs
+from helpers import fixture_pairs, write_corpus
 
 
 def run_cli(*args: str) -> int:
@@ -99,6 +98,37 @@ def test_unknown_mode_rejected(corpus_file, tmp_path):
         "--mode", "clairvoyant", "--out", str(tmp_path),
     )
     assert code == EXIT_USAGE
+
+
+def test_eval_without_patches_exits_3_with_empty_report(corpus_file, tmp_path, capsys):
+    assert run_cli(
+        "ingest", "--corpus", str(corpus_file), "--db-count", "7", "--seed", "7",
+        "--out", str(tmp_path / "ingest"),
+    ) == EXIT_OK
+    (tmp_path / "patches").mkdir()
+    code = run_cli(
+        "eval",
+        "--corpus", str(corpus_file),
+        "--split", str(tmp_path / "ingest" / "split.json"),
+        "--patches", str(tmp_path / "patches"),
+        "--reps", "1", "--timeout", "5",
+        "--out", str(tmp_path / "eval"),
+    )
+    assert code == EXIT_NO_COMMON_SET
+    assert "no common executable set" in capsys.readouterr().err
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert report["modes"] == {}
+    assert report["evaluated_count"] == 0
+    assert report["common_executable_ids"] == []
+    assert report["parameters"]["no_common_executable_set"] is True
+    assert "common executable set: 0 program(s)" in (tmp_path / "eval" / "report.txt").read_text()
+    test_ids = json.loads((tmp_path / "ingest" / "split.json").read_text())["test_ids"]
+    failures = json.loads((tmp_path / "eval" / "failures.json").read_text())
+    assert failures == [
+        {"record_id": target_id, "mode": mode, "reason": "patch missing"}
+        for target_id in test_ids
+        for mode in ("zero_shot", "naive", "context")
+    ]
 
 
 @requires_toolchain

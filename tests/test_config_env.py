@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import inspect
+
 from autopatch import pipeline
-from autopatch.analyzer import AnalyzerConfig
+from autopatch.analyzer import AnalyzerConfig, extract_cfg
 from autopatch.harness import ToolchainConfig
 from autopatch.pipeline import run_ingest
 from autopatch.prompting import LlmConfig
@@ -24,7 +26,7 @@ def test_analyzer_config_defaults(monkeypatch):
     config = AnalyzerConfig.from_env()
     assert config.binary == "clang"
     assert config.extra_flags == ()
-    assert config.function == "main"
+    assert inspect.signature(extract_cfg).parameters["function"].default == "main"
 
 
 def test_toolchain_config_env_overrides(monkeypatch):

@@ -12,13 +12,11 @@ from autopatch.corpus import (
     load_record,
     normalize_output,
     parse_record,
-    record_to_json,
     split_corpus,
-    write_corpus,
 )
 from autopatch.errors import CountOutOfRange, DuplicateId, MalformedRecord, UnknownId
 
-from helpers import fixture_pairs
+from helpers import fixture_pairs, record_to_json, write_corpus
 
 
 def _record(record_id="r1", **overrides) -> dict:

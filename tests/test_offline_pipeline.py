@@ -1,9 +1,9 @@
 """Pipeline behaviour that runs without clang: the index stage's worker
 pool over CFGs parsed from the committed dumps (the `dump_graphs` fixture),
-analyzer and compiler failures from fake tools, eval containment of
-unscorable ground truths and undecodable patches, and the eval stage's
-phase order (every compile before any timed run) under fake compile and
-time functions."""
+analyzer and compiler failures from fake tools, an unreachable chat service
+failing one record, eval containment of unscorable ground truths and
+undecodable patches, and the eval stage's phase order (every compile before
+any timed run) under fake compile and time functions."""
 
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ import pytest
 
 from autopatch import pipeline
 from autopatch.analyzer import AnalyzerConfig, run_analyzer
-from autopatch.corpus import CorpusSplit, write_corpus
+from autopatch.corpus import CorpusSplit
 from autopatch.errors import AnalyzerFailed, CompileError
-from autopatch.harness import RunOutcome, RunStatus, ToolchainConfig
+from autopatch.harness import RunOutcome, RunStatus
 from autopatch.metrics import compute_lexical
 from autopatch.pipeline import INDEX_JOURNAL, patch_path, run_eval, run_index, run_ingest
 from autopatch.preprocess import preprocess_source
@@ -30,7 +30,7 @@ from autopatch.report import EvalResult, aggregate_report
 from autopatch.retrieval import LocalHashingProvider
 
 from conftest import ALL_MODES, DB_COUNT, DUMP_DIR, SEED, requires_gxx
-from helpers import index_slow_first, make_scripted_transport
+from helpers import index_slow_first, make_scripted_transport, write_corpus
 
 
 def test_index_pool_output_identical_across_runs(tmp_path, pairs, corpus_file, dump_graphs):
@@ -88,6 +88,30 @@ def test_analyzer_launch_error_fails_each_record(tmp_path, monkeypatch, corpus_f
         assert "could not start" in entry["reason"]
         assert tempfile.gettempdir() not in entry["reason"]
         assert "autopatch-cfg-" not in entry["reason"]
+
+
+def test_unreachable_chat_service_fails_one_record(tmp_path, monkeypatch, pairs, corpus_file,
+                                                   dump_graphs):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    unlucky = ingest.split.database_set[2]
+    scripted = make_scripted_transport(pairs)
+
+    def post(url, payload, headers, timeout_s):  # refuses the unlucky record's rationale call
+        if unlucky.original_code.rstrip() in payload["messages"][1]["content"]:
+            raise ConnectionRefusedError(111, "Connection refused")
+        return scripted(payload)
+
+    monkeypatch.setattr("autopatch.prompting.http_post_json", post)
+    llm = LlmClient(LlmConfig(base_url="http://chat.invalid/v1"), mode="live")
+
+    result = run_index(ingest.corpus, ingest.split, tmp_path / "index", LocalHashingProvider(), llm)
+
+    journal = (tmp_path / "index" / INDEX_JOURNAL).read_text(encoding="utf-8").splitlines()
+    failed = [e for e in map(json.loads, journal) if e["status"] != "ok"]
+    assert [e["record_id"] for e in failed] == [unlucky.id]
+    assert "chat service unreachable" in failed[0]["reason"]
+    assert result.indexed_count == DB_COUNT - 1
+    assert (tmp_path / "index" / "index_cfg.jsonl").exists()
 
 
 def test_eval_logs_undecodable_patch(tmp_path, pairs):
@@ -201,10 +225,11 @@ def test_compiler_undecodable_stderr_is_compile_error(tmp_path, monkeypatch, pai
         "    sys.exit(1)\n"
         "os.execvp('g++', ['g++', *sys.argv[1:]])\n"
     ))
+    monkeypatch.setenv("AUTOPATCH_CXX", str(compiler))
     captured = _capture_results(monkeypatch)
 
     result = run_eval(ingest.corpus, split, tmp_path / "patches", tmp_path / "eval", (mode,),
-                      reps=1, timeout_s=10.0, toolchain=ToolchainConfig(compiler=str(compiler)))
+                      reps=1, timeout_s=10.0)
 
     assert result.failures == []
     assert [(r.target_id, r.outcome.status) for r in captured] == [
@@ -259,7 +284,7 @@ def test_eval_compiles_every_patch_before_timing_any(tmp_path, monkeypatch, pair
     lock = threading.Lock()
     in_flight = [0, 0]  # now, peak
 
-    def fake_compile(code, toolchain, out_dir, name="program"):
+    def fake_compile(code, toolchain, out_dir):
         slot = tuple(reversed(Path(out_dir).parts[-2:]))  # (target, mode)
         with lock:
             in_flight[0] += 1
@@ -270,7 +295,7 @@ def test_eval_compiles_every_patch_before_timing_any(tmp_path, monkeypatch, pair
             events.append(("compiled", slot))
         if slot == uncompilable:
             raise CompileError("fake compiler rejects this patch")
-        return Path(out_dir) / name
+        return Path(out_dir) / "program"
 
     def fake_measure(binary, testcases, reps, timeout_s):
         slot = tuple(reversed(binary.parts[-3:-1]))

@@ -8,6 +8,8 @@ import re
 import sys
 import threading
 import weakref
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,20 @@ TARGET = _pair()
 EXAMPLE = _pair("e1", "int main(){return 3;}", "int main(){return 4;}")
 DIFF_TEXT = "\u0394S: none\n\u0394F: none\n\u0394C:\n  block B1 -> B1:\n    replace: a -> b\n"
 
+TARGET_HEADINGS = ["## Target program"]
+EXAMPLE_HEADINGS = ["## Reference example: original", "## Reference example: optimized"]
+CONTEXT_HEADINGS = [
+    "## Control-flow changes in the reference example",
+    "## Why the reference optimization works",
+]
+TASK_HEADINGS = ["## Task"]
+ALL_HEADINGS = TARGET_HEADINGS + EXAMPLE_HEADINGS + CONTEXT_HEADINGS + TASK_HEADINGS
+
+
+def _headings(prompt) -> list[str]:
+    """The section headings of the prompt's user text, in order."""
+    return [line for line in prompt.user_text.split("\n") if line in ALL_HEADINGS]
+
 
 # --- build_prompt ------------------------------------------------------------------
 
@@ -75,7 +91,7 @@ def test_zero_shot_prompt_is_target_only():
     assert TARGET.original_code in prompt.user_text
     assert "Reference example" not in prompt.user_text
     assert "\u0394S" not in prompt.user_text
-    assert prompt.parts.example is None and prompt.parts.diff_text is None
+    assert _headings(prompt) == TARGET_HEADINGS + TASK_HEADINGS
 
 
 def test_modes_share_prompt_skeleton():
@@ -119,15 +135,6 @@ def test_prompt_deterministic():
     assert first.system_text == second.system_text
 
 
-def test_prompt_accepts_cfg_diff_object():
-    rng = random.Random(1)
-    g_o = random_cfg(rng)
-    g_p = random_cfg(rng)
-    diff = compute_diff(g_o, g_p)
-    prompt = build_prompt(PromptMode.CONTEXT, TARGET, diff=diff, rationale="r", example=EXAMPLE)
-    assert render_diff(diff).rstrip() in prompt.user_text
-
-
 _codes = st.text(
     alphabet=st.characters(codec="ascii", exclude_characters="\x00"), min_size=1, max_size=60
 )
@@ -145,16 +152,15 @@ def test_prompt_invariants_over_random_valid_inputs(mode, target_code, example_c
     example = _pair("e", example_code, example_code + ";")
     if mode is PromptMode.ZERO_SHOT:
         prompt = build_prompt(mode, target)
-        assert prompt.parts.example is None
-        assert prompt.parts.diff_text is None and prompt.parts.rationale is None
+        assert _headings(prompt) == TARGET_HEADINGS + TASK_HEADINGS
     elif mode is PromptMode.NAIVE:
         prompt = build_prompt(mode, target, example=example)
-        assert prompt.parts.example is not None
-        assert prompt.parts.diff_text is None
+        assert _headings(prompt) == TARGET_HEADINGS + EXAMPLE_HEADINGS + TASK_HEADINGS
     else:
         prompt = build_prompt(mode, target, diff=DIFF_TEXT, rationale=rationale, example=example)
-        assert prompt.parts.example is not None
-        assert prompt.parts.diff_text is not None and prompt.parts.rationale is not None
+        assert _headings(prompt) == ALL_HEADINGS
+        assert DIFF_TEXT.rstrip() in prompt.user_text
+        assert rationale.rstrip() in prompt.user_text
     assert prompt.mode is mode
     assert prompt.target_id == "t"
 
@@ -366,6 +372,56 @@ def test_malformed_service_response_raises():
         client.complete("sys", "user")
 
 
+@contextmanager
+def _chat_service(body: bytes):
+    """A chat service on localhost that answers every POST with `body`."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/chat"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+@pytest.mark.parametrize("body", [b"<html>busy</html>", b"\xff\xfe"])
+def test_live_client_non_json_body_is_service_error(monkeypatch, body):
+    monkeypatch.setenv("no_proxy", "*")
+    with _chat_service(body) as url:
+        client = LlmClient(LlmConfig(base_url=url, model="m"), mode="live")
+        with pytest.raises(ServiceError) as excinfo:
+            client.complete("sys", "user")
+    assert excinfo.value.status == 200
+    assert "response is not JSON" in str(excinfo.value)
+
+
+def test_live_client_unreachable_service_is_service_error(monkeypatch):
+    def refuse(url, payload, headers, timeout_s):
+        raise ConnectionRefusedError(111, "Connection refused")
+
+    monkeypatch.setattr("autopatch.prompting.http_post_json", refuse)
+    client = LlmClient(LlmConfig(base_url="http://chat.invalid/v1", model="m"), mode="live")
+    with pytest.raises(ServiceError) as excinfo:
+        client.complete("sys", "user")
+    assert excinfo.value.status == 0
+    assert "chat service unreachable" in str(excinfo.value)
+    assert isinstance(excinfo.value.__cause__, ConnectionRefusedError)
+
+
 def test_request_hash_depends_on_all_parts():
     base = request_hash("m", "s", "u")
     assert request_hash("m", "s", "u") == base
@@ -380,11 +436,7 @@ def test_request_hash_depends_on_all_parts():
 def test_generate_patch_extracts_code():
     client = LlmClient(LlmConfig(model="m"), mode="live", transport=_canned_transport())
     prompt = build_prompt(PromptMode.ZERO_SHOT, TARGET)
-    patch = generate_patch(prompt, client)
-    assert patch.code == "int main(){return 9;}\n"
-    assert patch.mode is PromptMode.ZERO_SHOT
-    assert patch.target_id == TARGET.id
-    assert "```" in patch.raw_response
+    assert generate_patch(prompt, client) == "int main(){return 9;}\n"
 
 
 def test_generate_patch_without_block_is_error():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from autopatch.corpus import OptimizationType
-from autopatch.errors import NoCommonExecutableSet, NonpositiveBaseline
+from autopatch.errors import NonpositiveBaseline
 from autopatch.harness import RunOutcome, RunStatus
 from autopatch.metrics import LexicalScores
 from autopatch.report import EvalResult, aggregate_report, improvement
@@ -74,13 +74,26 @@ def test_common_set_excludes_programs_failing_anywhere():
     assert report.modes["context"].avg_time_s == pytest.approx(0.1)
 
 
-def test_empty_common_set_raises():
+def test_empty_common_set_is_a_report_state():
     results = [
         _result("t1", "zero_shot", status=RunStatus.TIMEOUT),
         _result("t1", "context", 0.1),
     ]
-    with pytest.raises(NoCommonExecutableSet):
-        aggregate_report(results)
+    report = aggregate_report(results)
+    assert report.common_executable_ids == ()
+    assert report.evaluated_count == 1
+    for mode in ("zero_shot", "context"):
+        assert report.modes[mode].avg_time_s is None
+        assert report.modes[mode].improvement_pct is None
+    assert report.modes["context"].outcome_counts["ok"] == 1
+
+
+def test_no_results_give_an_empty_report():
+    report = aggregate_report([], parameters={"reps": 1})
+    assert report.modes == {}
+    assert report.common_executable_ids == ()
+    assert report.evaluated_count == 0
+    assert report.parameters == {"reps": 1}
 
 
 def test_empty_common_set_allowed_for_degraded_report():
@@ -88,7 +101,7 @@ def test_empty_common_set_allowed_for_degraded_report():
         _result("t1", "zero_shot", status=RunStatus.COMPILE_ERROR),
         _result("t1", "context", status=RunStatus.COMPILE_ERROR),
     ]
-    report = aggregate_report(results, allow_empty_common=True)
+    report = aggregate_report(results)
     assert report.common_executable_ids == ()
     assert report.modes["zero_shot"].avg_time_s is None
     assert report.modes["zero_shot"].improvement_pct is None
@@ -163,6 +176,7 @@ def test_report_json_and_text_render():
     report = aggregate_report(results, parameters={"reps": 5})
     payload = report.to_json_dict()
     assert payload["schema_version"] == 1
+    assert payload["averaging"] == "per program, then across programs"
     assert set(payload["modes"]) == {"zero_shot", "context"}
     assert payload["modes"]["context"]["improvement_pct"] == pytest.approx(7.3, abs=0.05)
     assert payload["parameters"]["reps"] == 5

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from autopatch.corpus import CodePair
 from autopatch.pipeline import INDEX_JOURNAL, index_path, run_ingest
 from autopatch.errors import (
+    AutopatchError,
     DimMismatch,
     DuplicateId,
     EmptyIndex,
     EmptyInput,
     ProviderUnavailable,
+    ServiceError,
     ZeroVector,
 )
 from autopatch.retrieval import (
@@ -403,3 +405,17 @@ def test_build_index_attaches_record_id_to_provider_error():
     with pytest.raises(ProviderUnavailable) as excinfo:
         build_index(_records(1), FailingProvider(), SourceKind.RAW_SOURCE)
     assert "r0" in str(excinfo.value)
+
+
+def test_build_index_wraps_service_error_naming_the_record():
+    class BusyProvider:
+        name = "busy"
+
+        def embed(self, text):
+            raise ServiceError(503, "busy")
+
+    with pytest.raises(AutopatchError) as excinfo:
+        build_index(_records(2), BusyProvider(), SourceKind.RAW_SOURCE)
+    assert "record r0" in str(excinfo.value)
+    assert "503" in str(excinfo.value)
+    assert isinstance(excinfo.value.__cause__, ServiceError)
