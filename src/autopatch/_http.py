@@ -9,7 +9,7 @@ import urllib.request
 from .errors import ServiceError
 
 
-def http_post_json(url: str, payload: dict, headers: dict | None = None, timeout_s: float = 60.0) -> dict:
+def http_post_json(url: str, payload: dict, headers: dict, timeout_s: float) -> dict:
     """POST `payload` as JSON and decode the JSON response.
 
     HTTP error statuses and a body that is not UTF-8 JSON raise
@@ -19,7 +19,7 @@ def http_post_json(url: str, payload: dict, headers: dict | None = None, timeout
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=body, method="POST")
     request.add_header("Content-Type", "application/json")
-    for key, value in (headers or {}).items():
+    for key, value in headers.items():
         request.add_header(key, value)
     try:
         with urllib.request.urlopen(request, timeout=timeout_s) as response:

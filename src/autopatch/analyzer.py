@@ -215,11 +215,6 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
     if exit_id is None:
         raise ParseError(0, "no EXIT block in dump")
 
-    known_ids = {b.id for b in blocks}
-    for src, dst in edges:
-        if dst not in known_ids:
-            raise ParseError(0, f"successor reference to missing block B{dst}")
-
     try:
         return ControlFlowGraph(
             blocks=tuple(blocks),

@@ -73,9 +73,6 @@ class ControlFlowGraph:
                 return b
         raise KeyError(block_id)
 
-    def block_ids(self) -> frozenset[int]:
-        return frozenset(b.id for b in self.blocks)
-
     def successors(self, block_id: int) -> tuple[int, ...]:
         return tuple(sorted(dst for src, dst in self.edges if src == block_id))
 

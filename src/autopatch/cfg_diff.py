@@ -49,18 +49,12 @@ class EdgeRef:
 
 
 @dataclass(frozen=True)
-class BlockChanges:
-    added: frozenset[int]
-    removed: frozenset[int]
+class Changes:
+    """What the optimized graph adds and removes: block ids in ΔS, edges as
+    (EdgeRef, EdgeRef) pairs in ΔF."""
 
-    def is_empty(self) -> bool:
-        return not self.added and not self.removed
-
-
-@dataclass(frozen=True)
-class EdgeChanges:
-    added: frozenset[tuple[EdgeRef, EdgeRef]]
-    removed: frozenset[tuple[EdgeRef, EdgeRef]]
+    added: frozenset
+    removed: frozenset
 
     def is_empty(self) -> bool:
         return not self.added and not self.removed
@@ -82,8 +76,8 @@ class ContentChange:
 
 @dataclass(frozen=True)
 class CfgDiff:
-    delta_s: BlockChanges
-    delta_f: EdgeChanges
+    delta_s: Changes
+    delta_f: Changes
     delta_c: tuple[ContentChange, ...]
 
     def is_empty(self) -> bool:
@@ -186,8 +180,8 @@ def compute_diff(g_o: ControlFlowGraph, g_p: ControlFlowGraph) -> CfgDiff:
             content_changes.append(ContentChange(o_id, p_id, _edit_script(old, new)))
 
     return CfgDiff(
-        delta_s=BlockChanges(added=matching.unmatched_p, removed=matching.unmatched_o),
-        delta_f=EdgeChanges(added=mapped_p_edges - o_edges, removed=o_edges - mapped_p_edges),
+        delta_s=Changes(added=matching.unmatched_p, removed=matching.unmatched_o),
+        delta_f=Changes(added=mapped_p_edges - o_edges, removed=o_edges - mapped_p_edges),
         delta_c=tuple(content_changes),
     )
 

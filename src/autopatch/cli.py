@@ -130,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
             result = run_ingest(args.corpus, args.db_count, args.seed, args.out,
                                 strict=args.strict)
             stats = result.corpus.stats
-            print(f"ingested {stats.count} pair(s); "
+            print(f"ingested {len(result.corpus.pairs)} pair(s); "
                   f"{len(stats.errors)} bad line(s); "
                   f"split {len(result.split.database_set)}/{len(result.split.test_set)}")
             for label, count in sorted(stats.label_histogram.items(), key=lambda kv: kv[0].value):

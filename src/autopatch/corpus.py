@@ -51,7 +51,6 @@ class CodePair:
 
 @dataclass
 class CorpusStats:
-    count: int
     label_histogram: dict[OptimizationType, int]
     errors: list[tuple[int, str]] = field(default_factory=list)
 
@@ -69,12 +68,6 @@ class Corpus:
         self.pairs: tuple[CodePair, ...] = tuple(pairs)
         self.by_id: dict[str, CodePair] = {p.id: p for p in self.pairs}
         self.stats = stats
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
 
 
 def normalize_output(text: str) -> str:
@@ -147,7 +140,7 @@ def parse_record(obj: object, line_no: int) -> CodePair:
     )
 
 
-def ingest_pairs(path: Path | str, strict: bool = True) -> Corpus:
+def ingest_pairs(path: Path | str, strict: bool) -> Corpus:
     """Ingest a line-delimited JSON corpus file.
 
     In strict mode the first bad line raises (MalformedRecord / DuplicateId).
@@ -184,7 +177,7 @@ def ingest_pairs(path: Path | str, strict: bool = True) -> Corpus:
             pairs.append(pair)
             histogram.update(pair.labels)
 
-    stats = CorpusStats(count=len(pairs), label_histogram=dict(histogram), errors=errors)
+    stats = CorpusStats(label_histogram=dict(histogram), errors=errors)
     return Corpus(pairs, stats)
 
 

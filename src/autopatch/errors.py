@@ -23,11 +23,8 @@ class MalformedRecord(AutopatchError):
 
 
 class DuplicateId(AutopatchError):
-    def __init__(self, record_id: str, context: str = ""):
-        msg = f"duplicate id {record_id!r}"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+    def __init__(self, record_id: str, context: str):
+        super().__init__(f"duplicate id {record_id!r} ({context})")
         self.record_id = record_id
 
 

@@ -66,7 +66,7 @@ class RunOutcome:
     detail: str = ""
 
     @classmethod
-    def failure(cls, status: RunStatus, detail: str = "") -> "RunOutcome":
+    def failure(cls, status: RunStatus, detail: str) -> "RunOutcome":
         return cls(status=status, detail=detail)
 
 
@@ -119,8 +119,8 @@ def _run_once(binary: Path, testcase: TestCase, timeout_s: float) -> tuple[RunSt
 def measure_execution(
     binary: Path | str,
     testcases: Sequence[TestCase],
-    reps: int = DEFAULT_REPS,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
+    reps: int,
+    timeout_s: float,
 ) -> RunOutcome:
     """Run every testcase with warmup and repetitions; any wrong output,
     timeout, or nonzero exit fails the whole program."""

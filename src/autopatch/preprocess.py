@@ -1,8 +1,8 @@
 """Source normalization applied before handing code to the analyzer or the
 compiler: umbrella includes are expanded to an explicit standard-header set,
 compiler-specific attributes on the strip list are removed, and duplicate
-includes are dropped. Every rewrite is logged so callers can audit what
-changed; clean input passes through byte-identical.
+includes are dropped. Every rewrite is recorded in `actions` so callers can
+audit what changed; clean input passes through byte-identical.
 """
 
 from __future__ import annotations
@@ -72,17 +72,11 @@ class PreprocessReport:
     actions: list[str] = field(default_factory=list)
 
 
-def preprocess_source(code: str | bytes) -> PreprocessReport:
-    if isinstance(code, bytes):
-        try:
-            code = code.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise NonUtf8Input(str(exc)) from None
-    else:
-        try:
-            code.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise NonUtf8Input(str(exc)) from None
+def preprocess_source(code: str) -> PreprocessReport:
+    try:
+        code.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise NonUtf8Input(str(exc)) from None
 
     actions: list[str] = []
     lines = code.split("\n")

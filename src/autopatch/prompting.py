@@ -42,6 +42,7 @@ logger = logging.getLogger(__name__)
 LLM_BASE_ENV = "AUTOPATCH_LLM_BASE"
 LLM_KEY_ENV = "AUTOPATCH_LLM_KEY"
 LLM_MODEL_ENV = "AUTOPATCH_LLM_MODEL"
+LLM_TIMEOUT_S = 120.0
 
 EMPTY_DIFF_RATIONALE = "no structural changes detected"
 
@@ -220,7 +221,6 @@ class LlmConfig:
     api_key: str = ""
     model: str = "default-model"
     temperature: float = 0.0
-    timeout_s: float = 120.0
 
     @classmethod
     def from_env(cls) -> "LlmConfig":
@@ -244,7 +244,7 @@ class LlmClient:
 
     def __init__(
         self,
-        config: LlmConfig | None = None,
+        config: LlmConfig,
         cassette: Cassette | None = None,
         mode: str = "live",
         transport: Transport | None = None,
@@ -253,7 +253,7 @@ class LlmClient:
             raise ValueError(f"unknown client mode {mode!r}")
         if mode in ("record", "replay") and cassette is None:
             raise ValueError(f"{mode} mode requires a cassette")
-        self.config = config or LlmConfig.from_env()
+        self.config = config
         self.cassette = cassette
         self.mode = mode
         self._transport = transport  # None: the HTTP service
@@ -265,7 +265,7 @@ class LlmClient:
         if not self.config.base_url:
             raise ServiceError(0, "no chat service URL configured")
         try:
-            return http_post_json(self.config.base_url, request, headers, self.config.timeout_s)
+            return http_post_json(self.config.base_url, request, headers, LLM_TIMEOUT_S)
         except OSError as exc:  # e.g. connection refused; fails one record
             raise ServiceError(0, f"chat service unreachable: {exc}") from exc
 
@@ -277,7 +277,7 @@ class LlmClient:
             hit = self.cassette.lookup(key)
             if hit is None:
                 raise ReplayMiss(key)
-            return hit["response"]["choices"][0]["message"]["content"]
+            return _answer_text(hit["response"])
 
         request = {
             "model": self.config.model,
@@ -288,13 +288,22 @@ class LlmClient:
             "temperature": self.config.temperature,
         }
         response = (self._transport or self._http_transport)(request)
-        try:
-            content = response["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            raise ServiceError(0, f"malformed chat response: {json.dumps(response)[:300]}") from None
+        content = _answer_text(response)
         if self.mode == "record":
             self.cassette.store(key, request, response)
         return content
+
+
+def _answer_text(response: dict) -> str:
+    """`choices[0].message.content` of a chat response; any other shape,
+    a null or non-string content included, raises ServiceError."""
+    try:
+        content = response["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        content = None
+    if not isinstance(content, str):
+        raise ServiceError(0, f"malformed chat response: {json.dumps(response)[:300]}")
+    return content
 
 
 _FENCED_BLOCK = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)

@@ -10,7 +10,7 @@ programs (recorded in the report metadata).
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import OptimizationType
@@ -56,31 +56,14 @@ class EvaluationReport:
     parameters: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out: dict = {
+        return {
             "schema_version": 1,
             "averaging": "per program, then across programs",
             "evaluated_count": self.evaluated_count,
             "common_executable_ids": list(self.common_executable_ids),
             "parameters": self.parameters,
-            "modes": {},
+            "modes": {mode: asdict(report) for mode, report in sorted(self.modes.items())},
         }
-        for mode, report in sorted(self.modes.items()):
-            lexical = None
-            if report.lexical_mean is not None:
-                lexical = {
-                    "line_overlap_pct": report.lexical_mean.line_overlap_pct,
-                    "eds": report.lexical_mean.eds,
-                    "token_overlap_pct": report.lexical_mean.token_overlap_pct,
-                }
-            out["modes"][mode] = {
-                "avg_time_s": report.avg_time_s,
-                "improvement_pct": report.improvement_pct,
-                "lexical_mean": lexical,
-                "lexical_count": report.lexical_count,
-                "outcome_counts": dict(sorted(report.outcome_counts.items())),
-                "per_type_avg_time_s": dict(sorted(report.per_type_avg_time_s.items())),
-            }
-        return out
 
     def render_text(self) -> str:
         lines = []

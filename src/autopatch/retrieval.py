@@ -38,6 +38,7 @@ from .metrics import tokenize
 
 EMBED_BASE_ENV = "AUTOPATCH_EMBED_BASE"
 EMBED_KEY_ENV = "AUTOPATCH_EMBED_KEY"
+EMBED_TIMEOUT_S = 60.0
 
 LOCAL_DIM = 256
 
@@ -73,13 +74,10 @@ class LocalHashingProvider:
 
     name = "local"
 
-    def __init__(self, dim: int = LOCAL_DIM):
-        self.dim = dim
-
     def embed(self, text: str) -> np.ndarray:
-        counts = np.zeros(self.dim, dtype=np.float64)
+        counts = np.zeros(LOCAL_DIM, dtype=np.float64)
         for gram in hash_grams(text):
-            counts[_stable_bucket(gram, self.dim)] += 1.0
+            counts[_stable_bucket(gram, LOCAL_DIM)] += 1.0
         norm = np.linalg.norm(counts)
         return (counts / norm).astype(np.float32)
 
@@ -90,33 +88,30 @@ class RemoteEmbeddingProvider:
 
     name = "remote"
 
-    def __init__(self, base_url: str, api_key: str = "", model: str = "", timeout_s: float = 60.0):
+    def __init__(self, base_url: str, api_key: str = ""):
         self.base_url = base_url
         self.api_key = api_key
-        self.model = model
-        self.timeout_s = timeout_s
 
     @classmethod
-    def from_env(cls, model: str = "") -> "RemoteEmbeddingProvider":
+    def from_env(cls) -> "RemoteEmbeddingProvider":
         base = os.environ.get(EMBED_BASE_ENV)
         if not base:
             raise ProviderUnavailable(f"{EMBED_BASE_ENV} is not set")
-        return cls(base_url=base, api_key=os.environ.get(EMBED_KEY_ENV, ""), model=model)
+        return cls(base_url=base, api_key=os.environ.get(EMBED_KEY_ENV, ""))
 
     def embed(self, text: str) -> np.ndarray:
-        payload = {"model": self.model, "input": [text]}
+        payload = {"model": "", "input": [text]}
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            response = http_post_json(self.base_url, payload, headers, self.timeout_s)
+            response = http_post_json(self.base_url, payload, headers, EMBED_TIMEOUT_S)
         except OSError as exc:
             raise ProviderUnavailable(f"embedding service unreachable: {exc}") from exc
         try:
-            values = response["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
+            return np.asarray(response["data"][0]["embedding"], dtype=np.float32)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ProviderUnavailable(f"malformed embedding response: {exc}") from None
-        return np.asarray(values, dtype=np.float32)
 
 
 def embed_text(text: str, provider) -> np.ndarray:

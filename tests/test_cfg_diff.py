@@ -147,8 +147,8 @@ def test_block_count_conservation_random_pairs():
         assert len(matching.pairs) <= min(len(g_o.blocks), len(g_p.blocks))
         matched_o = {o for o, _ in matching.pairs}
         matched_p = {p for _, p in matching.pairs}
-        assert matched_o | matching.unmatched_o == g_o.block_ids()
-        assert matched_p | matching.unmatched_p == g_p.block_ids()
+        assert matched_o | matching.unmatched_o == {b.id for b in g_o.blocks}
+        assert matched_p | matching.unmatched_p == {b.id for b in g_p.blocks}
         assert not matched_o & matching.unmatched_o
         assert not matched_p & matching.unmatched_p
 

@@ -43,7 +43,7 @@ def test_parsed_counts_match_hand_counts(name, blocks, edges, statements):
 @pytest.mark.parametrize("name,blocks,edges,statements", DUMP_EXPECTATIONS)
 def test_structural_invariants_hold(name, blocks, edges, statements):
     cfg = parse_cfg_dump(_load(name))
-    ids = cfg.block_ids()
+    ids = {b.id for b in cfg.blocks}
     assert all(src in ids and dst in ids for src, dst in cfg.edges)
     assert not any(dst == cfg.entry_id for _, dst in cfg.edges)
     assert not any(src == cfg.exit_id for src, _ in cfg.edges)

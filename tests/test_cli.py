@@ -4,11 +4,14 @@ import argparse
 import gc
 import json
 
+from autopatch import pipeline
 from autopatch.cli import EXIT_NO_COMMON_SET, EXIT_OK, EXIT_USAGE, main
-from autopatch.pipeline import INDEX_JOURNAL
+from autopatch.pipeline import INDEX_JOURNAL, run_index, run_ingest
+from autopatch.prompting import Cassette, LlmClient, LlmConfig
+from autopatch.retrieval import LocalHashingProvider
 
-from conftest import requires_toolchain
-from helpers import fixture_pairs, write_corpus
+from conftest import DB_COUNT, SEED, requires_toolchain
+from helpers import fixture_pairs, make_scripted_transport, write_corpus
 
 
 def run_cli(*args: str) -> int:
@@ -206,6 +209,42 @@ def test_index_rerun_byte_stable(recorded_workspace, tmp_path, monkeypatch):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_index_cli_resumes_from_journal(tmp_path, monkeypatch, capsys, pairs, corpus_file,
+                                        dump_graphs):
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    cassette = tmp_path / "cassette.jsonl"
+    recorder = LlmClient(LlmConfig(), Cassette(cassette), mode="record",
+                         transport=make_scripted_transport(pairs))
+    run_index(ingest.corpus, ingest.split, tmp_path / "recorded", LocalHashingProvider(), recorder)
+
+    stub = pipeline.extract_cfg
+    analyzed = []
+
+    def counting_stub(code, config=None):
+        analyzed.append(code)
+        return stub(code, config)
+
+    monkeypatch.setattr(pipeline, "extract_cfg", counting_stub)
+    out = tmp_path / "index"
+    names = ("index_cfg.jsonl", "index_cfg.jsonl.vec",
+             "index_source.jsonl", "index_source.jsonl.vec", INDEX_JOURNAL)
+
+    def index(*extra: str) -> tuple[int, dict[str, bytes]]:
+        analyzed.clear()
+        assert run_cli(
+            "index", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
+            "--out", str(out), "--replay", "--cassette", str(cassette), *extra,
+        ) == EXIT_OK
+        assert f"indexed {DB_COUNT} record(s); skipped 0" in capsys.readouterr().out
+        return len(analyzed), {name: (out / name).read_bytes() for name in names}
+
+    calls, first = index()
+    assert calls == 2 * DB_COUNT  # both sides of every record
+    assert index() == (0, first)  # every journaled record is ok, so none is redone
+    assert index("--no-resume") == (2 * DB_COUNT, first)
+
+
 @requires_toolchain
 def test_index_skips_unparseable_record(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
@@ -228,13 +267,10 @@ def test_index_skips_unparseable_record(tmp_path, monkeypatch, capsys):
         "--out", str(out),
     ) == EXIT_OK
 
-    from helpers import make_scripted_transport
-    from autopatch.prompting import Cassette, LlmClient, LlmConfig
-    from autopatch.pipeline import load_split, run_index
-    from autopatch.retrieval import LocalHashingProvider
+    from autopatch.pipeline import load_split
     from autopatch import corpus as corpus_mod
 
-    corpus = corpus_mod.ingest_pairs(corpus_path)
+    corpus = corpus_mod.ingest_pairs(corpus_path, strict=True)
     split = load_split(corpus, out / "split.json")
     recorder = LlmClient(
         LlmConfig(), Cassette(tmp_path / "cassette.json"), mode="record",

@@ -39,9 +39,8 @@ def _write_lines(path, records):
 def test_ingest_counts_valid_records(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_lines(path, [_record(f"r{i}") for i in range(3)])
-    corpus = ingest_pairs(path)
-    assert corpus.stats.count == 3
-    assert len(corpus) == 3
+    corpus = ingest_pairs(path, strict=True)
+    assert len(corpus.pairs) == 3
 
 
 def test_ingest_missing_field_raises_with_line_number(tmp_path):
@@ -50,7 +49,7 @@ def test_ingest_missing_field_raises_with_line_number(tmp_path):
     del record["optimized_code"]
     _write_lines(path, [record])
     with pytest.raises(MalformedRecord) as excinfo:
-        ingest_pairs(path)
+        ingest_pairs(path, strict=True)
     assert excinfo.value.line_no == 1
 
 
@@ -60,7 +59,7 @@ def test_ingest_lenient_collects_positional_errors(tmp_path):
     bad["labels"] = ["not_a_type"]
     _write_lines(path, [_record("r1"), bad, _record("r3")])
     corpus = ingest_pairs(path, strict=False)
-    assert corpus.stats.count == 2
+    assert len(corpus.pairs) == 2
     assert [line for line, _ in corpus.stats.errors] == [2]
 
 
@@ -68,26 +67,26 @@ def test_ingest_duplicate_id(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_lines(path, [_record("dup"), _record("dup")])
     with pytest.raises(DuplicateId):
-        ingest_pairs(path)
+        ingest_pairs(path, strict=True)
 
 
 def test_ingest_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
-        ingest_pairs(tmp_path / "absent.jsonl")
+        ingest_pairs(tmp_path / "absent.jsonl", strict=True)
 
 
 def test_ingest_rejects_empty_code(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_lines(path, [_record(original_code="")])
     with pytest.raises(MalformedRecord):
-        ingest_pairs(path)
+        ingest_pairs(path, strict=True)
 
 
 def test_ingest_full_dataset_scale(tmp_path):
     path = tmp_path / "big.jsonl"
     _write_lines(path, [_record(f"r{i:05d}") for i in range(1200)])
-    corpus = ingest_pairs(path)
-    assert corpus.stats.count == 1200
+    corpus = ingest_pairs(path, strict=True)
+    assert len(corpus.pairs) == 1200
 
 
 def test_label_histogram_counts_multilabel_records(tmp_path):
@@ -100,7 +99,7 @@ def test_label_histogram_counts_multilabel_records(tmp_path):
             _record("r3", labels=[]),
         ],
     )
-    histogram = ingest_pairs(path).stats.label_histogram
+    histogram = ingest_pairs(path, strict=True).stats.label_histogram
     assert histogram[OptimizationType.LOOP_OPTIMIZATION] == 2
     assert histogram[OptimizationType.MEMORY_OPTIMIZATION] == 1
     assert sum(histogram.values()) == 3
@@ -145,7 +144,7 @@ def test_split_count_out_of_range():
 def test_load_record_and_unknown_id(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_lines(path, [_record("p42")])
-    corpus = ingest_pairs(path)
+    corpus = ingest_pairs(path, strict=True)
     assert load_record(corpus, "p42").id == "p42"
     with pytest.raises(UnknownId):
         load_record(corpus, "missing")
@@ -174,7 +173,7 @@ def test_round_trip_reserializes_to_original_json(tmp_path):
     records = [_random_record(rng, f"r{i:03d}") for i in range(50)]
     path = tmp_path / "c.jsonl"
     _write_lines(path, records)
-    corpus = ingest_pairs(path)
+    corpus = ingest_pairs(path, strict=True)
     for original in records:
         loaded = load_record(corpus, original["id"])
         assert record_to_json(loaded) == original
@@ -184,8 +183,8 @@ def test_write_corpus_round_trips_fixture_pairs(tmp_path):
     pairs = fixture_pairs()
     path = tmp_path / "f.jsonl"
     write_corpus(pairs, path)
-    corpus = ingest_pairs(path)
-    assert corpus.stats.count == len(pairs)
+    corpus = ingest_pairs(path, strict=True)
+    assert len(corpus.pairs) == len(pairs)
     for pair in pairs:
         assert load_record(corpus, pair.id) == pair
 

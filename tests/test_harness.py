@@ -58,7 +58,7 @@ def test_compiler_not_found(tmp_path):
 
 def test_binary_not_found(tmp_path):
     with pytest.raises(BinaryNotFound):
-        measure_execution(tmp_path / "missing", [TestCase("", "")], reps=1)
+        measure_execution(tmp_path / "missing", [TestCase("", "")], reps=1, timeout_s=5)
 
 
 def test_stdin_fed_and_output_compared(tmp_path):
@@ -111,6 +111,6 @@ def test_trailing_whitespace_normalized(tmp_path):
 def test_rep_and_testcase_validation(tmp_path):
     binary = compile_program(HELLO, ToolchainConfig(), tmp_path)
     with pytest.raises(ValueError):
-        measure_execution(binary, [TestCase("", "hello\n")], reps=0)
+        measure_execution(binary, [TestCase("", "hello\n")], reps=0, timeout_s=5)
     with pytest.raises(ValueError):
-        measure_execution(binary, [], reps=1)
+        measure_execution(binary, [], reps=1, timeout_s=5)

@@ -1,9 +1,10 @@
 """Pipeline behaviour that runs without clang: the index stage's worker
 pool over CFGs parsed from the committed dumps (the `dump_graphs` fixture),
 analyzer and compiler failures from fake tools, an unreachable chat service
-failing one record, eval containment of unscorable ground truths and
-undecodable patches, and the eval stage's phase order (every compile before
-any timed run) under fake compile and time functions."""
+or a malformed reply failing one record, eval containment of unscorable
+ground truths, undecodable patches and records without testcases, and the
+eval stage's phase order (every compile before any timed run) under fake
+compile and time functions."""
 
 from __future__ import annotations
 
@@ -23,7 +24,14 @@ from autopatch.corpus import CorpusSplit
 from autopatch.errors import AnalyzerFailed, CompileError
 from autopatch.harness import RunOutcome, RunStatus
 from autopatch.metrics import compute_lexical
-from autopatch.pipeline import INDEX_JOURNAL, patch_path, run_eval, run_index, run_ingest
+from autopatch.pipeline import (
+    INDEX_JOURNAL,
+    patch_path,
+    run_eval,
+    run_index,
+    run_ingest,
+    run_optimize,
+)
 from autopatch.preprocess import preprocess_source
 from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
 from autopatch.report import EvalResult, aggregate_report
@@ -114,22 +122,49 @@ def test_unreachable_chat_service_fails_one_record(tmp_path, monkeypatch, pairs,
     assert (tmp_path / "index" / "index_cfg.jsonl").exists()
 
 
-def test_eval_logs_undecodable_patch(tmp_path, pairs):
-    pair = pairs[0]
-    corpus_path = tmp_path / "pairs.jsonl"
-    write_corpus([pair], corpus_path)
-    ingest = run_ingest(corpus_path, 0, SEED, tmp_path / "ingest")
-    split = CorpusSplit(database_set=(), test_set=(pair,))
+def test_null_chat_reply_fails_one_record(tmp_path, pairs, corpus_file):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    unlucky = ingest.split.test_set[1]
+    scripted = make_scripted_transport(pairs)
+
+    def transport(request):  # answers the unlucky record's patch request with null content
+        if unlucky.original_code.rstrip() in request["messages"][1]["content"]:
+            return {"choices": [{"message": {"content": None}}]}
+        return scripted(request)
+
+    llm = LlmClient(LlmConfig(), mode="live", transport=transport)
     mode = PromptMode.ZERO_SHOT
-    path = patch_path(tmp_path / "patches", mode, pair.id)
-    path.parent.mkdir(parents=True)
-    path.write_bytes(b"\xff\xfe")
+
+    result = run_optimize(ingest.corpus, ingest.split, tmp_path / "index", tmp_path / "patches",
+                          (mode,), llm, LocalHashingProvider())
+
+    assert [(f["record_id"], f["mode"]) for f in result.failures] == [(unlucky.id, mode.value)]
+    assert "malformed chat response" in result.failures[0]["reason"]
+    others = [p.id for p in ingest.split.test_set if p.id != unlucky.id]
+    assert result.written == {mode.value: others}
+    for record_id in others:
+        assert patch_path(tmp_path / "patches", mode, record_id).exists()
+    assert not patch_path(tmp_path / "patches", mode, unlucky.id).exists()
+
+
+def test_eval_logs_undecodable_patch(tmp_path, pairs):
+    undecodable, untested = pairs[0], replace(pairs[1], testcases=())
+    corpus_path = tmp_path / "pairs.jsonl"
+    write_corpus([undecodable, untested], corpus_path)
+    ingest = run_ingest(corpus_path, 0, SEED, tmp_path / "ingest")
+    split = CorpusSplit(database_set=(), test_set=(undecodable, untested))
+    mode = PromptMode.ZERO_SHOT
+    for pair, patch in ((undecodable, b"\xff\xfe"), (untested, untested.original_code.encode())):
+        path = patch_path(tmp_path / "patches", mode, pair.id)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(patch)
 
     result = run_eval(ingest.corpus, split, tmp_path / "patches", tmp_path / "eval", (mode,),
                       reps=1, timeout_s=10.0)
 
     assert result.failures == [
-        {"record_id": pair.id, "mode": mode.value, "reason": "patch is not valid UTF-8"}
+        {"record_id": undecodable.id, "mode": mode.value, "reason": "patch is not valid UTF-8"},
+        {"record_id": untested.id, "mode": mode.value, "reason": "no testcases"},
     ]
     assert result.report_json_path.exists()
     manifest = json.loads((tmp_path / "eval" / pipeline.FAILURES_MANIFEST).read_text())

@@ -1,0 +1,75 @@
+"""The inventory of options in `src/autopatch`: every field of a `*Config`
+dataclass, plus every defaulted parameter of a public function or method
+(`__init__` included). `errors.py` is left out, since exception arguments
+are not settings. A new option makes this test fail, so that it shows up in
+review together with the caller that needs it."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import autopatch
+
+SOURCE_DIR = Path(autopatch.__file__).parent
+
+EXPECTED_OPTIONS = [
+    "analyzer.AnalyzerConfig.binary",
+    "analyzer.AnalyzerConfig.extra_flags",
+    "analyzer.extract_cfg(config=)",
+    "analyzer.extract_cfg(function=)",
+    "cfg_diff.render_diff(g_o=)",
+    "cfg_diff.render_diff(g_p=)",
+    "cli.main(argv=)",
+    "harness.ToolchainConfig.compiler",
+    "harness.ToolchainConfig.flags",
+    "pipeline.run_eval(parameters=)",
+    "pipeline.run_index(resume=)",
+    "pipeline.run_ingest(strict=)",
+    "prompting.LlmClient.__init__(cassette=)",
+    "prompting.LlmClient.__init__(mode=)",
+    "prompting.LlmClient.__init__(transport=)",
+    "prompting.LlmConfig.api_key",
+    "prompting.LlmConfig.base_url",
+    "prompting.LlmConfig.model",
+    "prompting.LlmConfig.temperature",
+    "prompting.build_prompt(diff=)",
+    "prompting.build_prompt(example=)",
+    "prompting.build_prompt(rationale=)",
+    "report.aggregate_report(parameters=)",
+    "retrieval.RemoteEmbeddingProvider.__init__(api_key=)",
+    "retrieval.build_index(path=)",
+]
+
+
+def _is_public(name: str) -> bool:
+    return not name.startswith("_") or name == "__init__"
+
+
+def _options(body: list[ast.stmt], module: str, prefix: str) -> list[str]:
+    found = []
+    for node in body:
+        if isinstance(node, ast.ClassDef) and _is_public(node.name):
+            if node.name.endswith("Config"):
+                found += [
+                    f"{module}.{node.name}.{field.target.id}"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                ]
+            found += _options(node.body, module, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_public(node.name):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            found += [f"{module}.{prefix}{node.name}({arg.arg}=)" for arg in defaulted]
+    return found
+
+
+def test_option_inventory():
+    options = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        if path.name != "errors.py":
+            options += _options(ast.parse(path.read_text(encoding="utf-8")).body, path.stem, "")
+    assert sorted(options) == EXPECTED_OPTIONS

@@ -64,9 +64,9 @@ def test_umbrella_then_explicit_include_deduplicated():
     assert report.output_code.count("#include <vector>") == 1
 
 
-def test_non_utf8_bytes_rejected():
+def test_lone_surrogate_rejected():
     with pytest.raises(NonUtf8Input):
-        preprocess_source(b"int main() { return '\xff\xfe'; }")
+        preprocess_source("int main() { return '\udcff'; }")
 
 
 def test_preprocess_is_idempotent():

@@ -365,11 +365,16 @@ def test_cassette_concurrent_stores_lose_nothing(tmp_path):
 
 
 def test_malformed_service_response_raises():
-    client = LlmClient(
-        LlmConfig(model="m"), mode="live", transport=lambda request: {"nope": 1}
+    bodies = (
+        {"nope": 1},
+        {"choices": []},
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": ["int main() {}"]}}]},
     )
-    with pytest.raises(ServiceError):
-        client.complete("sys", "user")
+    for body in bodies:
+        client = LlmClient(LlmConfig(model="m"), mode="live", transport=lambda request: body)
+        with pytest.raises(ServiceError, match="malformed chat response"):
+            client.complete("sys", "user")
 
 
 @contextmanager

@@ -356,10 +356,10 @@ def test_remote_provider_request_and_response(monkeypatch):
         return {"data": [{"embedding": [0.1, 0.2, 0.3]}]}
 
     monkeypatch.setattr("autopatch.retrieval.http_post_json", fake_post)
-    provider = RemoteEmbeddingProvider("http://svc/embed", api_key="k", model="m")
+    provider = RemoteEmbeddingProvider("http://svc/embed", api_key="k")
     vector = embed_text("int main(){}", provider)
     assert captured["url"] == "http://svc/embed"
-    assert captured["payload"] == {"model": "m", "input": ["int main(){}"]}
+    assert captured["payload"] == {"model": "", "input": ["int main(){}"]}
     assert captured["headers"] == {"Authorization": "Bearer k"}
     assert vector.dtype == np.float32
     assert vector.shape == (3,)
@@ -376,12 +376,19 @@ def test_remote_provider_unreachable(monkeypatch):
 
 
 def test_remote_provider_malformed_response(monkeypatch):
-    monkeypatch.setattr(
-        "autopatch.retrieval.http_post_json", lambda *a, **k: {"unexpected": True}
+    bodies = (
+        {"unexpected": True},
+        {"data": []},
+        [],
+        {"data": [{"embedding": ["x", 1]}]},
+        {"data": [{"embedding": [[0.1], [0.2, 0.3]]}]},
+        {"data": [{"embedding": {"x": 1}}]},
     )
     provider = RemoteEmbeddingProvider("http://svc/embed")
-    with pytest.raises(ProviderUnavailable):
-        provider.embed("x")
+    for body in bodies:
+        monkeypatch.setattr("autopatch.retrieval.http_post_json", lambda *args: body)
+        with pytest.raises(ProviderUnavailable, match="malformed embedding response"):
+            provider.embed("x")
 
 
 def test_remote_provider_from_env(monkeypatch):
@@ -390,7 +397,7 @@ def test_remote_provider_from_env(monkeypatch):
         RemoteEmbeddingProvider.from_env()
     monkeypatch.setenv("AUTOPATCH_EMBED_BASE", "http://svc/embed")
     monkeypatch.setenv("AUTOPATCH_EMBED_KEY", "secret")
-    provider = RemoteEmbeddingProvider.from_env(model="m")
+    provider = RemoteEmbeddingProvider.from_env()
     assert provider.base_url == "http://svc/embed"
     assert provider.api_key == "secret"
 
