@@ -46,6 +46,13 @@ def _parse_modes(raw: str) -> tuple[PromptMode, ...]:
     return tuple(modes)
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--provider", choices=("remote", "local"), default="local",
                         help="embedding provider (default: local deterministic hashing)")
@@ -92,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--split", type=Path, required=True)
     evaluate.add_argument("--patches", type=Path, required=True)
     evaluate.add_argument("--mode", type=_parse_modes, default=tuple(_MODE_NAMES.values()))
-    evaluate.add_argument("--reps", type=int, default=DEFAULT_REPS)
+    evaluate.add_argument("--reps", type=_positive_int, default=DEFAULT_REPS)
     evaluate.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S)
     evaluate.add_argument("--out", type=Path, required=True)
 
@@ -108,8 +115,7 @@ def _build_llm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Llm
         cassette = Cassette(args.cassette)
     elif mode in ("record", "replay"):
         parser.error(f"--{mode} requires --cassette")
-    config = LlmConfig() if mode == "replay" else LlmConfig.from_env()
-    return LlmClient(config=config, cassette=cassette, mode=mode)
+    return LlmClient(config=LlmConfig.from_env(), cassette=cassette, mode=mode)
 
 
 def _build_provider(args: argparse.Namespace, parser: argparse.ArgumentParser):

@@ -145,14 +145,24 @@ def _prepare_record(
 
 
 def _load_journal(path: Path) -> dict[str, dict]:
+    """The journal's entries by record id. A line that is not an entry, such
+    as the torn last line a crash mid-write leaves, is skipped with a
+    warning, so its record is prepared again."""
     if not path.exists():
         return {}
     entries = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
+    with path.open("rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
                 obj = json.loads(line)
-                entries[obj["record_id"]] = obj
+            except ValueError:  # not JSON, or not UTF-8
+                obj = None
+            if not isinstance(obj, dict) or not isinstance(obj.get("record_id"), str):
+                logger.warning("%s:%d: skipping a line that is not a journal entry", path, line_no)
+                continue
+            entries[obj["record_id"]] = obj
     return entries
 
 
@@ -223,7 +233,6 @@ def run_index(
 
 @dataclass
 class OptimizeResult:
-    patch_dir: Path
     written: dict[str, list[str]]
     failures: list[dict] = field(default_factory=list)
 
@@ -270,7 +279,7 @@ def run_optimize(
             written[mode.value].append(pair.id)
 
     _write_json(out_dir / FAILURES_MANIFEST, failures)
-    return OptimizeResult(patch_dir=out_dir, written=written, failures=failures)
+    return OptimizeResult(written=written, failures=failures)
 
 
 def _build_mode_prompt(
@@ -311,7 +320,6 @@ def _build_mode_prompt(
 class EvalRunResult:
     report: EvaluationReport
     report_json_path: Path
-    report_text_path: Path
     failures: list[dict] = field(default_factory=list)
 
     @property
@@ -409,14 +417,8 @@ def run_eval(
     payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
     json_path = out_dir / "report.json"
-    text_path = out_dir / "report.txt"
     _write_json(json_path, payload)
-    text_path.write_text(report.render_text(), encoding="utf-8")
+    (out_dir / "report.txt").write_text(report.render_text(), encoding="utf-8")
     _write_json(out_dir / FAILURES_MANIFEST, failures)
 
-    return EvalRunResult(
-        report=report,
-        report_json_path=json_path,
-        report_text_path=text_path,
-        failures=failures,
-    )
+    return EvalRunResult(report=report, report_json_path=json_path, failures=failures)

@@ -1,14 +1,13 @@
 """Source normalization applied before handing code to the analyzer or the
 compiler: umbrella includes are expanded to an explicit standard-header set,
 compiler-specific attributes on the strip list are removed, and duplicate
-includes are dropped. Every rewrite is recorded in `actions` so callers can
-audit what changed; clean input passes through byte-identical.
+includes are dropped. Clean input passes through byte-identical.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NonUtf8Input
 
@@ -69,7 +68,6 @@ _LINE_STRIPPERS = (re.compile(r"^[ \t]*#[ \t]*pragma[ \t]+GCC[ \t]+(optimize|tar
 @dataclass
 class PreprocessReport:
     output_code: str
-    actions: list[str] = field(default_factory=list)
 
 
 def preprocess_source(code: str) -> PreprocessReport:
@@ -78,17 +76,14 @@ def preprocess_source(code: str) -> PreprocessReport:
     except UnicodeEncodeError as exc:  # a lone surrogate
         raise NonUtf8Input(str(exc)) from None
 
-    actions: list[str] = []
-    lines = code.split("\n")
     out_lines: list[str] = []
     seen_includes: set[str] = set()
 
     def include_key(text: str) -> str:
         return text.replace(" ", "").replace("\t", "")
 
-    for line in lines:
+    for line in code.split("\n"):
         if _UMBRELLA_INCLUDE.match(line):
-            actions.append("replaced umbrella include bits/stdc++.h with explicit standard headers")
             for header in STANDARD_HEADERS:
                 include = f"#include <{header}>"
                 if include_key(include) not in seen_includes:
@@ -96,28 +91,18 @@ def preprocess_source(code: str) -> PreprocessReport:
                     out_lines.append(include)
             continue
 
-        stripped_whole_line = False
-        for pattern in _LINE_STRIPPERS:
-            if pattern.match(line):
-                actions.append(f"removed unsupported directive: {line.strip()}")
-                stripped_whole_line = True
-                break
-        if stripped_whole_line:
+        if any(pattern.match(line) for pattern in _LINE_STRIPPERS):
             continue
 
         include_match = _INCLUDE_LINE.match(line)
         if include_match:
             key = include_key(include_match.group(0))
             if key in seen_includes:
-                actions.append(f"removed duplicate include: {line.strip()}")
                 continue
             seen_includes.add(key)
 
-        new_line = line
         for pattern in _INLINE_STRIPPERS:
-            new_line, count = pattern.subn("", new_line)
-            if count:
-                actions.append(f"removed {count} attribute(s) matching {pattern.pattern!r}")
-        out_lines.append(new_line)
+            line = pattern.sub("", line)
+        out_lines.append(line)
 
-    return PreprocessReport(output_code="\n".join(out_lines), actions=actions)
+    return PreprocessReport(output_code="\n".join(out_lines))

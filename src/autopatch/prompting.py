@@ -207,9 +207,6 @@ class Cassette:
                     self._keep_bytes = None
                 handle.write(_cassette_line(key, entry))
 
-    def __len__(self) -> int:
-        return len(self._data)
-
 
 def _cassette_line(key: str, entry: dict) -> str:
     return json.dumps({"key": key, **entry}, sort_keys=True, ensure_ascii=False) + "\n"
@@ -220,7 +217,7 @@ class LlmConfig:
     base_url: str = ""
     api_key: str = ""
     model: str = "default-model"
-    temperature: float = 0.0
+    temperature = 0.0  # a class constant, not a field: every request is greedy
 
     @classmethod
     def from_env(cls) -> "LlmConfig":
@@ -245,8 +242,8 @@ class LlmClient:
     def __init__(
         self,
         config: LlmConfig,
-        cassette: Cassette | None = None,
-        mode: str = "live",
+        cassette: Cassette | None,
+        mode: str,
         transport: Transport | None = None,
     ):
         if mode not in ("live", "record", "replay"):

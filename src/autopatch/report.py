@@ -123,7 +123,7 @@ def _mean_lexical(scores: Sequence[LexicalScores]) -> LexicalScores | None:
 
 def aggregate_report(
     results: Iterable[EvalResult],
-    parameters: Mapping | None = None,
+    parameters: Mapping,
 ) -> EvaluationReport:
     """Aggregate the results per mode. When no program is executable under
     every mode (or there are no results), the common executable set is
@@ -188,5 +188,5 @@ def aggregate_report(
         modes=mode_reports,
         common_executable_ids=common_ids,
         evaluated_count=len(all_ids),
-        parameters=dict(parameters or {}),
+        parameters=dict(parameters),
     )

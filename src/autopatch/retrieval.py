@@ -88,7 +88,7 @@ class RemoteEmbeddingProvider:
 
     name = "remote"
 
-    def __init__(self, base_url: str, api_key: str = ""):
+    def __init__(self, base_url: str, api_key: str):
         self.base_url = base_url
         self.api_key = api_key
 
@@ -185,11 +185,11 @@ def build_index(
     records: Sequence[IndexRecord],
     provider,
     source_kind: SourceKind,
-    path: Path | str | None = None,
+    path: Path | str,
 ) -> VectorIndex:
-    """Embed every record and assemble the index, persisting it to `path`
-    when given. A failure to embed a record raises ProviderUnavailable
-    naming that record; the caller decides skip policy."""
+    """Embed every record, assemble the index and save it to `path`. A
+    failure to embed a record raises ProviderUnavailable naming that record;
+    the caller decides skip policy."""
     if not records:
         raise EmptyIndex("no records to index")
 
@@ -224,8 +224,7 @@ def build_index(
         metadata=[(record.diff_text, record.rationale) for record in records],
         source_kind=source_kind,
     )
-    if path is not None:
-        save_index(index, path)
+    save_index(index, path)
     return index
 
 

@@ -4,10 +4,12 @@ import argparse
 import gc
 import json
 
+import pytest
+
 from autopatch import pipeline
 from autopatch.cli import EXIT_NO_COMMON_SET, EXIT_OK, EXIT_USAGE, main
-from autopatch.pipeline import INDEX_JOURNAL, run_index, run_ingest
-from autopatch.prompting import Cassette, LlmClient, LlmConfig
+from autopatch.pipeline import INDEX_JOURNAL, run_index, run_ingest, run_optimize
+from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
 from autopatch.retrieval import LocalHashingProvider
 
 from conftest import DB_COUNT, SEED, requires_toolchain
@@ -209,14 +211,25 @@ def test_index_rerun_byte_stable(recorded_workspace, tmp_path, monkeypatch):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_index_cli_resumes_from_journal(tmp_path, monkeypatch, capsys, pairs, corpus_file,
-                                        dump_graphs):
-    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+INDEX_FILES = ("index_cfg.jsonl", "index_cfg.jsonl.vec",
+               "index_source.jsonl", "index_source.jsonl.vec", INDEX_JOURNAL)
+
+
+def _record_index_cassette(tmp_path, pairs, corpus_file):
+    """Ingest the fixture corpus and record the index stage's rationale
+    calls, so that `index --replay` can run offline."""
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     cassette = tmp_path / "cassette.jsonl"
     recorder = LlmClient(LlmConfig(), Cassette(cassette), mode="record",
                          transport=make_scripted_transport(pairs))
     run_index(ingest.corpus, ingest.split, tmp_path / "recorded", LocalHashingProvider(), recorder)
+    return ingest, cassette
+
+
+def test_index_cli_resumes_from_journal(tmp_path, monkeypatch, capsys, pairs, corpus_file,
+                                        dump_graphs):
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    ingest, cassette = _record_index_cassette(tmp_path, pairs, corpus_file)
 
     stub = pipeline.extract_cfg
     analyzed = []
@@ -227,8 +240,6 @@ def test_index_cli_resumes_from_journal(tmp_path, monkeypatch, capsys, pairs, co
 
     monkeypatch.setattr(pipeline, "extract_cfg", counting_stub)
     out = tmp_path / "index"
-    names = ("index_cfg.jsonl", "index_cfg.jsonl.vec",
-             "index_source.jsonl", "index_source.jsonl.vec", INDEX_JOURNAL)
 
     def index(*extra: str) -> tuple[int, dict[str, bytes]]:
         analyzed.clear()
@@ -237,12 +248,77 @@ def test_index_cli_resumes_from_journal(tmp_path, monkeypatch, capsys, pairs, co
             "--out", str(out), "--replay", "--cassette", str(cassette), *extra,
         ) == EXIT_OK
         assert f"indexed {DB_COUNT} record(s); skipped 0" in capsys.readouterr().out
-        return len(analyzed), {name: (out / name).read_bytes() for name in names}
+        return len(analyzed), {name: (out / name).read_bytes() for name in INDEX_FILES}
 
     calls, first = index()
     assert calls == 2 * DB_COUNT  # both sides of every record
     assert index() == (0, first)  # every journaled record is ok, so none is redone
     assert index("--no-resume") == (2 * DB_COUNT, first)
+
+
+def test_index_cli_resumes_past_a_torn_journal_line(tmp_path, monkeypatch, caplog, pairs,
+                                                    corpus_file, dump_graphs):
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    ingest, cassette = _record_index_cassette(tmp_path, pairs, corpus_file)
+    out = tmp_path / "index"
+    argv = ("index", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
+            "--out", str(out), "--replay", "--cassette", str(cassette))
+
+    assert run_cli(*argv) == EXIT_OK
+    first = {name: (out / name).read_bytes() for name in INDEX_FILES}
+    journal = first[INDEX_JOURNAL].splitlines(keepends=True)
+    torn = journal[-1][: len(journal[-1]) // 2]  # what a crash mid-write leaves
+    (out / INDEX_JOURNAL).write_bytes(b"".join(journal[:-1]) + torn)
+
+    with caplog.at_level("WARNING", logger="autopatch.pipeline"):
+        assert run_cli(*argv) == EXIT_OK
+    assert f"{out / INDEX_JOURNAL}:{len(journal)}: skipping" in caplog.text
+    assert {name: (out / name).read_bytes() for name in INDEX_FILES} == first
+
+
+def test_replay_uses_the_model_from_the_environment(tmp_path, monkeypatch, capsys, pairs,
+                                                    corpus_file):
+    # Cassette keys hash the model name, so replay must send the model that
+    # recorded; zero-shot needs neither an analyzer nor an index.
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    monkeypatch.setenv("AUTOPATCH_LLM_MODEL", "tuned-model")
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    cassette = tmp_path / "cassette.jsonl"
+    recorder = LlmClient(LlmConfig(model="tuned-model"), Cassette(cassette), mode="record",
+                         transport=make_scripted_transport(pairs))
+    recorded = tmp_path / "recorded"
+    run_optimize(ingest.corpus, ingest.split, tmp_path / "no-index", recorded,
+                 (PromptMode.ZERO_SHOT,), recorder, LocalHashingProvider())
+
+    replayed = tmp_path / "replayed"
+    assert run_cli(
+        "optimize", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
+        "--index", str(tmp_path / "no-index"), "--mode", "zero-shot", "--out", str(replayed),
+        "--replay", "--cassette", str(cassette),
+    ) == EXIT_OK
+    assert "0 failure(s)" in capsys.readouterr().out
+    for pair in ingest.split.test_set:
+        name = f"zero_shot/{pair.id}.cpp"
+        assert (replayed / name).read_bytes() == (recorded / name).read_bytes()
+
+
+def test_eval_rejects_reps_below_one_before_any_work(tmp_path, capsys, pairs, corpus_file):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    patches = tmp_path / "patches"
+    for pair in ingest.split.test_set:
+        path = pipeline.patch_path(patches, PromptMode.ZERO_SHOT, pair.id)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(pair.original_code, encoding="utf-8")
+
+    out = tmp_path / "eval"
+    for reps in ("0", "-1"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
+                  "--patches", str(patches), "--mode", "zero-shot", "--reps", reps,
+                  "--out", str(out)])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--reps" in capsys.readouterr().err
+    assert not (out / "bin").exists()
 
 
 @requires_toolchain

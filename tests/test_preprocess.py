@@ -19,7 +19,6 @@ int main() {
 def test_clean_code_passes_through_unchanged():
     report = preprocess_source(CLEAN)
     assert report.output_code == CLEAN
-    assert report.actions == []
 
 
 def test_umbrella_include_expands_to_explicit_headers():
@@ -28,34 +27,34 @@ def test_umbrella_include_expands_to_explicit_headers():
     assert "bits/stdc++.h" not in report.output_code
     for header in ("vector", "iostream", "algorithm"):
         assert f"#include <{header}>" in report.output_code
-    assert len([a for a in report.actions if "umbrella" in a]) == 1
-    # every emitted include is from the fixed set, in order
+    # the umbrella expands once: every emitted include is from the fixed set, in order
     includes = [l for l in report.output_code.splitlines() if l.startswith("#include")]
     assert includes == [f"#include <{h}>" for h in STANDARD_HEADERS]
+    assert report.output_code.splitlines()[len(STANDARD_HEADERS):] == ["int main() { return 0; }"]
 
 
-def test_attribute_stripped_and_logged():
+def test_attribute_stripped():
     code = (
         "__attribute__((always_inline)) inline int twice(int v) { return 2 * v; }\n"
         "int main() { return twice(21); }\n"
     )
     report = preprocess_source(code)
-    assert "__attribute__" not in report.output_code
-    assert any("attribute" in action for action in report.actions)
+    assert report.output_code == (
+        " inline int twice(int v) { return 2 * v; }\n"
+        "int main() { return twice(21); }\n"
+    )
 
 
 def test_pragma_gcc_optimize_line_removed():
     code = '#pragma GCC optimize("O3")\nint main() { return 0; }\n'
     report = preprocess_source(code)
-    assert "#pragma" not in report.output_code
-    assert any("directive" in action for action in report.actions)
+    assert report.output_code == "int main() { return 0; }\n"
 
 
 def test_duplicate_includes_removed():
     code = "#include <cstdio>\n#include <cstdio>\nint main() { return 0; }\n"
     report = preprocess_source(code)
-    assert report.output_code.count("#include <cstdio>") == 1
-    assert any("duplicate" in action for action in report.actions)
+    assert report.output_code == "#include <cstdio>\nint main() { return 0; }\n"
 
 
 def test_umbrella_then_explicit_include_deduplicated():
@@ -74,7 +73,6 @@ def test_preprocess_is_idempotent():
     once = preprocess_source(code)
     twice = preprocess_source(once.output_code)
     assert twice.output_code == once.output_code
-    assert twice.actions == []
 
 
 @requires_gxx

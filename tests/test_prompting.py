@@ -199,7 +199,7 @@ def _canned_transport(content="```cpp\nint main(){return 9;}\n```"):
 
 def test_live_request_shape(tmp_path):
     transport = _canned_transport()
-    client = LlmClient(LlmConfig(model="m"), mode="live", transport=transport)
+    client = LlmClient(LlmConfig(model="m"), cassette=None, mode="live", transport=transport)
     client.complete("sys", "user")
     (request,) = transport.calls
     assert request == {
@@ -288,8 +288,7 @@ def test_cassette_last_line_for_a_key_wins(tmp_path):
     path = tmp_path / "cassette.jsonl"
     path.write_text(_entry_line("a", "old") + _entry_line("b", "b") + _entry_line("a", "new"))
     cassette = Cassette(path)
-    assert len(cassette) == 2
-    assert _content(cassette, "a") == "new"
+    assert _content(cassette, "a") == "new" and _content(cassette, "b") == "b"
     cassette.store("a", {"model": "m"}, {"choices": [{"message": {"content": "newest"}}]})
     assert _content(Cassette(path), "a") == "newest"
 
@@ -322,7 +321,7 @@ def test_cassette_torn_final_line_is_dropped_then_truncated(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="autopatch.prompting"):
         cassette = Cassette(path)
     assert "torn" in caplog.text
-    assert len(cassette) == 1 and cassette.lookup("b") is None
+    assert _content(cassette, "a") == "a" and cassette.lookup("b") is None
 
     cassette.store("c", {"model": "m"}, {"choices": [{"message": {"content": "c"}}]})
     text = path.read_text(encoding="utf-8")
@@ -361,7 +360,8 @@ def test_cassette_concurrent_stores_lose_nothing(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(path.read_text(encoding="utf-8").splitlines()) == 400
-    assert len(Cassette(path)) == 400
+    reloaded = Cassette(path)
+    assert all(_content(reloaded, f"{w}-{i}") == str(i) for w in range(8) for i in range(50))
 
 
 def test_malformed_service_response_raises():
@@ -372,7 +372,8 @@ def test_malformed_service_response_raises():
         {"choices": [{"message": {"content": ["int main() {}"]}}]},
     )
     for body in bodies:
-        client = LlmClient(LlmConfig(model="m"), mode="live", transport=lambda request: body)
+        client = LlmClient(LlmConfig(model="m"), cassette=None, mode="live",
+                           transport=lambda request: body)
         with pytest.raises(ServiceError, match="malformed chat response"):
             client.complete("sys", "user")
 
@@ -407,7 +408,7 @@ def _chat_service(body: bytes):
 def test_live_client_non_json_body_is_service_error(monkeypatch, body):
     monkeypatch.setenv("no_proxy", "*")
     with _chat_service(body) as url:
-        client = LlmClient(LlmConfig(base_url=url, model="m"), mode="live")
+        client = LlmClient(LlmConfig(base_url=url, model="m"), cassette=None, mode="live")
         with pytest.raises(ServiceError) as excinfo:
             client.complete("sys", "user")
     assert excinfo.value.status == 200
@@ -419,7 +420,8 @@ def test_live_client_unreachable_service_is_service_error(monkeypatch):
         raise ConnectionRefusedError(111, "Connection refused")
 
     monkeypatch.setattr("autopatch.prompting.http_post_json", refuse)
-    client = LlmClient(LlmConfig(base_url="http://chat.invalid/v1", model="m"), mode="live")
+    client = LlmClient(LlmConfig(base_url="http://chat.invalid/v1", model="m"),
+                       cassette=None, mode="live")
     with pytest.raises(ServiceError) as excinfo:
         client.complete("sys", "user")
     assert excinfo.value.status == 0
@@ -439,14 +441,15 @@ def test_request_hash_depends_on_all_parts():
 
 
 def test_generate_patch_extracts_code():
-    client = LlmClient(LlmConfig(model="m"), mode="live", transport=_canned_transport())
+    client = LlmClient(LlmConfig(model="m"), cassette=None, mode="live",
+                       transport=_canned_transport())
     prompt = build_prompt(PromptMode.ZERO_SHOT, TARGET)
     assert generate_patch(prompt, client) == "int main(){return 9;}\n"
 
 
 def test_generate_patch_without_block_is_error():
     client = LlmClient(
-        LlmConfig(model="m"), mode="live",
+        LlmConfig(model="m"), cassette=None, mode="live",
         transport=lambda request: {"choices": [{"message": {"content": "no code"}}]},
     )
     with pytest.raises(NoCodeBlockInResponse):
@@ -458,7 +461,7 @@ def test_empty_diff_rationale_short_circuits():
     graph = random_cfg(rng)
     empty = compute_diff(graph, copy.deepcopy(graph))
     transport = _canned_transport()
-    client = LlmClient(LlmConfig(model="m"), mode="live", transport=transport)
+    client = LlmClient(LlmConfig(model="m"), cassette=None, mode="live", transport=transport)
     assert generate_rationale(empty, TARGET, client) == EMPTY_DIFF_RATIONALE
     assert transport.calls == []
 

@@ -55,7 +55,7 @@ def test_aggregate_reproduces_reference_improvements():
         _result("t1", "naive", 0.5238),
         _result("t1", "context", 0.3815),
     ]
-    report = aggregate_report(results)
+    report = aggregate_report(results, parameters={})
     assert report.modes["zero_shot"].improvement_pct == 0.0
     assert report.modes["naive"].improvement_pct == pytest.approx(-27.3, abs=0.05)
     assert report.modes["context"].improvement_pct == pytest.approx(7.3, abs=0.05)
@@ -68,7 +68,7 @@ def test_common_set_excludes_programs_failing_anywhere():
         _result("t1", "context", 0.1),
         _result("t2", "context", status=RunStatus.COMPILE_ERROR),
     ]
-    report = aggregate_report(results)
+    report = aggregate_report(results, parameters={})
     assert report.common_executable_ids == ("t1",)
     assert report.modes["zero_shot"].avg_time_s == pytest.approx(0.2)
     assert report.modes["context"].avg_time_s == pytest.approx(0.1)
@@ -79,7 +79,7 @@ def test_empty_common_set_is_a_report_state():
         _result("t1", "zero_shot", status=RunStatus.TIMEOUT),
         _result("t1", "context", 0.1),
     ]
-    report = aggregate_report(results)
+    report = aggregate_report(results, parameters={})
     assert report.common_executable_ids == ()
     assert report.evaluated_count == 1
     for mode in ("zero_shot", "context"):
@@ -101,7 +101,7 @@ def test_empty_common_set_allowed_for_degraded_report():
         _result("t1", "zero_shot", status=RunStatus.COMPILE_ERROR),
         _result("t1", "context", status=RunStatus.COMPILE_ERROR),
     ]
-    report = aggregate_report(results)
+    report = aggregate_report(results, parameters={})
     assert report.common_executable_ids == ()
     assert report.modes["zero_shot"].avg_time_s is None
     assert report.modes["zero_shot"].improvement_pct is None
@@ -116,7 +116,7 @@ def test_multilabel_program_contributes_to_every_type_row():
         _result("t2", "zero_shot", 0.10, labels=(OptimizationType.LOOP_OPTIMIZATION,)),
         _result("t3", "zero_shot", 0.50),
     ]
-    report = aggregate_report(results)
+    report = aggregate_report(results, parameters={})
     per_type = report.modes["zero_shot"].per_type_avg_time_s
     assert per_type["loop_optimization"] == pytest.approx((0.30 + 0.10) / 2)
     assert per_type["memory_optimization"] == pytest.approx(0.30)
@@ -133,7 +133,7 @@ def test_hand_aggregation_three_records():
         _result("t2", "context", 0.3),
         _result("t3", "context", status=RunStatus.WRONG_OUTPUT),
     ]
-    report = aggregate_report(results)
+    report = aggregate_report(results, parameters={})
     assert report.common_executable_ids == ("t1", "t2")
     assert report.modes["zero_shot"].avg_time_s == pytest.approx(0.3)
     assert report.modes["context"].avg_time_s == pytest.approx(0.2)
@@ -151,7 +151,7 @@ def test_outcome_counts_conserve_evaluated_programs():
         _result("t2", "context", 0.2),
         _result("t3", "context", 0.2),
     ]
-    report = aggregate_report(results)
+    report = aggregate_report(results, parameters={})
     for mode_report in report.modes.values():
         assert sum(mode_report.outcome_counts.values()) == 3
 
@@ -163,7 +163,7 @@ def test_lexical_means_average_all_scored_entries():
         _result("t1", "context", 0.2),
         _result("t2", "context", 0.2),
     ]
-    report = aggregate_report(results)
+    report = aggregate_report(results, parameters={})
     assert report.modes["zero_shot"].lexical_count == 2
     assert report.modes["zero_shot"].lexical_mean.line_overlap_pct == pytest.approx(50.0)
 

@@ -148,25 +148,30 @@ def _records(n: int) -> list[IndexRecord]:
     ]
 
 
-def test_build_index_cardinality_and_dim():
-    index = build_index(_records(5), LocalHashingProvider(), SourceKind.RAW_SOURCE)
+def test_build_index_cardinality_and_dim(tmp_path):
+    index = build_index(_records(5), LocalHashingProvider(), SourceKind.RAW_SOURCE,
+                        path=tmp_path / "index.jsonl")
     assert len(index.ids) == 5
     assert index.dim == 256
     assert all(vector.shape == (256,) for vector in index.matrix)
     assert list(index.ids) == [f"r{i}" for i in range(5)]
 
 
-def test_build_index_duplicate_id():
+def test_build_index_duplicate_id(tmp_path):
     records = _records(2) + _records(1)
     with pytest.raises(DuplicateId):
-        build_index(records, LocalHashingProvider(), SourceKind.RAW_SOURCE)
+        build_index(records, LocalHashingProvider(), SourceKind.RAW_SOURCE,
+                    path=tmp_path / "index.jsonl")
+    assert not (tmp_path / "index.jsonl").exists()
 
 
-def test_build_index_kind_selects_embedded_text():
+def test_build_index_kind_selects_embedded_text(tmp_path):
     records = _records(3)
     provider = LocalHashingProvider()
-    cfg_index = build_index(records, provider, SourceKind.CFG_SERIALIZATION)
-    src_index = build_index(records, provider, SourceKind.RAW_SOURCE)
+    cfg_index = build_index(records, provider, SourceKind.CFG_SERIALIZATION,
+                            path=tmp_path / "cfg.jsonl")
+    src_index = build_index(records, provider, SourceKind.RAW_SOURCE,
+                            path=tmp_path / "source.jsonl")
     for record, cfg_vector, src_vector in zip(records, cfg_index.matrix, src_index.matrix):
         assert np.array_equal(cfg_vector, provider.embed(record.cfg_text))
         assert np.array_equal(src_vector, provider.embed(record.pair.original_code))
@@ -189,6 +194,7 @@ def test_build_index_concurrent_commit_order(tmp_path, pairs, corpus_file, dump_
         [IndexRecord(pair=p, diff_text="", rationale="") for p in database],
         LocalHashingProvider(),
         SourceKind.RAW_SOURCE,
+        path=tmp_path / "sequential.jsonl",
     )
     concurrent = load_index(index_path(tmp_path / "index", SourceKind.RAW_SOURCE))
     assert sequential.ids == concurrent.ids
@@ -210,7 +216,8 @@ def test_build_index_at_database_scale(tmp_path):
 
 
 def test_index_round_trip_bit_exact(tmp_path):
-    index = build_index(_records(6), LocalHashingProvider(), SourceKind.CFG_SERIALIZATION)
+    index = build_index(_records(6), LocalHashingProvider(), SourceKind.CFG_SERIALIZATION,
+                        path=tmp_path / "built.jsonl")
     path = tmp_path / "index.jsonl"
     save_index(index, path)
     loaded = load_index(path)
@@ -224,7 +231,8 @@ def test_index_round_trip_bit_exact(tmp_path):
 
 
 def test_index_header_format(tmp_path):
-    index = build_index(_records(2), LocalHashingProvider(), SourceKind.RAW_SOURCE)
+    index = build_index(_records(2), LocalHashingProvider(), SourceKind.RAW_SOURCE,
+                        path=tmp_path / "built.jsonl")
     path = tmp_path / "index.jsonl"
     save_index(index, path)
     header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
@@ -370,7 +378,7 @@ def test_remote_provider_unreachable(monkeypatch):
         raise OSError("connection refused")
 
     monkeypatch.setattr("autopatch.retrieval.http_post_json", fake_post)
-    provider = RemoteEmbeddingProvider("http://svc/embed")
+    provider = RemoteEmbeddingProvider("http://svc/embed", api_key="")
     with pytest.raises(ProviderUnavailable):
         provider.embed("x")
 
@@ -384,7 +392,7 @@ def test_remote_provider_malformed_response(monkeypatch):
         {"data": [{"embedding": [[0.1], [0.2, 0.3]]}]},
         {"data": [{"embedding": {"x": 1}}]},
     )
-    provider = RemoteEmbeddingProvider("http://svc/embed")
+    provider = RemoteEmbeddingProvider("http://svc/embed", api_key="")
     for body in bodies:
         monkeypatch.setattr("autopatch.retrieval.http_post_json", lambda *args: body)
         with pytest.raises(ProviderUnavailable, match="malformed embedding response"):
@@ -402,7 +410,7 @@ def test_remote_provider_from_env(monkeypatch):
     assert provider.api_key == "secret"
 
 
-def test_build_index_attaches_record_id_to_provider_error():
+def test_build_index_attaches_record_id_to_provider_error(tmp_path):
     class FailingProvider:
         name = "failing"
 
@@ -410,11 +418,12 @@ def test_build_index_attaches_record_id_to_provider_error():
             raise ProviderUnavailable("boom")
 
     with pytest.raises(ProviderUnavailable) as excinfo:
-        build_index(_records(1), FailingProvider(), SourceKind.RAW_SOURCE)
+        build_index(_records(1), FailingProvider(), SourceKind.RAW_SOURCE,
+                    path=tmp_path / "index.jsonl")
     assert "r0" in str(excinfo.value)
 
 
-def test_build_index_wraps_service_error_naming_the_record():
+def test_build_index_wraps_service_error_naming_the_record(tmp_path):
     class BusyProvider:
         name = "busy"
 
@@ -422,7 +431,8 @@ def test_build_index_wraps_service_error_naming_the_record():
             raise ServiceError(503, "busy")
 
     with pytest.raises(AutopatchError) as excinfo:
-        build_index(_records(2), BusyProvider(), SourceKind.RAW_SOURCE)
+        build_index(_records(2), BusyProvider(), SourceKind.RAW_SOURCE,
+                    path=tmp_path / "index.jsonl")
     assert "record r0" in str(excinfo.value)
     assert "503" in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, ServiceError)
