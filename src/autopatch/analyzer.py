@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cfg import BasicBlock, ControlFlowGraph, normalize_statement
-from .errors import AnalyzerFailed, AnalyzerNotFound, FunctionNotFound, NonUtf8Input, ParseError
+from .errors import AutopatchError
 
 ANALYZER_PATH_ENV = "AUTOPATCH_ANALYZER_PATH"
 ANALYZER_FLAGS_ENV = "AUTOPATCH_ANALYZER_FLAGS"
@@ -117,11 +117,15 @@ def _signature_name(signature: str) -> str:
     return match.group(0) if match else head
 
 
+def _parse_error(line_no: int, reason: str) -> AutopatchError:
+    return AutopatchError(f"dump line {line_no}: {reason}")
+
+
 def parse_cfg_dump(dump: str) -> ControlFlowGraph:
     """Parse one function's dump section into a ControlFlowGraph.
 
-    Raises ParseError on unrecognized structural lines, dangling successor
-    references, or a missing ENTRY/EXIT block.
+    Raises AutopatchError, naming the dump line, on unrecognized structural
+    lines, dangling successor references, or a missing ENTRY/EXIT block.
     """
     blocks: list[BasicBlock] = []
     entry_id: int | None = None
@@ -158,11 +162,11 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
             annotation = header.group(2) or ""
             if "ENTRY" in annotation:
                 if entry_id is not None:
-                    raise ParseError(line_no, "second ENTRY block")
+                    raise _parse_error(line_no, "second ENTRY block")
                 entry_id = current_id
             if "EXIT" in annotation:
                 if exit_id is not None:
-                    raise ParseError(line_no, "second EXIT block")
+                    raise _parse_error(line_no, "second EXIT block")
                 exit_id = current_id
             continue
 
@@ -171,12 +175,12 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
             # section heading, a second means the caller passed a whole
             # multi-function dump (use split_dump_functions for that).
             if seen_signature or blocks or current_id is not None:
-                raise ParseError(line_no, f"unexpected section line {line.strip()!r}")
+                raise _parse_error(line_no, f"unexpected section line {line.strip()!r}")
             seen_signature = True
             continue
 
         if current_id is None:
-            raise ParseError(line_no, f"content outside any block: {line.strip()!r}")
+            raise _parse_error(line_no, f"content outside any block: {line.strip()!r}")
 
         statement = _STATEMENT.match(line)
         if statement is not None:
@@ -198,7 +202,7 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
                     continue
                 ref = _SUCC_REF.match(token)
                 if ref is None:
-                    raise ParseError(line_no, f"unrecognized successor {token!r}")
+                    raise _parse_error(line_no, f"unrecognized successor {token!r}")
                 edges.add((current_id, int(ref.group(1))))
             continue
 
@@ -209,11 +213,11 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
     flush()
 
     if not blocks:
-        raise ParseError(0, "no blocks found in dump")
+        raise _parse_error(0, "no blocks found in dump")
     if entry_id is None:
-        raise ParseError(0, "no ENTRY block in dump")
+        raise _parse_error(0, "no ENTRY block in dump")
     if exit_id is None:
-        raise ParseError(0, "no EXIT block in dump")
+        raise _parse_error(0, "no EXIT block in dump")
 
     try:
         return ControlFlowGraph(
@@ -223,7 +227,7 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
             edges=frozenset(edges),
         )
     except ValueError as exc:
-        raise ParseError(0, str(exc)) from None
+        raise _parse_error(0, str(exc)) from None
 
 
 def run_analyzer(code: str, config: AnalyzerConfig) -> str:
@@ -231,11 +235,11 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
     try:
         encoded = code.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise NonUtf8Input(str(exc)) from None
+        raise AutopatchError(str(exc)) from None
 
     binary = shutil.which(config.binary)
     if binary is None:
-        raise AnalyzerNotFound(f"analyzer binary {config.binary!r} not on PATH")
+        raise AutopatchError(f"analyzer binary {config.binary!r} not on PATH")
 
     # The analyzer runs inside its temporary directory on relative paths, so
     # its messages never quote that directory's random name.
@@ -257,15 +261,19 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
                 timeout=ANALYZER_TIMEOUT_S,
             )
         except subprocess.TimeoutExpired:
-            raise AnalyzerFailed(-1, f"analyzer timed out after {ANALYZER_TIMEOUT_S}s") from None
+            raise AutopatchError(
+                f"analyzer exited with -1: analyzer timed out after {ANALYZER_TIMEOUT_S}s"
+            ) from None
         except OSError as exc:  # e.g. a missing script interpreter
             # Name the binary without its directory, which may be temporary.
-            raise AnalyzerFailed(-1, f"analyzer could not start: {exc.strerror}: {Path(binary).name}") from None
+            raise AutopatchError(
+                f"analyzer exited with -1: analyzer could not start: {exc.strerror}: {Path(binary).name}"
+            ) from None
     # Decoded leniently: bytes that are not UTF-8 must not escape as a
     # UnicodeDecodeError, which no stage contains per record.
     stderr = proc.stderr.decode("utf-8", "replace")
     if proc.returncode != 0:
-        raise AnalyzerFailed(proc.returncode, stderr)
+        raise AutopatchError(f"analyzer exited with {proc.returncode}: {stderr.strip()[:500]}")
     return stderr
 
 
@@ -281,7 +289,7 @@ def extract_cfg(
     dump = _strip_diagnostics(run_analyzer(code, config))
     sections = split_dump_functions(dump)
     if not sections:
-        raise FunctionNotFound(f"analyzer produced no CFG dump (looking for {function!r})")
+        raise AutopatchError(f"analyzer produced no CFG dump (looking for {function!r})")
 
     for signature, body in sections:
         name = _signature_name(signature)
@@ -289,4 +297,4 @@ def extract_cfg(
             return parse_cfg_dump(body)
 
     available = ", ".join(_signature_name(sig) for sig, _ in sections)
-    raise FunctionNotFound(f"function {function!r} not in dump (found: {available})")
+    raise AutopatchError(f"function {function!r} not in dump (found: {available})")

@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .errors import CountOutOfRange, DuplicateId, MalformedRecord, UnknownId
+from .errors import AutopatchError
 
 
 class OptimizationType(Enum):
@@ -81,10 +81,10 @@ def normalize_output(text: str) -> str:
 def parse_record(obj: object, line_no: int) -> CodePair:
     """Validate one decoded JSON object and build a CodePair.
 
-    Raises MalformedRecord with the offending line number on any violation.
+    Raises AutopatchError naming the offending line on any violation.
     """
-    def bad(reason: str) -> MalformedRecord:
-        return MalformedRecord(line_no, reason)
+    def bad(reason: str) -> AutopatchError:
+        return AutopatchError(f"line {line_no}: {reason}")
 
     if not isinstance(obj, dict):
         raise bad("record is not a JSON object")
@@ -143,7 +143,8 @@ def parse_record(obj: object, line_no: int) -> CodePair:
 def ingest_pairs(path: Path | str, strict: bool) -> Corpus:
     """Ingest a line-delimited JSON corpus file.
 
-    In strict mode the first bad line raises (MalformedRecord / DuplicateId).
+    In strict mode the first bad line (malformed, or a duplicate id) raises
+    AutopatchError.
     In lenient mode bad lines are skipped, each leaving a positional entry in
     stats.errors; nothing is ever dropped silently.
     """
@@ -164,11 +165,13 @@ def ingest_pairs(path: Path | str, strict: bool) -> Corpus:
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise MalformedRecord(line_no, f"invalid JSON: {exc}") from None
+                    raise AutopatchError(f"line {line_no}: invalid JSON: {exc}") from None
                 pair = parse_record(obj, line_no)
                 if pair.id in seen:
-                    raise DuplicateId(pair.id, f"line {line_no}, first seen line {seen[pair.id]}")
-            except (MalformedRecord, DuplicateId) as exc:
+                    raise AutopatchError(
+                        f"duplicate id {pair.id!r} (line {line_no}, first seen line {seen[pair.id]})"
+                    )
+            except AutopatchError as exc:
                 if strict:
                     raise
                 errors.append((line_no, str(exc)))
@@ -185,9 +188,7 @@ def split_corpus(pairs: Sequence[CodePair], database_count: int, seed: int) -> C
     """Deterministically shuffle and split: the first database_count shuffled
     records form the database set, the rest the test set."""
     if not 0 <= database_count <= len(pairs):
-        raise CountOutOfRange(
-            f"database_count {database_count} outside [0, {len(pairs)}]"
-        )
+        raise AutopatchError(f"database_count {database_count} outside [0, {len(pairs)}]")
     shuffled = list(pairs)
     random.Random(seed).shuffle(shuffled)
     return CorpusSplit(
@@ -200,4 +201,4 @@ def load_record(corpus: Corpus, record_id: str) -> CodePair:
     try:
         return corpus.by_id[record_id]
     except KeyError:
-        raise UnknownId(record_id) from None
+        raise AutopatchError(record_id) from None

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import TestCase, normalize_output
-from .errors import BinaryNotFound, CompileError, CompilerNotFound
+from .errors import AutopatchError
 
 CXX_ENV = "AUTOPATCH_CXX"
 CXXFLAGS_ENV = "AUTOPATCH_CXXFLAGS"
@@ -75,7 +75,7 @@ def compile_program(code: str, toolchain: ToolchainConfig, out_dir: Path | str) 
     and return its path; the source is written beside it as `program.cpp`."""
     compiler = shutil.which(toolchain.compiler)
     if compiler is None:
-        raise CompilerNotFound(f"compiler {toolchain.compiler!r} not on PATH")
+        raise AutopatchError(f"compiler {toolchain.compiler!r} not on PATH")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -89,9 +89,10 @@ def compile_program(code: str, toolchain: ToolchainConfig, out_dir: Path | str) 
             timeout=COMPILE_TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
-        raise CompileError(f"compiler timed out after {COMPILE_TIMEOUT_S}s") from None
+        raise AutopatchError(f"compilation failed: compiler timed out after {COMPILE_TIMEOUT_S}s") from None
     if proc.returncode != 0:
-        raise CompileError(proc.stderr.decode("utf-8", "replace"))
+        stderr = proc.stderr.decode("utf-8", "replace")
+        raise AutopatchError(f"compilation failed: {stderr.strip()[:500]}")
     return binary
 
 
@@ -126,7 +127,7 @@ def measure_execution(
     timeout, or nonzero exit fails the whole program."""
     binary = Path(binary)
     if not binary.exists():
-        raise BinaryNotFound(str(binary))
+        raise AutopatchError(str(binary))
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if not testcases:

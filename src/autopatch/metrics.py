@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
-from .errors import BothEmpty, EmptyGroundTruth
+from .errors import AutopatchError, BothEmpty
 
 # Longest-match-first C/C++ operator inventory. Single characters are caught
 # by the catch-all alternative at the end of the master pattern.
@@ -80,7 +80,7 @@ def line_overlap(generated: str, ground_truth: str) -> float:
     (multiset intersection over normalized lines)."""
     truth_lines = _normalized_lines(ground_truth)
     if not truth_lines:
-        raise EmptyGroundTruth("ground truth has no normalized lines")
+        raise AutopatchError("ground truth has no normalized lines")
     generated_lines = _normalized_lines(generated)
     matched = Counter(generated_lines) & Counter(truth_lines)
     return sum(matched.values()) / len(truth_lines) * 100.0
@@ -137,7 +137,7 @@ def token_overlap(generated: str, ground_truth: str) -> float:
     (multiset intersection)."""
     truth_tokens = tokenize(ground_truth)
     if not truth_tokens:
-        raise EmptyGroundTruth("ground truth has no tokens")
+        raise AutopatchError("ground truth has no tokens")
     generated_tokens = tokenize(generated)
     matched = Counter(generated_tokens) & Counter(truth_tokens)
     return sum(matched.values()) / len(truth_tokens) * 100.0

@@ -101,11 +101,15 @@ def run_ingest(
 
 
 def load_split(corpus: Corpus, manifest_path: Path | str) -> CorpusSplit:
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    return CorpusSplit(
-        database_set=tuple(load_record(corpus, i) for i in manifest["database_ids"]),
-        test_set=tuple(load_record(corpus, i) for i in manifest["test_ids"]),
-    )
+    path = Path(manifest_path)
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        return CorpusSplit(
+            database_set=tuple(load_record(corpus, i) for i in manifest["database_ids"]),
+            test_set=tuple(load_record(corpus, i) for i in manifest["test_ids"]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not the manifest's shape
+        raise AutopatchError(f"{path}: malformed split manifest: {type(exc).__name__}: {exc}") from None
 
 
 # --- index ------------------------------------------------------------------
@@ -144,10 +148,21 @@ def _prepare_record(
     }
 
 
+def _is_journal_entry(obj) -> bool:
+    """An object with a string record id; an "ok" entry also holds the
+    strings that run_index reuses."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("record_id"), str):
+        return False
+    return obj.get("status") != "ok" or all(
+        isinstance(obj.get(key), str) for key in ("cfg_text", "diff_text", "rationale")
+    )
+
+
 def _load_journal(path: Path) -> dict[str, dict]:
     """The journal's entries by record id. A line that is not an entry, such
-    as the torn last line a crash mid-write leaves, is skipped with a
-    warning, so its record is prepared again."""
+    as the torn last line a crash mid-write leaves or an "ok" entry that
+    lacks a field, is skipped with a warning, so its record is prepared
+    again."""
     if not path.exists():
         return {}
     entries = {}
@@ -159,7 +174,7 @@ def _load_journal(path: Path) -> dict[str, dict]:
                 obj = json.loads(line)
             except ValueError:  # not JSON, or not UTF-8
                 obj = None
-            if not isinstance(obj, dict) or not isinstance(obj.get("record_id"), str):
+            if not _is_journal_entry(obj):
                 logger.warning("%s:%d: skipping a line that is not a journal entry", path, line_no)
                 continue
             entries[obj["record_id"]] = obj

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import NonUtf8Input
+from .errors import AutopatchError
 
 # Explicit replacement for the catch-all <bits/stdc++.h> include. Covers the
 # standard library surface that competitive C++ actually touches.
@@ -74,7 +74,7 @@ def preprocess_source(code: str) -> PreprocessReport:
     try:
         code.encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate
-        raise NonUtf8Input(str(exc)) from None
+        raise AutopatchError(str(exc)) from None
 
     out_lines: list[str] = []
     seen_includes: set[str] = set()

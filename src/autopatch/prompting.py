@@ -26,16 +26,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-from ._http import http_post_json
+from ._http import http_post_json, service_error
 from .cfg_diff import CfgDiff, render_diff
 from .corpus import CodePair
-from .errors import (
-    CassetteCorrupt,
-    ModeArgumentMismatch,
-    NoCodeBlockInResponse,
-    ReplayMiss,
-    ServiceError,
-)
+from .errors import AutopatchError
 
 logger = logging.getLogger(__name__)
 
@@ -89,13 +83,13 @@ def build_prompt(
     the mode: zero-shot takes none of them, naive exactly one example, context
     exactly one example plus diff text and rationale."""
     if mode is PromptMode.ZERO_SHOT and not (diff is None and rationale is None and example is None):
-        raise ModeArgumentMismatch("zero-shot prompts take no context arguments")
+        raise AutopatchError("zero-shot prompts take no context arguments")
     if mode is PromptMode.NAIVE and (diff is not None or rationale is not None):
-        raise ModeArgumentMismatch("naive prompts take only an example pair")
+        raise AutopatchError("naive prompts take only an example pair")
     if mode is PromptMode.NAIVE and example is None:
-        raise ModeArgumentMismatch("naive prompts require exactly one example pair")
+        raise AutopatchError("naive prompts require exactly one example pair")
     if mode is PromptMode.CONTEXT and (diff is None or rationale is None or example is None):
-        raise ModeArgumentMismatch("context prompts require diff, rationale, and example")
+        raise AutopatchError("context prompts require diff, rationale, and example")
 
     sections = ["## Target program", "", _fence(target.original_code)]
     if example is not None:
@@ -146,7 +140,8 @@ class Cassette:
     key to entry) is read as is and rewritten as lines on the first store.
     A final line without its newline is what a crash mid-append leaves: it
     is dropped with a warning and truncated away before the next append.
-    Any other line that is not an entry raises CassetteCorrupt.
+    Any other line that is not an entry raises AutopatchError naming the
+    file and line.
     """
 
     def __init__(self, path: Path | str):
@@ -176,7 +171,7 @@ class Cassette:
             except ValueError:
                 entry = None
             if not isinstance(entry, dict) or not isinstance(entry.get("key"), str):
-                raise CassetteCorrupt(self.path, line_no)
+                raise AutopatchError(f"{self.path}: line {line_no} is not a cassette entry")
             self._data[entry.pop("key")] = entry
         if torn:
             logger.warning("%s: dropping a torn final line of %d bytes", self.path, len(torn))
@@ -260,11 +255,11 @@ class LlmClient:
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
         if not self.config.base_url:
-            raise ServiceError(0, "no chat service URL configured")
+            raise service_error(0, "no chat service URL configured")
         try:
             return http_post_json(self.config.base_url, request, headers, LLM_TIMEOUT_S)
         except OSError as exc:  # e.g. connection refused; fails one record
-            raise ServiceError(0, f"chat service unreachable: {exc}") from exc
+            raise service_error(0, f"chat service unreachable: {exc}") from exc
 
     def complete(self, system_text: str, user_text: str) -> str:
         """Send one system+user exchange at temperature 0, return the text."""
@@ -273,7 +268,7 @@ class LlmClient:
         if self.mode == "replay":
             hit = self.cassette.lookup(key)
             if hit is None:
-                raise ReplayMiss(key)
+                raise AutopatchError(f"no cassette entry for request {key}")
             return _answer_text(hit["response"])
 
         request = {
@@ -293,13 +288,13 @@ class LlmClient:
 
 def _answer_text(response: dict) -> str:
     """`choices[0].message.content` of a chat response; any other shape,
-    a null or non-string content included, raises ServiceError."""
+    a null or non-string content included, raises `service_error`."""
     try:
         content = response["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
         content = None
     if not isinstance(content, str):
-        raise ServiceError(0, f"malformed chat response: {json.dumps(response)[:300]}")
+        raise service_error(0, f"malformed chat response: {json.dumps(response)[:300]}")
     return content
 
 
@@ -310,12 +305,12 @@ def extract_code_block(text: str) -> str:
     """First fenced code block of the response; extra blocks are ignored."""
     matches = _FENCED_BLOCK.findall(text)
     if not matches:
-        raise NoCodeBlockInResponse("response contains no fenced code block")
+        raise AutopatchError("response contains no fenced code block")
     if len(matches) > 1:
         logger.info("response contained %d fenced blocks; using the first", len(matches))
     code = matches[0]
     if not code.strip():
-        raise NoCodeBlockInResponse("first fenced code block is empty")
+        raise AutopatchError("first fenced code block is empty")
     return code
 
 

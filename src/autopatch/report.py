@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import OptimizationType
-from .errors import NonpositiveBaseline
+from .errors import AutopatchError
 from .harness import RunOutcome, RunStatus
 from .metrics import LexicalScores
 
@@ -25,7 +25,7 @@ def improvement(baseline_avg_s: float, candidate_avg_s: float) -> float:
     """Relative speedup of candidate over baseline as a percentage, rounded
     to one decimal for reporting. Positive means faster."""
     if baseline_avg_s <= 0:
-        raise NonpositiveBaseline(f"baseline average {baseline_avg_s}")
+        raise AutopatchError(f"baseline average {baseline_avg_s}")
     return round((baseline_avg_s - candidate_avg_s) / baseline_avg_s * 100.0, 1)
 
 

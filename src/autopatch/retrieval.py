@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -26,14 +27,7 @@ import numpy as np
 
 from ._http import http_post_json
 from .corpus import CodePair
-from .errors import (
-    DimMismatch,
-    DuplicateId,
-    EmptyIndex,
-    EmptyInput,
-    ProviderUnavailable,
-    ZeroVector,
-)
+from .errors import AutopatchError
 from .metrics import tokenize
 
 EMBED_BASE_ENV = "AUTOPATCH_EMBED_BASE"
@@ -96,7 +90,7 @@ class RemoteEmbeddingProvider:
     def from_env(cls) -> "RemoteEmbeddingProvider":
         base = os.environ.get(EMBED_BASE_ENV)
         if not base:
-            raise ProviderUnavailable(f"{EMBED_BASE_ENV} is not set")
+            raise AutopatchError(f"{EMBED_BASE_ENV} is not set")
         return cls(base_url=base, api_key=os.environ.get(EMBED_KEY_ENV, ""))
 
     def embed(self, text: str) -> np.ndarray:
@@ -107,33 +101,33 @@ class RemoteEmbeddingProvider:
         try:
             response = http_post_json(self.base_url, payload, headers, EMBED_TIMEOUT_S)
         except OSError as exc:
-            raise ProviderUnavailable(f"embedding service unreachable: {exc}") from exc
+            raise AutopatchError(f"embedding service unreachable: {exc}") from exc
         try:
             return np.asarray(response["data"][0]["embedding"], dtype=np.float32)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ProviderUnavailable(f"malformed embedding response: {exc}") from None
+            raise AutopatchError(f"malformed embedding response: {exc}") from None
 
 
 def embed_text(text: str, provider) -> np.ndarray:
     if not text:
-        raise EmptyInput("cannot embed empty text")
+        raise AutopatchError("cannot embed empty text")
     vector = provider.embed(text)
     if vector.ndim != 1:
-        raise ProviderUnavailable(f"provider returned shape {vector.shape}")
+        raise AutopatchError(f"provider returned shape {vector.shape}")
     if not np.linalg.norm(vector) > 0:
-        raise ZeroVector("provider returned a zero vector")
+        raise AutopatchError("provider returned a zero vector")
     return vector.astype(np.float32)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
-        raise DimMismatch(f"{a.shape} vs {b.shape}")
+        raise AutopatchError(f"{a.shape} vs {b.shape}")
     a64 = a.astype(np.float64)
     b64 = b.astype(np.float64)
     norm_a = np.linalg.norm(a64)
     norm_b = np.linalg.norm(b64)
     if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVector("cosine similarity undefined for zero vectors")
+        raise AutopatchError("cosine similarity undefined for zero vectors")
     return float(np.dot(a64, b64) / (norm_a * norm_b))
 
 
@@ -188,20 +182,20 @@ def build_index(
     path: Path | str,
 ) -> VectorIndex:
     """Embed every record, assemble the index and save it to `path`. A
-    failure to embed a record raises ProviderUnavailable naming that record;
-    the caller decides skip policy."""
+    failure to embed a record raises AutopatchError naming that record; the
+    caller decides skip policy."""
     if not records:
-        raise EmptyIndex("no records to index")
+        raise AutopatchError("no records to index")
 
     seen: set[str] = set()
     texts: list[str] = []
     for record in records:
         if record.pair.id in seen:
-            raise DuplicateId(record.pair.id, "index build")
+            raise AutopatchError(f"duplicate id {record.pair.id!r} (index build)")
         seen.add(record.pair.id)
         if source_kind is SourceKind.CFG_SERIALIZATION:
             if record.cfg_text is None:
-                raise EmptyInput(f"record {record.pair.id}: missing CFG serialization")
+                raise AutopatchError(f"record {record.pair.id}: missing CFG serialization")
             texts.append(record.cfg_text)
         else:
             texts.append(record.pair.original_code)
@@ -211,12 +205,12 @@ def build_index(
         try:
             vectors.append(embed_text(text, provider))
         except Exception as exc:
-            raise ProviderUnavailable(f"record {record.pair.id}: {exc}") from exc
+            raise AutopatchError(f"record {record.pair.id}: {exc}") from exc
 
     dim = int(vectors[0].shape[0])
     for record, vector in zip(records, vectors):
         if vector.shape[0] != dim:
-            raise DimMismatch(f"record {record.pair.id}: dim {vector.shape[0]} != {dim}")
+            raise AutopatchError(f"record {record.pair.id}: dim {vector.shape[0]} != {dim}")
 
     index = VectorIndex(
         ids=tuple(record.pair.id for record in records),
@@ -251,21 +245,23 @@ def save_index(index: VectorIndex, path: Path | str) -> None:
 
 def load_index(path: Path | str) -> VectorIndex:
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        header = json.loads(handle.readline())
-        metas = [json.loads(line) for line in handle if line.strip()]
-    count, dim = header["count"], header["dim"]
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+            metas = [json.loads(line) for line in handle if line.strip()]
+        count, dim = operator.index(header["count"]), operator.index(header["dim"])
+        source_kind = SourceKind(header["source_kind"])
+        ids = tuple(meta["record_id"] for meta in metas)
+        metadata = [(meta["diff_text"], meta["rationale"]) for meta in metas]
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not the index's shape
+        raise AutopatchError(f"{path}: malformed index file: {type(exc).__name__}: {exc}") from None
     if len(metas) != count:
-        raise EmptyIndex(f"index metadata truncated: {len(metas)} != {count}")
+        raise AutopatchError(f"index metadata truncated: {len(metas)} != {count}")
     flat = np.fromfile(vector_sidecar_path(path), dtype="<f4")
     if flat.size != count * dim:
-        raise DimMismatch(f"vector blob holds {flat.size} floats, expected {count * dim}")
-    return VectorIndex(
-        ids=tuple(meta["record_id"] for meta in metas),
-        matrix=flat.reshape(count, dim),
-        metadata=[(meta["diff_text"], meta["rationale"]) for meta in metas],
-        source_kind=SourceKind(header["source_kind"]),
-    )
+        raise AutopatchError(f"vector blob holds {flat.size} floats, expected {count * dim}")
+    return VectorIndex(ids=ids, matrix=flat.reshape(count, dim), metadata=metadata,
+                       source_kind=source_kind)
 
 
 # How far a float32 matvec cosine can sit from the exact one, per unit of
@@ -285,13 +281,13 @@ def retrieve_top1(index: VectorIndex, query: np.ndarray) -> tuple[IndexEntry, fl
     `cosine_similarity`, so the winner and its score are exactly those of a
     scan that scores every row with `cosine_similarity`."""
     if not index.ids:
-        raise EmptyIndex("index is empty")
+        raise AutopatchError("index is empty")
     if query.shape != (index.dim,):
-        raise DimMismatch(f"query shape {query.shape} vs index dim {index.dim}")
+        raise AutopatchError(f"query shape {query.shape} vs index dim {index.dim}")
     query64 = query.astype(np.float64)
     query_norm = np.linalg.norm(query64)
     if query_norm == 0.0 or (index.row_norms == 0.0).any():
-        raise ZeroVector("cosine similarity undefined for zero vectors")
+        raise AutopatchError("cosine similarity undefined for zero vectors")
 
     # einsum, not BLAS: a BLAS matvec (2000 x 256) split across two threads took
     # ~8 ms on a 2-vCPU host, against 0.08 ms single-threaded here.

@@ -4,7 +4,7 @@ import pytest
 
 from autopatch.analyzer import parse_cfg_dump, split_dump_functions
 from autopatch.cfg import serialize_cfg
-from autopatch.errors import ParseError
+from autopatch.errors import AutopatchError
 
 from conftest import DUMP_DIR, GOLDEN_DIR
 from helpers import format_as_dump
@@ -82,19 +82,19 @@ def test_dangling_successor_is_parse_error():
         "\n"
         " [B0 (EXIT)]\n"
     )
-    with pytest.raises(ParseError):
+    with pytest.raises(AutopatchError, match=r"^dump line 0: edge B2->B9 references a missing block$"):
         parse_cfg_dump(dump)
 
 
 def test_missing_entry_is_parse_error():
     dump = " [B1]\n   1: x\n   Succs (1): B0\n\n [B0 (EXIT)]\n"
-    with pytest.raises(ParseError):
+    with pytest.raises(AutopatchError, match="^dump line 0: no ENTRY block in dump$"):
         parse_cfg_dump(dump)
 
 
 def test_multi_function_dump_rejected_by_single_parser():
     dump = _load("prog01") + "\n" + _load("prog02")
-    with pytest.raises(ParseError):
+    with pytest.raises(AutopatchError, match=r"^dump line \d+: unexpected section line "):
         parse_cfg_dump(dump)
 
 

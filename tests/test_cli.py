@@ -256,8 +256,11 @@ def test_index_cli_resumes_from_journal(tmp_path, monkeypatch, capsys, pairs, co
     assert index("--no-resume") == (2 * DB_COUNT, first)
 
 
-def test_index_cli_resumes_past_a_torn_journal_line(tmp_path, monkeypatch, caplog, pairs,
-                                                    corpus_file, dump_graphs):
+def _rerun_index_on_a_damaged_journal(tmp_path, monkeypatch, caplog, pairs, corpus_file,
+                                      damage, skipped_line: int) -> None:
+    """Run `index`, rewrite its journal's lines with `damage` and run it
+    again: the rerun warns that it skips the journal's `skipped_line`, and
+    its files equal the first run's."""
     monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
     ingest, cassette = _record_index_cassette(tmp_path, pairs, corpus_file)
     out = tmp_path / "index"
@@ -266,14 +269,63 @@ def test_index_cli_resumes_past_a_torn_journal_line(tmp_path, monkeypatch, caplo
 
     assert run_cli(*argv) == EXIT_OK
     first = {name: (out / name).read_bytes() for name in INDEX_FILES}
-    journal = first[INDEX_JOURNAL].splitlines(keepends=True)
-    torn = journal[-1][: len(journal[-1]) // 2]  # what a crash mid-write leaves
-    (out / INDEX_JOURNAL).write_bytes(b"".join(journal[:-1]) + torn)
+    (out / INDEX_JOURNAL).write_bytes(b"".join(damage(first[INDEX_JOURNAL].splitlines(keepends=True))))
 
     with caplog.at_level("WARNING", logger="autopatch.pipeline"):
         assert run_cli(*argv) == EXIT_OK
-    assert f"{out / INDEX_JOURNAL}:{len(journal)}: skipping" in caplog.text
+    assert f"{out / INDEX_JOURNAL}:{skipped_line}: skipping" in caplog.text
     assert {name: (out / name).read_bytes() for name in INDEX_FILES} == first
+
+
+def test_index_cli_resumes_past_a_torn_journal_line(tmp_path, monkeypatch, caplog, pairs,
+                                                    corpus_file, dump_graphs):
+    def tear_last_line(journal):  # what a crash mid-write leaves
+        return journal[:-1] + [journal[-1][: len(journal[-1]) // 2]]
+
+    _rerun_index_on_a_damaged_journal(tmp_path, monkeypatch, caplog, pairs, corpus_file,
+                                      tear_last_line, skipped_line=DB_COUNT)
+
+
+def test_index_cli_redoes_an_ok_journal_entry_without_its_fields(tmp_path, monkeypatch, caplog,
+                                                                 pairs, corpus_file, dump_graphs):
+    def strip_first_entry(journal):
+        record_id = json.loads(journal[0])["record_id"]
+        return [json.dumps({"record_id": record_id, "status": "ok"}).encode() + b"\n"] + journal[1:]
+
+    _rerun_index_on_a_damaged_journal(tmp_path, monkeypatch, caplog, pairs, corpus_file,
+                                      strip_first_entry, skipped_line=1)
+
+
+def test_malformed_split_manifest_exits_2(tmp_path, capsys, corpus_file):
+    for name, text in (("torn.json", "{"), ("empty.json", "{}"), ("list.json", "[]")):
+        manifest = tmp_path / name
+        manifest.write_text(text, encoding="utf-8")
+        assert run_cli(
+            "eval", "--corpus", str(corpus_file), "--split", str(manifest),
+            "--patches", str(tmp_path / "patches"), "--out", str(tmp_path / "eval"),
+        ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {manifest}: malformed split manifest: " in err
+        assert "Traceback" not in err
+
+
+def test_malformed_index_file_exits_2(tmp_path, capsys, corpus_file):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    index_dir = tmp_path / "index"
+    index_dir.mkdir()
+    header = {"count": 1, "dim": 256, "source_kind": "raw_source", "version": 1}
+    for damaged in ("not json\n",                                  # a header that is not JSON
+                    '{"dim": 256}\n',                              # a header without its keys
+                    json.dumps({**header, "count": 1.0}) + "\n",  # a count that is not an integer
+                    json.dumps(header) + '\n{"record_id": "p01"}\n'):  # a metadata line without its keys
+        (index_dir / "index_source.jsonl").write_text(damaged, encoding="utf-8")
+        assert run_cli(
+            "optimize", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
+            "--index", str(index_dir), "--mode", "naive", "--out", str(tmp_path / "patches"),
+        ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {index_dir / 'index_source.jsonl'}: malformed index file: " in err
+        assert "Traceback" not in err
 
 
 def test_replay_uses_the_model_from_the_environment(tmp_path, monkeypatch, capsys, pairs,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autopatch.errors import BothEmpty, EmptyGroundTruth
+from autopatch.errors import AutopatchError, BothEmpty
 from autopatch.metrics import (
     edit_distance_similarity,
     levenshtein,
@@ -83,7 +83,7 @@ def test_line_overlap_ignores_blank_and_comment_lines():
 
 
 def test_line_overlap_empty_ground_truth():
-    with pytest.raises(EmptyGroundTruth):
+    with pytest.raises(AutopatchError, match="^ground truth has no normalized lines$"):
         line_overlap("a;", "\n// nothing\n")
 
 
@@ -210,7 +210,7 @@ def test_token_overlap_disjoint():
 
 
 def test_token_overlap_empty_ground_truth():
-    with pytest.raises(EmptyGroundTruth):
+    with pytest.raises(AutopatchError, match="^ground truth has no tokens$"):
         token_overlap("int x;", "// nothing here")
 
 
@@ -236,8 +236,8 @@ def test_ranges_hold(generated, truth):
         assert 0.0 <= token_overlap(generated, truth) <= 100.0
     try:
         assert 0.0 <= line_overlap(generated, truth) <= 100.0
-    except EmptyGroundTruth:
-        pass
+    except AutopatchError as exc:
+        assert str(exc) == "ground truth has no normalized lines"
     try:
         assert 0.0 <= edit_distance_similarity(generated, truth) <= 1.0
     except BothEmpty:

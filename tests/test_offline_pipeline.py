@@ -21,7 +21,7 @@ import pytest
 from autopatch import pipeline
 from autopatch.analyzer import AnalyzerConfig, run_analyzer
 from autopatch.corpus import CorpusSplit
-from autopatch.errors import AnalyzerFailed, CompileError
+from autopatch.errors import AutopatchError
 from autopatch.harness import RunOutcome, RunStatus
 from autopatch.metrics import compute_lexical
 from autopatch.pipeline import (
@@ -71,7 +71,7 @@ def test_analyzer_failure_reason_quotes_no_temp_path(tmp_path, monkeypatch):
 
     messages = []
     for _ in range(2):
-        with pytest.raises(AnalyzerFailed) as excinfo:
+        with pytest.raises(AutopatchError, match="^analyzer exited with 1: ") as excinfo:
             run_analyzer("int main(){return 0;}", config)
         messages.append(str(excinfo.value))
     assert "input.cpp" in messages[0]
@@ -289,7 +289,7 @@ def _sequential_eval(split, patch_dir, out_dir, modes, reps, timeout_s, compile_
             lexical = compute_lexical(code, pair.optimized_code)
             try:
                 binary = compile_fn(code, None, out_dir / "bin" / mode.value / pair.id)
-            except CompileError as exc:
+            except AutopatchError as exc:
                 outcome = RunOutcome.failure(RunStatus.COMPILE_ERROR, str(exc))
             else:
                 outcome = measure_fn(binary, pair.testcases, reps, timeout_s)
@@ -331,7 +331,7 @@ def test_eval_compiles_every_patch_before_timing_any(tmp_path, monkeypatch, pair
             in_flight[0] -= 1
             events.append(("compiled", slot))
         if slot == uncompilable:
-            raise CompileError("fake compiler rejects this patch")
+            raise AutopatchError("compilation failed: fake compiler rejects this patch")
         return Path(out_dir) / "program"
 
     def fake_measure(binary, testcases, reps, timeout_s):

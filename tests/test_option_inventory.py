@@ -1,15 +1,18 @@
 """The inventory of options in `src/autopatch`: every field of a `*Config`
 dataclass, plus every defaulted parameter of a public function or method
-(`__init__` included). `errors.py` is left out, since exception arguments
-are not settings. A new option makes this test fail, so that it shows up in
-review together with the caller that needs it.
+(`__init__` included). A new option makes this test fail, so that it shows
+up in review together with the caller that needs it.
 
 The package `__init__` binds no public name, so every name has one import
-path: its submodule."""
+path: its submodule. Every failure the package raises is an
+`AutopatchError` whose message tells it apart; `BothEmpty` is the one
+subclass. A new exception class fails `test_error_types` the way a new
+option fails the inventory."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import autopatch
@@ -67,9 +70,18 @@ def _options(body: list[ast.stmt], module: str, prefix: str) -> list[str]:
 def test_option_inventory():
     options = []
     for path in sorted(SOURCE_DIR.glob("*.py")):
-        if path.name != "errors.py":
-            options += _options(ast.parse(path.read_text(encoding="utf-8")).body, path.stem, "")
+        options += _options(ast.parse(path.read_text(encoding="utf-8")).body, path.stem, "")
     assert sorted(options) == EXPECTED_OPTIONS
+
+
+def test_error_types():
+    defined = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        module = importlib.import_module("autopatch" if path.stem == "__init__" else f"autopatch.{path.stem}")
+        defined += [f"{path.stem}.{name}" for name, value in vars(module).items()
+                    if isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__]
+    assert defined == ["errors.AutopatchError", "errors.BothEmpty"]
 
 
 def test_package_binds_no_public_name():

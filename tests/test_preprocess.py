@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from autopatch.errors import NonUtf8Input
+from autopatch.errors import AutopatchError
 from autopatch.harness import ToolchainConfig, compile_program
 from autopatch.preprocess import STANDARD_HEADERS, preprocess_source
 
@@ -64,7 +64,7 @@ def test_umbrella_then_explicit_include_deduplicated():
 
 
 def test_lone_surrogate_rejected():
-    with pytest.raises(NonUtf8Input):
+    with pytest.raises(AutopatchError, match="can't encode character .* surrogates not allowed$"):
         preprocess_source("int main() { return '\udcff'; }")
 
 

@@ -17,13 +17,7 @@ from hypothesis import strategies as st
 
 from autopatch.cfg_diff import compute_diff, render_diff
 from autopatch.corpus import CodePair
-from autopatch.errors import (
-    CassetteCorrupt,
-    ModeArgumentMismatch,
-    NoCodeBlockInResponse,
-    ReplayMiss,
-    ServiceError,
-)
+from autopatch.errors import AutopatchError
 from autopatch.prompting import (
     Cassette,
     LlmClient,
@@ -109,22 +103,22 @@ def test_modes_share_prompt_skeleton():
 
 
 def test_naive_with_diff_is_mode_mismatch():
-    with pytest.raises(ModeArgumentMismatch):
+    with pytest.raises(AutopatchError, match="^naive prompts take only an example pair$"):
         build_prompt(PromptMode.NAIVE, TARGET, diff=DIFF_TEXT, example=EXAMPLE)
 
 
 def test_naive_requires_example():
-    with pytest.raises(ModeArgumentMismatch):
+    with pytest.raises(AutopatchError, match="^naive prompts require exactly one example pair$"):
         build_prompt(PromptMode.NAIVE, TARGET)
 
 
 def test_zero_shot_rejects_context_arguments():
-    with pytest.raises(ModeArgumentMismatch):
+    with pytest.raises(AutopatchError, match="^zero-shot prompts take no context arguments$"):
         build_prompt(PromptMode.ZERO_SHOT, TARGET, example=EXAMPLE)
 
 
 def test_context_requires_all_arguments():
-    with pytest.raises(ModeArgumentMismatch):
+    with pytest.raises(AutopatchError, match="^context prompts require diff, rationale, and example$"):
         build_prompt(PromptMode.CONTEXT, TARGET, diff=DIFF_TEXT, example=EXAMPLE)
 
 
@@ -174,12 +168,12 @@ def test_extract_first_fenced_block():
 
 
 def test_extract_no_block_raises():
-    with pytest.raises(NoCodeBlockInResponse):
+    with pytest.raises(AutopatchError, match="^response contains no fenced code block$"):
         extract_code_block("no fences here")
 
 
 def test_extract_empty_block_raises():
-    with pytest.raises(NoCodeBlockInResponse):
+    with pytest.raises(AutopatchError, match="^first fenced code block is empty$"):
         extract_code_block("```\n\n```")
 
 
@@ -234,7 +228,8 @@ def test_record_then_replay_byte_identical(tmp_path):
 def test_replay_miss(tmp_path):
     cassette = Cassette(tmp_path / "cassette.json")
     client = LlmClient(LlmConfig(model="m"), cassette, mode="replay")
-    with pytest.raises(ReplayMiss):
+    key = request_hash("m", "sys", "never recorded")
+    with pytest.raises(AutopatchError, match=f"^no cassette entry for request {key}$"):
         client.complete("sys", "never recorded")
 
 
@@ -332,10 +327,11 @@ def test_cassette_torn_final_line_is_dropped_then_truncated(tmp_path, caplog):
 def test_cassette_garbage_line_raises(tmp_path):
     path = tmp_path / "cassette.jsonl"
     path.write_text(_entry_line("a", "a") + "not json\n" + _entry_line("b", "b"))
-    with pytest.raises(CassetteCorrupt, match="line 2"):
+    corrupt = f"^{re.escape(str(path))}: line 2 is not a cassette entry$"
+    with pytest.raises(AutopatchError, match=corrupt):
         Cassette(path)
     path.write_text(_entry_line("a", "a") + '{"no": "key"}\n' + _entry_line("b", "b"))
-    with pytest.raises(CassetteCorrupt, match="line 2"):
+    with pytest.raises(AutopatchError, match=corrupt):
         Cassette(path)
 
 
@@ -374,7 +370,7 @@ def test_malformed_service_response_raises():
     for body in bodies:
         client = LlmClient(LlmConfig(model="m"), cassette=None, mode="live",
                            transport=lambda request: body)
-        with pytest.raises(ServiceError, match="malformed chat response"):
+        with pytest.raises(AutopatchError, match="^service returned 0: malformed chat response: "):
             client.complete("sys", "user")
 
 
@@ -409,10 +405,8 @@ def test_live_client_non_json_body_is_service_error(monkeypatch, body):
     monkeypatch.setenv("no_proxy", "*")
     with _chat_service(body) as url:
         client = LlmClient(LlmConfig(base_url=url, model="m"), cassette=None, mode="live")
-        with pytest.raises(ServiceError) as excinfo:
+        with pytest.raises(AutopatchError, match="^service returned 200: response is not JSON: "):
             client.complete("sys", "user")
-    assert excinfo.value.status == 200
-    assert "response is not JSON" in str(excinfo.value)
 
 
 def test_live_client_unreachable_service_is_service_error(monkeypatch):
@@ -422,10 +416,8 @@ def test_live_client_unreachable_service_is_service_error(monkeypatch):
     monkeypatch.setattr("autopatch.prompting.http_post_json", refuse)
     client = LlmClient(LlmConfig(base_url="http://chat.invalid/v1", model="m"),
                        cassette=None, mode="live")
-    with pytest.raises(ServiceError) as excinfo:
+    with pytest.raises(AutopatchError, match="^service returned 0: chat service unreachable: ") as excinfo:
         client.complete("sys", "user")
-    assert excinfo.value.status == 0
-    assert "chat service unreachable" in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, ConnectionRefusedError)
 
 
@@ -452,7 +444,7 @@ def test_generate_patch_without_block_is_error():
         LlmConfig(model="m"), cassette=None, mode="live",
         transport=lambda request: {"choices": [{"message": {"content": "no code"}}]},
     )
-    with pytest.raises(NoCodeBlockInResponse):
+    with pytest.raises(AutopatchError, match="^response contains no fenced code block$"):
         generate_patch(build_prompt(PromptMode.ZERO_SHOT, TARGET), client)
 
 

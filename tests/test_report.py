@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from autopatch.corpus import OptimizationType
-from autopatch.errors import NonpositiveBaseline
+from autopatch.errors import AutopatchError
 from autopatch.harness import RunOutcome, RunStatus
 from autopatch.metrics import LexicalScores
 from autopatch.report import EvalResult, aggregate_report, improvement
@@ -43,9 +43,9 @@ def test_improvement_identity_is_zero():
 
 
 def test_improvement_nonpositive_baseline():
-    with pytest.raises(NonpositiveBaseline):
+    with pytest.raises(AutopatchError, match="^baseline average 0.0$"):
         improvement(0.0, 0.1)
-    with pytest.raises(NonpositiveBaseline):
+    with pytest.raises(AutopatchError, match="^baseline average -1.0$"):
         improvement(-1.0, 0.1)
 
 
