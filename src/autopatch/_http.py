@@ -15,8 +15,9 @@ def service_error(status: int, body: str) -> AutopatchError:
     return AutopatchError(f"service returned {status}: {body[:500]}")
 
 
-def http_post_json(url: str, payload: dict, headers: dict, timeout_s: float) -> dict:
-    """POST `payload` as JSON and decode the JSON response.
+def http_post_json(url: str, payload: dict, api_key: str, timeout_s: float) -> dict:
+    """POST `payload` as JSON, with a bearer `Authorization` header when
+    `api_key` is non-empty, and decode the JSON response.
 
     HTTP error statuses and a body that is not UTF-8 JSON raise
     `service_error`; transport failures surface as the underlying OSError
@@ -25,8 +26,8 @@ def http_post_json(url: str, payload: dict, headers: dict, timeout_s: float) -> 
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=body, method="POST")
     request.add_header("Content-Type", "application/json")
-    for key, value in headers.items():
-        request.add_header(key, value)
+    if api_key:
+        request.add_header("Authorization", f"Bearer {api_key}")
     try:
         with urllib.request.urlopen(request, timeout=timeout_s) as response:
             status, raw = response.status, response.read()

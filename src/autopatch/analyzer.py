@@ -36,6 +36,7 @@ from pathlib import Path
 
 from .cfg import BasicBlock, ControlFlowGraph, normalize_statement
 from .errors import AutopatchError
+from .preprocess import preprocess_source
 
 ANALYZER_PATH_ENV = "AUTOPATCH_ANALYZER_PATH"
 ANALYZER_FLAGS_ENV = "AUTOPATCH_ANALYZER_FLAGS"
@@ -231,12 +232,8 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
 
 
 def run_analyzer(code: str, config: AnalyzerConfig) -> str:
-    """Invoke the analyzer on `code` and return the raw dump text."""
-    try:
-        encoded = code.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise AutopatchError(str(exc)) from None
-
+    """Invoke the analyzer on `code`, which `preprocess_source` has accepted,
+    and return the raw dump text."""
     binary = shutil.which(config.binary)
     if binary is None:
         raise AutopatchError(f"analyzer binary {config.binary!r} not on PATH")
@@ -244,7 +241,7 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
     # The analyzer runs inside its temporary directory on relative paths, so
     # its messages never quote that directory's random name.
     with tempfile.TemporaryDirectory(prefix="autopatch-cfg-") as workdir:
-        (Path(workdir) / "input.cpp").write_bytes(encoded)
+        (Path(workdir) / "input.cpp").write_text(code, encoding="utf-8")
         argv = [
             os.path.abspath(binary),
             *_DEFAULT_ARGS,
@@ -277,24 +274,16 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
     return stderr
 
 
-def extract_cfg(
-    code: str,
-    function: str = "main",
-    config: AnalyzerConfig | None = None,
-) -> ControlFlowGraph:
-    """Run the analyzer on preprocessed source and parse the CFG of one
-    function. Without a config, the analyzer is read from the environment."""
-    config = config or AnalyzerConfig.from_env()
-
-    dump = _strip_diagnostics(run_analyzer(code, config))
+def extract_cfg(code: str, config: AnalyzerConfig) -> ControlFlowGraph:
+    """Preprocess `code`, run the analyzer on it and parse the CFG of `main`."""
+    dump = _strip_diagnostics(run_analyzer(preprocess_source(code).output_code, config))
     sections = split_dump_functions(dump)
     if not sections:
-        raise AutopatchError(f"analyzer produced no CFG dump (looking for {function!r})")
+        raise AutopatchError("analyzer produced no CFG dump (looking for 'main')")
 
     for signature, body in sections:
-        name = _signature_name(signature)
-        if name == function or name.split("::")[-1] == function:
+        if _signature_name(signature).split("::")[-1] == "main":
             return parse_cfg_dump(body)
 
     available = ", ".join(_signature_name(sig) for sig, _ in sections)
-    raise AutopatchError(f"function {function!r} not in dump (found: {available})")
+    raise AutopatchError(f"function 'main' not in dump (found: {available})")

@@ -88,7 +88,7 @@ def serialize_cfg(cfg: ControlFlowGraph) -> str:
     Equal graphs serialize to byte-identical text.
     """
     lines = []
-    for block in sorted(cfg.blocks, key=lambda b: b.id):
+    for block in cfg.blocks:  # kept in ascending id order by ControlFlowGraph
         content = "; ".join(block.content_lines())
         succs = ",".join(str(s) for s in cfg.successors(block.id))
         lines.append(f"B{block.id}: {content} -> succ: {succs}")

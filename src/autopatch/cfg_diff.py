@@ -28,30 +28,11 @@ JACCARD_ACCEPT_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
-class BlockMatching:
-    pairs: tuple[tuple[int, int], ...]
-    unmatched_o: frozenset[int]
-    unmatched_p: frozenset[int]
-
-
-@dataclass(frozen=True, order=True)
-class EdgeRef:
-    """Edge endpoint in the diff's id space: `o` ids live in the original
-    graph, `p` ids are blocks that exist only in the optimized graph."""
-
-    graph: str  # "o" | "p"
-    block_id: int
-
-    def render(self) -> str:
-        if self.graph == "p":
-            return f"new:B{self.block_id}"
-        return f"B{self.block_id}"
-
-
-@dataclass(frozen=True)
 class Changes:
-    """What the optimized graph adds and removes: block ids in ΔS, edges as
-    (EdgeRef, EdgeRef) pairs in ΔF."""
+    """What the optimized graph adds and removes: block ids in ΔS, and in ΔF
+    edges as (source, destination) pairs of endpoints in the diff's id space:
+    `("o", id)` for a block of the original graph, `("p", id)` for a block
+    that exists only in the optimized graph."""
 
     added: frozenset
     removed: frozenset
@@ -98,7 +79,11 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / union
 
 
-def match_blocks(g_o: ControlFlowGraph, g_p: ControlFlowGraph) -> BlockMatching:
+def match_blocks(
+    g_o: ControlFlowGraph, g_p: ControlFlowGraph
+) -> tuple[tuple[tuple[int, int], ...], frozenset[int], frozenset[int]]:
+    """The matched `(o_id, p_id)` pairs, ascending, and the ids left
+    unmatched in the original and in the optimized graph."""
     free_o = {b.id: b for b in g_o.blocks}
     free_p = {b.id: b for b in g_p.blocks}
     pairs: list[tuple[int, int]] = []
@@ -143,11 +128,7 @@ def match_blocks(g_o: ControlFlowGraph, g_p: ControlFlowGraph) -> BlockMatching:
                 del free_o[o_id]
                 del free_p[p_id]
 
-    return BlockMatching(
-        pairs=tuple(sorted(pairs)),
-        unmatched_o=frozenset(free_o),
-        unmatched_p=frozenset(free_p),
-    )
+    return tuple(sorted(pairs)), frozenset(free_o), frozenset(free_p)
 
 
 def _edit_script(old: tuple[str, ...], new: tuple[str, ...]) -> tuple[StatementEdit, ...]:
@@ -161,26 +142,26 @@ def _edit_script(old: tuple[str, ...], new: tuple[str, ...]) -> tuple[StatementE
 
 
 def compute_diff(g_o: ControlFlowGraph, g_p: ControlFlowGraph) -> CfgDiff:
-    matching = match_blocks(g_o, g_p)
-    p_to_o = {p: o for o, p in matching.pairs}
+    pairs, unmatched_o, unmatched_p = match_blocks(g_o, g_p)
+    p_to_o = {p: o for o, p in pairs}
 
-    def map_p(block_id: int) -> EdgeRef:
+    def map_p(block_id: int) -> tuple[str, int]:
         if block_id in p_to_o:
-            return EdgeRef("o", p_to_o[block_id])
-        return EdgeRef("p", block_id)
+            return ("o", p_to_o[block_id])
+        return ("p", block_id)
 
     mapped_p_edges = frozenset((map_p(src), map_p(dst)) for src, dst in g_p.edges)
-    o_edges = frozenset((EdgeRef("o", src), EdgeRef("o", dst)) for src, dst in g_o.edges)
+    o_edges = frozenset((("o", src), ("o", dst)) for src, dst in g_o.edges)
 
     content_changes = []
-    for o_id, p_id in matching.pairs:
+    for o_id, p_id in pairs:
         old = g_o.block(o_id).content_lines()
         new = g_p.block(p_id).content_lines()
         if old != new:
             content_changes.append(ContentChange(o_id, p_id, _edit_script(old, new)))
 
     return CfgDiff(
-        delta_s=Changes(added=matching.unmatched_p, removed=matching.unmatched_o),
+        delta_s=Changes(added=unmatched_p, removed=unmatched_o),
         delta_f=Changes(added=mapped_p_edges - o_edges, removed=o_edges - mapped_p_edges),
         delta_c=tuple(content_changes),
     )
@@ -188,6 +169,11 @@ def compute_diff(g_o: ControlFlowGraph, g_p: ControlFlowGraph) -> CfgDiff:
 
 def _summarize(lines: tuple[str, ...]) -> str:
     return " | ".join(lines)
+
+
+def _render_endpoint(endpoint: tuple[str, int]) -> str:
+    graph, block_id = endpoint
+    return f"new:B{block_id}" if graph == "p" else f"B{block_id}"
 
 
 def render_diff(diff: CfgDiff, g_o: ControlFlowGraph | None = None, g_p: ControlFlowGraph | None = None) -> str:
@@ -203,25 +189,21 @@ def render_diff(diff: CfgDiff, g_o: ControlFlowGraph | None = None, g_p: Control
         out.append("ΔS: none")
     else:
         out.append("ΔS:")
-        for block_id in sorted(diff.delta_s.added):
-            suffix = ""
-            if g_p is not None:
-                suffix = f": {_summarize(g_p.block(block_id).content_lines())}"
-            out.append(f"  + added block B{block_id}{suffix}")
-        for block_id in sorted(diff.delta_s.removed):
-            suffix = ""
-            if g_o is not None:
-                suffix = f": {_summarize(g_o.block(block_id).content_lines())}"
-            out.append(f"  - removed block B{block_id}{suffix}")
+        for sign, verb, block_ids, graph in (("+", "added", diff.delta_s.added, g_p),
+                                             ("-", "removed", diff.delta_s.removed, g_o)):
+            for block_id in sorted(block_ids):
+                suffix = ""
+                if graph is not None:
+                    suffix = f": {_summarize(graph.block(block_id).content_lines())}"
+                out.append(f"  {sign} {verb} block B{block_id}{suffix}")
 
     if diff.delta_f.is_empty():
         out.append("ΔF: none")
     else:
         out.append("ΔF:")
-        for src, dst in sorted(diff.delta_f.added):
-            out.append(f"  + edge {src.render()} -> {dst.render()}")
-        for src, dst in sorted(diff.delta_f.removed):
-            out.append(f"  - edge {src.render()} -> {dst.render()}")
+        for sign, edges in (("+", diff.delta_f.added), ("-", diff.delta_f.removed)):
+            for src, dst in sorted(edges):
+                out.append(f"  {sign} edge {_render_endpoint(src)} -> {_render_endpoint(dst)}")
 
     if not diff.delta_c:
         out.append("ΔC: none")

@@ -182,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"report: {result.report_json_path}")
             if result.failures:
                 print(f"{len(result.failures)} record(s) not evaluated", file=sys.stderr)
-            if result.common_empty:
+            if not result.report.common_executable_ids:
                 print("no common executable set across modes", file=sys.stderr)
                 return EXIT_NO_COMMON_SET
             return EXIT_OK

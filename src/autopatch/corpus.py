@@ -89,13 +89,20 @@ def parse_record(obj: object, line_no: int) -> CodePair:
     if not isinstance(obj, dict):
         raise bad("record is not a JSON object")
 
+    def unicode_str(value: str, what: str) -> str:
+        try:  # JSON can escape a lone surrogate ("\ud800"); no UTF-8 file holds one
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise bad(f"{what} is not valid Unicode") from None
+        return value
+
     def required_str(key: str, nonempty: bool = False) -> str:
         value = obj.get(key)
         if not isinstance(value, str):
             raise bad(f"missing or non-string field {key!r}")
         if nonempty and not value:
             raise bad(f"field {key!r} must be nonempty")
-        return value
+        return unicode_str(value, f"field {key!r}")
 
     record_id = required_str("id", nonempty=True)
     problem_id = required_str("problem_id")
@@ -123,11 +130,14 @@ def parse_record(obj: object, line_no: int) -> CodePair:
             or not isinstance(case.get("expected_output"), str)
         ):
             raise bad("testcase entries need string 'input' and 'expected_output'")
-        testcases.append(TestCase(case["input"], case["expected_output"]))
+        testcases.append(TestCase(unicode_str(case["input"], "testcase 'input'"),
+                                  unicode_str(case["expected_output"], "testcase 'expected_output'")))
 
     rationale = obj.get("rationale")
-    if rationale is not None and not isinstance(rationale, str):
-        raise bad("field 'rationale' must be a string when present")
+    if rationale is not None:
+        if not isinstance(rationale, str):
+            raise bad("field 'rationale' must be a string when present")
+        unicode_str(rationale, "field 'rationale'")
 
     return CodePair(
         id=record_id,
@@ -201,4 +211,4 @@ def load_record(corpus: Corpus, record_id: str) -> CodePair:
     try:
         return corpus.by_id[record_id]
     except KeyError:
-        raise AutopatchError(record_id) from None
+        raise AutopatchError(f"record {record_id!r} is not in the corpus") from None

@@ -90,6 +90,10 @@ def compile_program(code: str, toolchain: ToolchainConfig, out_dir: Path | str) 
         )
     except subprocess.TimeoutExpired:
         raise AutopatchError(f"compilation failed: compiler timed out after {COMPILE_TIMEOUT_S}s") from None
+    except OSError as exc:  # e.g. a missing script interpreter
+        raise AutopatchError(
+            f"compilation failed: compiler could not start: {exc.strerror}: {Path(compiler).name}"
+        ) from None
     if proc.returncode != 0:
         stderr = proc.stderr.decode("utf-8", "replace")
         raise AutopatchError(f"compilation failed: {stderr.strip()[:500]}")

@@ -75,15 +75,21 @@ def normalize_whitespace(text: str) -> str:
     return " ".join(text.split())
 
 
+def _multiset_overlap(split, generated: str, ground_truth: str, empty_reason: str) -> float:
+    """Percentage of the ground truth's items, as `split` cuts them, that the
+    generated code holds too (multiset intersection)."""
+    truth_items = split(ground_truth)
+    if not truth_items:
+        raise AutopatchError(empty_reason)
+    matched = Counter(split(generated)) & Counter(truth_items)
+    return sum(matched.values()) / len(truth_items) * 100.0
+
+
 def line_overlap(generated: str, ground_truth: str) -> float:
     """Percentage of ground-truth lines present in the generated code
     (multiset intersection over normalized lines)."""
-    truth_lines = _normalized_lines(ground_truth)
-    if not truth_lines:
-        raise AutopatchError("ground truth has no normalized lines")
-    generated_lines = _normalized_lines(generated)
-    matched = Counter(generated_lines) & Counter(truth_lines)
-    return sum(matched.values()) / len(truth_lines) * 100.0
+    return _multiset_overlap(_normalized_lines, generated, ground_truth,
+                             "ground truth has no normalized lines")
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -135,12 +141,7 @@ def edit_distance_similarity(generated: str, ground_truth: str) -> float:
 def token_overlap(generated: str, ground_truth: str) -> float:
     """Percentage of ground-truth tokens present in the generated code
     (multiset intersection)."""
-    truth_tokens = tokenize(ground_truth)
-    if not truth_tokens:
-        raise AutopatchError("ground truth has no tokens")
-    generated_tokens = tokenize(generated)
-    matched = Counter(generated_tokens) & Counter(truth_tokens)
-    return sum(matched.values()) / len(truth_tokens) * 100.0
+    return _multiset_overlap(tokenize, generated, ground_truth, "ground truth has no tokens")
 
 
 @dataclass(frozen=True)

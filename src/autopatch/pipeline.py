@@ -29,7 +29,6 @@ from .harness import (
     measure_execution,
 )
 from .metrics import LexicalScores, compute_lexical
-from .preprocess import preprocess_source
 from .prompting import LlmClient, PromptMode, build_prompt, generate_patch, generate_rationale
 from .report import EvaluationReport, EvalResult, aggregate_report
 from .retrieval import (
@@ -110,6 +109,8 @@ def load_split(corpus: Corpus, manifest_path: Path | str) -> CorpusSplit:
         )
     except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not the manifest's shape
         raise AutopatchError(f"{path}: malformed split manifest: {type(exc).__name__}: {exc}") from None
+    except AutopatchError as exc:  # an id that the corpus does not hold
+        raise AutopatchError(f"{path}: {exc}") from None
 
 
 # --- index ------------------------------------------------------------------
@@ -131,12 +132,10 @@ def _prepare_record(
     llm: LlmClient,
     analyzer_config: AnalyzerConfig,
 ) -> dict:
-    """Preprocess both sides, extract CFGs, diff them, and obtain a rationale.
-    Returns the journal payload for one successfully prepared record."""
-    original = preprocess_source(pair.original_code).output_code
-    optimized = preprocess_source(pair.optimized_code).output_code
-    g_o = extract_cfg(original, config=analyzer_config)
-    g_p = extract_cfg(optimized, config=analyzer_config)
+    """Extract both sides' CFGs, diff them, and obtain a rationale. Returns
+    the journal payload for one successfully prepared record."""
+    g_o = extract_cfg(pair.original_code, analyzer_config)
+    g_p = extract_cfg(pair.optimized_code, analyzer_config)
     diff = compute_diff(g_o, g_p)
     rationale = pair.rationale or generate_rationale(diff, pair, llm)
     return {
@@ -308,15 +307,13 @@ def _build_mode_prompt(
     if mode is PromptMode.ZERO_SHOT:
         return build_prompt(mode, pair)
 
+    index = indexes[_MODE_SOURCE_KIND[mode]]
     if mode is PromptMode.NAIVE:
-        index = indexes[SourceKind.RAW_SOURCE]
         query = embed_text(pair.original_code, provider)
         entry, _ = retrieve_top1(index, query)
         return build_prompt(mode, pair, example=load_record(corpus, entry.record_id))
 
-    index = indexes[SourceKind.CFG_SERIALIZATION]
-    preprocessed = preprocess_source(pair.original_code).output_code
-    graph = extract_cfg(preprocessed, config=analyzer_config)
+    graph = extract_cfg(pair.original_code, analyzer_config)
     query = embed_text(serialize_cfg(graph), provider)
     entry, _ = retrieve_top1(index, query)
     return build_prompt(
@@ -336,10 +333,6 @@ class EvalRunResult:
     report: EvaluationReport
     report_json_path: Path
     failures: list[dict] = field(default_factory=list)
-
-    @property
-    def common_empty(self) -> bool:
-        return not self.report.common_executable_ids
 
 
 def run_eval(
@@ -373,24 +366,19 @@ def run_eval(
     for pair in split.test_set:
         for mode in modes:
             source = patch_path(patch_dir, mode, pair.id)
-            if not source.exists():
-                failures.append(
-                    {"record_id": pair.id, "mode": mode.value, "reason": "patch missing"}
-                )
-                continue
             try:
-                code = source.read_text(encoding="utf-8")
+                if not source.exists():
+                    raise AutopatchError("patch missing")
+                try:
+                    code = source.read_text(encoding="utf-8")
+                except UnicodeDecodeError:
+                    raise AutopatchError("patch is not valid UTF-8") from None
                 lexical = compute_lexical(code, pair.optimized_code)
-            except (AutopatchError, UnicodeDecodeError) as exc:
-                reason = str(exc) if isinstance(exc, AutopatchError) else "patch is not valid UTF-8"
-                failures.append({"record_id": pair.id, "mode": mode.value, "reason": reason})
-                logger.warning("eval: %s/%s not scored: %s", mode.value, pair.id, reason)
-                continue
-
-            if not pair.testcases:
-                failures.append(
-                    {"record_id": pair.id, "mode": mode.value, "reason": "no testcases"}
-                )
+                if not pair.testcases:
+                    raise AutopatchError("no testcases")
+            except AutopatchError as exc:
+                failures.append({"record_id": pair.id, "mode": mode.value, "reason": str(exc)})
+                logger.warning("eval: %s/%s not scored: %s", mode.value, pair.id, exc)
                 continue
             scored.append((pair, mode, code, lexical))
 

@@ -251,13 +251,10 @@ class LlmClient:
         self._transport = transport  # None: the HTTP service
 
     def _http_transport(self, request: dict) -> dict:
-        headers = {}
-        if self.config.api_key:
-            headers["Authorization"] = f"Bearer {self.config.api_key}"
         if not self.config.base_url:
             raise service_error(0, "no chat service URL configured")
         try:
-            return http_post_json(self.config.base_url, request, headers, LLM_TIMEOUT_S)
+            return http_post_json(self.config.base_url, request, self.config.api_key, LLM_TIMEOUT_S)
         except OSError as exc:  # e.g. connection refused; fails one record
             raise service_error(0, f"chat service unreachable: {exc}") from exc
 
@@ -287,11 +284,14 @@ class LlmClient:
 
 
 def _answer_text(response: dict) -> str:
-    """`choices[0].message.content` of a chat response; any other shape,
-    a null or non-string content included, raises `service_error`."""
+    """`choices[0].message.content` of a chat response; any other shape, a
+    null, non-string or not valid Unicode content included (JSON can escape a
+    lone surrogate), raises `service_error`."""
     try:
         content = response["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError):
+        if isinstance(content, str):
+            content.encode("utf-8")
+    except (KeyError, IndexError, TypeError, UnicodeEncodeError):
         content = None
     if not isinstance(content, str):
         raise service_error(0, f"malformed chat response: {json.dumps(response)[:300]}")

@@ -95,11 +95,8 @@ class RemoteEmbeddingProvider:
 
     def embed(self, text: str) -> np.ndarray:
         payload = {"model": "", "input": [text]}
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            response = http_post_json(self.base_url, payload, headers, EMBED_TIMEOUT_S)
+            response = http_post_json(self.base_url, payload, self.api_key, EMBED_TIMEOUT_S)
         except OSError as exc:
             raise AutopatchError(f"embedding service unreachable: {exc}") from exc
         try:
@@ -166,13 +163,12 @@ class VectorIndex:
 @dataclass(frozen=True)
 class IndexRecord:
     """One record prepared for indexing: the pair, its rendered diff text,
-    the stored rationale, and the canonical CFG serialization (required when
-    building a CFG-keyed index)."""
+    the stored rationale, and the canonical CFG serialization."""
 
     pair: CodePair
     diff_text: str
     rationale: str
-    cfg_text: str | None = None
+    cfg_text: str
 
 
 def build_index(
@@ -194,8 +190,6 @@ def build_index(
             raise AutopatchError(f"duplicate id {record.pair.id!r} (index build)")
         seen.add(record.pair.id)
         if source_kind is SourceKind.CFG_SERIALIZATION:
-            if record.cfg_text is None:
-                raise AutopatchError(f"record {record.pair.id}: missing CFG serialization")
             texts.append(record.cfg_text)
         else:
             texts.append(record.pair.original_code)
@@ -256,10 +250,11 @@ def load_index(path: Path | str) -> VectorIndex:
     except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not the index's shape
         raise AutopatchError(f"{path}: malformed index file: {type(exc).__name__}: {exc}") from None
     if len(metas) != count:
-        raise AutopatchError(f"index metadata truncated: {len(metas)} != {count}")
-    flat = np.fromfile(vector_sidecar_path(path), dtype="<f4")
+        raise AutopatchError(f"{path}: index metadata truncated: {len(metas)} != {count}")
+    vec_path = vector_sidecar_path(path)
+    flat = np.fromfile(vec_path, dtype="<f4")
     if flat.size != count * dim:
-        raise AutopatchError(f"vector blob holds {flat.size} floats, expected {count * dim}")
+        raise AutopatchError(f"{vec_path}: vector blob holds {flat.size} floats, expected {count * dim}")
     return VectorIndex(ids=ids, matrix=flat.reshape(count, dim), metadata=metadata,
                        source_kind=source_kind)
 

@@ -9,7 +9,6 @@ import pytest
 from autopatch import pipeline
 from autopatch.analyzer import parse_cfg_dump
 from autopatch.pipeline import run_index, run_ingest, run_optimize
-from autopatch.preprocess import preprocess_source
 from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
 from autopatch.retrieval import LocalHashingProvider
 
@@ -45,9 +44,9 @@ def dump_graphs(monkeypatch, pairs):
     graphs = [parse_cfg_dump(path.read_text()) for path in sorted(DUMP_DIR.glob("prog*.txt"))]
     by_code = {}
     for i, pair in enumerate(pairs):
-        by_code[preprocess_source(pair.original_code).output_code] = graphs[i % len(graphs)]
-        by_code[preprocess_source(pair.optimized_code).output_code] = graphs[(i + 1) % len(graphs)]
-    monkeypatch.setattr(pipeline, "extract_cfg", lambda code, config=None: by_code[code])
+        by_code[pair.original_code] = graphs[i % len(graphs)]
+        by_code[pair.optimized_code] = graphs[(i + 1) % len(graphs)]
+    monkeypatch.setattr(pipeline, "extract_cfg", lambda code, config: by_code[code])
 
 
 @pytest.fixture(scope="session")

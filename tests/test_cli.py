@@ -234,7 +234,7 @@ def test_index_cli_resumes_from_journal(tmp_path, monkeypatch, capsys, pairs, co
     stub = pipeline.extract_cfg
     analyzed = []
 
-    def counting_stub(code, config=None):
+    def counting_stub(code, config):
         analyzed.append(code)
         return stub(code, config)
 
@@ -309,6 +309,18 @@ def test_malformed_split_manifest_exits_2(tmp_path, capsys, corpus_file):
         assert "Traceback" not in err
 
 
+def test_split_naming_an_unknown_id_exits_2(tmp_path, capsys, corpus_file):
+    manifest = tmp_path / "split.json"
+    manifest.write_text(json.dumps({"database_ids": [], "test_ids": ["p99"]}), encoding="utf-8")
+    assert run_cli(
+        "eval", "--corpus", str(corpus_file), "--split", str(manifest),
+        "--patches", str(tmp_path / "patches"), "--out", str(tmp_path / "eval"),
+    ) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: record 'p99' is not in the corpus" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_index_file_exits_2(tmp_path, capsys, corpus_file):
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     index_dir = tmp_path / "index"
@@ -325,6 +337,29 @@ def test_malformed_index_file_exits_2(tmp_path, capsys, corpus_file):
         ) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"error: {index_dir / 'index_source.jsonl'}: malformed index file: " in err
+        assert "Traceback" not in err
+
+
+def test_inconsistent_index_files_exit_2_naming_the_file(tmp_path, capsys, corpus_file):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    index_dir = tmp_path / "index"
+    index_dir.mkdir()
+    metadata = index_dir / "index_source.jsonl"
+    header = {"count": 1, "dim": 256, "source_kind": "raw_source", "version": 1}
+    entry = {"diff_text": "", "rationale": "", "record_id": "p01"}
+    (index_dir / "index_source.jsonl.vec").write_bytes(b"\0" * 12)
+    for count, expected in (
+        (2, f"error: {metadata}: index metadata truncated: 1 != 2"),
+        (1, f"error: {metadata}.vec: vector blob holds 3 floats, expected 256"),
+    ):
+        metadata.write_text(f"{json.dumps({**header, 'count': count})}\n{json.dumps(entry)}\n",
+                            encoding="utf-8")
+        assert run_cli(
+            "optimize", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
+            "--index", str(index_dir), "--mode", "naive", "--out", str(tmp_path / "patches"),
+        ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert expected in err
         assert "Traceback" not in err
 
 

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import inspect
-
 from autopatch import pipeline
-from autopatch.analyzer import AnalyzerConfig, extract_cfg
+from autopatch.analyzer import AnalyzerConfig
 from autopatch.harness import ToolchainConfig
 from autopatch.pipeline import run_ingest
 from autopatch.prompting import LlmConfig
@@ -26,7 +24,6 @@ def test_analyzer_config_defaults(monkeypatch):
     config = AnalyzerConfig.from_env()
     assert config.binary == "clang"
     assert config.extra_flags == ()
-    assert inspect.signature(extract_cfg).parameters["function"].default == "main"
 
 
 def test_toolchain_config_env_overrides(monkeypatch):

@@ -62,6 +62,30 @@ def test_ingest_lenient_collects_positional_errors(tmp_path):
     assert [line for line, _ in corpus.stats.errors] == [2]
 
 
+_NOT_UNICODE = [  # (record, what its reason names)
+    (_record("r\ud800"), "field 'id'"),
+    (_record(problem_id="\ud800"), "field 'problem_id'"),
+    (_record(original_code="int main(){}//\udfff"), "field 'original_code'"),
+    (_record(optimized_code="\ud800"), "field 'optimized_code'"),
+    (_record(rationale="\ud800"), "field 'rationale'"),
+    (_record(testcases=[{"input": "\ud800", "expected_output": ""}]), "testcase 'input'"),
+    (_record(testcases=[{"input": "", "expected_output": "\ud800"}]), "testcase 'expected_output'"),
+]
+
+
+@pytest.mark.parametrize("record, what", _NOT_UNICODE, ids=[what for _, what in _NOT_UNICODE])
+def test_text_that_is_not_unicode_is_a_bad_line(tmp_path, record, what):
+    # JSON can escape a lone surrogate, which no UTF-8 journal, patch or
+    # request can hold: the line is bad where it enters.
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [_record("r1"), record, _record("r3")])
+    corpus = ingest_pairs(path, strict=False)
+    assert [p.id for p in corpus.pairs] == ["r1", "r3"]
+    assert corpus.stats.errors == [(2, f"line 2: {what} is not valid Unicode")]
+    with pytest.raises(AutopatchError, match=f"^line 2: {what} is not valid Unicode$"):
+        ingest_pairs(path, strict=True)
+
+
 def test_ingest_duplicate_id(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_lines(path, [_record("dup"), _record("dup")])
@@ -145,7 +169,7 @@ def test_load_record_and_unknown_id(tmp_path):
     _write_lines(path, [_record("p42")])
     corpus = ingest_pairs(path, strict=True)
     assert load_record(corpus, "p42").id == "p42"
-    with pytest.raises(AutopatchError, match="^missing$"):
+    with pytest.raises(AutopatchError, match="^record 'missing' is not in the corpus$"):
         load_record(corpus, "missing")
 
 

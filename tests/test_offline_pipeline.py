@@ -1,7 +1,8 @@
 """Pipeline behaviour that runs without clang: the index stage's worker
 pool over CFGs parsed from the committed dumps (the `dump_graphs` fixture),
-analyzer and compiler failures from fake tools, an unreachable chat service
-or a malformed reply failing one record, eval containment of unscorable
+analyzer and compiler failures from fake tools (a tool that cannot start
+included), an unreachable chat service or a malformed reply (one that is not
+valid Unicode included) failing one record, eval containment of unscorable
 ground truths, undecodable patches and records without testcases, and the
 eval stage's phase order (every compile before any timed run) under fake
 compile and time functions."""
@@ -22,6 +23,7 @@ from autopatch import pipeline
 from autopatch.analyzer import AnalyzerConfig, run_analyzer
 from autopatch.corpus import CorpusSplit
 from autopatch.errors import AutopatchError
+from autopatch._http import service_error
 from autopatch.harness import RunOutcome, RunStatus
 from autopatch.metrics import compute_lexical
 from autopatch.pipeline import (
@@ -106,7 +108,7 @@ def test_unreachable_chat_service_fails_one_record(tmp_path, monkeypatch, pairs,
     unlucky = ingest.split.database_set[2]
     scripted = make_scripted_transport(pairs)
 
-    def post(url, payload, headers, timeout_s):  # refuses the unlucky record's rationale call
+    def post(url, payload, api_key, timeout_s):  # refuses the unlucky record's rationale call
         if unlucky.original_code.rstrip() in payload["messages"][1]["content"]:
             raise ConnectionRefusedError(111, "Connection refused")
         return scripted(payload)
@@ -124,17 +126,52 @@ def test_unreachable_chat_service_fails_one_record(tmp_path, monkeypatch, pairs,
     assert (tmp_path / "index" / "index_cfg.jsonl").exists()
 
 
-def test_null_chat_reply_fails_one_record(tmp_path, pairs, corpus_file):
+def test_surrogate_chat_reply_fails_one_record_and_keeps_the_journal(tmp_path, pairs,
+                                                                    corpus_file, dump_graphs):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    unlucky = ingest.split.database_set[2]
+    scripted = make_scripted_transport(pairs)
+
+    def replying(content):  # answers the unlucky record's rationale call with `content`
+        def transport(request):
+            if unlucky.original_code.rstrip() in request["messages"][1]["content"]:
+                if content is None:
+                    raise service_error(503, "busy")
+                return {"choices": [{"message": {"content": content}}]}
+            return scripted(request)
+        return LlmClient(LlmConfig(), cassette=None, mode="live", transport=transport)
+
+    journal_path = tmp_path / "index" / INDEX_JOURNAL
+    run_index(ingest.corpus, ingest.split, tmp_path / "index", LocalHashingProvider(), replying(None))
+    prior = journal_path.read_text(encoding="utf-8").splitlines()
+
+    # JSON can escape a lone surrogate, which the journal's UTF-8 cannot hold.
+    result = run_index(ingest.corpus, ingest.split, tmp_path / "index", LocalHashingProvider(),
+                       replying("\ud800"))
+
+    journal = journal_path.read_text(encoding="utf-8").splitlines()
+    assert journal[:-1] == prior[:-1]  # the prepared records, reused as they were
+    failed = json.loads(journal[-1])
+    assert failed["record_id"] == unlucky.id
+    assert failed["reason"].startswith("service returned 0: malformed chat response: ")
+    assert result.indexed_count == DB_COUNT - 1
+
+
+def _optimize_with_one_reply(tmp_path, pairs, corpus_file, content, client_mode):
+    """Zero-shot optimize, with the chat service answering one target's patch
+    request with `content`: that target is one failure, the others are
+    written."""
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     unlucky = ingest.split.test_set[1]
     scripted = make_scripted_transport(pairs)
 
-    def transport(request):  # answers the unlucky record's patch request with null content
+    def transport(request):
         if unlucky.original_code.rstrip() in request["messages"][1]["content"]:
-            return {"choices": [{"message": {"content": None}}]}
+            return {"choices": [{"message": {"content": content}}]}
         return scripted(request)
 
-    llm = LlmClient(LlmConfig(), cassette=None, mode="live", transport=transport)
+    cassette = Cassette(tmp_path / "cassette.jsonl") if client_mode == "record" else None
+    llm = LlmClient(LlmConfig(), cassette=cassette, mode=client_mode, transport=transport)
     mode = PromptMode.ZERO_SHOT
 
     result = run_optimize(ingest.corpus, ingest.split, tmp_path / "index", tmp_path / "patches",
@@ -147,6 +184,17 @@ def test_null_chat_reply_fails_one_record(tmp_path, pairs, corpus_file):
     for record_id in others:
         assert patch_path(tmp_path / "patches", mode, record_id).exists()
     assert not patch_path(tmp_path / "patches", mode, unlucky.id).exists()
+
+
+def test_null_chat_reply_fails_one_record(tmp_path, pairs, corpus_file):
+    _optimize_with_one_reply(tmp_path, pairs, corpus_file, None, "live")
+
+
+@pytest.mark.parametrize("client_mode", ["live", "record"])
+def test_surrogate_chat_reply_fails_one_patch(tmp_path, pairs, corpus_file, client_mode):
+    # Live mode would write it into the patch file, record mode into the cassette.
+    _optimize_with_one_reply(tmp_path, pairs, corpus_file,
+                             "```cpp\nint main() { return 0; } // \ud800\n```", client_mode)
 
 
 def test_eval_logs_undecodable_patch(tmp_path, pairs):
@@ -274,6 +322,35 @@ def test_compiler_undecodable_stderr_is_compile_error(tmp_path, monkeypatch, pai
     ]
     assert captured[0].outcome.mean_s > 0
     assert "\ufffd" in captured[1].outcome.detail
+
+
+def test_compiler_launch_error_is_compile_error(tmp_path, monkeypatch, pairs):
+    compiler = tmp_path / "fake-cxx"
+    compiler.write_text("#!/nonexistent/python\n")
+    compiler.chmod(0o755)
+    monkeypatch.setenv("AUTOPATCH_CXX", str(compiler))
+    test_set = tuple(pairs[:2])
+    corpus_path = tmp_path / "pairs.jsonl"
+    write_corpus(test_set, corpus_path)
+    ingest = run_ingest(corpus_path, 0, SEED, tmp_path / "ingest")
+    mode = PromptMode.ZERO_SHOT
+    for pair in test_set:
+        path = patch_path(tmp_path / "patches", mode, pair.id)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(pair.original_code, encoding="utf-8")
+    captured = _capture_results(monkeypatch)
+
+    result = run_eval(ingest.corpus, ingest.split, tmp_path / "patches", tmp_path / "eval", (mode,),
+                      reps=1, timeout_s=10.0)
+
+    assert result.failures == []
+    assert [(r.target_id, r.outcome.status) for r in captured] == [
+        (pair.id, RunStatus.COMPILE_ERROR) for pair in ingest.split.test_set
+    ]
+    for each in captured:
+        assert each.outcome.detail == (
+            "compilation failed: compiler could not start: No such file or directory: fake-cxx"
+        )
 
 
 def _sequential_eval(split, patch_dir, out_dir, modes, reps, timeout_s, compile_fn, measure_fn):

@@ -22,8 +22,6 @@ SOURCE_DIR = Path(autopatch.__file__).parent
 EXPECTED_OPTIONS = [
     "analyzer.AnalyzerConfig.binary",
     "analyzer.AnalyzerConfig.extra_flags",
-    "analyzer.extract_cfg(config=)",
-    "analyzer.extract_cfg(function=)",
     "cfg_diff.render_diff(g_o=)",
     "cfg_diff.render_diff(g_p=)",
     "cli.main(argv=)",

@@ -375,11 +375,15 @@ def test_malformed_service_response_raises():
 
 
 @contextmanager
-def _chat_service(body: bytes):
-    """A chat service on localhost that answers every POST with `body`."""
+def _chat_service(body: bytes, authorizations: list | None = None):
+    """A chat service on localhost that answers every POST with `body`, and
+    appends each request's Authorization header (or None) to
+    `authorizations`."""
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
+            if authorizations is not None:
+                authorizations.append(self.headers.get("Authorization"))
             self.rfile.read(int(self.headers["Content-Length"]))
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
@@ -409,8 +413,20 @@ def test_live_client_non_json_body_is_service_error(monkeypatch, body):
             client.complete("sys", "user")
 
 
+def test_live_client_sends_bearer_header_only_with_a_key(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    body = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+    authorizations = []
+    with _chat_service(body, authorizations) as url:
+        for api_key in ("secret", ""):
+            client = LlmClient(LlmConfig(base_url=url, api_key=api_key, model="m"),
+                               cassette=None, mode="live")
+            assert client.complete("sys", "user") == "ok"
+    assert authorizations == ["Bearer secret", None]
+
+
 def test_live_client_unreachable_service_is_service_error(monkeypatch):
-    def refuse(url, payload, headers, timeout_s):
+    def refuse(url, payload, api_key, timeout_s):
         raise ConnectionRefusedError(111, "Connection refused")
 
     monkeypatch.setattr("autopatch.prompting.http_post_json", refuse)

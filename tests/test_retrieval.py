@@ -19,6 +19,7 @@ from autopatch.retrieval import (
     RemoteEmbeddingProvider,
     SourceKind,
     VectorIndex,
+    _MIN_ROW_NORM,
     _stable_bucket,
     build_index,
     cosine_similarity,
@@ -183,7 +184,7 @@ def test_build_index_concurrent_commit_order(tmp_path, pairs, corpus_file, dump_
         p.id for p in database
     ]
     sequential = build_index(
-        [IndexRecord(pair=p, diff_text="", rationale="") for p in database],
+        [IndexRecord(pair=p, diff_text="", rationale="", cfg_text="") for p in database],
         LocalHashingProvider(),
         SourceKind.RAW_SOURCE,
         path=tmp_path / "sequential.jsonl",
@@ -297,6 +298,35 @@ def test_retrieve_zero_query_and_zero_row_raise():
         retrieve_top1(index, np.ones(2, dtype=np.float32))
 
 
+def test_retrieve_full_rescore_fallback_equals_exhaustive_scan():
+    # Rows the float32 shortlist bound does not cover: one of norm below
+    # _MIN_ROW_NORM, and one whose float32 products overflow. retrieve_top1
+    # then rescores every row, and must still agree with the exhaustive scan,
+    # ties (scaled copies of a row) going to the smallest id.
+    rng = np.random.default_rng(11)
+    dim = 16
+    base = np.abs(rng.normal(size=(8, dim))).astype(np.float32)
+    ids = tuple(f"r{i}" for i in range(7, -1, -1))  # the smallest ids sit last
+    tiny, huge = base.copy(), base.copy()
+    tiny[2] = base[6] * np.float32(1e-35)
+    huge[2] = np.float32(3e38)
+    huge[1] = base[5] * np.float32(2.0)
+    assert VectorIndex(ids, tiny, [], SourceKind.RAW_SOURCE).row_norms.min() <= _MIN_ROW_NORM
+    for matrix in (tiny, huge):
+        index = VectorIndex(ids, matrix, [(record_id, "") for record_id in ids],
+                            SourceKind.RAW_SOURCE)
+        for query in (*base, np.abs(rng.normal(size=dim)).astype(np.float32)):
+            if matrix is huge:
+                unit = (query / np.linalg.norm(query)).astype(np.float32)
+                with np.errstate(over="ignore"):
+                    assert not np.isfinite(np.einsum("ij,j->i", matrix, unit)).all()
+            expected_id, expected_score = scan_top1(index, query)
+            with np.errstate(over="ignore"):
+                entry, score = retrieve_top1(index, query)
+            assert entry.record_id == expected_id
+            assert np.float64(score).tobytes() == np.float64(expected_score).tobytes()
+
+
 @st.composite
 def _planted_index_and_query(draw):
     """A random index with shuffled ids and planted duplicate rows (exact,
@@ -351,8 +381,8 @@ def test_retrieve_equals_exhaustive_scan_oracle(case):
 def test_remote_provider_request_and_response(monkeypatch):
     captured = {}
 
-    def fake_post(url, payload, headers, timeout_s):
-        captured.update(url=url, payload=payload, headers=headers)
+    def fake_post(url, payload, api_key, timeout_s):
+        captured.update(url=url, payload=payload, api_key=api_key)
         return {"data": [{"embedding": [0.1, 0.2, 0.3]}]}
 
     monkeypatch.setattr("autopatch.retrieval.http_post_json", fake_post)
@@ -360,13 +390,13 @@ def test_remote_provider_request_and_response(monkeypatch):
     vector = embed_text("int main(){}", provider)
     assert captured["url"] == "http://svc/embed"
     assert captured["payload"] == {"model": "", "input": ["int main(){}"]}
-    assert captured["headers"] == {"Authorization": "Bearer k"}
+    assert captured["api_key"] == "k"
     assert vector.dtype == np.float32
     assert vector.shape == (3,)
 
 
 def test_remote_provider_unreachable(monkeypatch):
-    def fake_post(url, payload, headers, timeout_s):
+    def fake_post(url, payload, api_key, timeout_s):
         raise OSError("connection refused")
 
     monkeypatch.setattr("autopatch.retrieval.http_post_json", fake_post)
