@@ -41,8 +41,6 @@ def _parse_modes(raw: str) -> tuple[PromptMode, ...]:
                 f"unknown mode {name!r} (choose from {', '.join(_MODE_NAMES)})"
             )
         modes.append(_MODE_NAMES[name])
-    if not modes:
-        raise argparse.ArgumentTypeError("at least one mode required")
     return tuple(modes)
 
 

@@ -139,16 +139,13 @@ def measure_execution(
 
     per_testcase: list[float] = []
     for case_no, testcase in enumerate(testcases):
-        status, _, detail = _run_once(binary, testcase, timeout_s)  # warmup
-        if status is not RunStatus.OK:
-            return RunOutcome.failure(status, f"testcase {case_no}: {detail}")
-        rep_times = []
-        for _ in range(reps):
+        run_times = []
+        for _ in range(1 + reps):  # the first run is the untimed warmup
             status, elapsed, detail = _run_once(binary, testcase, timeout_s)
             if status is not RunStatus.OK:
                 return RunOutcome.failure(status, f"testcase {case_no}: {detail}")
-            rep_times.append(elapsed)
-        per_testcase.append(statistics.median(rep_times))
+            run_times.append(elapsed)
+        per_testcase.append(statistics.median(run_times[1:]))
 
     return RunOutcome(
         status=RunStatus.OK,

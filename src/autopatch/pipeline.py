@@ -159,9 +159,9 @@ def _is_journal_entry(obj) -> bool:
 
 def _load_journal(path: Path) -> dict[str, dict]:
     """The journal's entries by record id. A line that is not an entry, such
-    as the torn last line a crash mid-write leaves or an "ok" entry that
-    lacks a field, is skipped with a warning, so its record is prepared
-    again."""
+    as a torn last line, an "ok" entry that lacks a field or one whose text
+    is not valid Unicode, is skipped with a warning, so its record is
+    prepared again."""
     if not path.exists():
         return {}
     entries = {}
@@ -171,7 +171,9 @@ def _load_journal(path: Path) -> dict[str, dict]:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError:  # not JSON, or not UTF-8
+                # JSON can escape a lone surrogate, which no text file can hold
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except ValueError:  # not JSON, not UTF-8, or not valid Unicode
                 obj = None
             if not _is_journal_entry(obj):
                 logger.warning("%s:%d: skipping a line that is not a journal entry", path, line_no)
@@ -219,9 +221,13 @@ def run_index(
     prepared = [entry for entry in entries if entry["status"] == "ok"]
     skipped = [entry for entry in entries if entry["status"] != "ok"]
 
-    with journal_path.open("w", encoding="utf-8") as handle:
+    # Written aside and renamed into place: a crash mid-write leaves the
+    # previous journal whole.
+    tmp = journal_path.with_suffix(journal_path.suffix + ".tmp")
+    with tmp.open("w", encoding="utf-8") as handle:
         for entry in prepared + skipped:
             handle.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
+    tmp.replace(journal_path)
 
     built: dict[SourceKind, Path] = {}
     if prepared:
@@ -304,25 +310,17 @@ def _build_mode_prompt(
     provider,
     analyzer_config: AnalyzerConfig,
 ):
+    """Naive mode retrieves the example by the target's source; context mode
+    by its CFG serialization, and adds the example's diff and rationale."""
     if mode is PromptMode.ZERO_SHOT:
         return build_prompt(mode, pair)
 
-    index = indexes[_MODE_SOURCE_KIND[mode]]
-    if mode is PromptMode.NAIVE:
-        query = embed_text(pair.original_code, provider)
-        entry, _ = retrieve_top1(index, query)
-        return build_prompt(mode, pair, example=load_record(corpus, entry.record_id))
-
-    graph = extract_cfg(pair.original_code, analyzer_config)
-    query = embed_text(serialize_cfg(graph), provider)
-    entry, _ = retrieve_top1(index, query)
-    return build_prompt(
-        mode,
-        pair,
-        diff=entry.diff_text,
-        rationale=entry.rationale,
-        example=load_record(corpus, entry.record_id),
-    )
+    context = mode is PromptMode.CONTEXT
+    source = pair.original_code
+    text = serialize_cfg(extract_cfg(source, analyzer_config)) if context else source
+    entry, _ = retrieve_top1(indexes[_MODE_SOURCE_KIND[mode]], embed_text(text, provider))
+    extra = {"diff": entry.diff_text, "rationale": entry.rationale} if context else {}
+    return build_prompt(mode, pair, example=load_record(corpus, entry.record_id), **extra)
 
 
 # --- eval --------------------------------------------------------------------

@@ -136,20 +136,19 @@ class Cassette:
 
     The file is JSON Lines, one `{"key", "request", "response", "timestamp"}`
     object per line; `store` appends one line under a lock, and on load the
-    last line for a key wins. A file in the older layout (one JSON map from
-    key to entry) is read as is and rewritten as lines on the first store.
-    A final line without its newline is what a crash mid-append leaves: it
-    is dropped with a warning and truncated away before the next append.
-    Any other line that is not an entry raises AutopatchError naming the
-    file and line.
+    last line for a key wins. Two files are read as they are and rewritten
+    as lines, under `<path>.tmp` and renamed into place, on the first store:
+    one in the older layout (one JSON map from key to entry), and one whose
+    final line lacks its newline, which is what a crash mid-append leaves
+    (that line is dropped with a warning). Any other line that is not an
+    entry raises AutopatchError naming the file and line.
     """
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._data: dict[str, dict] = {}
-        self._legacy = False  # the first store rewrites the file as lines
-        self._keep_bytes: int | None = None  # the first append truncates to this
+        self._rewrite = False  # the first store rewrites the file as lines
         if self.path.exists():
             self._load(self.path.read_bytes())
 
@@ -160,7 +159,7 @@ class Cassette:
             whole = None
         if isinstance(whole, dict) and not isinstance(whole.get("key"), str):
             self._data = whole
-            self._legacy = True
+            self._rewrite = True
             return
         *lines, torn = raw.split(b"\n")
         for line_no, line in enumerate(lines, start=1):
@@ -175,7 +174,7 @@ class Cassette:
             self._data[entry.pop("key")] = entry
         if torn:
             logger.warning("%s: dropping a torn final line of %d bytes", self.path, len(torn))
-            self._keep_bytes = len(raw) - len(torn)
+            self._rewrite = True
 
     def lookup(self, key: str) -> dict | None:
         return self._data.get(key)
@@ -188,18 +187,15 @@ class Cassette:
         }
         with self._lock:
             self._data[key] = entry
-            if self._legacy:
+            if self._rewrite:
                 tmp = self.path.with_suffix(self.path.suffix + ".tmp")
                 with tmp.open("w", encoding="utf-8") as handle:
                     for each_key, each in self._data.items():
                         handle.write(_cassette_line(each_key, each))
                 tmp.replace(self.path)
-                self._legacy = False
+                self._rewrite = False
                 return
             with self.path.open("a", encoding="utf-8") as handle:
-                if self._keep_bytes is not None:
-                    handle.truncate(self._keep_bytes)
-                    self._keep_bytes = None
                 handle.write(_cassette_line(key, entry))
 
 

@@ -33,7 +33,7 @@ def improvement(baseline_avg_s: float, candidate_avg_s: float) -> float:
 class EvalResult:
     target_id: str
     mode: str
-    lexical: LexicalScores | None
+    lexical: LexicalScores
     outcome: RunOutcome
     labels: frozenset[OptimizationType] = frozenset()
 
@@ -42,7 +42,7 @@ class EvalResult:
 class ModeReport:
     avg_time_s: float | None
     improvement_pct: float | None
-    lexical_mean: LexicalScores | None
+    lexical_mean: LexicalScores
     lexical_count: int
     outcome_counts: dict[str, int]
     per_type_avg_time_s: dict[str, float]
@@ -94,14 +94,11 @@ class EvaluationReport:
 
         lines.append("lexical means:")
         for mode, report in sorted(self.modes.items()):
-            if report.lexical_mean is None:
-                lines.append(f"  {mode:<12} -")
-            else:
-                m = report.lexical_mean
-                lines.append(
-                    f"  {mode:<12} LO={m.line_overlap_pct:.2f}%  "
-                    f"EDS={m.eds:.4f}  TO={m.token_overlap_pct:.2f}%"
-                )
+            m = report.lexical_mean
+            lines.append(
+                f"  {mode:<12} LO={m.line_overlap_pct:.2f}%  "
+                f"EDS={m.eds:.4f}  TO={m.token_overlap_pct:.2f}%"
+            )
         lines.append("")
 
         lines.append("outcome counts:")
@@ -111,9 +108,7 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
-def _mean_lexical(scores: Sequence[LexicalScores]) -> LexicalScores | None:
-    if not scores:
-        return None
+def _mean_lexical(scores: Sequence[LexicalScores]) -> LexicalScores:
     return LexicalScores(
         line_overlap_pct=statistics.fmean(s.line_overlap_pct for s in scores),
         eds=statistics.fmean(s.eds for s in scores),
@@ -170,7 +165,7 @@ def aggregate_report(
         if baseline_avg is not None and avg_by_mode[mode] is not None:
             improvement_pct = improvement(baseline_avg, avg_by_mode[mode])
 
-        lexical_scores = [r.lexical for r in entries.values() if r.lexical is not None]
+        lexical_scores = [r.lexical for r in entries.values()]
         counts = {status.value: 0 for status in RunStatus}
         for result in entries.values():
             counts[result.outcome.status.value] += 1

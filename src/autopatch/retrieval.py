@@ -66,8 +66,6 @@ class LocalHashingProvider:
     """Deterministic offline embedding: feature-hash token trigrams into a
     fixed number of buckets, then L2-normalize."""
 
-    name = "local"
-
     def embed(self, text: str) -> np.ndarray:
         counts = np.zeros(LOCAL_DIM, dtype=np.float64)
         for gram in hash_grams(text):
@@ -79,8 +77,6 @@ class LocalHashingProvider:
 class RemoteEmbeddingProvider:
     """HTTP embedding service speaking `{"model", "input": [text]}` requests
     and `{"data": [{"embedding": [...]}]}` responses."""
-
-    name = "remote"
 
     def __init__(self, base_url: str, api_key: str):
         self.base_url = base_url
@@ -247,7 +243,10 @@ def load_index(path: Path | str) -> VectorIndex:
         source_kind = SourceKind(header["source_kind"])
         ids = tuple(meta["record_id"] for meta in metas)
         metadata = [(meta["diff_text"], meta["rationale"]) for meta in metas]
-    except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not the index's shape
+        # JSON can escape a lone surrogate, which no text can hold
+        for record_id, (diff_text, rationale) in zip(ids, metadata):
+            (record_id + diff_text + rationale).encode("utf-8")
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, not the index's shape or not text
         raise AutopatchError(f"{path}: malformed index file: {type(exc).__name__}: {exc}") from None
     if len(metas) != count:
         raise AutopatchError(f"{path}: index metadata truncated: {len(metas)} != {count}")

@@ -12,7 +12,7 @@ from autopatch.pipeline import INDEX_JOURNAL, run_index, run_ingest, run_optimiz
 from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
 from autopatch.retrieval import LocalHashingProvider
 
-from conftest import DB_COUNT, SEED, requires_toolchain
+from conftest import DB_COUNT, SEED, requires_gxx
 from helpers import fixture_pairs, make_scripted_transport, write_corpus
 
 
@@ -136,7 +136,7 @@ def test_eval_without_patches_exits_3_with_empty_report(corpus_file, tmp_path, c
     ]
 
 
-@requires_toolchain
+@requires_gxx
 def test_replay_with_live_llm_env_fails_fast(recorded_workspace, tmp_path, monkeypatch):
     monkeypatch.setenv("AUTOPATCH_LLM_BASE", "http://live-service")
     code = run_cli(
@@ -149,7 +149,7 @@ def test_replay_with_live_llm_env_fails_fast(recorded_workspace, tmp_path, monke
     assert code == EXIT_USAGE
 
 
-@requires_toolchain
+@requires_gxx
 def test_replay_with_remote_provider_fails_fast(recorded_workspace, tmp_path, monkeypatch):
     monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
     code = run_cli(
@@ -163,7 +163,7 @@ def test_replay_with_remote_provider_fails_fast(recorded_workspace, tmp_path, mo
     assert code == EXIT_USAGE
 
 
-@requires_toolchain
+@requires_gxx
 def test_replay_requires_cassette(recorded_workspace, tmp_path, monkeypatch):
     monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
     code = run_cli(
@@ -176,7 +176,7 @@ def test_replay_requires_cassette(recorded_workspace, tmp_path, monkeypatch):
     assert code == EXIT_USAGE
 
 
-@requires_toolchain
+@requires_gxx
 def test_index_replay_builds_both_indexes(recorded_workspace, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
     code = run_cli(
@@ -195,7 +195,7 @@ def test_index_replay_builds_both_indexes(recorded_workspace, tmp_path, monkeypa
     assert header["count"] == 7
 
 
-@requires_toolchain
+@requires_gxx
 def test_index_rerun_byte_stable(recorded_workspace, tmp_path, monkeypatch):
     monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
     for name in ("a", "b"):
@@ -296,6 +296,40 @@ def test_index_cli_redoes_an_ok_journal_entry_without_its_fields(tmp_path, monke
                                       strip_first_entry, skipped_line=1)
 
 
+def test_index_cli_redoes_a_journal_entry_that_is_not_unicode(tmp_path, monkeypatch, caplog,
+                                                               pairs, corpus_file, dump_graphs):
+    def escape_a_lone_surrogate(journal):  # JSON can escape one; no text file can hold it
+        entry = json.loads(journal[0])
+        return [json.dumps({**entry, "rationale": "\ud800"}).encode() + b"\n"] + journal[1:]
+
+    _rerun_index_on_a_damaged_journal(tmp_path, monkeypatch, caplog, pairs, corpus_file,
+                                      escape_a_lone_surrogate, skipped_line=1)
+
+
+def test_index_journal_rewrite_that_fails_keeps_the_previous_journal(tmp_path, monkeypatch,
+                                                                      pairs, corpus_file,
+                                                                      dump_graphs):
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    ingest, cassette = _record_index_cassette(tmp_path, pairs, corpus_file)
+    out = tmp_path / "index"
+    assert run_cli("index", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
+                   "--out", str(out), "--replay", "--cassette", str(cassette)) == EXIT_OK
+    journal = (out / INDEX_JOURNAL).read_bytes()
+
+    prepare = pipeline._prepare_record
+    second_id = ingest.split.database_set[1].id
+
+    def unwritable_second_entry(pair, llm, config):  # its journal line cannot be encoded
+        entry = prepare(pair, llm, config)
+        return {**entry, "rationale": "\ud800"} if pair.id == second_id else entry
+
+    monkeypatch.setattr(pipeline, "_prepare_record", unwritable_second_entry)
+    replayer = LlmClient(LlmConfig(), Cassette(cassette), mode="replay")
+    with pytest.raises(UnicodeEncodeError):
+        run_index(ingest.corpus, ingest.split, out, LocalHashingProvider(), replayer, resume=False)
+    assert (out / INDEX_JOURNAL).read_bytes() == journal
+
+
 def test_malformed_split_manifest_exits_2(tmp_path, capsys, corpus_file):
     for name, text in (("torn.json", "{"), ("empty.json", "{}"), ("list.json", "[]")):
         manifest = tmp_path / name
@@ -329,7 +363,9 @@ def test_malformed_index_file_exits_2(tmp_path, capsys, corpus_file):
     for damaged in ("not json\n",                                  # a header that is not JSON
                     '{"dim": 256}\n',                              # a header without its keys
                     json.dumps({**header, "count": 1.0}) + "\n",  # a count that is not an integer
-                    json.dumps(header) + '\n{"record_id": "p01"}\n'):  # a metadata line without its keys
+                    json.dumps(header) + '\n{"record_id": "p01"}\n',  # a metadata line without its keys
+                    json.dumps(header) + '\n{"record_id": "p01", "diff_text": "",'
+                    ' "rationale": "\\ud800"}\n'):  # a rationale that is not valid Unicode
         (index_dir / "index_source.jsonl").write_text(damaged, encoding="utf-8")
         assert run_cli(
             "optimize", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
@@ -408,8 +444,8 @@ def test_eval_rejects_reps_below_one_before_any_work(tmp_path, capsys, pairs, co
     assert not (out / "bin").exists()
 
 
-@requires_toolchain
-def test_index_skips_unparseable_record(tmp_path, monkeypatch, capsys):
+@requires_gxx
+def test_index_skips_unparseable_record(tmp_path, monkeypatch, capsys, analyzer):
     monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
     pairs = fixture_pairs()[:4]
     from autopatch.corpus import CodePair
@@ -447,7 +483,7 @@ def test_index_skips_unparseable_record(tmp_path, monkeypatch, capsys):
     assert len(journal_lines) == 5
 
 
-@requires_toolchain
+@requires_gxx
 def test_optimize_replay_writes_patches_per_mode(recorded_workspace, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
     index_dir = recorded_workspace.record_dir / "index"
@@ -469,7 +505,7 @@ def test_optimize_replay_writes_patches_per_mode(recorded_workspace, tmp_path, m
     assert failures == []
 
 
-@requires_toolchain
+@requires_gxx
 def test_optimize_replay_miss_logged_not_fatal(recorded_workspace, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
     empty_cassette = tmp_path / "empty.json"
@@ -489,7 +525,7 @@ def test_optimize_replay_miss_logged_not_fatal(recorded_workspace, tmp_path, mon
     assert "3 failure(s)" in capsys.readouterr().out
 
 
-@requires_toolchain
+@requires_gxx
 def test_eval_all_compile_failures_exits_3(recorded_workspace, tmp_path, capsys):
     manifest = json.loads(recorded_workspace.split_manifest.read_text())
     patches = tmp_path / "patches" / "zero_shot"

@@ -7,7 +7,7 @@ The package `__init__` binds no public name, so every name has one import
 path: its submodule. Every failure the package raises is an
 `AutopatchError` whose message tells it apart; `BothEmpty` is the one
 subclass. A new exception class fails `test_error_types` the way a new
-option fails the inventory."""
+option fails the inventory, and any new class fails `test_class_inventory`."""
 
 from __future__ import annotations
 
@@ -80,6 +80,35 @@ def test_error_types():
                     if isinstance(value, type) and issubclass(value, BaseException)
                     and value.__module__ == module.__name__]
     assert defined == ["errors.AutopatchError", "errors.BothEmpty"]
+
+
+EXPECTED_CLASSES = [
+    "analyzer.AnalyzerConfig",
+    "cfg.BasicBlock", "cfg.ControlFlowGraph",
+    "cfg_diff.Changes", "cfg_diff.StatementEdit", "cfg_diff.ContentChange", "cfg_diff.CfgDiff",
+    "corpus.OptimizationType", "corpus.TestCase", "corpus.CodePair", "corpus.CorpusStats",
+    "corpus.CorpusSplit", "corpus.Corpus",
+    "errors.AutopatchError", "errors.BothEmpty",
+    "harness.ToolchainConfig", "harness.RunStatus", "harness.RunOutcome",
+    "metrics.LexicalScores",
+    "pipeline.IngestResult", "pipeline.IndexResult", "pipeline.OptimizeResult",
+    "pipeline.EvalRunResult",
+    "preprocess.PreprocessReport",
+    "prompting.PromptMode", "prompting.Prompt", "prompting.Cassette", "prompting.LlmConfig",
+    "prompting.LlmClient",
+    "report.EvalResult", "report.ModeReport", "report.EvaluationReport",
+    "retrieval.SourceKind", "retrieval.LocalHashingProvider", "retrieval.RemoteEmbeddingProvider",
+    "retrieval.IndexEntry", "retrieval.VectorIndex", "retrieval.IndexRecord",
+]
+
+
+def test_class_inventory():
+    defined = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        defined += [f"{path.stem}.{node.name}"
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.ClassDef)]
+    assert defined == EXPECTED_CLASSES
 
 
 def test_package_binds_no_public_name():

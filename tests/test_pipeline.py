@@ -14,14 +14,14 @@ from autopatch.pipeline import (
 from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
 from autopatch.retrieval import LocalHashingProvider, SourceKind, load_index
 
-from conftest import requires_toolchain
+from conftest import requires_gxx
 from helpers import make_scripted_transport
 
-pytestmark = requires_toolchain
+pytestmark = requires_gxx
 
 
 @pytest.fixture()
-def small_run(tmp_path, pairs, corpus_file):
+def small_run(tmp_path, pairs, corpus_file, analyzer):
     ingest = run_ingest(corpus_file, 5, 11, tmp_path / "ingest")
     recorder = LlmClient(
         LlmConfig(), Cassette(tmp_path / "cassette.json"), mode="record",

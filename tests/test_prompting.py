@@ -308,20 +308,26 @@ def test_cassette_legacy_map_is_read_and_converted_once(tmp_path):
     assert [_content(reloaded, k) for k in ("k1", "k2", "k3", "k4")] == ["k1", "k2", "k3", "k4"]
 
 
-def test_cassette_torn_final_line_is_dropped_then_truncated(tmp_path, caplog):
+def test_cassette_torn_final_line_is_dropped_then_rewritten(tmp_path, caplog):
     path = tmp_path / "cassette.jsonl"
     whole = _entry_line("a", "a")
-    path.write_text(whole + _entry_line("b", "b")[:25], encoding="utf-8")
+    torn = whole + _entry_line("b", "b")[:25]
+    path.write_text(torn, encoding="utf-8")
 
     with caplog.at_level("WARNING", logger="autopatch.prompting"):
         cassette = Cassette(path)
     assert "torn" in caplog.text
     assert _content(cassette, "a") == "a" and cassette.lookup("b") is None
+    assert path.read_text(encoding="utf-8") == torn  # loading never writes
 
     cassette.store("c", {"model": "m"}, {"choices": [{"message": {"content": "c"}}]})
     text = path.read_text(encoding="utf-8")
     assert text.startswith(whole)
     assert [json.loads(line)["key"] for line in text.splitlines()] == ["a", "c"]
+    assert not path.with_suffix(".jsonl.tmp").exists()
+
+    cassette.store("d", {"model": "m"}, {"choices": [{"message": {"content": "d"}}]})
+    assert path.read_text(encoding="utf-8").startswith(text)  # later stores only append
 
 
 def test_cassette_garbage_line_raises(tmp_path):

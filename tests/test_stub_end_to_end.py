@@ -9,7 +9,6 @@ path runs with only g++ installed.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -24,18 +23,14 @@ from conftest import ALL_MODES, DB_COUNT, SEED, requires_gxx
 from helpers import make_scripted_transport
 from test_acceptance import _normalize_report
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 INDEX_FILES = ("index_cfg.jsonl", "index_cfg.jsonl.vec", "index_source.jsonl",
                "index_source.jsonl.vec")
 
 
 @pytest.fixture()
-def stub_analyzer(tmp_path, monkeypatch):
-    """Point the analyzer at the benchmark's launcher of the stub."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    monkeypatch.setenv("AUTOPATCH_ANALYZER_PATH", str(bench._write_launcher(tmp_path)))
+def stub_analyzer(monkeypatch, stub_launcher):
+    """Point the analyzer at the benchmark's launcher of the stub, clang or not."""
+    monkeypatch.setenv("AUTOPATCH_ANALYZER_PATH", str(stub_launcher))
     monkeypatch.delenv("AUTOPATCH_ANALYZER_FLAGS", raising=False)
     monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
 
