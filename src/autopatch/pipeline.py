@@ -49,7 +49,8 @@ FAILURES_MANIFEST = "failures.json"
 
 # Threads in the pool of a stage that waits on subprocesses or chat calls:
 # the index stage prepares this many records at once (which also bounds the
-# chat calls in flight), and the eval stage compiles this many patches.
+# chat calls in flight), the optimize stage runs this many analyzer runs or
+# chat calls at once, and the eval stage compiles this many patches.
 STAGE_WORKERS = 4
 
 _INDEX_FILES = {
@@ -270,7 +271,17 @@ def run_optimize(
     llm: LlmClient,
     provider,
 ) -> OptimizeResult:
-    """Generate one patch per test record per requested mode."""
+    """Generate one patch per test record per requested mode.
+
+    Three phases, each in (target, mode) order: when context mode is
+    requested, the analyzer runs on every target on a pool of STAGE_WORKERS
+    threads; then the main thread builds each prompt, retrieving its
+    example; then the same pool sends every built prompt. Patches and the
+    failures manifest follow (target, mode) order, whatever order the calls
+    finish in. A failed target and mode keeps only its reason, which fails
+    that one patch: a target the analyzer rejects still gets its naive and
+    zero-shot patches.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     analyzer_config = AnalyzerConfig.from_env()
@@ -281,25 +292,52 @@ def run_optimize(
         if kind is not None and kind not in indexes:
             indexes[kind] = load_index(index_path(index_dir, kind))
 
+    def analyze(pair: CodePair) -> tuple[str | None, str | None]:
+        return _attempt(lambda: serialize_cfg(extract_cfg(pair.original_code, analyzer_config)))
+
+    def send(built: tuple) -> tuple[str | None, str | None]:
+        prompt, reason = built
+        return (None, reason) if reason is not None else _attempt(generate_patch, prompt, llm)
+
+    targets = split.test_set
+    queries = [None] * len(targets)
+    # Each map yields in (target, mode) order, whatever order its calls finish in.
+    with ThreadPoolExecutor(max_workers=STAGE_WORKERS) as pool:
+        if PromptMode.CONTEXT in modes:
+            queries = list(pool.map(analyze, targets))
+        built = [
+            _attempt(_build_mode_prompt, pair, mode, indexes, corpus, provider, query)
+            for pair, query in zip(targets, queries)
+            for mode in modes
+        ]
+        patches = list(pool.map(send, built))
+
     written: dict[str, list[str]] = {mode.value: [] for mode in modes}
     failures: list[dict] = []
-
-    for pair in split.test_set:
-        for mode in modes:
-            try:
-                prompt = _build_mode_prompt(pair, mode, indexes, corpus, provider, analyzer_config)
-                code = generate_patch(prompt, llm)
-            except AutopatchError as exc:
-                failures.append({"record_id": pair.id, "mode": mode.value, "reason": str(exc)})
-                logger.warning("optimize: %s/%s failed: %s", mode.value, pair.id, exc)
-                continue
-            destination = patch_path(out_dir, mode, pair.id)
-            destination.parent.mkdir(parents=True, exist_ok=True)
-            destination.write_text(code, encoding="utf-8")
-            written[mode.value].append(pair.id)
+    slots = [(pair, mode) for pair in targets for mode in modes]
+    for (pair, mode), (code, reason) in zip(slots, patches):
+        if reason is not None:
+            failures.append({"record_id": pair.id, "mode": mode.value, "reason": reason})
+            logger.warning("optimize: %s/%s failed: %s", mode.value, pair.id, reason)
+            continue
+        destination = patch_path(out_dir, mode, pair.id)
+        destination.parent.mkdir(parents=True, exist_ok=True)
+        destination.write_text(code, encoding="utf-8")
+        written[mode.value].append(pair.id)
 
     _write_json(out_dir / FAILURES_MANIFEST, failures)
     return OptimizeResult(written=written, failures=failures)
+
+
+def _attempt(fn, *args) -> tuple:
+    """`(fn(*args), None)`, or `(None, reason)` when it raises AutopatchError.
+    Only the message is kept: a kept exception's traceback holds the frames
+    it passed through, and so whatever the caller holds, such as the loaded
+    indexes, in a cycle that only the cyclic collector frees."""
+    try:
+        return fn(*args), None
+    except AutopatchError as exc:
+        return None, str(exc)
 
 
 def _build_mode_prompt(
@@ -308,16 +346,21 @@ def _build_mode_prompt(
     indexes: dict[SourceKind, VectorIndex],
     corpus: Corpus,
     provider,
-    analyzer_config: AnalyzerConfig,
+    cfg_query: tuple[str | None, str | None] | None,
 ):
     """Naive mode retrieves the example by the target's source; context mode
-    by its CFG serialization, and adds the example's diff and rationale."""
+    by its CFG serialization, and adds the example's diff and rationale.
+    `cfg_query` is the (serialization, reason) pair of the target's analyzer
+    run; context mode fails with the reason when there is no serialization."""
     if mode is PromptMode.ZERO_SHOT:
         return build_prompt(mode, pair)
 
     context = mode is PromptMode.CONTEXT
-    source = pair.original_code
-    text = serialize_cfg(extract_cfg(source, analyzer_config)) if context else source
+    text = pair.original_code
+    if context:
+        text, reason = cfg_query
+        if reason is not None:
+            raise AutopatchError(reason)
     entry, _ = retrieve_top1(indexes[_MODE_SOURCE_KIND[mode]], embed_text(text, provider))
     extra = {"diff": entry.diff_text, "rationale": entry.rationale} if context else {}
     return build_prompt(mode, pair, example=load_record(corpus, entry.record_id), **extra)

@@ -141,7 +141,9 @@ class Cassette:
     one in the older layout (one JSON map from key to entry), and one whose
     final line lacks its newline, which is what a crash mid-append leaves
     (that line is dropped with a warning). Any other line that is not an
-    entry raises AutopatchError naming the file and line.
+    entry, one whose text is not valid Unicode included, raises
+    AutopatchError naming the file and line; so does a map entry that is
+    not one. A rewrite that fails leaves the file as it was.
     """
 
     def __init__(self, path: Path | str):
@@ -158,6 +160,9 @@ class Cassette:
         except ValueError:  # JSON Lines hold more than one document
             whole = None
         if isinstance(whole, dict) and not isinstance(whole.get("key"), str):
+            for number, (key, entry) in enumerate(whole.items(), start=1):
+                if not (isinstance(entry, dict) and _is_text({key: entry})):
+                    raise AutopatchError(f"{self.path}: map entry {number} is not a cassette entry")
             self._data = whole
             self._rewrite = True
             return
@@ -169,7 +174,7 @@ class Cassette:
                 entry = json.loads(line)
             except ValueError:
                 entry = None
-            if not isinstance(entry, dict) or not isinstance(entry.get("key"), str):
+            if not (isinstance(entry, dict) and isinstance(entry.get("key"), str) and _is_text(entry)):
                 raise AutopatchError(f"{self.path}: line {line_no} is not a cassette entry")
             self._data[entry.pop("key")] = entry
         if torn:
@@ -185,22 +190,40 @@ class Cassette:
             "response": response,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
+        if not _is_text({key: entry}):
+            raise AutopatchError(f"cassette entry for request {key} is not valid Unicode")
         with self._lock:
-            self._data[key] = entry
             if self._rewrite:
+                data = {**self._data, key: entry}
                 tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-                with tmp.open("w", encoding="utf-8") as handle:
-                    for each_key, each in self._data.items():
-                        handle.write(_cassette_line(each_key, each))
-                tmp.replace(self.path)
+                try:
+                    with tmp.open("w", encoding="utf-8") as handle:
+                        for each_key, each in data.items():
+                            handle.write(_cassette_line(each_key, each))
+                    tmp.replace(self.path)
+                except BaseException:
+                    tmp.unlink(missing_ok=True)
+                    raise
+                self._data = data
                 self._rewrite = False
                 return
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(_cassette_line(key, entry))
+            self._data[key] = entry
 
 
 def _cassette_line(key: str, entry: dict) -> str:
     return json.dumps({"key": key, **entry}, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _is_text(obj) -> bool:
+    """Whether a decoded JSON value can be written as UTF-8: JSON can escape
+    a lone surrogate, which no text file can hold."""
+    try:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass

@@ -2,7 +2,7 @@
 analyzer's dump syntax, a random CFG generator, the ten-pair fixture
 corpus and a corpus-file writer, a scripted transport for recording
 deterministic cassettes without any network, and a slower variant of it
-for driving the index stage's worker pool out of order."""
+for driving the index and optimize stages' worker pools out of order."""
 
 from __future__ import annotations
 
@@ -582,14 +582,15 @@ _ORIGINAL_FENCE = re.compile(r"## Original program\n\n```cpp\n(.*?)```", re.DOTA
 
 
 class SlowFirstTransport:
-    """The scripted chat service, slower for records earlier in the database
-    order, so that records finish out of order. Counts calls in flight."""
+    """The scripted chat service, slower for records earlier in `ids`, so
+    that calls finish out of order. A call belongs to the program of its
+    rationale request or the target of its patch request. Counts calls in
+    flight."""
 
-    def __init__(self, pairs, database_ids):
+    def __init__(self, pairs, ids):
         self._inner = make_scripted_transport(pairs)
-        self._position = {p.original_code.rstrip(): database_ids.index(p.id)
-                          for p in pairs if p.id in database_ids}
-        self._count = len(database_ids)
+        self._position = {p.original_code.rstrip(): ids.index(p.id) for p in pairs if p.id in ids}
+        self._count = len(ids)
         self._lock = threading.Lock()
         self._active = 0
         self.peak = 0
@@ -597,7 +598,8 @@ class SlowFirstTransport:
 
     def __call__(self, request: dict) -> dict:
         user = request["messages"][1]["content"]
-        position = self._position[_ORIGINAL_FENCE.search(user).group(1).rstrip()]
+        program = _ORIGINAL_FENCE.search(user) or _TARGET_FENCE.search(user)
+        position = self._position[program.group(1).rstrip()]
         with self._lock:
             self._active += 1
             self.peak = max(self.peak, self._active)

@@ -5,15 +5,20 @@ included), an unreachable chat service or a malformed reply (one that is not
 valid Unicode included) failing one record, eval containment of unscorable
 ground truths, undecodable patches and records without testcases, and the
 eval stage's phase order (every compile before any timed run) under fake
-compile and time functions."""
+compile and time functions, and the optimize stage's pool: analyzer runs and
+chat calls in flight at once, outputs in (target, mode) order, one analyzer
+run per target and only for context mode, and no failure that keeps the
+loaded indexes alive."""
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import tempfile
 import threading
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,13 +26,16 @@ import pytest
 
 from autopatch import pipeline
 from autopatch.analyzer import AnalyzerConfig, run_analyzer
-from autopatch.corpus import CorpusSplit
+from autopatch.cfg import serialize_cfg
+from autopatch.corpus import CorpusSplit, load_record
 from autopatch.errors import AutopatchError
 from autopatch._http import service_error
 from autopatch.harness import RunOutcome, RunStatus
 from autopatch.metrics import compute_lexical
 from autopatch.pipeline import (
     INDEX_JOURNAL,
+    OptimizeResult,
+    index_path,
     patch_path,
     run_eval,
     run_index,
@@ -35,12 +43,25 @@ from autopatch.pipeline import (
     run_optimize,
 )
 from autopatch.preprocess import preprocess_source
-from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
+from autopatch.prompting import (
+    Cassette,
+    LlmClient,
+    LlmConfig,
+    PromptMode,
+    build_prompt,
+    generate_patch,
+)
 from autopatch.report import EvalResult, aggregate_report
-from autopatch.retrieval import LocalHashingProvider
+from autopatch.retrieval import (
+    LocalHashingProvider,
+    SourceKind,
+    embed_text,
+    load_index,
+    retrieve_top1,
+)
 
 from conftest import ALL_MODES, DB_COUNT, DUMP_DIR, SEED, requires_gxx
-from helpers import index_slow_first, make_scripted_transport, write_corpus
+from helpers import SlowFirstTransport, index_slow_first, make_scripted_transport, write_corpus
 
 
 def test_index_pool_output_identical_across_runs(tmp_path, pairs, corpus_file, dump_graphs):
@@ -195,6 +216,178 @@ def test_surrogate_chat_reply_fails_one_patch(tmp_path, pairs, corpus_file, clie
     # Live mode would write it into the patch file, record mode into the cassette.
     _optimize_with_one_reply(tmp_path, pairs, corpus_file,
                              "```cpp\nint main() { return 0; } // \ud800\n```", client_mode)
+
+
+def _index_fixture(root: Path, corpus_file, pairs):
+    """The fixture corpus ingested and indexed under `root`, on the
+    `dump_graphs` stand-in."""
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, root / "ingest")
+    llm = LlmClient(LlmConfig(), cassette=None, mode="live", transport=make_scripted_transport(pairs))
+    assert not run_index(ingest.corpus, ingest.split, root / "index", LocalHashingProvider(), llm).skipped
+    return ingest
+
+
+class SlowFirstAnalyzer:
+    """Wraps the `dump_graphs` stand-in of `pipeline.extract_cfg`: slower for
+    targets earlier in the test split, and rejecting `rejected`. Records the
+    targets' positions in the order their runs finish, and the peak number
+    of runs in flight."""
+
+    def __init__(self, monkeypatch, targets, rejected):
+        self._inner = pipeline.extract_cfg
+        self._position = {pair.original_code: i for i, pair in enumerate(targets)}
+        self._rejected = rejected.original_code
+        self._lock = threading.Lock()
+        self._active = 0
+        self.peak = 0
+        self.finished: list[int] = []
+        monkeypatch.setattr(pipeline, "extract_cfg", self)
+
+    def __call__(self, code, config):
+        position = self._position[code]
+        with self._lock:
+            self._active += 1
+            self.peak = max(self.peak, self._active)
+        time.sleep(0.02 * (len(self._position) - position))
+        with self._lock:
+            self._active -= 1
+            self.finished.append(position)
+        if code == self._rejected:
+            raise AutopatchError("analyzer exited with 1: input.cpp: error: rejected")
+        return self._inner(code, config)
+
+
+def _codeless_zero_shot(target, transport):
+    """`transport`, except that `target`'s zero-shot patch request is answered
+    without a fenced code block."""
+    def answer(request):
+        reply = transport(request)
+        user = request["messages"][1]["content"]
+        if target.original_code.rstrip() in user and "## Reference example" not in user:
+            return {"choices": [{"message": {"content": "It is fast enough already."}}]}
+        return reply
+    return answer
+
+
+def _sequential_optimize(corpus, split, index_dir, out_dir, modes, llm, provider):
+    """Reference for run_optimize: every (target, mode) analyzed, retrieved,
+    prompted and sent in turn, and written as run_optimize writes it."""
+    indexes = {kind: load_index(index_path(index_dir, kind)) for kind in SourceKind}
+    written = {mode.value: [] for mode in modes}
+    failures = []
+    for pair in split.test_set:
+        for mode in modes:
+            try:
+                if mode is PromptMode.ZERO_SHOT:
+                    prompt = build_prompt(mode, pair)
+                elif mode is PromptMode.NAIVE:
+                    entry, _ = retrieve_top1(indexes[SourceKind.RAW_SOURCE],
+                                             embed_text(pair.original_code, provider))
+                    prompt = build_prompt(mode, pair, example=load_record(corpus, entry.record_id))
+                else:  # the stand-in analyzer ignores its config
+                    query = serialize_cfg(pipeline.extract_cfg(pair.original_code, None))
+                    entry, _ = retrieve_top1(indexes[SourceKind.CFG_SERIALIZATION],
+                                             embed_text(query, provider))
+                    prompt = build_prompt(mode, pair, example=load_record(corpus, entry.record_id),
+                                          diff=entry.diff_text, rationale=entry.rationale)
+                code = generate_patch(prompt, llm)
+            except AutopatchError as exc:
+                failures.append({"record_id": pair.id, "mode": mode.value, "reason": str(exc)})
+                continue
+            path = patch_path(out_dir, mode, pair.id)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(code, encoding="utf-8")
+            written[mode.value].append(pair.id)
+    (out_dir / pipeline.FAILURES_MANIFEST).write_text(
+        json.dumps(failures, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
+    return OptimizeResult(written=written, failures=failures)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*"))
+            if path.is_file()}
+
+
+def test_optimize_pools_its_waits_and_keeps_its_order(tmp_path, monkeypatch, pairs, corpus_file,
+                                                       dump_graphs):
+    ingest = _index_fixture(tmp_path, corpus_file, pairs)
+    targets = ingest.split.test_set
+    rejected, codeless = targets[1], targets[2]
+    analyzer = SlowFirstAnalyzer(monkeypatch, targets, rejected)
+    slow = SlowFirstTransport(pairs, [p.id for p in targets])
+    llm = LlmClient(LlmConfig(), cassette=None, mode="live",
+                    transport=_codeless_zero_shot(codeless, slow))
+
+    result = run_optimize(ingest.corpus, ingest.split, tmp_path / "index", tmp_path / "patches",
+                          ALL_MODES, llm, LocalHashingProvider())
+
+    assert sorted(analyzer.finished) == list(range(len(targets)))  # one run per target
+    assert analyzer.finished != sorted(analyzer.finished)  # finished out of order
+    assert analyzer.peak >= 2
+    assert slow.finished != sorted(slow.finished)
+    assert slow.peak >= 2
+    assert [(f["record_id"], f["mode"]) for f in result.failures] == [
+        (rejected.id, PromptMode.CONTEXT.value), (codeless.id, PromptMode.ZERO_SHOT.value)
+    ]
+    assert result.failures[0]["reason"] == "analyzer exited with 1: input.cpp: error: rejected"
+    assert result.failures[1]["reason"] == "response contains no fenced code block"
+
+    reference_llm = LlmClient(LlmConfig(), cassette=None, mode="live",
+                              transport=_codeless_zero_shot(codeless, make_scripted_transport(pairs)))
+    reference = _sequential_optimize(ingest.corpus, ingest.split, tmp_path / "index",
+                                     tmp_path / "reference", ALL_MODES, reference_llm,
+                                     LocalHashingProvider())
+    assert result == reference
+    assert _tree(tmp_path / "patches") == _tree(tmp_path / "reference")
+
+
+def test_optimize_runs_the_analyzer_once_per_target_and_only_for_context(tmp_path, monkeypatch,
+                                                                          pairs, corpus_file,
+                                                                          dump_graphs):
+    ingest = _index_fixture(tmp_path, corpus_file, pairs)
+    llm = LlmClient(LlmConfig(), cassette=None, mode="live", transport=make_scripted_transport(pairs))
+    stand_in = pipeline.extract_cfg
+    analyzed = []
+
+    def counting(code, config):
+        analyzed.append(code)
+        return stand_in(code, config)
+
+    monkeypatch.setattr(pipeline, "extract_cfg", counting)
+    targets = sorted(pair.original_code for pair in ingest.split.test_set)
+    for modes, expected in (((PromptMode.ZERO_SHOT, PromptMode.NAIVE), []), (ALL_MODES, targets)):
+        analyzed.clear()
+        run_optimize(ingest.corpus, ingest.split, tmp_path / "index", tmp_path / "patches", modes,
+                     llm, LocalHashingProvider())
+        assert sorted(analyzed) == expected
+
+
+def test_optimize_frees_its_indexes_without_a_collector_pass(tmp_path, monkeypatch, pairs,
+                                                             corpus_file, dump_graphs):
+    # A failure must not keep its exception: the traceback holds run_optimize's
+    # frame, and so both loaded indexes, in a cycle with the list that holds it.
+    ingest = _index_fixture(tmp_path, corpus_file, pairs)
+    targets = ingest.split.test_set
+    SlowFirstAnalyzer(monkeypatch, targets, rejected=targets[1])
+    llm = LlmClient(LlmConfig(), cassette=None, mode="live",
+                    transport=_codeless_zero_shot(targets[2], make_scripted_transport(pairs)))
+    loaded = []
+
+    def load_and_watch(path):
+        index = load_index(path)
+        loaded.append(weakref.ref(index))
+        return index
+
+    monkeypatch.setattr(pipeline, "load_index", load_and_watch)
+    gc.disable()
+    try:
+        result = run_optimize(ingest.corpus, ingest.split, tmp_path / "index", tmp_path / "patches",
+                              ALL_MODES, llm, LocalHashingProvider())
+        assert len(result.failures) == 2
+        assert len(loaded) == 2
+        assert [ref() for ref in loaded] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_eval_logs_undecodable_patch(tmp_path, pairs):

@@ -341,6 +341,48 @@ def test_cassette_garbage_line_raises(tmp_path):
         Cassette(path)
 
 
+def test_cassette_entry_that_is_not_valid_unicode_raises(tmp_path):
+    # JSON can escape a lone surrogate, which the rewrite's UTF-8 cannot hold.
+    path = tmp_path / "cassette.jsonl"
+    path.write_text(_entry_line("a", "a") + _entry_line("b", "\ud800") + _entry_line("c", "c")[:25])
+    with pytest.raises(AutopatchError, match=f"^{re.escape(str(path))}: line 2 is not a cassette entry$"):
+        Cassette(path)
+
+    legacy = tmp_path / "cassette.json"
+    entries = {key: json.loads(_entry_line(key, content)) for key, content in (("a", "a"), ("b", "\ud800"))}
+    legacy.write_text(json.dumps(entries), encoding="utf-8")
+    with pytest.raises(AutopatchError, match=f"^{re.escape(str(legacy))}: map entry 2 is not a cassette entry$"):
+        Cassette(legacy)
+
+
+@pytest.mark.parametrize("failure", ["unencodable entry", "rename fails"])
+def test_cassette_rewrite_that_fails_leaves_the_file_as_it_was(tmp_path, monkeypatch, failure):
+    path = tmp_path / "cassette.jsonl"
+    torn = _entry_line("a", "a") + _entry_line("b", "b")[:25]
+    path.write_text(torn, encoding="utf-8")
+    cassette = Cassette(path)
+    content = "c"
+    if failure == "unencodable entry":
+        content = "\ud800"
+        expected = pytest.raises(AutopatchError, match="^cassette entry for request c is not valid Unicode$")
+    else:
+        def refuse(self, target):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(type(path), "replace", refuse)
+        expected = pytest.raises(OSError)
+
+    with expected:
+        cassette.store("c", {"model": "m"}, {"choices": [{"message": {"content": content}}]})
+    assert path.read_text(encoding="utf-8") == torn
+    assert not path.with_suffix(".jsonl.tmp").exists()
+    assert cassette.lookup("c") is None
+
+    monkeypatch.undo()
+    cassette.store("d", {"model": "m"}, {"choices": [{"message": {"content": "d"}}]})
+    assert [json.loads(line)["key"] for line in path.read_text(encoding="utf-8").splitlines()] == ["a", "d"]
+
+
 def test_cassette_concurrent_stores_lose_nothing(tmp_path):
     path = tmp_path / "cassette.jsonl"
     cassette = Cassette(path)
