@@ -24,35 +24,30 @@ _OPERATORS = [
     "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "##",
 ]
 
+# Comments and whitespace match outside the one group, so `findall` yields ""
+# for them; no token alternative can match an empty string.
 _TOKEN_PATTERN = re.compile(
     r"""
     /\*.*?\*/            # block comment
   | //[^\n]*             # line comment
   | \s+                  # whitespace
-  | "(?:\\.|[^"\\])*"    # string literal
-  | '(?:\\.|[^'\\])*'    # char literal
-  | 0[xX][0-9a-fA-F]+[uUlL]*                       # hex literal
-  | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFlLuU]*  # numeric literal
-  | [A-Za-z_]\w*         # identifier / keyword
-  | OPERATORS
-  | .                    # any other byte, one token each
+  | ( "(?:\\.|[^"\\])*"    # string literal
+    | '(?:\\.|[^'\\])*'    # char literal
+    | 0[xX][0-9a-fA-F]+[uUlL]*                       # hex literal
+    | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFlLuU]*  # numeric literal
+    | [A-Za-z_]\w*         # identifier / keyword
+    | OPERATORS
+    | .                    # any other byte, one token each
+    )
     """.replace("OPERATORS", "|".join(re.escape(op) for op in _OPERATORS)),
     re.VERBOSE | re.DOTALL,
 )
-
-_COMMENT_OR_WS = re.compile(r"/\*.*?\*/|//[^\n]*|\s+", re.DOTALL)
 
 
 def tokenize(code: str) -> list[str]:
     """C-family lexing: identifiers, literals, and operators (longest match
     first) become one token each; comments and whitespace are dropped."""
-    tokens = []
-    for match in _TOKEN_PATTERN.finditer(code):
-        text = match.group(0)
-        if _COMMENT_OR_WS.fullmatch(text):
-            continue
-        tokens.append(text)
-    return tokens
+    return [token for token in _TOKEN_PATTERN.findall(code) if token]
 
 
 def _normalized_lines(text: str) -> list[str]:

@@ -53,23 +53,32 @@ def hash_grams(text: str) -> list[tuple[str, ...]]:
     token-free text falls back to character trigrams)."""
     tokens = tokenize(text)
     if len(tokens) >= 3:
-        return [tuple(tokens[i : i + 3]) for i in range(len(tokens) - 2)]
+        return list(zip(tokens, tokens[1:], tokens[2:]))
     if tokens:
         return [tuple(tokens)]
     chars = list(text.strip()) or list(text)
     if len(chars) >= 3:
-        return [tuple(chars[i : i + 3]) for i in range(len(chars) - 2)]
+        return list(zip(chars, chars[1:], chars[2:]))
     return [tuple(chars)]
 
 
 class LocalHashingProvider:
     """Deterministic offline embedding: feature-hash token trigrams into a
-    fixed number of buckets, then L2-normalize."""
+    fixed number of buckets, then L2-normalize. Each gram's bucket is memoized
+    for the provider's life; threads may share a provider, since a racing miss
+    only stores the same bucket twice. The vectors do not depend on the memo."""
+
+    def __init__(self):
+        self._buckets: dict[tuple[str, ...], int] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        counts = np.zeros(LOCAL_DIM, dtype=np.float64)
+        buckets = []
         for gram in hash_grams(text):
-            counts[_stable_bucket(gram, LOCAL_DIM)] += 1.0
+            bucket = self._buckets.get(gram)
+            if bucket is None:
+                bucket = self._buckets[gram] = _stable_bucket(gram, LOCAL_DIM)
+            buckets.append(bucket)
+        counts = np.bincount(buckets, minlength=LOCAL_DIM).astype(np.float64)
         norm = np.linalg.norm(counts)
         return (counts / norm).astype(np.float32)
 

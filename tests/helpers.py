@@ -21,6 +21,7 @@ import numpy as np
 from autopatch.cfg import BasicBlock, ControlFlowGraph
 from autopatch.cfg_diff import _block_tokens, jaccard
 from autopatch.corpus import CodePair, OptimizationType, TestCase
+from autopatch.metrics import _TOKEN_PATTERN
 from autopatch.pipeline import run_index
 from autopatch.prompting import RATIONALE_SYSTEM_TEXT, Cassette, LlmClient, LlmConfig
 from autopatch.retrieval import LocalHashingProvider, VectorIndex, cosine_similarity
@@ -39,6 +40,21 @@ def dp_levenshtein(a: str, b: str) -> int:
             )
         previous = current
     return previous[-1]
+
+
+_COMMENT_OR_WS = re.compile(r"/\*.*?\*/|//[^\n]*|\s+", re.DOTALL)
+
+
+def two_pass_tokenize(code: str) -> list[str]:
+    """Every match of the master pattern, minus those that are whole
+    comments or whitespace."""
+    tokens = []
+    for match in _TOKEN_PATTERN.finditer(code):
+        text = match.group(0)
+        if _COMMENT_OR_WS.fullmatch(text):
+            continue
+        tokens.append(text)
+    return tokens
 
 
 def scan_top1(index: VectorIndex, query: np.ndarray) -> tuple[str, float]:

@@ -15,7 +15,7 @@ from autopatch.metrics import (
     tokenize,
 )
 
-from helpers import dp_levenshtein
+from helpers import dp_levenshtein, two_pass_tokenize
 
 # --- tokenizer ---------------------------------------------------------------
 
@@ -50,6 +50,20 @@ def test_tokenize_literals_as_single_tokens():
 
 def test_tokenize_unknown_bytes_single_char():
     assert tokenize("a @ b") == ["a", "@", "b"]
+
+
+# Lexically loaded characters appear four times as often as the plain ones, so
+# unterminated comments, strings and escapes come up; the non-ASCII ones
+# include a Unicode space, a Unicode digit and a letter that \w accepts.
+_LEXICAL = list("/*\"'\\\n\r.ex0123456789<>=:-+&") * 4
+_PLAIN = list("abcdxyzABCZ_ \t;(){}[]#!%^|~,?")
+_NON_ASCII = ["é", "λ", "\u0663", "\u00a0", "\u2028", "😀", "\x1c"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.sampled_from(_LEXICAL + _PLAIN + _NON_ASCII), max_size=80))
+def test_tokenize_equals_two_pass_oracle(code):
+    assert tokenize(code) == two_pass_tokenize(code)
 
 
 # --- line overlap -------------------------------------------------------------

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from autopatch.corpus import CodePair
 from autopatch.pipeline import INDEX_JOURNAL, index_path, run_ingest
 from autopatch.errors import AutopatchError
 from autopatch.retrieval import (
+    LOCAL_DIM,
     IndexEntry,
     IndexRecord,
     LocalHashingProvider,
@@ -30,8 +35,8 @@ from autopatch.retrieval import (
     save_index,
 )
 
-from conftest import DB_COUNT, SEED
-from helpers import index_slow_first, scan_top1
+from conftest import DB_COUNT, GOLDEN_DIR, SEED
+from helpers import fixture_pairs, index_slow_first, scan_top1
 
 
 def _pair(record_id: str, code: str = "int main(){return 0;}") -> CodePair:
@@ -95,6 +100,81 @@ def test_disjoint_trigrams_are_orthogonal():
 def test_embed_text_rejects_empty():
     with pytest.raises(AutopatchError, match="^cannot embed empty text$"):
         embed_text("", LocalHashingProvider())
+
+
+def _reference_embedding(text: str) -> np.ndarray:
+    """One digest per gram occurrence, no memo: the exact reference."""
+    counts = np.zeros(LOCAL_DIM, dtype=np.float64)
+    for gram in hash_grams(text):
+        counts[_stable_bucket(gram, LOCAL_DIM)] += 1.0
+    return (counts / np.linalg.norm(counts)).astype(np.float32)
+
+
+_CPP_SOURCES = [
+    "int main(){return 0;}",
+    '#include <cstdio>\nint main() {\n  // sum the squares\n  long s = 0;\n'
+    '  for (int i = 0; i < 100; ++i) s += 1LL * i * i;\n'
+    '  printf("%ld\\n", s); /* done */\n  return 0;\n}\n',
+    "std::vector<int> v{1, 2, 3};\nauto it = v.begin();\nx <<= 0x1Fu; y = 1.5e-3f;\n"
+    "char c = '\\'';\nconst char *s = \"tab\\t \\\"q\\\"\";\np->*m; a <=> b; f(...);\n",
+    # hash_grams' fallbacks: a run of under three tokens, then character trigrams
+    "x y",
+    "/* only a comment */",
+    "   ",
+]
+_PINNED_TEXTS = [
+    *((GOLDEN_DIR / f"{name}.serialized.txt").read_text(encoding="utf-8")
+      for name in ("prog03", "prog05")),
+    *_CPP_SOURCES,
+]
+# SHA-256 of the concatenated float32 vectors of _PINNED_TEXTS. Indexes on
+# disk hold such vectors, so a change to tokenizing or hashing must fail here
+# rather than silently invalidate them.
+_PINNED_EMBEDDING_SHA256 = "4cdf13b63fe3e986f067550e3b088f7f2f7019667b5e98a29ace2430307844a2"
+
+
+def test_local_embedding_bytes_are_pinned():
+    provider = LocalHashingProvider()
+    blob = b"".join(provider.embed(text).tobytes() for text in _PINNED_TEXTS)
+    assert hashlib.sha256(blob).hexdigest() == _PINNED_EMBEDDING_SHA256
+
+
+def _varied_texts() -> list[str]:
+    """Fifty texts that share many trigrams: the pinned texts, both sides of
+    the fixture pairs, and shuffled token soups drawn from them."""
+    texts = _PINNED_TEXTS + [code for pair in fixture_pairs()
+                             for code in (pair.original_code, pair.optimized_code)]
+    vocabulary = sorted({token for text in texts for token in text.split()})
+    rng = random.Random(SEED)
+    while len(texts) < 50:
+        texts.append(" ".join(rng.choices(vocabulary, k=rng.randint(1, 80))))
+    return texts
+
+
+def test_local_embedding_equals_reference_fresh_provider():
+    for text in _PINNED_TEXTS:
+        assert LocalHashingProvider().embed(text).tobytes() == _reference_embedding(text).tobytes()
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_local_embedding_equals_reference_with_reused_provider(order):
+    provider = LocalHashingProvider()
+    for text in _varied_texts()[::order]:
+        assert provider.embed(text).tobytes() == _reference_embedding(text).tobytes()
+
+
+def test_local_embedding_equals_reference_with_provider_shared_by_threads():
+    provider = LocalHashingProvider()
+    texts = _varied_texts() * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads' memo reads and writes
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            vectors = list(pool.map(provider.embed, texts, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for text, vector in zip(texts, vectors):
+        assert vector.tobytes() == _reference_embedding(text).tobytes()
 
 
 # --- cosine -----------------------------------------------------------------------
