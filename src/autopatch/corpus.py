@@ -11,7 +11,6 @@ A loaded corpus is immutable and safe for concurrent readers.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
+from ._io import loads
 from .errors import AutopatchError
 
 
@@ -79,7 +79,8 @@ def normalize_output(text: str) -> str:
 
 
 def parse_record(obj: object, line_no: int) -> CodePair:
-    """Validate one decoded JSON object and build a CodePair.
+    """Validate one JSON object as `_io.loads` decodes it, so its text is
+    valid Unicode, and build a CodePair.
 
     Raises AutopatchError naming the offending line on any violation.
     """
@@ -89,20 +90,13 @@ def parse_record(obj: object, line_no: int) -> CodePair:
     if not isinstance(obj, dict):
         raise bad("record is not a JSON object")
 
-    def unicode_str(value: str, what: str) -> str:
-        try:  # JSON can escape a lone surrogate ("\ud800"); no UTF-8 file holds one
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise bad(f"{what} is not valid Unicode") from None
-        return value
-
     def required_str(key: str, nonempty: bool = False) -> str:
         value = obj.get(key)
         if not isinstance(value, str):
             raise bad(f"missing or non-string field {key!r}")
         if nonempty and not value:
             raise bad(f"field {key!r} must be nonempty")
-        return unicode_str(value, f"field {key!r}")
+        return value
 
     record_id = required_str("id", nonempty=True)
     problem_id = required_str("problem_id")
@@ -130,14 +124,11 @@ def parse_record(obj: object, line_no: int) -> CodePair:
             or not isinstance(case.get("expected_output"), str)
         ):
             raise bad("testcase entries need string 'input' and 'expected_output'")
-        testcases.append(TestCase(unicode_str(case["input"], "testcase 'input'"),
-                                  unicode_str(case["expected_output"], "testcase 'expected_output'")))
+        testcases.append(TestCase(case["input"], case["expected_output"]))
 
     rationale = obj.get("rationale")
-    if rationale is not None:
-        if not isinstance(rationale, str):
-            raise bad("field 'rationale' must be a string when present")
-        unicode_str(rationale, "field 'rationale'")
+    if rationale is not None and not isinstance(rationale, str):
+        raise bad("field 'rationale' must be a string when present")
 
     return CodePair(
         id=record_id,
@@ -167,14 +158,14 @@ def ingest_pairs(path: Path | str, strict: bool) -> Corpus:
     errors: list[tuple[int, str]] = []
     histogram: Counter[OptimizationType] = Counter()
 
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    obj = loads(line)
+                except ValueError as exc:  # not UTF-8, not JSON, or not valid Unicode
                     raise AutopatchError(f"line {line_no}: invalid JSON: {exc}") from None
                 pair = parse_record(obj, line_no)
                 if pair.id in seen:

@@ -82,6 +82,7 @@ def compile_program(code: str, toolchain: ToolchainConfig, out_dir: Path | str) 
     source = out_dir / "program.cpp"
     source.write_text(code, encoding="utf-8")
     binary = out_dir / "program"
+    binary.unlink(missing_ok=True)  # an earlier run's program must never be timed
     try:
         proc = subprocess.run(
             [compiler, str(source), "-o", str(binary), *toolchain.flags],
@@ -97,6 +98,8 @@ def compile_program(code: str, toolchain: ToolchainConfig, out_dir: Path | str) 
     if proc.returncode != 0:
         stderr = proc.stderr.decode("utf-8", "replace")
         raise AutopatchError(f"compilation failed: {stderr.strip()[:500]}")
+    if not binary.exists():
+        raise AutopatchError("compilation failed: the compiler wrote no program")
     return binary
 
 
@@ -111,6 +114,8 @@ def _run_once(binary: Path, testcase: TestCase, timeout_s: float) -> tuple[RunSt
         )
     except subprocess.TimeoutExpired:
         return RunStatus.TIMEOUT, timeout_s, f"exceeded {timeout_s}s"
+    except OSError as exc:  # e.g. a program built for another machine
+        return RunStatus.CRASH, 0.0, f"could not start: {exc.strerror}"
     elapsed = time.perf_counter() - start
     if proc.returncode != 0:
         return RunStatus.CRASH, elapsed, f"exit code {proc.returncode}"

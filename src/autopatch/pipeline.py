@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import corpus as corpus_mod
+from ._io import loads, replacing
 from .analyzer import AnalyzerConfig, extract_cfg
 from .cfg import serialize_cfg
 from .cfg_diff import compute_diff, render_diff
@@ -65,8 +66,8 @@ _MODE_SOURCE_KIND = {
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
+    with replacing(path, "w") as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 # --- ingest -----------------------------------------------------------------
@@ -103,12 +104,12 @@ def run_ingest(
 def load_split(corpus: Corpus, manifest_path: Path | str) -> CorpusSplit:
     path = Path(manifest_path)
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = loads(path.read_bytes())
         return CorpusSplit(
             database_set=tuple(load_record(corpus, i) for i in manifest["database_ids"]),
             test_set=tuple(load_record(corpus, i) for i in manifest["test_ids"]),
         )
-    except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not the manifest's shape
+    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or not the manifest's shape
         raise AutopatchError(f"{path}: malformed split manifest: {type(exc).__name__}: {exc}") from None
     except AutopatchError as exc:  # an id that the corpus does not hold
         raise AutopatchError(f"{path}: {exc}") from None
@@ -171,10 +172,8 @@ def _load_journal(path: Path) -> dict[str, dict]:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                # JSON can escape a lone surrogate, which no text file can hold
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
-            except ValueError:  # not JSON, not UTF-8, or not valid Unicode
+                obj = loads(line)
+            except ValueError:  # not UTF-8, not JSON, or not valid Unicode
                 obj = None
             if not _is_journal_entry(obj):
                 logger.warning("%s:%d: skipping a line that is not a journal entry", path, line_no)
@@ -222,13 +221,10 @@ def run_index(
     prepared = [entry for entry in entries if entry["status"] == "ok"]
     skipped = [entry for entry in entries if entry["status"] != "ok"]
 
-    # Written aside and renamed into place: a crash mid-write leaves the
-    # previous journal whole.
-    tmp = journal_path.with_suffix(journal_path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
+    # A crash mid-write leaves the previous journal whole.
+    with replacing(journal_path, "w") as handle:
         for entry in prepared + skipped:
             handle.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
-    tmp.replace(journal_path)
 
     built: dict[SourceKind, Path] = {}
     if prepared:
@@ -320,9 +316,8 @@ def run_optimize(
             failures.append({"record_id": pair.id, "mode": mode.value, "reason": reason})
             logger.warning("optimize: %s/%s failed: %s", mode.value, pair.id, reason)
             continue
-        destination = patch_path(out_dir, mode, pair.id)
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        destination.write_text(code, encoding="utf-8")
+        with replacing(patch_path(out_dir, mode, pair.id), "w") as handle:
+            handle.write(code)
         written[mode.value].append(pair.id)
 
     _write_json(out_dir / FAILURES_MANIFEST, failures)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ._io import is_text
 from .errors import AutopatchError
 
 # Explicit replacement for the catch-all <bits/stdc++.h> include. Covers the
@@ -71,10 +72,8 @@ class PreprocessReport:
 
 
 def preprocess_source(code: str) -> PreprocessReport:
-    try:
-        code.encode("utf-8")
-    except UnicodeEncodeError as exc:  # a lone surrogate
-        raise AutopatchError(str(exc)) from None
+    if not is_text(code):
+        raise AutopatchError("source is not valid Unicode: it holds a lone surrogate")
 
     out_lines: list[str] = []
     seen_includes: set[str] = set()

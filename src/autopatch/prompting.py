@@ -26,7 +26,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-from ._http import http_post_json, service_error
+from ._io import http_post_json, is_text, loads, replacing, service_error
 from .cfg_diff import CfgDiff, render_diff
 from .corpus import CodePair
 from .errors import AutopatchError
@@ -155,13 +155,13 @@ class Cassette:
             self._load(self.path.read_bytes())
 
     def _load(self, raw: bytes) -> None:
-        try:
+        try:  # not `loads`, so that a map entry that is not text is named below
             whole = json.loads(raw)
         except ValueError:  # JSON Lines hold more than one document
             whole = None
         if isinstance(whole, dict) and not isinstance(whole.get("key"), str):
             for number, (key, entry) in enumerate(whole.items(), start=1):
-                if not (isinstance(entry, dict) and _is_text({key: entry})):
+                if not (isinstance(entry, dict) and is_text({key: entry})):
                     raise AutopatchError(f"{self.path}: map entry {number} is not a cassette entry")
             self._data = whole
             self._rewrite = True
@@ -171,10 +171,10 @@ class Cassette:
             if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
-            except ValueError:
+                entry = loads(line)
+            except ValueError:  # not UTF-8, not JSON, or not valid Unicode
                 entry = None
-            if not (isinstance(entry, dict) and isinstance(entry.get("key"), str) and _is_text(entry)):
+            if not (isinstance(entry, dict) and isinstance(entry.get("key"), str)):
                 raise AutopatchError(f"{self.path}: line {line_no} is not a cassette entry")
             self._data[entry.pop("key")] = entry
         if torn:
@@ -190,20 +190,14 @@ class Cassette:
             "response": response,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        if not _is_text({key: entry}):
+        if not is_text({key: entry}):
             raise AutopatchError(f"cassette entry for request {key} is not valid Unicode")
         with self._lock:
             if self._rewrite:
                 data = {**self._data, key: entry}
-                tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-                try:
-                    with tmp.open("w", encoding="utf-8") as handle:
-                        for each_key, each in data.items():
-                            handle.write(_cassette_line(each_key, each))
-                    tmp.replace(self.path)
-                except BaseException:
-                    tmp.unlink(missing_ok=True)
-                    raise
+                with replacing(self.path, "w") as handle:
+                    for each_key, each in data.items():
+                        handle.write(_cassette_line(each_key, each))
                 self._data = data
                 self._rewrite = False
                 return
@@ -214,16 +208,6 @@ class Cassette:
 
 def _cassette_line(key: str, entry: dict) -> str:
     return json.dumps({"key": key, **entry}, sort_keys=True, ensure_ascii=False) + "\n"
-
-
-def _is_text(obj) -> bool:
-    """Whether a decoded JSON value can be written as UTF-8: JSON can escape
-    a lone surrogate, which no text file can hold."""
-    try:
-        json.dumps(obj, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 @dataclass
@@ -272,10 +256,7 @@ class LlmClient:
     def _http_transport(self, request: dict) -> dict:
         if not self.config.base_url:
             raise service_error(0, "no chat service URL configured")
-        try:
-            return http_post_json(self.config.base_url, request, self.config.api_key, LLM_TIMEOUT_S)
-        except OSError as exc:  # e.g. connection refused; fails one record
-            raise service_error(0, f"chat service unreachable: {exc}") from exc
+        return http_post_json(self.config.base_url, request, self.config.api_key, LLM_TIMEOUT_S)
 
     def complete(self, system_text: str, user_text: str) -> str:
         """Send one system+user exchange at temperature 0, return the text."""
@@ -308,11 +289,9 @@ def _answer_text(response: dict) -> str:
     lone surrogate), raises `service_error`."""
     try:
         content = response["choices"][0]["message"]["content"]
-        if isinstance(content, str):
-            content.encode("utf-8")
-    except (KeyError, IndexError, TypeError, UnicodeEncodeError):
+    except (KeyError, IndexError, TypeError):
         content = None
-    if not isinstance(content, str):
+    if not (isinstance(content, str) and is_text(content)):
         raise service_error(0, f"malformed chat response: {json.dumps(response)[:300]}")
     return content
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._http import http_post_json
+from ._io import http_post_json, loads, replacing
 from .corpus import CodePair
 from .errors import AutopatchError
 from .metrics import tokenize
@@ -100,10 +100,7 @@ class RemoteEmbeddingProvider:
 
     def embed(self, text: str) -> np.ndarray:
         payload = {"model": "", "input": [text]}
-        try:
-            response = http_post_json(self.base_url, payload, self.api_key, EMBED_TIMEOUT_S)
-        except OSError as exc:
-            raise AutopatchError(f"embedding service unreachable: {exc}") from exc
+        response = http_post_json(self.base_url, payload, self.api_key, EMBED_TIMEOUT_S)
         try:
             return np.asarray(response["data"][0]["embedding"], dtype=np.float32)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -227,35 +224,36 @@ def vector_sidecar_path(path: Path | str) -> Path:
 
 def save_index(index: VectorIndex, path: Path | str) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "version": 1,
         "dim": index.dim,
         "source_kind": index.source_kind.value,
         "count": len(index.ids),
     }
-    with path.open("w", encoding="utf-8") as handle:
+    # The vectors first, so the metadata file is never newer than its vectors.
+    with replacing(vector_sidecar_path(path), "wb") as handle:
+        index.matrix.astype("<f4").tofile(handle)
+    with replacing(path, "w") as handle:
         handle.write(json.dumps(header, sort_keys=True) + "\n")
         for record_id, (diff_text, rationale) in zip(index.ids, index.metadata):
             meta = {"record_id": record_id, "diff_text": diff_text, "rationale": rationale}
             handle.write(json.dumps(meta, sort_keys=True, ensure_ascii=False) + "\n")
-    index.matrix.astype("<f4").tofile(vector_sidecar_path(path))
 
 
 def load_index(path: Path | str) -> VectorIndex:
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            header = json.loads(handle.readline())
-            metas = [json.loads(line) for line in handle if line.strip()]
+        with path.open("rb") as handle:
+            header = loads(handle.readline())
+            metas = [loads(line) for line in handle if line.strip()]
         count, dim = operator.index(header["count"]), operator.index(header["dim"])
         source_kind = SourceKind(header["source_kind"])
-        ids = tuple(meta["record_id"] for meta in metas)
-        metadata = [(meta["diff_text"], meta["rationale"]) for meta in metas]
-        # JSON can escape a lone surrogate, which no text can hold
-        for record_id, (diff_text, rationale) in zip(ids, metadata):
-            (record_id + diff_text + rationale).encode("utf-8")
-    except (ValueError, KeyError, TypeError) as exc:  # not JSON, not the index's shape or not text
+        rows = [(meta["record_id"], meta["diff_text"], meta["rationale"]) for meta in metas]
+        if not all(isinstance(text, str) for row in rows for text in row):
+            raise TypeError("index metadata holds a value that is not a string")
+        ids = tuple(row[0] for row in rows)
+        metadata = [row[1:] for row in rows]
+    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or not the index's shape
         raise AutopatchError(f"{path}: malformed index file: {type(exc).__name__}: {exc}") from None
     if len(metas) != count:
         raise AutopatchError(f"{path}: index metadata truncated: {len(metas)} != {count}")

@@ -57,6 +57,16 @@ def two_pass_tokenize(code: str) -> list[str]:
     return tokens
 
 
+def json_text_oracle(raw: bytes):
+    """The JSON document `raw` holds, decoded the slow way: strict UTF-8, then
+    JSON, then every decoded string re-encoded as UTF-8, which fails exactly
+    when the document escapes a lone surrogate. Raises ValueError when any
+    step fails."""
+    obj = json.loads(raw.decode("utf-8"))
+    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    return obj
+
+
 def scan_top1(index: VectorIndex, query: np.ndarray) -> tuple[str, float]:
     """Exhaustive scan: score every row with `cosine_similarity` and keep the
     max, exact ties going to the smallest record id. Returns (id, score)."""

@@ -36,6 +36,17 @@ def test_ingest_writes_manifest_with_split_counts(corpus_file, tmp_path, capsys)
     assert "ingested 10 pair(s)" in capsys.readouterr().out
 
 
+def test_ingest_skips_a_line_that_is_not_utf8(corpus_file, tmp_path, capsys):
+    lines = corpus_file.read_bytes().splitlines(keepends=True)
+    damaged = tmp_path / "pairs.jsonl"
+    damaged.write_bytes(lines[0] + b"\xff\n" + b"".join(lines[1:]))
+    assert run_cli("ingest", "--corpus", str(damaged), "--db-count", "7",
+                   "--out", str(tmp_path / "ingest")) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert "ingested 10 pair(s); 1 bad line(s)" in out
+    assert "skipped line 2: line 2: invalid JSON: 'utf-8' codec can't decode byte 0xff" in err
+
+
 def test_ingest_rerun_is_byte_identical(corpus_file, tmp_path):
     for name in ("a", "b"):
         assert run_cli(
@@ -365,7 +376,9 @@ def test_malformed_index_file_exits_2(tmp_path, capsys, corpus_file):
                     json.dumps({**header, "count": 1.0}) + "\n",  # a count that is not an integer
                     json.dumps(header) + '\n{"record_id": "p01"}\n',  # a metadata line without its keys
                     json.dumps(header) + '\n{"record_id": "p01", "diff_text": "",'
-                    ' "rationale": "\\ud800"}\n'):  # a rationale that is not valid Unicode
+                    ' "rationale": "\\ud800"}\n',  # a rationale that is not valid Unicode
+                    json.dumps(header) + '\n{"record_id": "p01", "diff_text": "",'
+                    ' "rationale": 5}\n'):  # a rationale that is not a string
         (index_dir / "index_source.jsonl").write_text(damaged, encoding="utf-8")
         assert run_cli(
             "optimize", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -62,7 +63,7 @@ def test_ingest_lenient_collects_positional_errors(tmp_path):
     assert [line for line, _ in corpus.stats.errors] == [2]
 
 
-_NOT_UNICODE = [  # (record, what its reason names)
+_NOT_UNICODE = [  # (record, the text that holds a lone surrogate)
     (_record("r\ud800"), "field 'id'"),
     (_record(problem_id="\ud800"), "field 'problem_id'"),
     (_record(original_code="int main(){}//\udfff"), "field 'original_code'"),
@@ -73,16 +74,34 @@ _NOT_UNICODE = [  # (record, what its reason names)
 ]
 
 
-@pytest.mark.parametrize("record, what", _NOT_UNICODE, ids=[what for _, what in _NOT_UNICODE])
-def test_text_that_is_not_unicode_is_a_bad_line(tmp_path, record, what):
+@pytest.mark.parametrize("record", [record for record, _ in _NOT_UNICODE],
+                         ids=[what for _, what in _NOT_UNICODE])
+def test_text_that_is_not_unicode_is_a_bad_line(tmp_path, record):
     # JSON can escape a lone surrogate, which no UTF-8 journal, patch or
-    # request can hold: the line is bad where it enters.
+    # request can hold: the line is bad where it enters, whichever field
+    # holds it, before any field is read.
     path = tmp_path / "c.jsonl"
     _write_lines(path, [_record("r1"), record, _record("r3")])
+    reason = "line 2: invalid JSON: a \\u escape spells a lone surrogate, which is not valid Unicode"
     corpus = ingest_pairs(path, strict=False)
     assert [p.id for p in corpus.pairs] == ["r1", "r3"]
-    assert corpus.stats.errors == [(2, f"line 2: {what} is not valid Unicode")]
-    with pytest.raises(AutopatchError, match=f"^line 2: {what} is not valid Unicode$"):
+    assert corpus.stats.errors == [(2, reason)]
+    with pytest.raises(AutopatchError, match=f"^{re.escape(reason)}$"):
+        ingest_pairs(path, strict=True)
+
+
+NOT_UTF8_REASON = "line 2: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+def test_line_that_is_not_utf8_is_a_bad_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [_record("r1"), _record("r3")])
+    first, second = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(first + b"\xff\n" + second)
+    corpus = ingest_pairs(path, strict=False)
+    assert [p.id for p in corpus.pairs] == ["r1", "r3"]
+    assert corpus.stats.errors == [(2, NOT_UTF8_REASON)]
+    with pytest.raises(AutopatchError, match=f"^{re.escape(NOT_UTF8_REASON)}$"):
         ingest_pairs(path, strict=True)
 
 

@@ -13,6 +13,7 @@ loaded indexes alive."""
 from __future__ import annotations
 
 import gc
+import io
 import json
 import sys
 import tempfile
@@ -29,7 +30,7 @@ from autopatch.analyzer import AnalyzerConfig, run_analyzer
 from autopatch.cfg import serialize_cfg
 from autopatch.corpus import CorpusSplit, load_record
 from autopatch.errors import AutopatchError
-from autopatch._http import service_error
+from autopatch._io import service_error
 from autopatch.harness import RunOutcome, RunStatus
 from autopatch.metrics import compute_lexical
 from autopatch.pipeline import (
@@ -129,12 +130,15 @@ def test_unreachable_chat_service_fails_one_record(tmp_path, monkeypatch, pairs,
     unlucky = ingest.split.database_set[2]
     scripted = make_scripted_transport(pairs)
 
-    def post(url, payload, api_key, timeout_s):  # refuses the unlucky record's rationale call
+    def urlopen(request, timeout):  # refuses the unlucky record's rationale call
+        payload = json.loads(request.data)
         if unlucky.original_code.rstrip() in payload["messages"][1]["content"]:
             raise ConnectionRefusedError(111, "Connection refused")
-        return scripted(payload)
+        reply = io.BytesIO(json.dumps(scripted(payload)).encode())
+        reply.status = 200
+        return reply
 
-    monkeypatch.setattr("autopatch.prompting.http_post_json", post)
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
     llm = LlmClient(LlmConfig(base_url="http://chat.invalid/v1"), cassette=None, mode="live")
 
     result = run_index(ingest.corpus, ingest.split, tmp_path / "index", LocalHashingProvider(), llm)
@@ -142,7 +146,7 @@ def test_unreachable_chat_service_fails_one_record(tmp_path, monkeypatch, pairs,
     journal = (tmp_path / "index" / INDEX_JOURNAL).read_text(encoding="utf-8").splitlines()
     failed = [e for e in map(json.loads, journal) if e["status"] != "ok"]
     assert [e["record_id"] for e in failed] == [unlucky.id]
-    assert "chat service unreachable" in failed[0]["reason"]
+    assert failed[0]["reason"] == "service returned 0: service unreachable: [Errno 111] Connection refused"
     assert result.indexed_count == DB_COUNT - 1
     assert (tmp_path / "index" / "index_cfg.jsonl").exists()
 
@@ -439,6 +443,7 @@ def test_eval_contains_empty_ground_truth(tmp_path, pairs):
 
 
 def _fake_tool(path: Path, body: str) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(f"#!{sys.executable}\nimport os, sys\n" + body, encoding="utf-8")
     path.chmod(0o755)
     return path
@@ -517,10 +522,10 @@ def test_compiler_undecodable_stderr_is_compile_error(tmp_path, monkeypatch, pai
     assert "\ufffd" in captured[1].outcome.detail
 
 
-def test_compiler_launch_error_is_compile_error(tmp_path, monkeypatch, pairs):
-    compiler = tmp_path / "fake-cxx"
-    compiler.write_text("#!/nonexistent/python\n")
-    compiler.chmod(0o755)
+def _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler: Path) -> list[EvalResult]:
+    """Evaluate the first two pairs' original code as zero-shot patches,
+    built by `compiler`, and return the per-patch results once the batch has
+    completed with no patch left out of them."""
     monkeypatch.setenv("AUTOPATCH_CXX", str(compiler))
     test_set = tuple(pairs[:2])
     corpus_path = tmp_path / "pairs.jsonl"
@@ -537,13 +542,46 @@ def test_compiler_launch_error_is_compile_error(tmp_path, monkeypatch, pairs):
                       reps=1, timeout_s=10.0)
 
     assert result.failures == []
-    assert [(r.target_id, r.outcome.status) for r in captured] == [
-        (pair.id, RunStatus.COMPILE_ERROR) for pair in ingest.split.test_set
-    ]
+    assert [r.target_id for r in captured] == [pair.id for pair in ingest.split.test_set]
+    return captured
+
+
+def test_compiler_launch_error_is_compile_error(tmp_path, monkeypatch, pairs):
+    compiler = tmp_path / "fake-cxx"
+    compiler.write_text("#!/nonexistent/python\n")
+    compiler.chmod(0o755)
+    captured = _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler)
     for each in captured:
+        assert each.outcome.status is RunStatus.COMPILE_ERROR
         assert each.outcome.detail == (
             "compilation failed: compiler could not start: No such file or directory: fake-cxx"
         )
+
+
+def test_program_that_cannot_start_is_a_crash(tmp_path, monkeypatch, pairs):
+    # What a cross compiler leaves: an executable file this machine cannot run.
+    compiler = _fake_tool(tmp_path / "fake-cxx", (
+        "out = sys.argv[sys.argv.index('-o') + 1]\n"
+        "open(out, 'wb').write(b'\\x7fELF for another machine')\n"
+        "os.chmod(out, 0o755)\n"
+    ))
+    captured = _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler)
+    for each in captured:
+        assert each.outcome.status is RunStatus.CRASH
+        assert each.outcome.detail == "testcase 0: could not start: Exec format error"
+
+
+def test_compiler_that_writes_no_program_is_compile_error(tmp_path, monkeypatch, pairs):
+    # A program an earlier run built stays where this run's should be.
+    for pair in pairs[:2]:
+        stale = tmp_path / "eval" / "bin" / PromptMode.ZERO_SHOT.value / pair.id / "program"
+        _fake_tool(stale, "print(sys.stdin.read(), end='')\n")
+    compiler = _fake_tool(tmp_path / "fake-cxx", "sys.exit(0)\n")
+    captured = _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler)
+    for pair, each in zip(pairs, captured):
+        assert each.outcome.status is RunStatus.COMPILE_ERROR
+        assert each.outcome.detail == "compilation failed: the compiler wrote no program"
+        assert not (tmp_path / "eval" / "bin" / "zero_shot" / pair.id / "program").exists()
 
 
 def _sequential_eval(split, patch_dir, out_dir, modes, reps, timeout_s, compile_fn, measure_fn):

@@ -7,7 +7,10 @@ The package `__init__` binds no public name, so every name has one import
 path: its submodule. Every failure the package raises is an
 `AutopatchError` whose message tells it apart; `BothEmpty` is the one
 subclass. A new exception class fails `test_error_types` the way a new
-option fails the inventory, and any new class fails `test_class_inventory`."""
+option fails the inventory, and any new class fails `test_class_inventory`.
+
+Bytes from outside become objects in `_io` alone: a new JSON decoder or
+Unicode check elsewhere fails `test_decoders_live_in_io`."""
 
 from __future__ import annotations
 
@@ -122,3 +125,41 @@ def test_package_binds_no_public_name():
             bound += [name.id for name in ast.walk(node)
                       if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
     assert [name for name in bound if not name.startswith("_")] == []
+
+
+# Every `json.load`/`json.loads` call, every `from json import`, and every
+# `.encode(...)` whose result is dropped, which can only be a check that a
+# text is valid Unicode; by the function that holds it.
+EXPECTED_DECODERS = [
+    "_io.is_text: .encode()",
+    "_io.loads: json.loads()",
+    # The probe for the older cassette layout, one JSON map: `_io.loads` would
+    # reject the whole map where the entry that is not text should be named.
+    "prompting.Cassette._load: json.loads()",
+]
+
+
+def _decoders(node: ast.AST, where: str) -> list[str]:
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _decoders(child, f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.ImportFrom) and child.module == "json":
+            found.append(f"{where}: from json import")
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+              and isinstance(child.func.value, ast.Name) and child.func.value.id == "json"
+              and child.func.attr in ("load", "loads")):
+            found.append(f"{where}: json.{child.func.attr}()")
+        elif (isinstance(child, ast.Expr) and isinstance(child.value, ast.Call)
+              and isinstance(child.value.func, ast.Attribute) and child.value.func.attr == "encode"):
+            found.append(f"{where}: .encode()")
+        found += _decoders(child, where)
+    return found
+
+
+def test_decoders_live_in_io():
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        found += _decoders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(found) == EXPECTED_DECODERS

@@ -10,13 +10,16 @@ import threading
 import weakref
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autopatch import pipeline
 from autopatch.cfg_diff import compute_diff, render_diff
-from autopatch.corpus import CodePair
+from autopatch.corpus import CodePair, Corpus, CorpusSplit, CorpusStats
 from autopatch.errors import AutopatchError
 from autopatch.prompting import (
     Cassette,
@@ -29,6 +32,14 @@ from autopatch.prompting import (
     generate_rationale,
     request_hash,
     EMPTY_DIFF_RATIONALE,
+)
+from autopatch.pipeline import run_index
+from autopatch.retrieval import (
+    LocalHashingProvider,
+    RemoteEmbeddingProvider,
+    SourceKind,
+    VectorIndex,
+    save_index,
 )
 
 from helpers import fixture_pairs, make_scripted_transport, random_cfg
@@ -355,8 +366,37 @@ def test_cassette_entry_that_is_not_valid_unicode_raises(tmp_path):
         Cassette(legacy)
 
 
-@pytest.mark.parametrize("failure", ["unencodable entry", "rename fails"])
+def _refuse_rename(self, target):
+    raise OSError(28, "No space left on device")
+
+
+# Writers that replace files whole as the cassette's rewrite does: each case
+# names the files it replaces and how to rewrite them in a directory.
+_OTHER_REWRITES = {
+    "journal rename fails": (["index_journal.jsonl"], lambda out: run_index(
+        Corpus([], CorpusStats({})), CorpusSplit((), ()), out, LocalHashingProvider(),
+        LlmClient(LlmConfig(), cassette=None, mode="live"), resume=False)),
+    "save_index rename fails": (["index.jsonl", "index.jsonl.vec"], lambda out: save_index(
+        VectorIndex(("r1",), np.ones((1, 4), np.float32), [("diff", "why")], SourceKind.RAW_SOURCE),
+        out / "index.jsonl")),
+    "_write_json rename fails": (["report.json"], lambda out: pipeline._write_json(
+        out / "report.json", {"ok": True})),
+}
+
+
+@pytest.mark.parametrize("failure", ["unencodable entry", "rename fails", *_OTHER_REWRITES])
 def test_cassette_rewrite_that_fails_leaves_the_file_as_it_was(tmp_path, monkeypatch, failure):
+    if failure in _OTHER_REWRITES:
+        names, rewrite = _OTHER_REWRITES[failure]
+        previous = {name: f"previous {name}\n".encode() for name in names}
+        for name, data in previous.items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.setattr(Path, "replace", _refuse_rename)
+        with pytest.raises(OSError, match="No space left on device"):
+            rewrite(tmp_path)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == previous
+        return
+
     path = tmp_path / "cassette.jsonl"
     torn = _entry_line("a", "a") + _entry_line("b", "b")[:25]
     path.write_text(torn, encoding="utf-8")
@@ -366,10 +406,7 @@ def test_cassette_rewrite_that_fails_leaves_the_file_as_it_was(tmp_path, monkeyp
         content = "\ud800"
         expected = pytest.raises(AutopatchError, match="^cassette entry for request c is not valid Unicode$")
     else:
-        def refuse(self, target):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(type(path), "replace", refuse)
+        monkeypatch.setattr(type(path), "replace", _refuse_rename)
         expected = pytest.raises(OSError)
 
     with expected:
@@ -423,10 +460,10 @@ def test_malformed_service_response_raises():
 
 
 @contextmanager
-def _chat_service(body: bytes, authorizations: list | None = None):
-    """A chat service on localhost that answers every POST with `body`, and
-    appends each request's Authorization header (or None) to
-    `authorizations`."""
+def _chat_service(body: bytes, authorizations: list | None = None, length: int | None = None):
+    """A chat service on localhost that answers every POST with `body`,
+    declared `length` bytes long (by default its true length), and appends
+    each request's Authorization header (or None) to `authorizations`."""
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -434,7 +471,7 @@ def _chat_service(body: bytes, authorizations: list | None = None):
                 authorizations.append(self.headers.get("Authorization"))
             self.rfile.read(int(self.headers["Content-Length"]))
             self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Content-Length", str(len(body) if length is None else length))
             self.end_headers()
             self.wfile.write(body)
 
@@ -461,6 +498,18 @@ def test_live_client_non_json_body_is_service_error(monkeypatch, body):
             client.complete("sys", "user")
 
 
+def test_reply_cut_short_is_service_error(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    body = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+    cut_short = r"^service returned 0: service unreachable: IncompleteRead\(\d+ bytes read, 10 more expected\)$"
+    with _chat_service(body, length=len(body) + 10) as url:
+        client = LlmClient(LlmConfig(base_url=url, model="m"), cassette=None, mode="live")
+        with pytest.raises(AutopatchError, match=cut_short):
+            client.complete("sys", "user")
+        with pytest.raises(AutopatchError, match=cut_short):
+            RemoteEmbeddingProvider(url, api_key="").embed("x")
+
+
 def test_live_client_sends_bearer_header_only_with_a_key(monkeypatch):
     monkeypatch.setenv("no_proxy", "*")
     body = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
@@ -474,13 +523,13 @@ def test_live_client_sends_bearer_header_only_with_a_key(monkeypatch):
 
 
 def test_live_client_unreachable_service_is_service_error(monkeypatch):
-    def refuse(url, payload, api_key, timeout_s):
+    def refuse(request, timeout):
         raise ConnectionRefusedError(111, "Connection refused")
 
-    monkeypatch.setattr("autopatch.prompting.http_post_json", refuse)
+    monkeypatch.setattr("urllib.request.urlopen", refuse)
     client = LlmClient(LlmConfig(base_url="http://chat.invalid/v1", model="m"),
                        cassette=None, mode="live")
-    with pytest.raises(AutopatchError, match="^service returned 0: chat service unreachable: ") as excinfo:
+    with pytest.raises(AutopatchError, match=r"^service returned 0: service unreachable: \[Errno 111\] ") as excinfo:
         client.complete("sys", "user")
     assert isinstance(excinfo.value.__cause__, ConnectionRefusedError)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autopatch._http import service_error
+from autopatch._io import service_error
 from autopatch.corpus import CodePair
 from autopatch.pipeline import INDEX_JOURNAL, index_path, run_ingest
 from autopatch.errors import AutopatchError
@@ -476,12 +476,12 @@ def test_remote_provider_request_and_response(monkeypatch):
 
 
 def test_remote_provider_unreachable(monkeypatch):
-    def fake_post(url, payload, api_key, timeout_s):
+    def refuse(request, timeout):
         raise OSError("connection refused")
 
-    monkeypatch.setattr("autopatch.retrieval.http_post_json", fake_post)
+    monkeypatch.setattr("urllib.request.urlopen", refuse)
     provider = RemoteEmbeddingProvider("http://svc/embed", api_key="")
-    with pytest.raises(AutopatchError, match="^embedding service unreachable: connection refused$"):
+    with pytest.raises(AutopatchError, match="^service returned 0: service unreachable: connection refused$"):
         provider.embed("x")
 
 
