@@ -62,20 +62,21 @@ def http_post_json(url: str, payload: dict, api_key: str, timeout_s: float) -> d
 
     Every failure raises `service_error`: an error status with its body, a
     body that `loads` rejects with the reply's status, and a transport
-    failure (no connection, a timeout, a reply cut short) with status 0.
+    failure (a URL without a scheme, no connection, a timeout, a reply cut
+    short) with status 0.
     """
     body = json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(url, data=body, method="POST")
-    request.add_header("Content-Type", "application/json")
+    headers = {"Content-Type": "application/json"}
     if api_key:
-        request.add_header("Authorization", f"Bearer {api_key}")
+        headers["Authorization"] = f"Bearer {api_key}"
     try:
         try:
+            request = urllib.request.Request(url, data=body, headers=headers, method="POST")
             with urllib.request.urlopen(request, timeout=timeout_s) as response:
                 status, raw = response.status, response.read()
         except urllib.error.HTTPError as exc:  # whose body may be cut short too
             raise service_error(exc.code, exc.read().decode("utf-8", "replace")) from None
-    except (OSError, http.client.HTTPException) as exc:
+    except (OSError, ValueError, http.client.HTTPException) as exc:  # ValueError: unknown url type
         raise service_error(0, f"service unreachable: {exc}") from exc
     try:
         return loads(raw)

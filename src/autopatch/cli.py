@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -48,6 +49,13 @@ def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _positive_seconds(raw: str) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number of seconds, not {raw}")
     return value
 
 
@@ -98,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--patches", type=Path, required=True)
     evaluate.add_argument("--mode", type=_parse_modes, default=tuple(_MODE_NAMES.values()))
     evaluate.add_argument("--reps", type=_positive_int, default=DEFAULT_REPS)
-    evaluate.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S)
+    evaluate.add_argument("--timeout", type=_positive_seconds, default=DEFAULT_TIMEOUT_S)
     evaluate.add_argument("--out", type=Path, required=True)
 
     return parser

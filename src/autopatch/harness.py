@@ -4,8 +4,9 @@ Timing discipline: per testcase one untimed warmup run, then `reps` timed
 runs; the testcase's time is the median of the reps (suppressing scheduler
 outliers) and the program's time is the mean across testcases. Output
 comparison uses the corpus normalization rule. Timed runs are meant to have
-the CPU to themselves: `pipeline.run_eval` compiles every patch on a thread
-pool first and only then times them, one at a time.
+the CPU to themselves: `pipeline.run_eval` first compiles each distinct
+patch source once, on a thread pool, in `bin/<mode>/<id>` of the first patch
+that holds it, and only then times every patch, one at a time.
 """
 
 from __future__ import annotations

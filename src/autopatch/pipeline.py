@@ -385,11 +385,13 @@ def run_eval(
     it against the record's testcases, and aggregate the report.
 
     Three phases, each in (target, mode) order: score every patch; compile
-    the scored ones on a pool of STAGE_WORKERS threads; then, once every
-    compile has returned, time the binaries one at a time, so no timed run
-    shares the CPU with a compiler. A patch that is missing, undecodable,
-    unscorable or without testcases goes to the failures manifest; one that
-    does not compile is a COMPILE_ERROR result.
+    each distinct source of the scored ones once, on a pool of STAGE_WORKERS
+    threads, in `bin/<mode>/<id>` of the first patch that holds it; then,
+    once every compile has returned, time every scored patch's binary one at
+    a time, so no timed run shares the CPU with a compiler. A patch that is
+    missing, undecodable, unscorable or without testcases goes to the
+    failures manifest; one whose source does not compile is a COMPILE_ERROR
+    result.
     """
     patch_dir = Path(patch_dir)
     out_dir = Path(out_dir)
@@ -418,19 +420,24 @@ def run_eval(
                 continue
             scored.append((pair, mode, code, lexical))
 
-    def compile_patch(item) -> Path | RunOutcome:
-        pair, mode, code, _ = item
+    # Equal sources build the same program, so each builds once.
+    build_dirs: dict[str, Path] = {}
+    for pair, mode, code, _ in scored:
+        build_dirs.setdefault(code, out_dir / "bin" / mode.value / pair.id)
+
+    def compile_source(code: str, build_dir: Path) -> Path | RunOutcome:
         try:
-            return compile_program(code, toolchain, out_dir / "bin" / mode.value / pair.id)
+            return compile_program(code, toolchain, build_dir)
         except AutopatchError as exc:
             return RunOutcome.failure(RunStatus.COMPILE_ERROR, str(exc))
 
-    # map yields in scoring order; leaving the block waits for every compile.
+    # map yields in build_dirs' order; leaving the block waits for every compile.
     with ThreadPoolExecutor(max_workers=STAGE_WORKERS) as pool:
-        compiled = list(pool.map(compile_patch, scored))
+        compiled = dict(zip(build_dirs, pool.map(compile_source, build_dirs, build_dirs.values())))
 
     results: list[EvalResult] = []
-    for (pair, mode, _, lexical), built in zip(scored, compiled):
+    for pair, mode, code, lexical in scored:
+        built = compiled[code]
         if isinstance(built, RunOutcome):
             outcome = built
         else:

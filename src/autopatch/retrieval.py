@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import http_post_json, loads, replacing
+from ._io import http_post_json, loads, replacing, service_error
 from .corpus import CodePair
 from .errors import AutopatchError
 from .metrics import tokenize
@@ -104,7 +104,7 @@ class RemoteEmbeddingProvider:
         try:
             return np.asarray(response["data"][0]["embedding"], dtype=np.float32)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise AutopatchError(f"malformed embedding response: {exc}") from None
+            raise service_error(0, f"malformed embedding response: {exc}") from None
 
 
 def embed_text(text: str, provider) -> np.ndarray:

@@ -438,7 +438,9 @@ def test_replay_uses_the_model_from_the_environment(tmp_path, monkeypatch, capsy
         assert (replayed / name).read_bytes() == (recorded / name).read_bytes()
 
 
-def test_eval_rejects_reps_below_one_before_any_work(tmp_path, capsys, pairs, corpus_file):
+def _assert_eval_usage_errors(tmp_path, capsys, corpus_file, option, values):
+    """`eval` with each of `values` for `option` exits 2 naming the option,
+    before it compiles anything."""
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     patches = tmp_path / "patches"
     for pair in ingest.split.test_set:
@@ -447,14 +449,25 @@ def test_eval_rejects_reps_below_one_before_any_work(tmp_path, capsys, pairs, co
         path.write_text(pair.original_code, encoding="utf-8")
 
     out = tmp_path / "eval"
-    for reps in ("0", "-1"):
+    for value in values:
         with pytest.raises(SystemExit) as excinfo:
             main(["eval", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
-                  "--patches", str(patches), "--mode", "zero-shot", "--reps", reps,
+                  "--patches", str(patches), "--mode", "zero-shot", option, value,
                   "--out", str(out)])
         assert excinfo.value.code == EXIT_USAGE
-        assert "--reps" in capsys.readouterr().err
+        assert option in capsys.readouterr().err
     assert not (out / "bin").exists()
+
+
+def test_eval_rejects_reps_below_one_before_any_work(tmp_path, capsys, pairs, corpus_file):
+    _assert_eval_usage_errors(tmp_path, capsys, corpus_file, "--reps", ("0", "-1"))
+
+
+def test_eval_rejects_a_timeout_that_is_not_positive_and_finite(tmp_path, capsys, pairs,
+                                                                 corpus_file):
+    # 0 or -1 timed every program out; nan died in the first timed run.
+    _assert_eval_usage_errors(tmp_path, capsys, corpus_file, "--timeout",
+                              ("0", "-1", "-0.5", "nan", "inf", "-inf", "ten"))
 
 
 @requires_gxx

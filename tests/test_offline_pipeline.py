@@ -2,10 +2,12 @@
 pool over CFGs parsed from the committed dumps (the `dump_graphs` fixture),
 analyzer and compiler failures from fake tools (a tool that cannot start
 included), an unreachable chat service or a malformed reply (one that is not
-valid Unicode included) failing one record, eval containment of unscorable
-ground truths, undecodable patches and records without testcases, and the
-eval stage's phase order (every compile before any timed run) under fake
-compile and time functions, and the optimize stage's pool: analyzer runs and
+valid Unicode included) failing one record, a chat URL without a scheme
+failing each patch, eval containment of unscorable ground truths,
+undecodable patches and records without testcases, and the eval stage's
+phase order (every compile before any timed run) and its one compile per
+distinct source under fake compile and time functions, and the optimize
+stage's pool: analyzer runs and
 chat calls in flight at once, outputs in (target, mode) order, one analyzer
 run per target and only for context mode, and no failure that keeps the
 loaded indexes alive."""
@@ -20,6 +22,7 @@ import tempfile
 import threading
 import time
 import weakref
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -149,6 +152,23 @@ def test_unreachable_chat_service_fails_one_record(tmp_path, monkeypatch, pairs,
     assert failed[0]["reason"] == "service returned 0: service unreachable: [Errno 111] Connection refused"
     assert result.indexed_count == DB_COUNT - 1
     assert (tmp_path / "index" / "index_cfg.jsonl").exists()
+
+
+def test_chat_url_without_a_scheme_fails_each_patch(tmp_path, pairs, corpus_file, dump_graphs):
+    ingest = _index_fixture(tmp_path, corpus_file, pairs)
+    llm = LlmClient(LlmConfig(base_url="chat.invalid/v1"), cassette=None, mode="live")
+
+    result = run_optimize(ingest.corpus, ingest.split, tmp_path / "index", tmp_path / "patches",
+                          ALL_MODES, llm, LocalHashingProvider())
+
+    reason = "service returned 0: service unreachable: unknown url type: 'chat.invalid/v1'"
+    assert result.failures == [
+        {"record_id": pair.id, "mode": mode.value, "reason": reason}
+        for pair in ingest.split.test_set for mode in ALL_MODES
+    ]
+    assert result.written == {mode.value: [] for mode in ALL_MODES}
+    manifest = json.loads((tmp_path / "patches" / pipeline.FAILURES_MANIFEST).read_text())
+    assert manifest == result.failures
 
 
 def test_surrogate_chat_reply_fails_one_record_and_keeps_the_journal(tmp_path, pairs,
@@ -605,6 +625,72 @@ def _sequential_eval(split, patch_dir, out_dir, modes, reps, timeout_s, compile_
     return aggregate_report(results, parameters={"reps": reps, "timeout_s": timeout_s})
 
 
+REJECTED = "// the fake compiler rejects this program\n"
+
+
+class FakeBuild:
+    """Stands in for `pipeline.compile_program` and `measure_execution`. A
+    compile sleeps `delay(build_dir)` seconds, refuses a source that holds
+    REJECTED and otherwise writes the source as its program; a timed run
+    reads the program back and takes seconds that depend on that source
+    alone, as a real program's would. `events` logs each finished compile as
+    `("compiled", source, build_dir)` and each timed run as `("timed",
+    program, testcases)`; `peak` is the most compiles in flight at once."""
+
+    def __init__(self, monkeypatch, delay=lambda build_dir: 0.0):
+        self.events: list[tuple] = []
+        self.peak = 0
+        self._active = 0
+        self._delay = delay
+        self._lock = threading.Lock()
+        monkeypatch.setattr(pipeline, "compile_program", self.compile)
+        monkeypatch.setattr(pipeline, "measure_execution", self.measure)
+
+    def compile(self, code, toolchain, out_dir):
+        out_dir = Path(out_dir)
+        with self._lock:
+            self._active += 1
+            self.peak = max(self.peak, self._active)
+        time.sleep(self._delay(out_dir))
+        with self._lock:
+            self._active -= 1
+            self.events.append(("compiled", code, out_dir))
+        if REJECTED in code:
+            raise AutopatchError("compilation failed: fake compiler rejects this patch")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "program").write_text(code, encoding="utf-8")
+        return out_dir / "program"
+
+    def measure(self, binary, testcases, reps, timeout_s):
+        seconds = 0.001 * (1 + zlib.crc32(binary.read_bytes()) % 1000)
+        with self._lock:
+            self.events.append(("timed", binary, testcases))
+        return RunOutcome(RunStatus.OK, per_testcase_times_s=(seconds,) * len(testcases),
+                          mean_s=seconds, median_s=seconds)
+
+    def logged(self, kind: str) -> list[tuple]:
+        return [event[1:] for event in self.events if event[0] == kind]
+
+
+def _write_patches(patch_dir: Path, sources: dict[tuple[str, str], str | bytes]) -> None:
+    for (record_id, mode), source in sources.items():
+        path = patch_path(patch_dir, PromptMode(mode), record_id)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(source, bytes):
+            path.write_bytes(source)
+        else:
+            path.write_text(source, encoding="utf-8")
+
+
+def _first_holders(eval_dir: Path, sources: dict[tuple[str, str], str]) -> dict[str, Path]:
+    """Each distinct source's build directory: that of the first (target,
+    mode) slot that holds it."""
+    first: dict[str, Path] = {}
+    for (record_id, mode), source in sources.items():
+        first.setdefault(source, eval_dir / "bin" / mode / record_id)
+    return first
+
+
 def test_eval_compiles_every_patch_before_timing_any(tmp_path, monkeypatch, pairs):
     test_set = tuple(pairs[:5])
     corpus_path = tmp_path / "pairs.jsonl"
@@ -615,56 +701,41 @@ def test_eval_compiles_every_patch_before_timing_any(tmp_path, monkeypatch, pair
     missing = (test_set[1].id, PromptMode.NAIVE.value)
     undecodable = (test_set[2].id, PromptMode.CONTEXT.value)
     uncompilable = (test_set[0].id, PromptMode.CONTEXT.value)
-    for pair in test_set:
-        for mode in ALL_MODES:
-            path = patch_path(tmp_path / "patches", mode, pair.id)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if (pair.id, mode.value) == undecodable:
-                path.write_bytes(b"\xff\xfe")
-            elif (pair.id, mode.value) != missing:
-                code = pair.original_code if mode is PromptMode.ZERO_SHOT else pair.optimized_code
-                path.write_text(code, encoding="utf-8")
+    sources = {
+        (pair.id, mode.value): pair.original_code if mode is PromptMode.ZERO_SHOT
+        else pair.optimized_code
+        for pair in test_set for mode in ALL_MODES
+    }
+    del sources[missing]
+    sources[uncompilable] = REJECTED + sources[uncompilable]  # not the naive patch's source
+    sources[undecodable] = b"\xff\xfe"
+    _write_patches(tmp_path / "patches", sources)
 
-    events: list[tuple[str, tuple[str, str]]] = []
-    lock = threading.Lock()
-    in_flight = [0, 0]  # now, peak
+    def slot_of(build_dir: Path) -> tuple[str, str]:
+        return tuple(reversed(build_dir.parts[-2:]))  # (target, mode)
 
-    def fake_compile(code, toolchain, out_dir):
-        slot = tuple(reversed(Path(out_dir).parts[-2:]))  # (target, mode)
-        with lock:
-            in_flight[0] += 1
-            in_flight[1] = max(in_flight)
-        time.sleep(0.01 * (len(slots) - slots.index(slot)))  # earlier patches compile slower
-        with lock:
-            in_flight[0] -= 1
-            events.append(("compiled", slot))
-        if slot == uncompilable:
-            raise AutopatchError("compilation failed: fake compiler rejects this patch")
-        return Path(out_dir) / "program"
+    def slower_first(build_dir: Path) -> float:
+        return 0.01 * (len(slots) - slots.index(slot_of(build_dir)))
 
-    def fake_measure(binary, testcases, reps, timeout_s):
-        slot = tuple(reversed(binary.parts[-3:-1]))
-        with lock:
-            events.append(("timed", slot))
-        seconds = 0.001 * (len(slots) - slots.index(slot))
-        return RunOutcome(RunStatus.OK, per_testcase_times_s=(seconds,) * len(testcases),
-                          mean_s=seconds, median_s=seconds)
-
-    monkeypatch.setattr(pipeline, "compile_program", fake_compile)
-    monkeypatch.setattr(pipeline, "measure_execution", fake_measure)
+    fake = FakeBuild(monkeypatch, delay=slower_first)
     captured = _capture_results(monkeypatch)
 
     result = run_eval(ingest.corpus, split, tmp_path / "patches", tmp_path / "eval", ALL_MODES,
                       reps=2, timeout_s=10.0)
 
     scored = [slot for slot in slots if slot not in (missing, undecodable)]
-    compiled = [slot for kind, slot in events if kind == "compiled"]
-    timed = [slot for kind, slot in events if kind == "timed"]
-    assert sorted(compiled) == sorted(scored)
-    assert compiled != scored  # finished out of order
-    assert in_flight[1] >= 2
-    assert [kind for kind, _ in events] == ["compiled"] * len(scored) + ["timed"] * len(timed)
-    assert timed == [slot for slot in scored if slot != uncompilable]
+    built = _first_holders(tmp_path / "eval", {slot: sources[slot] for slot in scored})
+    assert len(built) < len(scored)  # naive and context patches share their sources
+    compiled = [slot_of(build_dir) for _, build_dir in fake.logged("compiled")]
+    assert sorted(fake.logged("compiled")) == sorted(built.items())  # one compile per source
+    assert compiled != [slot_of(build_dir) for build_dir in built.values()]  # finished out of order
+    assert fake.peak >= 2
+    timed = [slot for slot in scored if slot != uncompilable]
+    assert [event[0] for event in fake.events] == ["compiled"] * len(built) + ["timed"] * len(timed)
+    assert fake.logged("timed") == [
+        (built[sources[slot]] / "program", load_record(ingest.corpus, slot[0]).testcases)
+        for slot in timed
+    ]
 
     assert [(r.target_id, r.mode) for r in captured] == scored
     assert [(f["record_id"], f["mode"]) for f in result.failures] == [missing, undecodable]
@@ -672,5 +743,57 @@ def test_eval_compiles_every_patch_before_timing_any(tmp_path, monkeypatch, pair
     assert manifest == result.failures
 
     reference = _sequential_eval(split, tmp_path / "patches", tmp_path / "reference", ALL_MODES,
-                                 2, 10.0, fake_compile, fake_measure)
+                                 2, 10.0, fake.compile, fake.measure)
+    assert result.report.to_json_dict() == reference.to_json_dict()
+
+
+def test_eval_compiles_each_distinct_source_once(tmp_path, monkeypatch, pairs):
+    test_set = tuple(pairs[:3])
+    corpus_path = tmp_path / "pairs.jsonl"
+    write_corpus(test_set, corpus_path)
+    ingest = run_ingest(corpus_path, 0, SEED, tmp_path / "ingest")
+    split = CorpusSplit(database_set=(), test_set=test_set)
+    zero, naive, context = (mode.value for mode in ALL_MODES)
+    first, second, third = (pair.id for pair in test_set)
+    shared, rejected = test_set[0].original_code, REJECTED + test_set[1].original_code
+    sources = {
+        (first, zero): shared,
+        (first, naive): test_set[0].optimized_code,
+        (first, context): test_set[0].optimized_code,  # equal to the naive patch
+        (second, zero): shared,  # equal to another target's patch
+        (second, naive): test_set[1].optimized_code,
+        (second, context): rejected,
+        (third, zero): rejected,  # the same uncompilable source
+        (third, naive): test_set[2].optimized_code.rstrip("\n"),
+        (third, context): test_set[2].optimized_code.rstrip("\n") + "\n",  # one byte more
+    }
+    _write_patches(tmp_path / "patches", sources)
+    fake = FakeBuild(monkeypatch)
+    captured = _capture_results(monkeypatch)
+
+    result = run_eval(ingest.corpus, split, tmp_path / "patches", tmp_path / "eval", ALL_MODES,
+                      reps=2, timeout_s=10.0)
+
+    built = _first_holders(tmp_path / "eval", sources)
+    assert len(built) == 6
+    assert sorted(fake.logged("compiled")) == sorted(built.items())
+    compiled = [source for source, _ in fake.logged("compiled")]
+    assert sources[(third, naive)] in compiled and sources[(third, context)] in compiled
+    assert not (tmp_path / "eval" / "bin" / context / first).exists()
+
+    holders = [slot for slot in sources if sources[slot] != rejected]
+    assert fake.logged("timed") == [
+        (built[sources[slot]] / "program", load_record(ingest.corpus, slot[0]).testcases)
+        for slot in holders
+    ]
+    assert result.failures == []
+    assert [(r.target_id, r.mode) for r in captured] == list(sources)
+    ok = [slot for slot, r in zip(sources, captured) if r.outcome.status is RunStatus.OK]
+    assert ok == holders
+    refused = [r.outcome for r in captured if r.outcome.status is RunStatus.COMPILE_ERROR]
+    assert refused == [RunOutcome.failure(
+        RunStatus.COMPILE_ERROR, "compilation failed: fake compiler rejects this patch")] * 2
+
+    reference = _sequential_eval(split, tmp_path / "patches", tmp_path / "reference", ALL_MODES,
+                                 2, 10.0, fake.compile, fake.measure)
     assert result.report.to_json_dict() == reference.to_json_dict()

@@ -510,6 +510,19 @@ def test_reply_cut_short_is_service_error(monkeypatch):
             RemoteEmbeddingProvider(url, api_key="").embed("x")
 
 
+def test_url_without_a_scheme_is_service_error():
+    # urllib rejects such a URL with ValueError before it opens any connection.
+    client = LlmClient(LlmConfig(base_url="chat.invalid/v1"), cassette=None, mode="live")
+    with pytest.raises(AutopatchError, match=(
+        r"^service returned 0: service unreachable: unknown url type: 'chat\.invalid/v1'$"
+    )):
+        client.complete("sys", "user")
+    with pytest.raises(AutopatchError, match=(
+        r"^service returned 0: service unreachable: unknown url type: 'embed\.invalid'$"
+    )):
+        RemoteEmbeddingProvider("embed.invalid", api_key="").embed("x")
+
+
 def test_live_client_sends_bearer_header_only_with_a_key(monkeypatch):
     monkeypatch.setenv("no_proxy", "*")
     body = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()

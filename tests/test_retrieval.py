@@ -497,7 +497,8 @@ def test_remote_provider_malformed_response(monkeypatch):
     provider = RemoteEmbeddingProvider("http://svc/embed", api_key="")
     for body in bodies:
         monkeypatch.setattr("autopatch.retrieval.http_post_json", lambda *args: body)
-        with pytest.raises(AutopatchError, match="^malformed embedding response: "):
+        with pytest.raises(AutopatchError,
+                           match="^service returned 0: malformed embedding response: "):
             provider.embed("x")
 
 
