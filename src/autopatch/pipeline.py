@@ -2,8 +2,10 @@
 
 Each stage is per-record skip-and-log: one bad program never aborts a batch
 run, it lands in a journal or failures manifest with a reason and the stage
-carries on. Given identical inputs, seeds, and cassettes, every stage writes
-byte-identical artifacts (timing measurements aside).
+carries on. `_attempt` turns a record's error into that reason, in a pooled
+phase (`_pooled`) or on the main thread. Given identical inputs, seeds, and
+cassettes, every stage writes byte-identical artifacts (timing measurements
+aside).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,13 +25,7 @@ from .cfg import serialize_cfg
 from .cfg_diff import compute_diff, render_diff
 from .corpus import Corpus, CodePair, CorpusSplit, load_record
 from .errors import AutopatchError
-from .harness import (
-    RunOutcome,
-    RunStatus,
-    ToolchainConfig,
-    compile_program,
-    measure_execution,
-)
+from .harness import RunOutcome, RunStatus, ToolchainConfig, compile_program, measure_execution
 from .metrics import LexicalScores, compute_lexical
 from .prompting import LlmClient, PromptMode, build_prompt, generate_patch, generate_rationale
 from .report import EvaluationReport, EvalResult, aggregate_report
@@ -36,7 +33,8 @@ from .retrieval import (
     IndexRecord,
     SourceKind,
     VectorIndex,
-    build_index,
+    assemble_index,
+    embed_record,
     embed_text,
     load_index,
     retrieve_top1,
@@ -48,7 +46,7 @@ SPLIT_MANIFEST = "split.json"
 INDEX_JOURNAL = "index_journal.jsonl"
 FAILURES_MANIFEST = "failures.json"
 
-# Threads in the pool of a stage that waits on subprocesses or chat calls:
+# Threads in `_pooled`, for a stage that waits on subprocesses or chat calls:
 # the index stage prepares this many records at once (which also bounds the
 # chat calls in flight), the optimize stage runs this many analyzer runs or
 # chat calls at once, and the eval stage compiles this many patches.
@@ -68,6 +66,25 @@ _MODE_SOURCE_KIND = {
 def _write_json(path: Path, payload) -> None:
     with replacing(path, "w") as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+
+
+def _attempt(fn, *args) -> tuple:
+    """`(fn(*args), None)`, or `(None, reason)` when it raises AutopatchError.
+    Only the message is kept: a kept exception's traceback holds the frames
+    it passed through, and so whatever the caller holds, such as the loaded
+    indexes, in a cycle that only the cyclic collector frees."""
+    try:
+        return fn(*args), None
+    except AutopatchError as exc:
+        return None, str(exc)
+
+
+def _pooled(fn, items) -> list[tuple]:
+    """`[_attempt(fn, item) for item in items]`, with up to STAGE_WORKERS
+    calls at once; the list is in the items' order, whatever order the
+    calls finish in."""
+    with ThreadPoolExecutor(max_workers=STAGE_WORKERS) as pool:
+        return list(pool.map(lambda item: _attempt(fn, item), items))
 
 
 # --- ingest -----------------------------------------------------------------
@@ -105,6 +122,9 @@ def load_split(corpus: Corpus, manifest_path: Path | str) -> CorpusSplit:
     path = Path(manifest_path)
     try:
         manifest = loads(path.read_bytes())
+        listed = Counter([*manifest["database_ids"], *manifest["test_ids"]])
+        if max(listed.values(), default=0) > 1:  # in one set twice, or in both sets
+            raise ValueError(f"id listed twice: {', '.join(repr(i) for i, n in listed.items() if n > 1)}")
         return CorpusSplit(
             database_set=tuple(load_record(corpus, i) for i in manifest["database_ids"]),
             test_set=tuple(load_record(corpus, i) for i in manifest["test_ids"]),
@@ -193,10 +213,12 @@ def run_index(
     """Build the CFG-keyed and the source-keyed vector index over the
     database split.
 
-    Up to STAGE_WORKERS records are prepared at once; the journal and the
-    indexes list them in database order all the same. Preparation results
-    are journaled per record, so a rerun reuses finished records and retries
-    failed ones; per-record failures are logged and skipped, never fatal.
+    Up to STAGE_WORKERS records are prepared at once (`_pooled`), or taken
+    from the journal; then the main thread embeds each prepared record's
+    texts for both indexes. A record that fails either step becomes a
+    "failed" journal entry with its reason, logged and skipped, never fatal,
+    so a rerun reuses exactly the indexed records and retries the rest. The
+    journal and the indexes list the records in database order.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -209,17 +231,22 @@ def run_index(
         cached = previous.get(pair.id)
         if cached is not None and cached.get("status") == "ok":
             return cached
-        try:
-            return _prepare_record(pair, llm, analyzer_config)
-        except AutopatchError as exc:
-            logger.warning("index: skipping %s: %s", pair.id, exc)
-            return {"record_id": pair.id, "status": "failed", "reason": str(exc)}
+        return _prepare_record(pair, llm, analyzer_config)
 
-    # map yields in database order, whatever order the records finish in.
-    with ThreadPoolExecutor(max_workers=STAGE_WORKERS) as pool:
-        entries = list(pool.map(prepare, split.database_set))
-    prepared = [entry for entry in entries if entry["status"] == "ok"]
-    skipped = [entry for entry in entries if entry["status"] != "ok"]
+    def embed(pair: CodePair, entry: dict) -> tuple[IndexRecord, dict]:
+        record = IndexRecord(load_record(corpus, pair.id), entry["diff_text"], entry["rationale"],
+                             entry["cfg_text"])
+        return record, {kind: embed_record(record, kind, provider) for kind in _INDEX_FILES}
+
+    prepared, skipped, indexed = [], [], []
+    for pair, (entry, reason) in zip(split.database_set, _pooled(prepare, split.database_set)):
+        embedded, reason = _attempt(embed, pair, entry) if reason is None else (None, reason)
+        if reason is not None:
+            logger.warning("index: skipping %s: %s", pair.id, reason)
+            skipped.append({"record_id": pair.id, "status": "failed", "reason": reason})
+        else:
+            prepared.append(entry)
+            indexed.append(embedded)
 
     # A crash mid-write leaves the previous journal whole.
     with replacing(journal_path, "w") as handle:
@@ -227,20 +254,11 @@ def run_index(
             handle.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
 
     built: dict[SourceKind, Path] = {}
-    if prepared:
-        records = [
-            IndexRecord(
-                pair=load_record(corpus, entry["record_id"]),
-                diff_text=entry["diff_text"],
-                rationale=entry["rationale"],
-                cfg_text=entry["cfg_text"],
-            )
-            for entry in prepared
-        ]
+    if indexed:
+        records = [record for record, _ in indexed]
         for kind in _INDEX_FILES:
-            path = index_path(out_dir, kind)
-            build_index(records, provider, kind, path=path)
-            built[kind] = path
+            built[kind] = index_path(out_dir, kind)
+            assemble_index(records, [vectors[kind] for _, vectors in indexed], kind, built[kind])
 
     return IndexResult(built=built, indexed_count=len(prepared), skipped=skipped)
 
@@ -270,13 +288,12 @@ def run_optimize(
     """Generate one patch per test record per requested mode.
 
     Three phases, each in (target, mode) order: when context mode is
-    requested, the analyzer runs on every target on a pool of STAGE_WORKERS
-    threads; then the main thread builds each prompt, retrieving its
-    example; then the same pool sends every built prompt. Patches and the
-    failures manifest follow (target, mode) order, whatever order the calls
-    finish in. A failed target and mode keeps only its reason, which fails
-    that one patch: a target the analyzer rejects still gets its naive and
-    zero-shot patches.
+    requested, the analyzer runs on every target (`_pooled`); then the main
+    thread builds each prompt, retrieving its example; then every built
+    prompt is sent (`_pooled`). Patches and the failures manifest follow
+    (target, mode) order, whatever order the calls finish in. A failed
+    target and mode keeps only its reason, which fails that one patch: a
+    target the analyzer rejects still gets its naive and zero-shot patches.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -288,25 +305,23 @@ def run_optimize(
         if kind is not None and kind not in indexes:
             indexes[kind] = load_index(index_path(index_dir, kind))
 
-    def analyze(pair: CodePair) -> tuple[str | None, str | None]:
-        return _attempt(lambda: serialize_cfg(extract_cfg(pair.original_code, analyzer_config)))
+    def analyze(pair: CodePair) -> str:
+        return serialize_cfg(extract_cfg(pair.original_code, analyzer_config))
 
-    def send(built: tuple) -> tuple[str | None, str | None]:
+    def send(built: tuple) -> str:
         prompt, reason = built
-        return (None, reason) if reason is not None else _attempt(generate_patch, prompt, llm)
+        if reason is not None:
+            raise AutopatchError(reason)
+        return generate_patch(prompt, llm)
 
     targets = split.test_set
-    queries = [None] * len(targets)
-    # Each map yields in (target, mode) order, whatever order its calls finish in.
-    with ThreadPoolExecutor(max_workers=STAGE_WORKERS) as pool:
-        if PromptMode.CONTEXT in modes:
-            queries = list(pool.map(analyze, targets))
-        built = [
-            _attempt(_build_mode_prompt, pair, mode, indexes, corpus, provider, query)
-            for pair, query in zip(targets, queries)
-            for mode in modes
-        ]
-        patches = list(pool.map(send, built))
+    queries = _pooled(analyze, targets) if PromptMode.CONTEXT in modes else [None] * len(targets)
+    built = [
+        _attempt(_build_mode_prompt, pair, mode, indexes, corpus, provider, query)
+        for pair, query in zip(targets, queries)
+        for mode in modes
+    ]
+    patches = _pooled(send, built)
 
     written: dict[str, list[str]] = {mode.value: [] for mode in modes}
     failures: list[dict] = []
@@ -322,17 +337,6 @@ def run_optimize(
 
     _write_json(out_dir / FAILURES_MANIFEST, failures)
     return OptimizeResult(written=written, failures=failures)
-
-
-def _attempt(fn, *args) -> tuple:
-    """`(fn(*args), None)`, or `(None, reason)` when it raises AutopatchError.
-    Only the message is kept: a kept exception's traceback holds the frames
-    it passed through, and so whatever the caller holds, such as the loaded
-    indexes, in a cycle that only the cyclic collector frees."""
-    try:
-        return fn(*args), None
-    except AutopatchError as exc:
-        return None, str(exc)
 
 
 def _build_mode_prompt(
@@ -384,64 +388,59 @@ def run_eval(
     """Score every patch lexically against the ground truth, compile it, time
     it against the record's testcases, and aggregate the report.
 
-    Three phases, each in (target, mode) order: score every patch; compile
-    each distinct source of the scored ones once, on a pool of STAGE_WORKERS
-    threads, in `bin/<mode>/<id>` of the first patch that holds it; then,
-    once every compile has returned, time every scored patch's binary one at
-    a time, so no timed run shares the CPU with a compiler. A patch that is
-    missing, undecodable, unscorable or without testcases goes to the
-    failures manifest; one whose source does not compile is a COMPILE_ERROR
-    result.
+    Three phases, each in (target, mode) order: score every patch on the
+    main thread; compile each distinct source of the scored ones once
+    (`_pooled`), in `bin/<mode>/<id>` of the first patch that holds it;
+    then, once every compile has returned, time every scored patch's binary
+    one at a time, so no timed run shares the CPU with a compiler. A patch
+    that is missing, undecodable, unscorable or without testcases goes to
+    the failures manifest with its reason; one whose source does not compile
+    is a COMPILE_ERROR result with the compiler's reason.
     """
     patch_dir = Path(patch_dir)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     toolchain = ToolchainConfig.from_env()
 
+    def score(pair: CodePair, mode: PromptMode) -> tuple[str, LexicalScores]:
+        source = patch_path(patch_dir, mode, pair.id)
+        if not source.exists():
+            raise AutopatchError("patch missing")
+        try:
+            code = source.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise AutopatchError("patch is not valid UTF-8") from None
+        lexical = compute_lexical(code, pair.optimized_code)
+        if not pair.testcases:
+            raise AutopatchError("no testcases")
+        return code, lexical
+
     scored: list[tuple[CodePair, PromptMode, str, LexicalScores]] = []
     failures: list[dict] = []
-
     for pair in split.test_set:
         for mode in modes:
-            source = patch_path(patch_dir, mode, pair.id)
-            try:
-                if not source.exists():
-                    raise AutopatchError("patch missing")
-                try:
-                    code = source.read_text(encoding="utf-8")
-                except UnicodeDecodeError:
-                    raise AutopatchError("patch is not valid UTF-8") from None
-                lexical = compute_lexical(code, pair.optimized_code)
-                if not pair.testcases:
-                    raise AutopatchError("no testcases")
-            except AutopatchError as exc:
-                failures.append({"record_id": pair.id, "mode": mode.value, "reason": str(exc)})
-                logger.warning("eval: %s/%s not scored: %s", mode.value, pair.id, exc)
+            scores, reason = _attempt(score, pair, mode)
+            if reason is not None:
+                failures.append({"record_id": pair.id, "mode": mode.value, "reason": reason})
+                logger.warning("eval: %s/%s not scored: %s", mode.value, pair.id, reason)
                 continue
-            scored.append((pair, mode, code, lexical))
+            scored.append((pair, mode, *scores))
 
     # Equal sources build the same program, so each builds once.
     build_dirs: dict[str, Path] = {}
     for pair, mode, code, _ in scored:
         build_dirs.setdefault(code, out_dir / "bin" / mode.value / pair.id)
-
-    def compile_source(code: str, build_dir: Path) -> Path | RunOutcome:
-        try:
-            return compile_program(code, toolchain, build_dir)
-        except AutopatchError as exc:
-            return RunOutcome.failure(RunStatus.COMPILE_ERROR, str(exc))
-
-    # map yields in build_dirs' order; leaving the block waits for every compile.
-    with ThreadPoolExecutor(max_workers=STAGE_WORKERS) as pool:
-        compiled = dict(zip(build_dirs, pool.map(compile_source, build_dirs, build_dirs.values())))
+    # _pooled returns once every compile has.
+    programs = _pooled(lambda job: compile_program(job[0], toolchain, job[1]), build_dirs.items())
+    compiled = dict(zip(build_dirs, programs))
 
     results: list[EvalResult] = []
     for pair, mode, code, lexical in scored:
-        built = compiled[code]
-        if isinstance(built, RunOutcome):
-            outcome = built
+        program, reason = compiled[code]
+        if reason is not None:
+            outcome = RunOutcome.failure(RunStatus.COMPILE_ERROR, reason)
         else:
-            outcome = measure_execution(built, pair.testcases, reps, timeout_s)
+            outcome = measure_execution(program, pair.testcases, reps, timeout_s)
         results.append(
             EvalResult(
                 target_id=pair.id,

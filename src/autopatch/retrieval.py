@@ -173,35 +173,29 @@ class IndexRecord:
     cfg_text: str
 
 
-def build_index(
-    records: Sequence[IndexRecord],
-    provider,
-    source_kind: SourceKind,
-    path: Path | str,
-) -> VectorIndex:
-    """Embed every record, assemble the index and save it to `path`. A
-    failure to embed a record raises AutopatchError naming that record; the
-    caller decides skip policy."""
+def embed_record(record: IndexRecord, source_kind: SourceKind, provider) -> np.ndarray:
+    """The record's vector in a `source_kind` index: the embedding of its CFG
+    serialization or of its source. A failure raises AutopatchError naming
+    the record."""
+    text = record.cfg_text if source_kind is SourceKind.CFG_SERIALIZATION else record.pair.original_code
+    try:
+        return embed_text(text, provider)
+    except Exception as exc:
+        raise AutopatchError(f"record {record.pair.id}: {exc}") from exc
+
+
+def assemble_index(records: Sequence[IndexRecord], vectors: Sequence[np.ndarray],
+                   source_kind: SourceKind, path: Path | str) -> VectorIndex:
+    """The index of `records`, with `vectors[i]` the vector of record i,
+    saved to `path`."""
     if not records:
         raise AutopatchError("no records to index")
 
     seen: set[str] = set()
-    texts: list[str] = []
     for record in records:
         if record.pair.id in seen:
             raise AutopatchError(f"duplicate id {record.pair.id!r} (index build)")
         seen.add(record.pair.id)
-        if source_kind is SourceKind.CFG_SERIALIZATION:
-            texts.append(record.cfg_text)
-        else:
-            texts.append(record.pair.original_code)
-
-    vectors = []
-    for record, text in zip(records, texts):
-        try:
-            vectors.append(embed_text(text, provider))
-        except Exception as exc:
-            raise AutopatchError(f"record {record.pair.id}: {exc}") from exc
 
     dim = int(vectors[0].shape[0])
     for record, vector in zip(records, vectors):
@@ -216,6 +210,15 @@ def build_index(
     )
     save_index(index, path)
     return index
+
+
+def build_index(records: Sequence[IndexRecord], provider, source_kind: SourceKind,
+                path: Path | str) -> VectorIndex:
+    """`embed_record` for every record, then `assemble_index`: a failure to
+    embed a record raises AutopatchError naming that record; the caller
+    decides skip policy."""
+    vectors = [embed_record(record, source_kind, provider) for record in records]
+    return assemble_index(records, vectors, source_kind, path)
 
 
 def vector_sidecar_path(path: Path | str) -> Path:

@@ -1,8 +1,9 @@
 """Shared test utilities: oracle implementations, a writer of the
 analyzer's dump syntax, a random CFG generator, the ten-pair fixture
 corpus and a corpus-file writer, a scripted transport for recording
-deterministic cassettes without any network, and a slower variant of it
-for driving the index and optimize stages' worker pools out of order."""
+deterministic cassettes without any network, the program a chat request is
+about, a slower variant of the transport for driving the index and optimize
+stages' worker pools out of order, and an index directory's rows by id."""
 
 from __future__ import annotations
 
@@ -22,9 +23,10 @@ from autopatch.cfg import BasicBlock, ControlFlowGraph
 from autopatch.cfg_diff import _block_tokens, jaccard
 from autopatch.corpus import CodePair, OptimizationType, TestCase
 from autopatch.metrics import _TOKEN_PATTERN
-from autopatch.pipeline import run_index
+from autopatch.pipeline import index_path, run_index
 from autopatch.prompting import RATIONALE_SYSTEM_TEXT, Cassette, LlmClient, LlmConfig
-from autopatch.retrieval import LocalHashingProvider, VectorIndex, cosine_similarity
+from autopatch.retrieval import (LocalHashingProvider, SourceKind, VectorIndex, cosine_similarity,
+                                 load_index)
 
 # --- oracles -----------------------------------------------------------------
 
@@ -607,6 +609,13 @@ def make_scripted_transport(pairs: list[CodePair]):
 _ORIGINAL_FENCE = re.compile(r"## Original program\n\n```cpp\n(.*?)```", re.DOTALL)
 
 
+def request_program(request: dict) -> str:
+    """The program a chat request is about: the original program of a
+    rationale request, or the target program of a patch request."""
+    user = request["messages"][1]["content"]
+    return (_ORIGINAL_FENCE.search(user) or _TARGET_FENCE.search(user)).group(1).rstrip()
+
+
 class SlowFirstTransport:
     """The scripted chat service, slower for records earlier in `ids`, so
     that calls finish out of order. A call belongs to the program of its
@@ -623,9 +632,7 @@ class SlowFirstTransport:
         self.finished: list[int] = []
 
     def __call__(self, request: dict) -> dict:
-        user = request["messages"][1]["content"]
-        program = _ORIGINAL_FENCE.search(user) or _TARGET_FENCE.search(user)
-        position = self._position[program.group(1).rstrip()]
+        position = self._position[request_program(request)]
         with self._lock:
             self._active += 1
             self.peak = max(self.peak, self._active)
@@ -634,6 +641,17 @@ class SlowFirstTransport:
             self._active -= 1
             self.finished.append(position)
         return self._inner(request)
+
+
+def index_rows(index_dir: Path) -> dict[SourceKind, dict[str, tuple]]:
+    """Each index in `index_dir`, as its rows by record id: the vector's bytes
+    and the metadata."""
+    rows = {}
+    for kind in SourceKind:
+        index = load_index(index_path(index_dir, kind))
+        rows[kind] = {record_id: (vector.tobytes(), meta)
+                      for record_id, vector, meta in zip(index.ids, index.matrix, index.metadata)}
+    return rows
 
 
 def index_slow_first(root, ingest, pairs) -> SlowFirstTransport:

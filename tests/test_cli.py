@@ -342,7 +342,11 @@ def test_index_journal_rewrite_that_fails_keeps_the_previous_journal(tmp_path, m
 
 
 def test_malformed_split_manifest_exits_2(tmp_path, capsys, corpus_file):
-    for name, text in (("torn.json", "{"), ("empty.json", "{}"), ("list.json", "[]")):
+    # An id listed twice, or in both sets, would let a target retrieve itself.
+    twice = json.dumps({"database_ids": ["p01", "p02", "p01"], "test_ids": ["p03"]})
+    both = json.dumps({"database_ids": ["p01", "p02"], "test_ids": ["p03", "p02"]})
+    for name, text in (("torn.json", "{"), ("empty.json", "{}"), ("list.json", "[]"),
+                       ("twice.json", twice), ("both.json", both)):
         manifest = tmp_path / name
         manifest.write_text(text, encoding="utf-8")
         assert run_cli(
@@ -352,6 +356,11 @@ def test_malformed_split_manifest_exits_2(tmp_path, capsys, corpus_file):
         err = capsys.readouterr().err
         assert f"error: {manifest}: malformed split manifest: " in err
         assert "Traceback" not in err
+        if name == "twice.json":
+            assert "ValueError: id listed twice: 'p01'" in err
+        elif name == "both.json":
+            assert "ValueError: id listed twice: 'p02'" in err
+        assert not (tmp_path / "eval").exists()  # rejected before any work
 
 
 def test_split_naming_an_unknown_id_exits_2(tmp_path, capsys, corpus_file):

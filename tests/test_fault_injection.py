@@ -1,0 +1,173 @@
+"""Containment under planted faults: the `index` and `optimize` subcommands
+run through the CLI on the `dump_graphs` stand-in, against a chat and an
+embedding service faked behind `urllib.request.urlopen`, with one fault
+planted for each of a few chosen records. Each fault must land in the index
+journal or the optimize failures manifest under its own record, every other
+record's index rows and patch bytes must equal those of a fault-free run,
+and both subcommands must exit 0, as the README says of a run whose failed
+records were skipped."""
+
+from __future__ import annotations
+
+import io
+import itertools
+import json
+import urllib.error
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from autopatch import pipeline
+from autopatch.cli import EXIT_OK, main
+from autopatch.errors import AutopatchError
+from autopatch.pipeline import FAILURES_MANIFEST, INDEX_JOURNAL, run_ingest
+from autopatch.prompting import LLM_BASE_ENV, LLM_KEY_ENV, LLM_MODEL_ENV, PromptMode
+from autopatch.retrieval import EMBED_BASE_ENV, EMBED_KEY_ENV, LocalHashingProvider
+
+from conftest import DB_COUNT, SEED
+from helpers import index_rows, make_scripted_transport, request_program
+
+# Both services answer on a port of this machine that nothing listens on,
+# so a call that missed the fake would be refused, not sent anywhere.
+CHAT_URL = "http://127.0.0.1:9/v1"
+EMBED_URL = "http://127.0.0.1:9/embed"
+
+# The faults a record can carry, and the text its failure's reason holds.
+REASONS = {
+    "analyzer": "analyzer exited with 1: input.cpp: error: planted",
+    "refused": "service unreachable: [Errno 111] Connection refused",
+    "5xx": "service returned 503: chat busy",
+    "not-json": "response is not JSON",
+    "surrogate": "lone surrogate",
+    "no-fence": "response contains no fenced code block",
+    "embedding": "service returned 503: embedding busy",
+}
+# A database record's rationale answer needs no fenced block.
+DATABASE_FAULTS = sorted(set(REASONS) - {"no-fence"})
+# The modes whose patch a test record's fault fails: the analyzer runs for
+# context mode alone, and the source is embedded for naive mode alone.
+FAILED_MODES = {"analyzer": {PromptMode.CONTEXT}, "embedding": {PromptMode.NAIVE}}
+ALL_MODES = set(PromptMode)
+
+
+def _reply(payload: dict | bytes) -> io.BytesIO:
+    reply = io.BytesIO(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
+    reply.status = 200
+    return reply
+
+
+class FakeServices:
+    """The scripted chat service and an embedding service that answers with
+    LocalHashingProvider's vectors, behind `urllib.request.urlopen`, and an
+    analyzer that wraps the `dump_graphs` stand-in. `plants` maps a
+    program's source (stripped) to the fault planted for it: a chat or
+    analyzer fault for a request or run about that program, an embedding
+    fault for the program's source text."""
+
+    def __init__(self, monkeypatch, pairs):
+        self.plants: dict[str, str] = {}
+        self._chat = make_scripted_transport(pairs)
+        self._embedder = LocalHashingProvider()
+        self._analyzer = pipeline.extract_cfg
+        monkeypatch.setattr("urllib.request.urlopen", self.urlopen)
+        monkeypatch.setattr(pipeline, "extract_cfg", self.extract_cfg)
+        monkeypatch.setenv(LLM_BASE_ENV, CHAT_URL)
+        monkeypatch.setenv(EMBED_BASE_ENV, EMBED_URL)
+        for name in (LLM_KEY_ENV, LLM_MODEL_ENV, EMBED_KEY_ENV):
+            monkeypatch.delenv(name, raising=False)
+
+    def extract_cfg(self, code, config):
+        if self.plants.get(code.rstrip()) == "analyzer":
+            raise AutopatchError(REASONS["analyzer"])
+        return self._analyzer(code, config)
+
+    def urlopen(self, request, timeout):
+        payload = json.loads(request.data)
+        if request.full_url == EMBED_URL:
+            text = payload["input"][0]
+            if self.plants.get(text.rstrip()) == "embedding":
+                raise urllib.error.HTTPError(EMBED_URL, 503, "busy", {}, io.BytesIO(b"embedding busy"))
+            return _reply({"data": [{"embedding": self._embedder.embed(text).tolist()}]})
+        fault = self.plants.get(request_program(payload))
+        if fault == "refused":
+            raise ConnectionRefusedError(111, "Connection refused")
+        if fault == "5xx":
+            raise urllib.error.HTTPError(CHAT_URL, 503, "busy", {}, io.BytesIO(b"chat busy"))
+        if fault == "not-json":
+            return _reply(b"<html>busy</html>")
+        if fault == "surrogate":  # JSON escapes a lone surrogate, which is not text
+            return _reply({"choices": [{"message": {"content": "\ud800"}}]})
+        if fault == "no-fence":
+            return _reply({"choices": [{"message": {"content": "It is fast enough already."}}]})
+        return _reply(self._chat(payload))
+
+
+def _run(out: Path, corpus_file: Path, manifest: Path) -> None:
+    """`autopatch index`, then `autopatch optimize` in every mode, both on
+    the remote services, into `out`."""
+    common = ["--corpus", str(corpus_file), "--split", str(manifest), "--provider", "remote"]
+    assert main(["index", *common, "--out", str(out / "index")]) == EXIT_OK
+    assert main(["optimize", *common, "--index", str(out / "index"),
+                 "--out", str(out / "patches")]) == EXIT_OK
+
+
+def _patches(patch_dir: Path) -> dict[tuple[str, PromptMode], bytes]:
+    return {(path.stem, PromptMode(path.parent.name)): path.read_bytes()
+            for path in patch_dir.glob("*/*.cpp")}
+
+
+def test_each_planted_fault_fails_only_its_record(tmp_path, monkeypatch, pairs, corpus_file,
+                                                  dump_graphs):
+    services = FakeServices(monkeypatch, pairs)
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    database, targets = ingest.split.database_set, ingest.split.test_set
+    _run(tmp_path / "clean", corpus_file, ingest.manifest_path)
+    clean_rows = index_rows(tmp_path / "clean" / "index")
+    clean_patches = _patches(tmp_path / "clean" / "patches")
+    assert len(clean_patches) == len(targets) * len(ALL_MODES)
+    runs = itertools.count()
+
+    # At most three of the seven database records fail, so the index is built.
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        database_plants=st.dictionaries(st.integers(0, len(database) - 1),
+                                        st.sampled_from(DATABASE_FAULTS), max_size=3),
+        target_plants=st.dictionaries(st.integers(0, len(targets) - 1),
+                                      st.sampled_from(sorted(REASONS)), max_size=2),
+    )
+    @example(database_plants={0: "analyzer", 1: "refused", 2: "embedding"},
+             target_plants={0: "no-fence", 1: "embedding"})
+    @example(database_plants={3: "5xx", 4: "not-json", 5: "surrogate"},
+             target_plants={0: "analyzer", 2: "surrogate"})
+    @example(database_plants={}, target_plants={1: "refused", 2: "5xx"})
+    @example(database_plants={}, target_plants={0: "not-json"})
+    def check(database_plants, target_plants):
+        planted = {database[i].id: fault for i, fault in database_plants.items()}
+        planted.update({targets[i].id: fault for i, fault in target_plants.items()})
+        services.plants = {pair.original_code.rstrip(): planted[pair.id]
+                           for pair in (*database, *targets) if pair.id in planted}
+        out = tmp_path / f"run{next(runs)}"
+
+        _run(out, corpus_file, ingest.manifest_path)
+
+        journal = (out / "index" / INDEX_JOURNAL).read_text(encoding="utf-8").splitlines()
+        failed = {e["record_id"]: e["reason"] for e in map(json.loads, journal) if e["status"] != "ok"}
+        assert failed.keys() == {database[i].id for i in database_plants}
+        for record_id, reason in failed.items():
+            assert REASONS[planted[record_id]] in reason, (record_id, reason)
+        expected_rows = {kind: {record_id: row for record_id, row in rows.items()
+                                if record_id not in failed}
+                         for kind, rows in clean_rows.items()}
+        assert index_rows(out / "index") == expected_rows
+
+        failures = json.loads((out / "patches" / FAILURES_MANIFEST).read_text(encoding="utf-8"))
+        slots = {(f["record_id"], PromptMode(f["mode"])) for f in failures}
+        assert slots == {(targets[i].id, mode) for i, fault in target_plants.items()
+                         for mode in FAILED_MODES.get(fault, ALL_MODES)}
+        for failure in failures:
+            assert REASONS[planted[failure["record_id"]]] in failure["reason"], failure
+        assert _patches(out / "patches") == {slot: code for slot, code in clean_patches.items()
+                                             if slot not in slots}
+
+    check()

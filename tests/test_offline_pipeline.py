@@ -2,8 +2,10 @@
 pool over CFGs parsed from the committed dumps (the `dump_graphs` fixture),
 analyzer and compiler failures from fake tools (a tool that cannot start
 included), an unreachable chat service or a malformed reply (one that is not
-valid Unicode included) failing one record, a chat URL without a scheme
-failing each patch, eval containment of unscorable ground truths,
+valid Unicode included) failing one record, an embedding that fails (a 503
+or a zero vector) failing one record and leaving the other records'
+indexes whole, a chat URL without a scheme failing each patch, eval
+containment of unscorable ground truths,
 undecodable patches and records without testcases, and the eval stage's
 phase order (every compile before any timed run) and its one compile per
 distinct source under fake compile and time functions, and the optimize
@@ -26,6 +28,7 @@ import zlib
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from autopatch import pipeline
@@ -57,6 +60,7 @@ from autopatch.prompting import (
 )
 from autopatch.report import EvalResult, aggregate_report
 from autopatch.retrieval import (
+    LOCAL_DIM,
     LocalHashingProvider,
     SourceKind,
     embed_text,
@@ -65,7 +69,13 @@ from autopatch.retrieval import (
 )
 
 from conftest import ALL_MODES, DB_COUNT, DUMP_DIR, SEED, requires_gxx
-from helpers import SlowFirstTransport, index_slow_first, make_scripted_transport, write_corpus
+from helpers import (
+    SlowFirstTransport,
+    index_rows,
+    index_slow_first,
+    make_scripted_transport,
+    write_corpus,
+)
 
 
 def test_index_pool_output_identical_across_runs(tmp_path, pairs, corpus_file, dump_graphs):
@@ -200,6 +210,56 @@ def test_surrogate_chat_reply_fails_one_record_and_keeps_the_journal(tmp_path, p
     assert failed["record_id"] == unlucky.id
     assert failed["reason"].startswith("service returned 0: malformed chat response: ")
     assert result.indexed_count == DB_COUNT - 1
+
+
+class FailingOnOneText:
+    """LocalHashingProvider, except on `text`: a 503 from the service, or a
+    zero vector."""
+
+    def __init__(self, text: str, fault: str):
+        self._inner, self._text, self._fault = LocalHashingProvider(), text, fault
+
+    def embed(self, text: str) -> np.ndarray:
+        if text != self._text:
+            return self._inner.embed(text)
+        if self._fault == "503":
+            raise service_error(503, "busy")
+        return np.zeros(LOCAL_DIM, dtype=np.float32)
+
+
+@pytest.mark.parametrize("fault, kind", [("503", SourceKind.RAW_SOURCE),
+                                         ("zero", SourceKind.CFG_SERIALIZATION)])
+def test_embedding_failure_fails_one_record(tmp_path, pairs, corpus_file, dump_graphs, fault, kind):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    unlucky = ingest.split.database_set[2]
+    llm = LlmClient(LlmConfig(), cassette=None, mode="live", transport=make_scripted_transport(pairs))
+    clean = tmp_path / "clean"
+    run_index(ingest.corpus, ingest.split, clean, LocalHashingProvider(), llm)
+    journal = (clean / INDEX_JOURNAL).read_text(encoding="utf-8").splitlines()
+    journaled = {e["record_id"]: e for e in map(json.loads, journal)}
+    text = (unlucky.original_code if kind is SourceKind.RAW_SOURCE
+            else journaled[unlucky.id]["cfg_text"])
+
+    out = tmp_path / "index"
+    result = run_index(ingest.corpus, ingest.split, out, FailingOnOneText(text, fault), llm)
+
+    detail = "service returned 503: busy" if fault == "503" else "provider returned a zero vector"
+    failed = {"record_id": unlucky.id, "status": "failed", "reason": f"record {unlucky.id}: {detail}"}
+    assert result.skipped == [failed]
+    assert result.indexed_count == DB_COUNT - 1
+    journal = (out / INDEX_JOURNAL).read_text(encoding="utf-8").splitlines()
+    assert [e for e in map(json.loads, journal) if e["status"] != "ok"] == [failed]
+    for name in ("index_cfg.jsonl", "index_cfg.jsonl.vec",
+                 "index_source.jsonl", "index_source.jsonl.vec"):
+        assert (out / name).exists(), name
+    expected = index_rows(clean)
+    for rows in expected.values():
+        del rows[unlucky.id]
+    assert index_rows(out) == expected
+
+    rerun = run_index(ingest.corpus, ingest.split, out, LocalHashingProvider(), llm)
+    assert rerun.indexed_count == DB_COUNT and not rerun.skipped
+    assert _tree(out) == _tree(clean)
 
 
 def _optimize_with_one_reply(tmp_path, pairs, corpus_file, content, client_mode):

@@ -10,7 +10,12 @@ subclass. A new exception class fails `test_error_types` the way a new
 option fails the inventory, and any new class fails `test_class_inventory`.
 
 Bytes from outside become objects in `_io` alone: a new JSON decoder or
-Unicode check elsewhere fails `test_decoders_live_in_io`."""
+Unicode check elsewhere fails `test_decoders_live_in_io`.
+
+Every stage has one shape: `pipeline._pooled` builds the one thread pool,
+and `pipeline._attempt` is the one place a stage turns a record's error
+into its reason. A new pool or a new containment point fails
+`test_one_pool_and_one_containment_point`."""
 
 from __future__ import annotations
 
@@ -163,3 +168,38 @@ def test_decoders_live_in_io():
     for path in sorted(SOURCE_DIR.glob("*.py")):
         found += _decoders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sorted(found) == EXPECTED_DECODERS
+
+
+def _sites(node: ast.AST, where: str, matches) -> list[str]:
+    """The functions (or the module) that hold a node `matches` accepts,
+    once per node."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if matches(child):
+            found.append(where)
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        found += _sites(child, inner, matches)
+    return found
+
+
+def _is_pool(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and "ThreadPoolExecutor" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _catches_autopatch_error(node: ast.AST) -> bool:
+    return isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+        isinstance(name, ast.Name) and name.id == "AutopatchError" for name in ast.walk(node.type))
+
+
+def test_one_pool_and_one_containment_point():
+    pools = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        pools += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _is_pool)
+    assert pools == ["pipeline._pooled"]
+    # load_split only renames an unknown id's error after the manifest's file.
+    pipeline = ast.parse((SOURCE_DIR / "pipeline.py").read_text(encoding="utf-8"))
+    assert _sites(pipeline, "pipeline", _catches_autopatch_error) == [
+        "pipeline._attempt", "pipeline.load_split"]
