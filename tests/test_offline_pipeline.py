@@ -17,6 +17,7 @@ loaded indexes alive."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import json
 import sys
@@ -92,6 +93,30 @@ def test_index_pool_output_identical_across_runs(tmp_path, pairs, corpus_file, d
     cassette = (tmp_path / "a" / "cassette.jsonl").read_text(encoding="utf-8").splitlines()
     keys = {json.loads(line)["key"] for line in cassette}
     assert len(keys) == len(ingest.split.database_set)
+
+
+# sha256 of the sorted request keys of a cassette recorded over the fixture
+# corpus: every rationale request of the index stage and every patch request
+# of the optimize stage, in all three modes. A key hashes the prompt text, so
+# a byte that moves in any prompt moves this digest, and an existing cassette
+# would no longer replay.
+REQUEST_KEYS_SHA256 = "7f09a9f11efd40d353c2684a24daf1d02cf8d8e6058959c83c78a6cdcbc05f2e"
+
+
+def test_recorded_request_keys_are_pinned(tmp_path, pairs, corpus_file, dump_graphs):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    cassette = tmp_path / "cassette.jsonl"
+    llm = LlmClient(LlmConfig(), Cassette(cassette), mode="record",
+                    transport=make_scripted_transport(pairs))
+    provider = LocalHashingProvider()
+    assert not run_index(ingest.corpus, ingest.split, tmp_path / "index", provider, llm).skipped
+    assert not run_optimize(ingest.corpus, ingest.split, tmp_path / "index", tmp_path / "patches",
+                            ALL_MODES, llm, provider).failures
+
+    keys = [json.loads(line)["key"] for line in cassette.read_text(encoding="utf-8").splitlines()]
+    assert len(keys) == len(set(keys)) == 16
+    digest = hashlib.sha256("\n".join(sorted(keys)).encode("utf-8")).hexdigest()
+    assert digest == REQUEST_KEYS_SHA256
 
 
 def test_analyzer_failure_reason_quotes_no_temp_path(tmp_path, monkeypatch):
