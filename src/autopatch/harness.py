@@ -134,10 +134,9 @@ def measure_execution(
     timeout_s: float,
 ) -> RunOutcome:
     """Run every testcase with warmup and repetitions; any wrong output,
-    timeout, or nonzero exit fails the whole program."""
+    timeout, or nonzero exit fails the whole program, and so does a program
+    that cannot start, a missing one included: that is a CRASH."""
     binary = Path(binary)
-    if not binary.exists():
-        raise AutopatchError(str(binary))
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if not testcases:

@@ -215,10 +215,11 @@ def run_index(
 
     Up to STAGE_WORKERS records are prepared at once (`_pooled`), or taken
     from the journal; then the main thread embeds each prepared record's
-    texts for both indexes. A record that fails either step becomes a
-    "failed" journal entry with its reason, logged and skipped, never fatal,
-    so a rerun reuses exactly the indexed records and retries the rest. The
-    journal and the indexes list the records in database order.
+    texts for both indexes; the first to embed sets each index's dimension.
+    A record that fails either step, or whose vector has another dimension,
+    becomes a "failed" journal entry with its reason, logged and skipped,
+    never fatal, so a rerun reuses exactly the indexed records and retries
+    the rest. The journal and the indexes list the records in database order.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -233,10 +234,16 @@ def run_index(
             return cached
         return _prepare_record(pair, llm, analyzer_config)
 
+    dims: dict[SourceKind, int] = {}  # set by the first record that embeds
+
     def embed(pair: CodePair, entry: dict) -> tuple[IndexRecord, dict]:
         record = IndexRecord(load_record(corpus, pair.id), entry["diff_text"], entry["rationale"],
                              entry["cfg_text"])
-        return record, {kind: embed_record(record, kind, provider) for kind in _INDEX_FILES}
+        vectors = {kind: embed_record(record, kind, provider) for kind in _INDEX_FILES}
+        for kind, vector in vectors.items():
+            if len(vector) != dims.setdefault(kind, len(vector)):
+                raise AutopatchError(f"record {pair.id}: dim {len(vector)} != {dims[kind]}")
+        return record, vectors
 
     prepared, skipped, indexed = [], [], []
     for pair, (entry, reason) in zip(split.database_set, _pooled(prepare, split.database_set)):
@@ -309,10 +316,10 @@ def run_optimize(
         return serialize_cfg(extract_cfg(pair.original_code, analyzer_config))
 
     def send(built: tuple) -> str:
-        prompt, reason = built
+        prompt_text, reason = built
         if reason is not None:
             raise AutopatchError(reason)
-        return generate_patch(prompt, llm)
+        return generate_patch(prompt_text, llm)
 
     targets = split.test_set
     queries = _pooled(analyze, targets) if PromptMode.CONTEXT in modes else [None] * len(targets)
@@ -346,13 +353,14 @@ def _build_mode_prompt(
     corpus: Corpus,
     provider,
     cfg_query: tuple[str | None, str | None] | None,
-):
-    """Naive mode retrieves the example by the target's source; context mode
-    by its CFG serialization, and adds the example's diff and rationale.
-    `cfg_query` is the (serialization, reason) pair of the target's analyzer
-    run; context mode fails with the reason when there is no serialization."""
+) -> str:
+    """The one place that decides what each mode shows. Naive mode retrieves
+    the example by the target's source; context mode by its CFG serialization,
+    and adds the example's diff and rationale. `cfg_query` is the
+    (serialization, reason) pair of the target's analyzer run; context mode
+    fails with the reason when there is no serialization."""
     if mode is PromptMode.ZERO_SHOT:
-        return build_prompt(mode, pair)
+        return build_prompt(pair)
 
     context = mode is PromptMode.CONTEXT
     text = pair.original_code
@@ -361,8 +369,8 @@ def _build_mode_prompt(
         if reason is not None:
             raise AutopatchError(reason)
     entry, _ = retrieve_top1(indexes[_MODE_SOURCE_KIND[mode]], embed_text(text, provider))
-    extra = {"diff": entry.diff_text, "rationale": entry.rationale} if context else {}
-    return build_prompt(mode, pair, example=load_record(corpus, entry.record_id), **extra)
+    example = load_record(corpus, entry.record_id)
+    return build_prompt(pair, example, (entry.diff_text, entry.rationale) if context else None)
 
 
 # --- eval --------------------------------------------------------------------

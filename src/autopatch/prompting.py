@@ -1,10 +1,10 @@
 """Prompt assembly and the chat-completion client.
 
-All three generation modes share one template skeleton so that their only
-differences are content: the zero-shot prompt carries the target program
-alone, the naive prompt adds exactly one retrieved example pair, and the
-context prompt additionally includes that example's structural change summary
-and its stored optimization rationale.
+All three generation modes share one template skeleton, `build_prompt`, and
+differ only in the sections the optimize stage gives it: the zero-shot prompt
+carries the target program alone, the naive prompt adds exactly one retrieved
+example pair, and the context prompt additionally includes that example's
+structural change summary and its stored optimization rationale.
 
 The client runs in one of three modes: `live` (straight HTTP), `record` (HTTP
 plus cassette capture), and `replay` (cassette only, zero network activity).
@@ -47,14 +47,6 @@ class PromptMode(Enum):
     CONTEXT = "context"
 
 
-@dataclass(frozen=True)
-class Prompt:
-    mode: PromptMode
-    system_text: str
-    user_text: str
-    target_id: str
-
-
 OPTIMIZER_SYSTEM_TEXT = (
     "You are an expert C++ performance engineer. Rewrite the target program so it "
     "runs faster while preserving its exact input/output behavior. Reply with the "
@@ -72,25 +64,11 @@ def _fence(code: str) -> str:
     return f"```cpp\n{code.rstrip()}\n```"
 
 
-def build_prompt(
-    mode: PromptMode,
-    target: CodePair,
-    diff: str | None = None,
-    rationale: str | None = None,
-    example: CodePair | None = None,
-) -> Prompt:
-    """Assemble the prompt for one target. Optional arguments must agree with
-    the mode: zero-shot takes none of them, naive exactly one example, context
-    exactly one example plus diff text and rationale."""
-    if mode is PromptMode.ZERO_SHOT and not (diff is None and rationale is None and example is None):
-        raise AutopatchError("zero-shot prompts take no context arguments")
-    if mode is PromptMode.NAIVE and (diff is not None or rationale is not None):
-        raise AutopatchError("naive prompts take only an example pair")
-    if mode is PromptMode.NAIVE and example is None:
-        raise AutopatchError("naive prompts require exactly one example pair")
-    if mode is PromptMode.CONTEXT and (diff is None or rationale is None or example is None):
-        raise AutopatchError("context prompts require diff, rationale, and example")
-
+def build_prompt(target: CodePair, example: CodePair | None = None,
+                 context: tuple[str, str] | None = None) -> str:
+    """The user text of a patch request: the target program, then the
+    example pair when one is given, then the example's `(diff_text,
+    rationale)` pair when one is given, then the task."""
     sections = ["## Target program", "", _fence(target.original_code)]
     if example is not None:
         sections += [
@@ -103,9 +81,9 @@ def build_prompt(
             "",
             _fence(example.optimized_code),
         ]
-    if diff is not None:
-        sections += ["", "## Control-flow changes in the reference example", "", diff.rstrip()]
-    if rationale is not None:
+    if context is not None:
+        diff_text, rationale = context
+        sections += ["", "## Control-flow changes in the reference example", "", diff_text.rstrip()]
         sections += ["", "## Why the reference optimization works", "", rationale.rstrip()]
     sections += [
         "",
@@ -113,13 +91,7 @@ def build_prompt(
         "",
         "Produce an optimized version of the target program.",
     ]
-
-    return Prompt(
-        mode=mode,
-        system_text=OPTIMIZER_SYSTEM_TEXT,
-        user_text="\n".join(sections),
-        target_id=target.id,
-    )
+    return "\n".join(sections)
 
 
 def request_hash(model: str, system_text: str, user_text: str) -> str:
@@ -312,9 +284,10 @@ def extract_code_block(text: str) -> str:
     return code
 
 
-def generate_patch(prompt: Prompt, llm: LlmClient) -> str:
-    """The code of the first fenced block of the service's answer."""
-    return extract_code_block(llm.complete(prompt.system_text, prompt.user_text))
+def generate_patch(prompt_text: str, llm: LlmClient) -> str:
+    """The code of the first fenced block of the service's answer to
+    `prompt_text` under OPTIMIZER_SYSTEM_TEXT."""
+    return extract_code_block(llm.complete(OPTIMIZER_SYSTEM_TEXT, prompt_text))
 
 
 def generate_rationale(diff: CfgDiff, pair: CodePair, llm: LlmClient) -> str:

@@ -175,12 +175,12 @@ class IndexRecord:
 
 def embed_record(record: IndexRecord, source_kind: SourceKind, provider) -> np.ndarray:
     """The record's vector in a `source_kind` index: the embedding of its CFG
-    serialization or of its source. A failure raises AutopatchError naming
-    the record."""
+    serialization or of its source. Like a chat transport, a provider raises
+    only AutopatchError, which is raised again naming the record."""
     text = record.cfg_text if source_kind is SourceKind.CFG_SERIALIZATION else record.pair.original_code
     try:
         return embed_text(text, provider)
-    except Exception as exc:
+    except AutopatchError as exc:
         raise AutopatchError(f"record {record.pair.id}: {exc}") from exc
 
 

@@ -5,7 +5,13 @@ planted for each of a few chosen records. Each fault must land in the index
 journal or the optimize failures manifest under its own record, every other
 record's index rows and patch bytes must equal those of a fault-free run,
 and both subcommands must exit 0, as the README says of a run whose failed
-records were skipped."""
+records were skipped.
+
+`eval` runs through the CLI too, with g++, over patches that each plant one
+fault: a compile error, a nonzero exit, wrong output, a timeout, a patch
+that is not UTF-8, and a program that deletes its own file, shared by two
+modes. Each fault must land under its own (record, mode), every other patch
+must run `ok`, and the run must exit 0."""
 
 from __future__ import annotations
 
@@ -21,12 +27,13 @@ from hypothesis import strategies as st
 from autopatch import pipeline
 from autopatch.cli import EXIT_OK, main
 from autopatch.errors import AutopatchError
-from autopatch.pipeline import FAILURES_MANIFEST, INDEX_JOURNAL, run_ingest
+from autopatch.pipeline import FAILURES_MANIFEST, INDEX_JOURNAL, patch_path, run_ingest
 from autopatch.prompting import LLM_BASE_ENV, LLM_KEY_ENV, LLM_MODEL_ENV, PromptMode
+from autopatch.report import aggregate_report
 from autopatch.retrieval import EMBED_BASE_ENV, EMBED_KEY_ENV, LocalHashingProvider
 
-from conftest import DB_COUNT, SEED
-from helpers import index_rows, make_scripted_transport, request_program
+from conftest import DB_COUNT, SEED, requires_gxx
+from helpers import index_rows, make_scripted_transport, request_program, write_corpus
 
 # Both services answer on a port of this machine that nothing listens on,
 # so a call that missed the fake would be refused, not sent anywhere.
@@ -171,3 +178,66 @@ def test_each_planted_fault_fails_only_its_record(tmp_path, monkeypatch, pairs, 
                                              if slot not in slots}
 
     check()
+
+
+WRONG_OUTPUT = '#include <cstdio>\nint main() { printf("wrong\\n"); return 0; }\n'
+NONZERO_EXIT = "int main() { return 3; }\n"
+NEVER_ENDS = "int main() { volatile long x = 0; while (1) { x++; } }\n"
+
+
+def _self_deleting(pair) -> str:
+    """The pair's optimized program, which first removes its own file: its
+    untimed warmup run passes, and no later run can start."""
+    assert "int main() {" in pair.optimized_code
+    return "#include <unistd.h>\n" + pair.optimized_code.replace(
+        "int main() {", "int main(int argc, char** argv) {\n    unlink(argv[0]);", 1)
+
+
+@requires_gxx
+def test_eval_contains_one_planted_fault_per_patch(tmp_path, monkeypatch, capsys, pairs):
+    corpus = tmp_path / "pairs.jsonl"
+    write_corpus(pairs[:4], corpus)
+    ingest = run_ingest(corpus, 0, SEED, tmp_path / "ingest")
+    a, b, c, clean = ingest.split.test_set
+    by_id = {pair.id: pair for pair in ingest.split.test_set}
+    planted = {
+        (a.id, "zero_shot"): ("int main() { broken !!!", "compile_error", "compilation failed: "),
+        (a.id, "naive"): (NONZERO_EXIT, "crash", "testcase 0: exit code 3"),
+        (a.id, "context"): (WRONG_OUTPUT, "wrong_output", "testcase 0: expected "),
+        (b.id, "zero_shot"): (NEVER_ENDS, "timeout", "testcase 0: exceeded 1.0s"),
+        (b.id, "naive"): (b"int main() { return 0; } // \xff\n", None, "patch is not valid UTF-8"),
+        # One program, built once for both slots, deletes itself in its
+        # first run, so every later run finds it gone.
+        (c.id, "zero_shot"): (_self_deleting(c), "crash", "testcase 0: could not start: "),
+        (c.id, "naive"): (_self_deleting(c), "crash", "testcase 0: could not start: "),
+    }
+    patches = tmp_path / "patches"
+    slots = {(pair.id, mode.value) for pair in ingest.split.test_set for mode in PromptMode}
+    for record_id, mode in slots:
+        source = planted.get((record_id, mode), (by_id[record_id].optimized_code,))[0]
+        path = patch_path(patches, PromptMode(mode), record_id)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(source if isinstance(source, bytes) else source.encode("utf-8"))
+    results = []
+
+    def aggregate(each, parameters):
+        results.extend(each)
+        return aggregate_report(each, parameters)
+
+    monkeypatch.setattr(pipeline, "aggregate_report", aggregate)
+
+    out = tmp_path / "eval"
+    code = main(["eval", "--corpus", str(corpus), "--split", str(ingest.manifest_path),
+                 "--patches", str(patches), "--reps", "1", "--timeout", "1", "--out", str(out)])
+
+    # One program, `clean`, is executable under every mode: exit 0.
+    assert code == EXIT_OK, capsys.readouterr().err
+    outcomes = {(r.target_id, r.mode): r.outcome for r in results}
+    failures = json.loads((out / FAILURES_MANIFEST).read_text(encoding="utf-8"))
+    assert failures == [{"record_id": b.id, "mode": "naive", "reason": "patch is not valid UTF-8"}]
+    assert outcomes.keys() == slots - {(b.id, "naive")}
+    for slot, outcome in outcomes.items():
+        _, status, detail = planted.get(slot, (None, "ok", ""))
+        assert outcome.status.value == status and outcome.detail.startswith(detail), (slot, outcome)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["common_executable_ids"] == [clean.id]

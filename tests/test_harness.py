@@ -1,12 +1,11 @@
 from __future__ import annotations
 
-import re
-
 import pytest
 
 from autopatch.corpus import TestCase
 from autopatch.errors import AutopatchError
 from autopatch.harness import (
+    RunOutcome,
     RunStatus,
     ToolchainConfig,
     compile_program,
@@ -58,8 +57,9 @@ def test_compiler_not_found(tmp_path):
 
 
 def test_binary_not_found(tmp_path):
-    with pytest.raises(AutopatchError, match=f"^{re.escape(str(tmp_path / 'missing'))}$"):
-        measure_execution(tmp_path / "missing", [TestCase("", "")], reps=1, timeout_s=5)
+    outcome = measure_execution(tmp_path / "missing", [TestCase("", "")], reps=1, timeout_s=5)
+    assert outcome == RunOutcome.failure(
+        RunStatus.CRASH, "testcase 0: could not start: No such file or directory")
 
 
 def test_stdin_fed_and_output_compared(tmp_path):

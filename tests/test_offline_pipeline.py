@@ -2,11 +2,11 @@
 pool over CFGs parsed from the committed dumps (the `dump_graphs` fixture),
 analyzer and compiler failures from fake tools (a tool that cannot start
 included), an unreachable chat service or a malformed reply (one that is not
-valid Unicode included) failing one record, an embedding that fails (a 503
-or a zero vector) failing one record and leaving the other records'
-indexes whole, a chat URL without a scheme failing each patch, eval
-containment of unscorable ground truths,
-undecodable patches and records without testcases, and the eval stage's
+valid Unicode included) failing one record, an embedding that fails (a 503,
+a zero vector or a vector of another dimension) failing one record and
+leaving the other records' indexes whole, the request keys of a recorded
+cassette (so every prompt byte), a chat URL without a scheme failing each
+patch, eval containment of unscorable ground truths, undecodable patches and records without testcases, and the eval stage's
 phase order (every compile before any timed run) and its one compile per
 distinct source under fake compile and time functions, and the optimize
 stage's pool: analyzer runs and
@@ -238,8 +238,8 @@ def test_surrogate_chat_reply_fails_one_record_and_keeps_the_journal(tmp_path, p
 
 
 class FailingOnOneText:
-    """LocalHashingProvider, except on `text`: a 503 from the service, or a
-    zero vector."""
+    """LocalHashingProvider, except on `text`: a 503 from the service, a
+    zero vector, or a vector one float shorter than the others."""
 
     def __init__(self, text: str, fault: str):
         self._inner, self._text, self._fault = LocalHashingProvider(), text, fault
@@ -249,11 +249,21 @@ class FailingOnOneText:
             return self._inner.embed(text)
         if self._fault == "503":
             raise service_error(503, "busy")
+        if self._fault == "short":
+            return self._inner.embed(text)[:-1]
         return np.zeros(LOCAL_DIM, dtype=np.float32)
 
 
+EMBEDDING_FAULTS = {
+    "503": "service returned 503: busy",
+    "zero": "provider returned a zero vector",
+    "short": f"dim {LOCAL_DIM - 1} != {LOCAL_DIM}",
+}
+
+
 @pytest.mark.parametrize("fault, kind", [("503", SourceKind.RAW_SOURCE),
-                                         ("zero", SourceKind.CFG_SERIALIZATION)])
+                                         ("zero", SourceKind.CFG_SERIALIZATION),
+                                         ("short", SourceKind.RAW_SOURCE)])
 def test_embedding_failure_fails_one_record(tmp_path, pairs, corpus_file, dump_graphs, fault, kind):
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     unlucky = ingest.split.database_set[2]
@@ -268,8 +278,8 @@ def test_embedding_failure_fails_one_record(tmp_path, pairs, corpus_file, dump_g
     out = tmp_path / "index"
     result = run_index(ingest.corpus, ingest.split, out, FailingOnOneText(text, fault), llm)
 
-    detail = "service returned 503: busy" if fault == "503" else "provider returned a zero vector"
-    failed = {"record_id": unlucky.id, "status": "failed", "reason": f"record {unlucky.id}: {detail}"}
+    reason = f"record {unlucky.id}: {EMBEDDING_FAULTS[fault]}"
+    failed = {"record_id": unlucky.id, "status": "failed", "reason": reason}
     assert result.skipped == [failed]
     assert result.indexed_count == DB_COUNT - 1
     journal = (out / INDEX_JOURNAL).read_text(encoding="utf-8").splitlines()
@@ -388,18 +398,18 @@ def _sequential_optimize(corpus, split, index_dir, out_dir, modes, llm, provider
         for mode in modes:
             try:
                 if mode is PromptMode.ZERO_SHOT:
-                    prompt = build_prompt(mode, pair)
+                    prompt_text = build_prompt(pair)
                 elif mode is PromptMode.NAIVE:
                     entry, _ = retrieve_top1(indexes[SourceKind.RAW_SOURCE],
                                              embed_text(pair.original_code, provider))
-                    prompt = build_prompt(mode, pair, example=load_record(corpus, entry.record_id))
+                    prompt_text = build_prompt(pair, load_record(corpus, entry.record_id))
                 else:  # the stand-in analyzer ignores its config
                     query = serialize_cfg(pipeline.extract_cfg(pair.original_code, None))
                     entry, _ = retrieve_top1(indexes[SourceKind.CFG_SERIALIZATION],
                                              embed_text(query, provider))
-                    prompt = build_prompt(mode, pair, example=load_record(corpus, entry.record_id),
-                                          diff=entry.diff_text, rationale=entry.rationale)
-                code = generate_patch(prompt, llm)
+                    prompt_text = build_prompt(pair, load_record(corpus, entry.record_id),
+                                               (entry.diff_text, entry.rationale))
+                code = generate_patch(prompt_text, llm)
             except AutopatchError as exc:
                 failures.append({"record_id": pair.id, "mode": mode.value, "reason": str(exc)})
                 continue

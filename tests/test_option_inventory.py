@@ -15,7 +15,9 @@ Unicode check elsewhere fails `test_decoders_live_in_io`.
 Every stage has one shape: `pipeline._pooled` builds the one thread pool,
 and `pipeline._attempt` is the one place a stage turns a record's error
 into its reason. A new pool or a new containment point fails
-`test_one_pool_and_one_containment_point`."""
+`test_one_pool_and_one_containment_point`. Only `AutopatchError` is
+contained: a new handler that is bare or catches `Exception` or
+`BaseException` fails `test_no_catch_all_handler`."""
 
 from __future__ import annotations
 
@@ -42,9 +44,8 @@ EXPECTED_OPTIONS = [
     "prompting.LlmConfig.api_key",
     "prompting.LlmConfig.base_url",
     "prompting.LlmConfig.model",
-    "prompting.build_prompt(diff=)",
+    "prompting.build_prompt(context=)",
     "prompting.build_prompt(example=)",
-    "prompting.build_prompt(rationale=)",
 ]
 
 
@@ -102,7 +103,7 @@ EXPECTED_CLASSES = [
     "pipeline.IngestResult", "pipeline.IndexResult", "pipeline.OptimizeResult",
     "pipeline.EvalRunResult",
     "preprocess.PreprocessReport",
-    "prompting.PromptMode", "prompting.Prompt", "prompting.Cassette", "prompting.LlmConfig",
+    "prompting.PromptMode", "prompting.Cassette", "prompting.LlmConfig",
     "prompting.LlmClient",
     "report.EvalResult", "report.ModeReport", "report.EvaluationReport",
     "retrieval.SourceKind", "retrieval.LocalHashingProvider", "retrieval.RemoteEmbeddingProvider",
@@ -203,3 +204,17 @@ def test_one_pool_and_one_containment_point():
     pipeline = ast.parse((SOURCE_DIR / "pipeline.py").read_text(encoding="utf-8"))
     assert _sites(pipeline, "pipeline", _catches_autopatch_error) == [
         "pipeline._attempt", "pipeline.load_split"]
+
+
+def _catches_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.ExceptHandler) and (node.type is None or any(
+        isinstance(name, ast.Name) and name.id in ("Exception", "BaseException")
+        for name in ast.walk(node.type)))
+
+
+def test_no_catch_all_handler():
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _catches_all)
+    # `replacing` removes its temporary file and raises the error again.
+    assert found == ["_io.replacing"]

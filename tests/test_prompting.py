@@ -25,13 +25,13 @@ from autopatch.prompting import (
     Cassette,
     LlmClient,
     LlmConfig,
-    PromptMode,
     build_prompt,
     extract_code_block,
     generate_patch,
     generate_rationale,
     request_hash,
     EMPTY_DIFF_RATIONALE,
+    OPTIMIZER_SYSTEM_TEXT,
 )
 from autopatch.pipeline import run_index
 from autopatch.retrieval import (
@@ -70,74 +70,48 @@ TASK_HEADINGS = ["## Task"]
 ALL_HEADINGS = TARGET_HEADINGS + EXAMPLE_HEADINGS + CONTEXT_HEADINGS + TASK_HEADINGS
 
 
-def _headings(prompt) -> list[str]:
-    """The section headings of the prompt's user text, in order."""
-    return [line for line in prompt.user_text.split("\n") if line in ALL_HEADINGS]
+def _headings(text: str) -> list[str]:
+    """The section headings of a prompt's user text, in order."""
+    return [line for line in text.split("\n") if line in ALL_HEADINGS]
 
 
 # --- build_prompt ------------------------------------------------------------------
 
 
 def test_context_prompt_contains_all_sections():
-    prompt = build_prompt(
-        PromptMode.CONTEXT, TARGET, diff=DIFF_TEXT, rationale="cuts a loop", example=EXAMPLE
-    )
+    text = build_prompt(TARGET, EXAMPLE, (DIFF_TEXT, "cuts a loop"))
     for marker in ("\u0394S", "\u0394F", "\u0394C"):
-        assert marker in prompt.user_text
-    assert "## Why the reference optimization works" in prompt.user_text
-    assert prompt.user_text.count("## Reference example: original") == 1
-    assert prompt.user_text.count("## Reference example: optimized") == 1
-    assert EXAMPLE.original_code in prompt.user_text
-    assert EXAMPLE.optimized_code in prompt.user_text
+        assert marker in text
+    assert "## Why the reference optimization works" in text
+    assert text.count("## Reference example: original") == 1
+    assert text.count("## Reference example: optimized") == 1
+    assert EXAMPLE.original_code in text
+    assert EXAMPLE.optimized_code in text
 
 
 def test_zero_shot_prompt_is_target_only():
-    prompt = build_prompt(PromptMode.ZERO_SHOT, TARGET)
-    assert TARGET.original_code in prompt.user_text
-    assert "Reference example" not in prompt.user_text
-    assert "\u0394S" not in prompt.user_text
-    assert _headings(prompt) == TARGET_HEADINGS + TASK_HEADINGS
+    text = build_prompt(TARGET)
+    assert TARGET.original_code in text
+    assert "Reference example" not in text
+    assert "\u0394S" not in text
+    assert _headings(text) == TARGET_HEADINGS + TASK_HEADINGS
 
 
 def test_modes_share_prompt_skeleton():
-    prompts = [
-        build_prompt(PromptMode.ZERO_SHOT, TARGET),
-        build_prompt(PromptMode.NAIVE, TARGET, example=EXAMPLE),
-        build_prompt(
-            PromptMode.CONTEXT, TARGET, diff=DIFF_TEXT, rationale="r", example=EXAMPLE
-        ),
+    texts = [
+        build_prompt(TARGET),
+        build_prompt(TARGET, EXAMPLE),
+        build_prompt(TARGET, EXAMPLE, (DIFF_TEXT, "r")),
     ]
-    for prompt in prompts:
-        assert prompt.system_text == prompts[0].system_text
-        assert prompt.user_text.startswith("## Target program")
-        assert prompt.user_text.rstrip().endswith("Produce an optimized version of the target program.")
-
-
-def test_naive_with_diff_is_mode_mismatch():
-    with pytest.raises(AutopatchError, match="^naive prompts take only an example pair$"):
-        build_prompt(PromptMode.NAIVE, TARGET, diff=DIFF_TEXT, example=EXAMPLE)
-
-
-def test_naive_requires_example():
-    with pytest.raises(AutopatchError, match="^naive prompts require exactly one example pair$"):
-        build_prompt(PromptMode.NAIVE, TARGET)
-
-
-def test_zero_shot_rejects_context_arguments():
-    with pytest.raises(AutopatchError, match="^zero-shot prompts take no context arguments$"):
-        build_prompt(PromptMode.ZERO_SHOT, TARGET, example=EXAMPLE)
-
-
-def test_context_requires_all_arguments():
-    with pytest.raises(AutopatchError, match="^context prompts require diff, rationale, and example$"):
-        build_prompt(PromptMode.CONTEXT, TARGET, diff=DIFF_TEXT, example=EXAMPLE)
+    for text in texts:
+        assert text.startswith("## Target program")
+        assert text.rstrip().endswith("Produce an optimized version of the target program.")
 
 
 def test_prompt_deterministic():
-    first = build_prompt(PromptMode.CONTEXT, TARGET, diff=DIFF_TEXT, rationale="r", example=EXAMPLE)
-    second = build_prompt(PromptMode.CONTEXT, TARGET, diff=DIFF_TEXT, rationale="r", example=EXAMPLE)
-    assert first.user_text.encode() == second.user_text.encode()
-    assert first.system_text == second.system_text
+    first = build_prompt(TARGET, EXAMPLE, (DIFF_TEXT, "r"))
+    second = build_prompt(TARGET, EXAMPLE, (DIFF_TEXT, "r"))
+    assert first.encode() == second.encode()
 
 
 _codes = st.text(
@@ -147,27 +121,25 @@ _codes = st.text(
 
 @settings(max_examples=80, deadline=None)
 @given(
-    mode=st.sampled_from(list(PromptMode)),
+    sections=st.sampled_from(["target", "example", "context"]),
     target_code=_codes,
     example_code=_codes,
     rationale=_codes,
 )
-def test_prompt_invariants_over_random_valid_inputs(mode, target_code, example_code, rationale):
+def test_prompt_invariants_over_random_valid_inputs(sections, target_code, example_code,
+                                                    rationale):
     target = _pair("t", target_code, target_code + ";")
     example = _pair("e", example_code, example_code + ";")
-    if mode is PromptMode.ZERO_SHOT:
-        prompt = build_prompt(mode, target)
-        assert _headings(prompt) == TARGET_HEADINGS + TASK_HEADINGS
-    elif mode is PromptMode.NAIVE:
-        prompt = build_prompt(mode, target, example=example)
-        assert _headings(prompt) == TARGET_HEADINGS + EXAMPLE_HEADINGS + TASK_HEADINGS
+    if sections == "target":
+        assert _headings(build_prompt(target)) == TARGET_HEADINGS + TASK_HEADINGS
+    elif sections == "example":
+        text = build_prompt(target, example)
+        assert _headings(text) == TARGET_HEADINGS + EXAMPLE_HEADINGS + TASK_HEADINGS
     else:
-        prompt = build_prompt(mode, target, diff=DIFF_TEXT, rationale=rationale, example=example)
-        assert _headings(prompt) == ALL_HEADINGS
-        assert DIFF_TEXT.rstrip() in prompt.user_text
-        assert rationale.rstrip() in prompt.user_text
-    assert prompt.mode is mode
-    assert prompt.target_id == "t"
+        text = build_prompt(target, example, (DIFF_TEXT, rationale))
+        assert _headings(text) == ALL_HEADINGS
+        assert DIFF_TEXT.rstrip() in text
+        assert rationale.rstrip() in text
 
 
 # --- code block extraction -----------------------------------------------------------
@@ -559,10 +531,12 @@ def test_request_hash_depends_on_all_parts():
 
 
 def test_generate_patch_extracts_code():
-    client = LlmClient(LlmConfig(model="m"), cassette=None, mode="live",
-                       transport=_canned_transport())
-    prompt = build_prompt(PromptMode.ZERO_SHOT, TARGET)
-    assert generate_patch(prompt, client) == "int main(){return 9;}\n"
+    transport = _canned_transport()
+    client = LlmClient(LlmConfig(model="m"), cassette=None, mode="live", transport=transport)
+    assert generate_patch(build_prompt(TARGET), client) == "int main(){return 9;}\n"
+    (request,) = transport.calls
+    assert request["messages"] == [{"role": "system", "content": OPTIMIZER_SYSTEM_TEXT},
+                                   {"role": "user", "content": build_prompt(TARGET)}]
 
 
 def test_generate_patch_without_block_is_error():
@@ -571,7 +545,7 @@ def test_generate_patch_without_block_is_error():
         transport=lambda request: {"choices": [{"message": {"content": "no code"}}]},
     )
     with pytest.raises(AutopatchError, match="^response contains no fenced code block$"):
-        generate_patch(build_prompt(PromptMode.ZERO_SHOT, TARGET), client)
+        generate_patch(build_prompt(TARGET), client)
 
 
 def test_empty_diff_rationale_short_circuits():
