@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AutopatchError as exc:
+    except (OSError, AutopatchError) as exc:  # OSError: any other I/O error, naming its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

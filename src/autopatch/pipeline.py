@@ -471,7 +471,8 @@ def run_eval(
 
     json_path = out_dir / "report.json"
     _write_json(json_path, payload)
-    (out_dir / "report.txt").write_text(report.render_text(), encoding="utf-8")
+    with replacing(out_dir / "report.txt", "w") as handle:
+        handle.write(report.render_text())
     _write_json(out_dir / FAILURES_MANIFEST, failures)
 
     return EvalRunResult(report=report, report_json_path=json_path, failures=failures)

@@ -8,7 +8,8 @@ token trigrams.
 
 Index persistence is two files: `<path>` holds a JSON header line followed by
 one JSON metadata line per entry, and `<path>.vec` holds the vectors as
-count x dim little-endian float32, in metadata order.
+count x dim little-endian float32, in metadata order. A loaded index keeps
+the metadata file's bytes and decodes a row only when it is read.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import hashlib
 import json
 import operator
 import os
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -145,11 +147,12 @@ class VectorIndex:
     """A flat index: `ids[i]`, `matrix[i]` and `metadata[i]` (the pair of
     diff text and rationale) describe row i. The matrix is float32 of shape
     (len(ids), dim); it must not be mutated, since its row norms are computed
-    once, on the first query."""
+    once, on the first query. A built index's metadata is a list; a loaded
+    one's is a read-only `_MetadataRows`."""
 
     ids: tuple[str, ...]
     matrix: np.ndarray
-    metadata: list[tuple[str, str]]
+    metadata: Sequence[tuple[str, str]]
     source_kind: SourceKind
 
     @cached_property
@@ -243,29 +246,67 @@ def save_index(index: VectorIndex, path: Path | str) -> None:
             handle.write(json.dumps(meta, sort_keys=True, ensure_ascii=False) + "\n")
 
 
+class _MetadataRows(Sequence):
+    """The `(diff_text, rationale)` rows of a loaded index, kept as the bytes
+    of its metadata file: row i is `data[spans[2i]:spans[2i + 1]]`, decoded
+    each time it is read. Every row was decoded and checked once, at load."""
+
+    def __init__(self, data: bytes, spans: array):
+        self._data = data
+        self._spans = spans
+
+    def __len__(self) -> int:
+        return len(self._spans) // 2
+
+    def __getitem__(self, i):
+        row = range(len(self))[i]  # an IndexError past either end, like a list's
+        if isinstance(row, range):
+            return [self[j] for j in row]
+        meta = loads(self._data[self._spans[2 * row]:self._spans[2 * row + 1]])
+        return meta["diff_text"], meta["rationale"]
+
+
 def load_index(path: Path | str) -> VectorIndex:
     path = Path(path)
+    data = path.read_bytes()
+    ids: list[str] = []
+    spans = array("q")  # the start and end of each nonblank metadata line
+    # Checked in the order of a decode of every line, then the header's
+    # fields, then every line's fields: the first of these to fail is named.
+    missing, untyped = None, False
     try:
-        with path.open("rb") as handle:
-            header = loads(handle.readline())
-            metas = [loads(line) for line in handle if line.strip()]
+        start = data.find(b"\n") + 1 or len(data)
+        header = loads(data[:start])
+        while start < len(data):
+            end = data.find(b"\n", start) + 1 or len(data)
+            line = data[start:end]
+            if line.strip():
+                meta = loads(line)
+                try:
+                    row = (meta["record_id"], meta["diff_text"], meta["rationale"])
+                except (KeyError, TypeError) as exc:
+                    missing = missing or exc
+                else:
+                    untyped = untyped or not all(isinstance(text, str) for text in row)
+                    ids.append(row[0])
+                spans.extend((start, end))
+            start = end
         count, dim = operator.index(header["count"]), operator.index(header["dim"])
         source_kind = SourceKind(header["source_kind"])
-        rows = [(meta["record_id"], meta["diff_text"], meta["rationale"]) for meta in metas]
-        if not all(isinstance(text, str) for row in rows for text in row):
+        if missing is not None:
+            raise missing
+        if untyped:
             raise TypeError("index metadata holds a value that is not a string")
-        ids = tuple(row[0] for row in rows)
-        metadata = [row[1:] for row in rows]
     except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or not the index's shape
         raise AutopatchError(f"{path}: malformed index file: {type(exc).__name__}: {exc}") from None
-    if len(metas) != count:
-        raise AutopatchError(f"{path}: index metadata truncated: {len(metas)} != {count}")
+    if len(ids) != count:
+        raise AutopatchError(f"{path}: index metadata truncated: {len(ids)} != {count}")
     vec_path = vector_sidecar_path(path)
     flat = np.fromfile(vec_path, dtype="<f4")
     if flat.size != count * dim:
         raise AutopatchError(f"{vec_path}: vector blob holds {flat.size} floats, expected {count * dim}")
-    return VectorIndex(ids=ids, matrix=flat.reshape(count, dim), metadata=metadata,
-                       source_kind=source_kind)
+    return VectorIndex(ids=tuple(ids), matrix=flat.reshape(count, dim),
+                       metadata=_MetadataRows(data, spans), source_kind=source_kind)
 
 
 # How far a float32 matvec cosine can sit from the exact one, per unit of

@@ -81,6 +81,26 @@ def test_ingest_missing_file_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "optimize", "eval"])
+def test_an_io_error_exits_2_naming_the_path(tmp_path, capsys, corpus_file, command):
+    # `ingest` writes under a path inside a file; the others read a directory as a split.
+    if command == "ingest":
+        culprit = corpus_file / "x"
+        argv = ["ingest", "--corpus", str(corpus_file), "--db-count", "7", "--out", str(culprit)]
+    else:
+        culprit = tmp_path / "split"
+        culprit.mkdir()
+        argv = [command, "--corpus", str(corpus_file), "--split", str(culprit),
+                "--out", str(tmp_path / "out"),
+                *(["--index", str(tmp_path)] if command == "optimize" else
+                  ["--patches", str(tmp_path)])]
+    assert run_cli(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and str(culprit) in errors[0], err
+    assert "Traceback" not in err
+
+
 def test_ingest_lenient_skips_bad_lines(tmp_path, capsys):
     path = tmp_path / "c.jsonl"
     good = json.dumps({

@@ -5,7 +5,13 @@ planted for each of a few chosen records. Each fault must land in the index
 journal or the optimize failures manifest under its own record, every other
 record's index rows and patch bytes must equal those of a fault-free run,
 and both subcommands must exit 0, as the README says of a run whose failed
-records were skipped.
+records were skipped. The faults include analyzer stderr that is not UTF-8,
+through the real `analyzer.run_analyzer`, and an embedding one float short.
+
+An error that is not an AutopatchError, from a provider or a chat transport
+that the caller supplies, is not contained: it propagates out of the stage,
+which leaves no journal, index, patch or failures manifest behind, and an
+existing journal as it was.
 
 `eval` runs through the CLI too, with g++, over patches that each plant one
 fault: a compile error, a nonzero exit, wrong output, a timeout, a patch
@@ -21,16 +27,20 @@ import json
 import urllib.error
 from pathlib import Path
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from autopatch import pipeline
+from autopatch import analyzer, pipeline
+from autopatch.analyzer import ANALYZER_FLAGS_ENV, ANALYZER_PATH_ENV
 from autopatch.cli import EXIT_OK, main
 from autopatch.errors import AutopatchError
-from autopatch.pipeline import FAILURES_MANIFEST, INDEX_JOURNAL, patch_path, run_ingest
-from autopatch.prompting import LLM_BASE_ENV, LLM_KEY_ENV, LLM_MODEL_ENV, PromptMode
+from autopatch.pipeline import (FAILURES_MANIFEST, INDEX_JOURNAL, patch_path, run_index, run_ingest,
+                                run_optimize)
+from autopatch.prompting import (LLM_BASE_ENV, LLM_KEY_ENV, LLM_MODEL_ENV, LlmClient, LlmConfig,
+                                 PromptMode)
 from autopatch.report import aggregate_report
-from autopatch.retrieval import EMBED_BASE_ENV, EMBED_KEY_ENV, LocalHashingProvider
+from autopatch.retrieval import EMBED_BASE_ENV, EMBED_KEY_ENV, LOCAL_DIM, LocalHashingProvider
 
 from conftest import DB_COUNT, SEED, requires_gxx
 from helpers import index_rows, make_scripted_transport, request_program, write_corpus
@@ -49,12 +59,17 @@ REASONS = {
     "surrogate": "lone surrogate",
     "no-fence": "response contains no fenced code block",
     "embedding": "service returned 503: embedding busy",
+    "stderr": "analyzer exited with 1: input.cpp: error: \ufffdplanted",
+    "short": f"dim {LOCAL_DIM - 1} != {LOCAL_DIM}",
 }
+# A test record's short source vector is a query of the wrong shape.
+TARGET_REASONS = {**REASONS, "short": f"query shape ({LOCAL_DIM - 1},) vs index dim {LOCAL_DIM}"}
 # A database record's rationale answer needs no fenced block.
 DATABASE_FAULTS = sorted(set(REASONS) - {"no-fence"})
 # The modes whose patch a test record's fault fails: the analyzer runs for
 # context mode alone, and the source is embedded for naive mode alone.
-FAILED_MODES = {"analyzer": {PromptMode.CONTEXT}, "embedding": {PromptMode.NAIVE}}
+FAILED_MODES = {"analyzer": {PromptMode.CONTEXT}, "stderr": {PromptMode.CONTEXT},
+                "embedding": {PromptMode.NAIVE}, "short": {PromptMode.NAIVE}}
 ALL_MODES = set(PromptMode)
 
 
@@ -70,23 +85,32 @@ class FakeServices:
     analyzer that wraps the `dump_graphs` stand-in. `plants` maps a
     program's source (stripped) to the fault planted for it: a chat or
     analyzer fault for a request or run about that program, an embedding
-    fault for the program's source text."""
+    fault for the program's source text. The analyzer on the environment's
+    path is a script that fails, writing a byte that is not UTF-8; the
+    stand-in runs it for a program planted with "stderr"."""
 
-    def __init__(self, monkeypatch, pairs):
+    def __init__(self, monkeypatch, pairs, tmp_path):
         self.plants: dict[str, str] = {}
         self._chat = make_scripted_transport(pairs)
         self._embedder = LocalHashingProvider()
         self._analyzer = pipeline.extract_cfg
+        script = tmp_path / "analyzer-writing-a-bad-byte"
+        script.write_text("#!/bin/sh\nprintf 'input.cpp: error: \\377planted\\n' >&2\nexit 1\n")
+        script.chmod(0o755)
         monkeypatch.setattr("urllib.request.urlopen", self.urlopen)
         monkeypatch.setattr(pipeline, "extract_cfg", self.extract_cfg)
         monkeypatch.setenv(LLM_BASE_ENV, CHAT_URL)
         monkeypatch.setenv(EMBED_BASE_ENV, EMBED_URL)
-        for name in (LLM_KEY_ENV, LLM_MODEL_ENV, EMBED_KEY_ENV):
+        monkeypatch.setenv(ANALYZER_PATH_ENV, str(script))
+        for name in (LLM_KEY_ENV, LLM_MODEL_ENV, EMBED_KEY_ENV, ANALYZER_FLAGS_ENV):
             monkeypatch.delenv(name, raising=False)
 
     def extract_cfg(self, code, config):
-        if self.plants.get(code.rstrip()) == "analyzer":
+        fault = self.plants.get(code.rstrip())
+        if fault == "analyzer":
             raise AutopatchError(REASONS["analyzer"])
+        if fault == "stderr":
+            return analyzer.extract_cfg(code, config)
         return self._analyzer(code, config)
 
     def urlopen(self, request, timeout):
@@ -95,7 +119,10 @@ class FakeServices:
             text = payload["input"][0]
             if self.plants.get(text.rstrip()) == "embedding":
                 raise urllib.error.HTTPError(EMBED_URL, 503, "busy", {}, io.BytesIO(b"embedding busy"))
-            return _reply({"data": [{"embedding": self._embedder.embed(text).tolist()}]})
+            vector = self._embedder.embed(text).tolist()
+            if self.plants.get(text.rstrip()) == "short":
+                vector = vector[:-1]
+            return _reply({"data": [{"embedding": vector}]})
         fault = self.plants.get(request_program(payload))
         if fault == "refused":
             raise ConnectionRefusedError(111, "Connection refused")
@@ -126,7 +153,7 @@ def _patches(patch_dir: Path) -> dict[tuple[str, PromptMode], bytes]:
 
 def test_each_planted_fault_fails_only_its_record(tmp_path, monkeypatch, pairs, corpus_file,
                                                   dump_graphs):
-    services = FakeServices(monkeypatch, pairs)
+    services = FakeServices(monkeypatch, pairs, tmp_path)
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     database, targets = ingest.split.database_set, ingest.split.test_set
     _run(tmp_path / "clean", corpus_file, ingest.manifest_path)
@@ -149,7 +176,12 @@ def test_each_planted_fault_fails_only_its_record(tmp_path, monkeypatch, pairs, 
              target_plants={0: "analyzer", 2: "surrogate"})
     @example(database_plants={}, target_plants={1: "refused", 2: "5xx"})
     @example(database_plants={}, target_plants={0: "not-json"})
+    @example(database_plants={1: "short", 2: "stderr"}, target_plants={0: "short", 1: "stderr"})
     def check(database_plants, target_plants):
+        # The first record to embed sets each index's dimension, so a short
+        # vector there would fail every other record.
+        first = min(i for i in range(len(database)) if database_plants.get(i) in (None, "short"))
+        assume(database_plants.get(first) != "short")
         planted = {database[i].id: fault for i, fault in database_plants.items()}
         planted.update({targets[i].id: fault for i, fault in target_plants.items()})
         services.plants = {pair.original_code.rstrip(): planted[pair.id]
@@ -173,11 +205,69 @@ def test_each_planted_fault_fails_only_its_record(tmp_path, monkeypatch, pairs, 
         assert slots == {(targets[i].id, mode) for i, fault in target_plants.items()
                          for mode in FAILED_MODES.get(fault, ALL_MODES)}
         for failure in failures:
-            assert REASONS[planted[failure["record_id"]]] in failure["reason"], failure
+            assert TARGET_REASONS[planted[failure["record_id"]]] in failure["reason"], failure
         assert _patches(out / "patches") == {slot: code for slot, code in clean_patches.items()
                                              if slot not in slots}
 
     check()
+
+
+class Planted(Exception):
+    """An error that is not an AutopatchError, raised by code the caller supplies."""
+
+
+class RaisingProvider:
+    def embed(self, text):
+        raise Planted("provider")
+
+
+def _raising_transport(payload):
+    raise Planted("transport")
+
+
+def _clients(pairs, culprit: str | None) -> tuple[object, LlmClient]:
+    """The embedding provider and the chat client of a run in which
+    `culprit`, "provider" or "transport", raises Planted."""
+    transport = _raising_transport if culprit == "transport" else make_scripted_transport(pairs)
+    provider = RaisingProvider() if culprit == "provider" else LocalHashingProvider()
+    return provider, LlmClient(LlmConfig(), None, "live", transport=transport)
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("culprit", ["provider", "transport"])
+def test_a_foreign_error_aborts_index_writing_nothing(tmp_path, pairs, corpus_file, dump_graphs,
+                                                      culprit):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    provider, llm = _clients(pairs, culprit)
+    fresh = tmp_path / "fresh"
+    with pytest.raises(Planted, match=culprit):
+        run_index(ingest.corpus, ingest.split, fresh, provider, llm)
+    assert _files(fresh) == {}
+
+    rerun = tmp_path / "rerun"
+    run_index(ingest.corpus, ingest.split, rerun, *_clients(pairs, None))
+    before = _files(rerun)
+    assert INDEX_JOURNAL in before
+    with pytest.raises(Planted, match=culprit):
+        run_index(ingest.corpus, ingest.split, rerun, provider, llm, resume=False)
+    assert _files(rerun) == before
+
+
+@pytest.mark.parametrize("culprit", ["provider", "transport"])
+def test_a_foreign_error_aborts_optimize_writing_nothing(tmp_path, pairs, corpus_file,
+                                                         dump_graphs, culprit):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    index_dir = tmp_path / "index"
+    run_index(ingest.corpus, ingest.split, index_dir, *_clients(pairs, None))
+    provider, llm = _clients(pairs, culprit)
+    out = tmp_path / "patches"
+    with pytest.raises(Planted, match=culprit):
+        run_optimize(ingest.corpus, ingest.split, index_dir, out, tuple(PromptMode), llm, provider)
+    assert _files(out) == {}
 
 
 WRONG_OUTPUT = '#include <cstdio>\nint main() { printf("wrong\\n"); return 0; }\n'

@@ -108,6 +108,7 @@ EXPECTED_CLASSES = [
     "report.EvalResult", "report.ModeReport", "report.EvaluationReport",
     "retrieval.SourceKind", "retrieval.LocalHashingProvider", "retrieval.RemoteEmbeddingProvider",
     "retrieval.IndexEntry", "retrieval.VectorIndex", "retrieval.IndexRecord",
+    "retrieval._MetadataRows",
 ]
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -298,9 +299,65 @@ def test_index_round_trip_bit_exact(tmp_path):
     assert loaded.source_kind == index.source_kind
     assert len(loaded.ids) == len(index.ids)
     assert loaded.ids == index.ids
-    assert loaded.metadata == index.metadata
+    assert list(loaded.metadata) == index.metadata
     for original, restored in zip(index.matrix, loaded.matrix):
         assert original.tobytes() == restored.tobytes()
+
+
+# Row text for the loaded metadata's decode: "Δ" and other non-ASCII text, the
+# characters JSON escapes (quotes, backslashes, newlines), control characters,
+# which save_index writes as `\u` escapes, a literal backslash-u, and "".
+_ROW_TEXT = st.lists(
+    st.sampled_from(["Δ", '"', "\\", "\n", "\x01", "\x1f", "\u2028", "é", "😀", "\\u0394"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_ROW_TEXT, _ROW_TEXT), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_loaded_metadata_equals_a_per_line_decode(tmp_path_factory, rows, seed):
+    path = tmp_path_factory.mktemp("rows") / "index.jsonl"
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"Δ{i}" for i in range(len(rows)))
+    built = VectorIndex(ids, rng.normal(size=(len(rows), 4)).astype(np.float32), rows,
+                        SourceKind.RAW_SOURCE)
+    save_index(built, path)
+    loaded = load_index(path)
+
+    decoded = [json.loads(line) for line in path.read_bytes().split(b"\n")[1:] if line]
+    assert list(loaded.metadata) == [(m["diff_text"], m["rationale"]) for m in decoded] == rows
+    assert len(loaded.metadata) == len(rows)
+    assert loaded.metadata[-1] == rows[-1] and loaded.metadata[1:] == rows[1:]
+    with pytest.raises(IndexError):
+        loaded.metadata[len(rows)]
+    for query in (*built.matrix, rng.normal(size=4)):
+        (got, got_score), (want, want_score) = retrieve_top1(loaded, query), retrieve_top1(built, query)
+        assert (got.record_id, got.diff_text, got.rationale, got.vector.tobytes(), got_score) == \
+            (want.record_id, want.diff_text, want.rationale, want.vector.tobytes(), want_score)
+
+
+def test_a_loaded_index_holds_about_its_metadata_file(tmp_path):
+    # Decoded, a diff text that holds a "Δ" takes 2 bytes a character, so a
+    # list of decoded rows held about 1.8 times the file's size.
+    count = 2000
+    ids = tuple(f"r{i:04d}" for i in range(count))
+    metadata = [("".join(f"Δ B{i}.{j}: loop bound hoisted out of B{j + 1}\n" for j in range(30)),
+                 f"Record {i}: the invariant bound is computed once, before the loop. " * 3)
+                for i in range(count)]
+    path = tmp_path / "index.jsonl"
+    save_index(VectorIndex(ids, np.ones((count, 8), np.float32), metadata, SourceKind.RAW_SOURCE),
+               path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = load_index(path)
+        held = tracemalloc.get_traced_memory()[0] - before - index.matrix.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(index.metadata) == count
+    assert held <= 1.1 * path.stat().st_size, (held, path.stat().st_size)
 
 
 def test_index_header_format(tmp_path):
