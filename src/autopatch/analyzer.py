@@ -21,6 +21,11 @@ and only validated syntactically). `NULL` successors mark edges the analyzer
 constant-folded away and are skipped. Unknown indented lines inside a block
 (labels, exotic element kinds) are preserved verbatim as opaque statements,
 never dropped.
+
+`run_analyzer` returns the analyzer's answer, its exit status and stderr
+text, and `parse_answer` reads the CFG from an answer; `extract_cfg` joins
+the two through the `LlmClient` of a stage, which runs, records or replays
+the answer as it does a chat exchange.
 """
 
 from __future__ import annotations
@@ -33,10 +38,14 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .cfg import BasicBlock, ControlFlowGraph, normalize_statement
 from .errors import AutopatchError
 from .preprocess import preprocess_source
+
+if TYPE_CHECKING:  # prompting imports this module
+    from .prompting import LlmClient
 
 ANALYZER_PATH_ENV = "AUTOPATCH_ANALYZER_PATH"
 ANALYZER_FLAGS_ENV = "AUTOPATCH_ANALYZER_FLAGS"
@@ -75,6 +84,12 @@ class AnalyzerConfig:
         if env_flags:
             config.extra_flags = tuple(shlex.split(env_flags))
         return config
+
+    @property
+    def args(self) -> tuple[str, ...]:
+        """The arguments before the input file. With the source, they decide
+        the answer; the binary's path does not."""
+        return (*_DEFAULT_ARGS, *self.extra_flags)
 
 
 _BLOCK_HEADER = re.compile(r"^\s*\[B(\d+)(?:\s*\(([A-Z /]+)\))?\]$")
@@ -231,9 +246,11 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
         raise _parse_error(0, str(exc)) from None
 
 
-def run_analyzer(code: str, config: AnalyzerConfig) -> str:
+def run_analyzer(code: str, config: AnalyzerConfig) -> tuple[int, str]:
     """Invoke the analyzer on `code`, which `preprocess_source` has accepted,
-    and return the raw dump text."""
+    and return its answer: the exit status and the stderr text. A binary
+    that is not on PATH, cannot start or times out gives no answer and
+    raises AutopatchError."""
     binary = shutil.which(config.binary)
     if binary is None:
         raise AutopatchError(f"analyzer binary {config.binary!r} not on PATH")
@@ -242,14 +259,7 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
     # its messages never quote that directory's random name.
     with tempfile.TemporaryDirectory(prefix="autopatch-cfg-") as workdir:
         (Path(workdir) / "input.cpp").write_text(code, encoding="utf-8")
-        argv = [
-            os.path.abspath(binary),
-            *_DEFAULT_ARGS,
-            *config.extra_flags,
-            "input.cpp",
-            "-o",
-            "out.plist",
-        ]
+        argv = [os.path.abspath(binary), *config.args, "input.cpp", "-o", "out.plist"]
         try:
             proc = subprocess.run(
                 argv,
@@ -268,16 +278,15 @@ def run_analyzer(code: str, config: AnalyzerConfig) -> str:
             ) from None
     # Decoded leniently: bytes that are not UTF-8 must not escape as a
     # UnicodeDecodeError, which no stage contains per record.
-    stderr = proc.stderr.decode("utf-8", "replace")
-    if proc.returncode != 0:
-        raise AutopatchError(f"analyzer exited with {proc.returncode}: {stderr.strip()[:500]}")
-    return stderr
+    return proc.returncode, proc.stderr.decode("utf-8", "replace")
 
 
-def extract_cfg(code: str, config: AnalyzerConfig) -> ControlFlowGraph:
-    """Preprocess `code`, run the analyzer on it and parse the CFG of `main`."""
-    dump = _strip_diagnostics(run_analyzer(preprocess_source(code).output_code, config))
-    sections = split_dump_functions(dump)
+def parse_answer(returncode: int, stderr: str) -> ControlFlowGraph:
+    """The CFG of `main` in an analyzer answer, live or recorded; an answer
+    with a nonzero exit status fails with the analyzer's message."""
+    if returncode != 0:
+        raise AutopatchError(f"analyzer exited with {returncode}: {stderr.strip()[:500]}")
+    sections = split_dump_functions(_strip_diagnostics(stderr))
     if not sections:
         raise AutopatchError("analyzer produced no CFG dump (looking for 'main')")
 
@@ -287,3 +296,9 @@ def extract_cfg(code: str, config: AnalyzerConfig) -> ControlFlowGraph:
 
     available = ", ".join(_signature_name(sig) for sig, _ in sections)
     raise AutopatchError(f"function 'main' not in dump (found: {available})")
+
+
+def extract_cfg(code: str, config: AnalyzerConfig, llm: LlmClient) -> ControlFlowGraph:
+    """Preprocess `code` and parse the CFG of `main` from the analyzer's
+    answer for it, which `llm` runs, records or replays by its mode."""
+    return parse_answer(*llm.analyze(preprocess_source(code).output_code, config))

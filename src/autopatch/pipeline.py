@@ -154,10 +154,11 @@ def _prepare_record(
     llm: LlmClient,
     analyzer_config: AnalyzerConfig,
 ) -> dict:
-    """Extract both sides' CFGs, diff them, and obtain a rationale. Returns
-    the journal payload for one successfully prepared record."""
-    g_o = extract_cfg(pair.original_code, analyzer_config)
-    g_p = extract_cfg(pair.optimized_code, analyzer_config)
+    """Extract both sides' CFGs, diff them, and obtain a rationale, asking
+    `llm` for the analyzer's answers and the rationale. Returns the journal
+    payload for one successfully prepared record."""
+    g_o = extract_cfg(pair.original_code, analyzer_config, llm)
+    g_p = extract_cfg(pair.optimized_code, analyzer_config, llm)
     diff = compute_diff(g_o, g_p)
     rationale = pair.rationale or generate_rationale(diff, pair, llm)
     return {
@@ -295,7 +296,8 @@ def run_optimize(
     """Generate one patch per test record per requested mode.
 
     Three phases, each in (target, mode) order: when context mode is
-    requested, the analyzer runs on every target (`_pooled`); then the main
+    requested, `llm` gets the analyzer's answer for every target (run,
+    recorded or replayed by its mode; `_pooled`); then the main
     thread builds each prompt, retrieving its example; then every built
     prompt is sent (`_pooled`). Patches and the failures manifest follow
     (target, mode) order, whatever order the calls finish in. A failed
@@ -313,7 +315,7 @@ def run_optimize(
             indexes[kind] = load_index(index_path(index_dir, kind))
 
     def analyze(pair: CodePair) -> str:
-        return serialize_cfg(extract_cfg(pair.original_code, analyzer_config))
+        return serialize_cfg(extract_cfg(pair.original_code, analyzer_config, llm))
 
     def send(built: tuple) -> str:
         prompt_text, reason = built

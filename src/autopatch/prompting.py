@@ -9,7 +9,9 @@ structural change summary and its stored optimization rationale.
 The client runs in one of three modes: `live` (straight HTTP), `record` (HTTP
 plus cassette capture), and `replay` (cassette only, zero network activity).
 Cassette keys hash (model, system_text, user_text), so recordings are portable
-across runs and machines.
+across runs and machines. The client answers for the static analyzer under the
+same rule, keyed by its arguments and the preprocessed source, so a replay
+runs the analyzer only for a program the cassette has no answer for.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from pathlib import Path
 from typing import Callable
 
 from ._io import http_post_json, is_text, loads, replacing, service_error
+from .analyzer import AnalyzerConfig, run_analyzer
 from .cfg_diff import CfgDiff, render_diff
 from .corpus import CodePair
 from .errors import AutopatchError
@@ -94,28 +97,29 @@ def build_prompt(target: CodePair, example: CodePair | None = None,
     return "\n".join(sections)
 
 
-def request_hash(model: str, system_text: str, user_text: str) -> str:
-    canonical = json.dumps(
-        {"model": model, "system": system_text, "user": user_text},
-        sort_keys=True,
-        ensure_ascii=False,
-    )
+def _content_key(obj: dict) -> str:
+    canonical = json.dumps(obj, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def request_hash(model: str, system_text: str, user_text: str) -> str:
+    return _content_key({"model": model, "system": system_text, "user": user_text})
 
 
 class Cassette:
     """Persisted request -> response map for offline replay.
 
     The file is JSON Lines, one `{"key", "request", "response", "timestamp"}`
-    object per line; `store` appends one line under a lock, and on load the
-    last line for a key wins. Two files are read as they are and rewritten
-    as lines, under `<path>.tmp` and renamed into place, on the first store:
-    one in the older layout (one JSON map from key to entry), and one whose
-    final line lacks its newline, which is what a crash mid-append leaves
-    (that line is dropped with a warning). Any other line that is not an
-    entry, one whose text is not valid Unicode included, raises
-    AutopatchError naming the file and line; so does a map entry that is
-    not one. A rewrite that fails leaves the file as it was.
+    object per line, for a chat exchange or an analyzer run; `store` appends
+    one line under a lock, and on load the last line for a key wins. Two
+    files are read as they are and rewritten as lines, under `<path>.tmp`
+    and renamed into place, on the first store: one in the older layout (one
+    JSON map from key to entry), and one whose final line lacks its newline,
+    which is what a crash mid-append leaves (that line is dropped with a
+    warning). Any other line that is not an entry, one whose text is not
+    valid Unicode included, raises AutopatchError naming the file and line;
+    so does a map entry that is not one. A rewrite that fails leaves the
+    file as it was.
     """
 
     def __init__(self, path: Path | str):
@@ -202,7 +206,8 @@ Transport = Callable[[dict], dict]
 
 
 class LlmClient:
-    """Chat-completion client with record/replay support.
+    """Chat-completion client with record/replay support, which answers for
+    the static analyzer (`analyze`) under the same rule.
 
     `transport` maps a request body to a decoded response body; the default
     posts to the configured HTTP service. Replay mode never touches the
@@ -230,16 +235,27 @@ class LlmClient:
             raise service_error(0, "no chat service URL configured")
         return http_post_json(self.config.base_url, request, self.config.api_key, LLM_TIMEOUT_S)
 
-    def complete(self, system_text: str, user_text: str) -> str:
-        """Send one system+user exchange at temperature 0, return the text."""
-        key = request_hash(self.config.model, system_text, user_text)
-
+    def _answer(self, key: str, request: dict, send, decode, replay_miss_sends: bool):
+        """The record/replay rule, for a chat exchange and an analyzer run
+        alike: `decode` of the response that `send(request)` returns, which
+        record mode then stores under `key`; in replay mode, `decode` of the
+        response stored under `key`. A replay miss raises AutopatchError,
+        or, with `replay_miss_sends`, is sent and stored nowhere. Record mode
+        never looks a key up, and replay mode never stores."""
         if self.mode == "replay":
             hit = self.cassette.lookup(key)
-            if hit is None:
+            if hit is not None:
+                return decode(hit.get("response"))
+            if not replay_miss_sends:
                 raise AutopatchError(f"no cassette entry for request {key}")
-            return _answer_text(hit["response"])
+        response = send(request)
+        answer = decode(response)
+        if self.mode == "record":
+            self.cassette.store(key, request, response)
+        return answer
 
+    def complete(self, system_text: str, user_text: str) -> str:
+        """Send one system+user exchange at temperature 0, return the text."""
         request = {
             "model": self.config.model,
             "messages": [
@@ -248,11 +264,22 @@ class LlmClient:
             ],
             "temperature": self.config.temperature,
         }
-        response = (self._transport or self._http_transport)(request)
-        content = _answer_text(response)
-        if self.mode == "record":
-            self.cassette.store(key, request, response)
-        return content
+        return self._answer(request_hash(self.config.model, system_text, user_text), request,
+                            self._transport or self._http_transport, _answer_text, False)
+
+    def analyze(self, source: str, config: AnalyzerConfig) -> tuple[int, str]:
+        """The analyzer's `(exit status, stderr text)` for `source`, a
+        preprocessed program, keyed by the analyzer's arguments and `source`.
+        A replay miss runs the analyzer, so a cassette that holds no
+        analyzer answers still replays. A rejection is an answer and is
+        recorded; a run that gives none, such as a timeout, raises."""
+        request = {"analyzer_args": list(config.args), "source": source}
+
+        def run(_request: dict) -> dict:
+            returncode, stderr = run_analyzer(source, config)
+            return {"returncode": returncode, "stderr": stderr}
+
+        return self._answer(_content_key(request), request, run, _analyzer_answer, True)
 
 
 def _answer_text(response: dict) -> str:
@@ -266,6 +293,16 @@ def _answer_text(response: dict) -> str:
     if not (isinstance(content, str) and is_text(content)):
         raise service_error(0, f"malformed chat response: {json.dumps(response)[:300]}")
     return content
+
+
+def _analyzer_answer(response: dict) -> tuple[int, str]:
+    """`(returncode, stderr)` of an analyzer answer; any other shape, such as
+    a cassette entry without a response, raises AutopatchError."""
+    if isinstance(response, dict):
+        returncode, stderr = response.get("returncode"), response.get("stderr")
+        if type(returncode) is int and isinstance(stderr, str):
+            return returncode, stderr
+    raise AutopatchError(f"malformed analyzer answer: {json.dumps(response)[:300]}")
 
 
 _FENCED_BLOCK = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)

@@ -48,7 +48,7 @@ def dump_graphs(monkeypatch, pairs):
     for i, pair in enumerate(pairs):
         by_code[pair.original_code] = graphs[i % len(graphs)]
         by_code[pair.optimized_code] = graphs[(i + 1) % len(graphs)]
-    monkeypatch.setattr(pipeline, "extract_cfg", lambda code, config: by_code[code])
+    monkeypatch.setattr(pipeline, "extract_cfg", lambda code, config, llm: by_code[code])
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +73,15 @@ def analyzer(monkeypatch, stub_launcher) -> None:
     """The analyzer of a test that runs one: clang where it is on PATH, and
     the stub everywhere else."""
     _use_stub_without_clang(monkeypatch, stub_launcher)
+
+
+@pytest.fixture()
+def stub_analyzer(monkeypatch, stub_launcher) -> None:
+    """Point the analyzer at the benchmark's launcher of the stub, clang or
+    not, and keep the chat service offline."""
+    monkeypatch.setenv(ANALYZER_PATH_ENV, str(stub_launcher))
+    monkeypatch.delenv(ANALYZER_FLAGS_ENV, raising=False)
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
 
 
 @pytest.fixture(scope="session")

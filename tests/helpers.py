@@ -616,6 +616,13 @@ def request_program(request: dict) -> str:
     return (_ORIGINAL_FENCE.search(user) or _TARGET_FENCE.search(user)).group(1).rstrip()
 
 
+def cassette_keys(path: Path, analyzer: bool) -> list[str]:
+    """The keys of a cassette's analyzer answers, or of its chat entries,
+    in file order."""
+    entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return [entry["key"] for entry in entries if ("analyzer_args" in entry["request"]) == analyzer]
+
+
 class SlowFirstTransport:
     """The scripted chat service, slower for records earlier in `ids`, so
     that calls finish out of order. A call belongs to the program of its

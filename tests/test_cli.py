@@ -265,9 +265,9 @@ def test_index_cli_resumes_from_journal(tmp_path, monkeypatch, capsys, pairs, co
     stub = pipeline.extract_cfg
     analyzed = []
 
-    def counting_stub(code, config):
+    def counting_stub(code, config, llm):
         analyzed.append(code)
-        return stub(code, config)
+        return stub(code, config, llm)
 
     monkeypatch.setattr(pipeline, "extract_cfg", counting_stub)
     out = tmp_path / "index"

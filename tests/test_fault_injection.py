@@ -105,13 +105,13 @@ class FakeServices:
         for name in (LLM_KEY_ENV, LLM_MODEL_ENV, EMBED_KEY_ENV, ANALYZER_FLAGS_ENV):
             monkeypatch.delenv(name, raising=False)
 
-    def extract_cfg(self, code, config):
+    def extract_cfg(self, code, config, llm):
         fault = self.plants.get(code.rstrip())
         if fault == "analyzer":
             raise AutopatchError(REASONS["analyzer"])
         if fault == "stderr":
-            return analyzer.extract_cfg(code, config)
-        return self._analyzer(code, config)
+            return analyzer.extract_cfg(code, config, llm)
+        return self._analyzer(code, config, llm)
 
     def urlopen(self, request, timeout):
         payload = json.loads(request.data)

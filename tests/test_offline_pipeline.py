@@ -5,8 +5,8 @@ included), an unreachable chat service or a malformed reply (one that is not
 valid Unicode included) failing one record, an embedding that fails (a 503,
 a zero vector or a vector of another dimension) failing one record and
 leaving the other records' indexes whole, the request keys of a recorded
-cassette (so every prompt byte), a chat URL without a scheme failing each
-patch, eval containment of unscorable ground truths, undecodable patches and records without testcases, and the eval stage's
+cassette (so every prompt byte) and the keys of its analyzer answers, a chat
+URL without a scheme failing each patch, eval containment of unscorable ground truths, undecodable patches and records without testcases, and the eval stage's
 phase order (every compile before any timed run) and its one compile per
 distinct source under fake compile and time functions, and the optimize
 stage's pool: analyzer runs and
@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from autopatch import pipeline
-from autopatch.analyzer import AnalyzerConfig, run_analyzer
+from autopatch.analyzer import AnalyzerConfig, parse_answer, run_analyzer
 from autopatch.cfg import serialize_cfg
 from autopatch.corpus import CorpusSplit, load_record
 from autopatch.errors import AutopatchError
@@ -72,6 +72,7 @@ from autopatch.retrieval import (
 from conftest import ALL_MODES, DB_COUNT, DUMP_DIR, SEED, requires_gxx
 from helpers import (
     SlowFirstTransport,
+    cassette_keys,
     index_rows,
     index_slow_first,
     make_scripted_transport,
@@ -90,20 +91,27 @@ def test_index_pool_output_identical_across_runs(tmp_path, pairs, corpus_file, d
                  "index_source.jsonl", "index_source.jsonl.vec"):
         first = (tmp_path / "a" / "index" / name).read_bytes()
         assert first == (tmp_path / "b" / "index" / name).read_bytes(), name
-    cassette = (tmp_path / "a" / "cassette.jsonl").read_text(encoding="utf-8").splitlines()
-    keys = {json.loads(line)["key"] for line in cassette}
+    keys = set(cassette_keys(tmp_path / "a" / "cassette.jsonl", analyzer=False))
     assert len(keys) == len(ingest.split.database_set)
 
 
-# sha256 of the sorted request keys of a cassette recorded over the fixture
-# corpus: every rationale request of the index stage and every patch request
-# of the optimize stage, in all three modes. A key hashes the prompt text, so
-# a byte that moves in any prompt moves this digest, and an existing cassette
-# would no longer replay.
+# sha256 of the sorted chat request keys of a cassette recorded over the
+# fixture corpus: every rationale request of the index stage and every patch
+# request of the optimize stage, in all three modes. A key hashes the prompt
+# text, so a byte that moves in any prompt moves this digest, and an existing
+# cassette would no longer replay.
 REQUEST_KEYS_SHA256 = "7f09a9f11efd40d353c2684a24daf1d02cf8d8e6058959c83c78a6cdcbc05f2e"
+# The same for the analyzer answers of such a recording on the stub analyzer:
+# one per side of each database record and one per test target. A key hashes
+# the analyzer's arguments and the preprocessed source, so a moved argument
+# or preprocessing byte moves this digest, and recorded answers would no
+# longer replay.
+ANALYZER_KEYS_SHA256 = "1def07a929c96362eb724c270eb6b9850db527eb7a99297c17955ac326831166"
 
 
-def test_recorded_request_keys_are_pinned(tmp_path, pairs, corpus_file, dump_graphs):
+def _recorded_keys(tmp_path, pairs, corpus_file, analyzer: bool) -> list[str]:
+    """Index and optimize the fixture corpus in all modes in record mode,
+    with no failure, and return the cassette's analyzer or chat keys."""
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     cassette = tmp_path / "cassette.jsonl"
     llm = LlmClient(LlmConfig(), Cassette(cassette), mode="record",
@@ -112,11 +120,21 @@ def test_recorded_request_keys_are_pinned(tmp_path, pairs, corpus_file, dump_gra
     assert not run_index(ingest.corpus, ingest.split, tmp_path / "index", provider, llm).skipped
     assert not run_optimize(ingest.corpus, ingest.split, tmp_path / "index", tmp_path / "patches",
                             ALL_MODES, llm, provider).failures
+    return cassette_keys(cassette, analyzer)
 
-    keys = [json.loads(line)["key"] for line in cassette.read_text(encoding="utf-8").splitlines()]
+
+def test_recorded_request_keys_are_pinned(tmp_path, pairs, corpus_file, dump_graphs):
+    keys = _recorded_keys(tmp_path, pairs, corpus_file, analyzer=False)
     assert len(keys) == len(set(keys)) == 16
     digest = hashlib.sha256("\n".join(sorted(keys)).encode("utf-8")).hexdigest()
     assert digest == REQUEST_KEYS_SHA256
+
+
+def test_recorded_analyzer_keys_are_pinned(tmp_path, pairs, corpus_file, stub_analyzer):
+    keys = _recorded_keys(tmp_path, pairs, corpus_file, analyzer=True)
+    assert len(keys) == len(set(keys)) == 2 * DB_COUNT + len(pairs) - DB_COUNT
+    digest = hashlib.sha256("\n".join(sorted(keys)).encode("utf-8")).hexdigest()
+    assert digest == ANALYZER_KEYS_SHA256
 
 
 def test_analyzer_failure_reason_quotes_no_temp_path(tmp_path, monkeypatch):
@@ -134,7 +152,7 @@ def test_analyzer_failure_reason_quotes_no_temp_path(tmp_path, monkeypatch):
     messages = []
     for _ in range(2):
         with pytest.raises(AutopatchError, match="^analyzer exited with 1: ") as excinfo:
-            run_analyzer("int main(){return 0;}", config)
+            parse_answer(*run_analyzer("int main(){return 0;}", config))
         messages.append(str(excinfo.value))
     assert "input.cpp" in messages[0]
     assert tempfile.gettempdir() not in messages[0]
@@ -362,7 +380,7 @@ class SlowFirstAnalyzer:
         self.finished: list[int] = []
         monkeypatch.setattr(pipeline, "extract_cfg", self)
 
-    def __call__(self, code, config):
+    def __call__(self, code, config, llm):
         position = self._position[code]
         with self._lock:
             self._active += 1
@@ -373,7 +391,7 @@ class SlowFirstAnalyzer:
             self.finished.append(position)
         if code == self._rejected:
             raise AutopatchError("analyzer exited with 1: input.cpp: error: rejected")
-        return self._inner(code, config)
+        return self._inner(code, config, llm)
 
 
 def _codeless_zero_shot(target, transport):
@@ -403,8 +421,8 @@ def _sequential_optimize(corpus, split, index_dir, out_dir, modes, llm, provider
                     entry, _ = retrieve_top1(indexes[SourceKind.RAW_SOURCE],
                                              embed_text(pair.original_code, provider))
                     prompt_text = build_prompt(pair, load_record(corpus, entry.record_id))
-                else:  # the stand-in analyzer ignores its config
-                    query = serialize_cfg(pipeline.extract_cfg(pair.original_code, None))
+                else:  # the stand-in analyzer ignores its config and client
+                    query = serialize_cfg(pipeline.extract_cfg(pair.original_code, None, None))
                     entry, _ = retrieve_top1(indexes[SourceKind.CFG_SERIALIZATION],
                                              embed_text(query, provider))
                     prompt_text = build_prompt(pair, load_record(corpus, entry.record_id),
@@ -468,9 +486,9 @@ def test_optimize_runs_the_analyzer_once_per_target_and_only_for_context(tmp_pat
     stand_in = pipeline.extract_cfg
     analyzed = []
 
-    def counting(code, config):
+    def counting(code, config, llm):
         analyzed.append(code)
-        return stand_in(code, config)
+        return stand_in(code, config, llm)
 
     monkeypatch.setattr(pipeline, "extract_cfg", counting)
     targets = sorted(pair.original_code for pair in ingest.split.test_set)

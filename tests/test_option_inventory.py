@@ -17,7 +17,13 @@ and `pipeline._attempt` is the one place a stage turns a record's error
 into its reason. A new pool or a new containment point fails
 `test_one_pool_and_one_containment_point`. Only `AutopatchError` is
 contained: a new handler that is bare or catches `Exception` or
-`BaseException` fails `test_no_catch_all_handler`."""
+`BaseException` fails `test_no_catch_all_handler`.
+
+A process starts in three places only: the analyzer run, whose answer the
+cassette records and replays, the compile and the timed run. A new
+`subprocess` call, or a `from subprocess import`, fails
+`test_processes_start_in_three_places`, so that a process path that
+bypasses the cassette shows up in review."""
 
 from __future__ import annotations
 
@@ -219,3 +225,17 @@ def test_no_catch_all_handler():
         found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _catches_all)
     # `replacing` removes its temporary file and raises the error again.
     assert found == ["_io.replacing"]
+
+
+def _starts_a_process(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "subprocess"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "subprocess")
+
+
+def test_processes_start_in_three_places():
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _starts_a_process)
+    assert found == ["analyzer.run_analyzer", "harness.compile_program", "harness._run_once"]

@@ -27,14 +27,6 @@ INDEX_FILES = ("index_cfg.jsonl", "index_cfg.jsonl.vec", "index_source.jsonl",
                "index_source.jsonl.vec")
 
 
-@pytest.fixture()
-def stub_analyzer(monkeypatch, stub_launcher):
-    """Point the analyzer at the benchmark's launcher of the stub, clang or not."""
-    monkeypatch.setenv("AUTOPATCH_ANALYZER_PATH", str(stub_launcher))
-    monkeypatch.delenv("AUTOPATCH_ANALYZER_FLAGS", raising=False)
-    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
-
-
 def _record_cassette(root: Path, pairs, corpus_file) -> Path:
     """Index and optimize once against the scripted chat service, recording
     every call, so that the CLI can replay the whole pipeline offline."""
