@@ -240,14 +240,17 @@ class LlmClient:
         alike: `decode` of the response that `send(request)` returns, which
         record mode then stores under `key`; in replay mode, `decode` of the
         response stored under `key`. A replay miss raises AutopatchError,
-        or, with `replay_miss_sends`, is sent and stored nowhere. Record mode
-        never looks a key up, and replay mode never stores."""
+        or, with `replay_miss_sends`, is sent with a warning and stored
+        nowhere. Record mode never looks a key up, and replay mode never
+        stores."""
         if self.mode == "replay":
             hit = self.cassette.lookup(key)
             if hit is not None:
                 return decode(hit.get("response"))
             if not replay_miss_sends:
                 raise AutopatchError(f"no cassette entry for request {key}")
+            logger.warning("%s: no entry for request %s; running it live, unrecorded",
+                           self.cassette.path, key)
         response = send(request)
         answer = decode(response)
         if self.mode == "record":

@@ -6,7 +6,7 @@ Record mode stores each analyzer run's answer beside the chat entries, so
 analyzer's path naming a missing file they write every byte the recording
 wrote and leave the cassette as it was. A recorded rejection replays with
 its reason; a cassette that holds only chat entries replays by running the
-analyzer and stores nothing; and a cassette entry that holds no answer,
+analyzer, with a warning for each miss, and stores nothing; and a cassette entry that holds no answer,
 chat or analyzer, fails only its own (target, mode).
 """
 
@@ -116,12 +116,13 @@ def test_recorded_rejection_replays_with_its_reason(tmp_path, monkeypatch, pairs
     assert f'"reason": "{REJECTED}", "record_id": "{split.database_set[0].id}"' in journal
 
 
-def test_cassette_of_chat_entries_replays_by_running_the_analyzer(tmp_path, monkeypatch, pairs,
-                                                                   stub_analyzer):
+def test_cassette_of_chat_entries_replays_by_running_the_analyzer(tmp_path, monkeypatch, caplog,
+                                                                   pairs, stub_analyzer):
     recorded = tmp_path / "recorded"
     corpus_file, split, cassette = _record(recorded, pairs)
     # As a cassette recorded before analyzer answers were stored.
     chat_keys = set(cassette_keys(cassette, analyzer=False))
+    analyzer_keys = set(cassette_keys(cassette, analyzer=True))
     lines = cassette.read_text("utf-8").splitlines(keepends=True)
     cassette.write_text("".join(line for line in lines if json.loads(line)["key"] in chat_keys),
                         encoding="utf-8")
@@ -134,9 +135,13 @@ def test_cassette_of_chat_entries_replays_by_running_the_analyzer(tmp_path, monk
         return run_analyzer(code, config)
 
     monkeypatch.setattr(prompting, "run_analyzer", counting)
+    caplog.set_level("WARNING", logger=prompting.logger.name)
     _replay(tmp_path / "replayed", corpus_file, split, cassette)
 
     assert len(runs) == 2 * DB_COUNT + len(pairs) - DB_COUNT
+    misses = [r.getMessage() for r in caplog.records if "running it live" in r.getMessage()]
+    assert len(misses) == len(runs)  # one warning per miss, naming its key
+    assert {key for key in analyzer_keys if any(key in miss for miss in misses)} == analyzer_keys
     assert _outputs(tmp_path / "replayed") == _outputs(recorded)
     assert cassette.read_bytes() == before
 
