@@ -1,5 +1,6 @@
 """The package's byte boundary: how bytes from outside become Python objects,
-how a file is replaced whole, and how a JSON-over-HTTP service call fails."""
+how the lines of a file are kept as its bytes and decoded when read, how a
+file is replaced whole, and how a JSON-over-HTTP service call fails."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import http.client
 import json
 import urllib.error
 import urllib.request
+from array import array
+from collections.abc import Sequence
 from pathlib import Path
 
 from .errors import AutopatchError
@@ -32,6 +35,29 @@ def is_text(obj) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+class Rows(Sequence):
+    """Rows kept as the bytes of the file that holds them: row i is
+    `decode(data, spans[2i], spans[2i + 1])`, decoded each time it is read,
+    so a reader holds the file's bytes rather than every decoded row. The
+    corpus records a split lists and the metadata of a loaded index are both
+    read this way. A read-only sequence: `len`, indexing, slicing (to a list)
+    and iteration."""
+
+    def __init__(self, data: bytes, spans: array, decode):
+        self._data = data
+        self._spans = spans
+        self._decode = decode
+
+    def __len__(self) -> int:
+        return len(self._spans) // 2
+
+    def __getitem__(self, i):
+        row = range(len(self))[i]  # an IndexError past either end, like a list's
+        if isinstance(row, range):
+            return [self[j] for j in row]
+        return self._decode(self._data, self._spans[2 * row], self._spans[2 * row + 1])
 
 
 @contextlib.contextmanager

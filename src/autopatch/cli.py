@@ -15,7 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import corpus as corpus_mod
 from .errors import AutopatchError
 from .harness import DEFAULT_REPS, DEFAULT_TIMEOUT_S
 from .pipeline import load_split, run_eval, run_index, run_ingest, run_optimize
@@ -152,8 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"manifest: {result.manifest_path}")
             return EXIT_OK
 
-        corpus = corpus_mod.ingest_pairs(args.corpus, strict=False)
-        split = load_split(corpus, args.split)
+        corpus, split = load_split(args.corpus, args.split)
 
         if args.command == "index":
             llm = _build_llm(args, parser)

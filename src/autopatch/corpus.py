@@ -6,19 +6,27 @@ The corpus file is UTF-8 line-delimited JSON, one record per line:
      "labels": ["loop_optimization", ...], "testcases": [{"input": ..., "expected_output": ...}],
      "rationale": ...}          # rationale optional
 
-A loaded corpus is immutable and safe for concurrent readers.
+`ingest_pairs` decodes and checks every line, skipping or rejecting bad ones,
+and finds the file's SHA-256 and each kept record's byte span, which the
+split manifest records. A stage given a split reads the corpus through
+`listed_rows`: only the lines the manifest lists, each decoded when it is
+read, once the file's hash shows it unchanged. A corpus is immutable and
+safe for concurrent readers.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import random
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from ._io import loads
+from ._io import Rows, loads
 from .errors import AutopatchError
 
 
@@ -51,23 +59,33 @@ class CodePair:
 
 @dataclass
 class CorpusStats:
+    """What ingest found in a corpus file: the label histogram, the skipped
+    lines, the file's SHA-256 (hex), and the byte span `(start, end)` of each
+    kept record's line, by id in file order."""
+
     label_histogram: dict[OptimizationType, int]
-    errors: list[tuple[int, str]] = field(default_factory=list)
+    errors: list[tuple[int, str]]
+    sha256: str
+    spans: dict[str, tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class CorpusSplit:
-    database_set: tuple[CodePair, ...]
-    test_set: tuple[CodePair, ...]
+    database_set: Sequence[CodePair]
+    test_set: Sequence[CodePair]
 
 
 class Corpus:
-    """An ingested, read-only collection of code pairs."""
+    """A read-only collection of code pairs, looked up by id with
+    `load_record`: `pairs[i]` is the record `ids[i]`. An ingested corpus
+    holds every kept record, decoded, and its `CorpusStats`; a split's
+    (`pipeline.load_split`) holds the listed records as `Rows` of the file's
+    bytes, and no stats."""
 
-    def __init__(self, pairs: Sequence[CodePair], stats: CorpusStats):
-        self.pairs: tuple[CodePair, ...] = tuple(pairs)
-        self.by_id: dict[str, CodePair] = {p.id: p for p in self.pairs}
+    def __init__(self, pairs: Sequence[CodePair], ids: Sequence[str], stats: CorpusStats | None):
+        self.pairs = pairs
         self.stats = stats
+        self._rows = {record_id: row for row, record_id in enumerate(ids)}
 
 
 def normalize_output(text: str) -> str:
@@ -152,37 +170,44 @@ def ingest_pairs(path: Path | str, strict: bool) -> Corpus:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
+    data = path.read_bytes()
 
     pairs: list[CodePair] = []
     seen: dict[str, int] = {}
+    spans: dict[str, tuple[int, int]] = {}
     errors: list[tuple[int, str]] = []
     histogram: Counter[OptimizationType] = Counter()
 
-    with path.open("rb") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    start, line_no = 0, 0
+    while start < len(data):
+        end = data.find(b"\n", start) + 1 or len(data)
+        line, span, start = data[start:end], (start, end), end
+        line_no += 1
+        if not line.strip():
+            continue
+        try:
             try:
-                try:
-                    obj = loads(line)
-                except ValueError as exc:  # not UTF-8, not JSON, or not valid Unicode
-                    raise AutopatchError(f"line {line_no}: invalid JSON: {exc}") from None
-                pair = parse_record(obj, line_no)
-                if pair.id in seen:
-                    raise AutopatchError(
-                        f"duplicate id {pair.id!r} (line {line_no}, first seen line {seen[pair.id]})"
-                    )
-            except AutopatchError as exc:
-                if strict:
-                    raise
-                errors.append((line_no, str(exc)))
-                continue
-            seen[pair.id] = line_no
-            pairs.append(pair)
-            histogram.update(pair.labels)
+                obj = loads(line)
+            except ValueError as exc:  # not UTF-8, not JSON, or not valid Unicode
+                raise AutopatchError(f"line {line_no}: invalid JSON: {exc}") from None
+            pair = parse_record(obj, line_no)
+            if pair.id in seen:
+                raise AutopatchError(
+                    f"duplicate id {pair.id!r} (line {line_no}, first seen line {seen[pair.id]})"
+                )
+        except AutopatchError as exc:
+            if strict:
+                raise
+            errors.append((line_no, str(exc)))
+            continue
+        seen[pair.id] = line_no
+        spans[pair.id] = span
+        pairs.append(pair)
+        histogram.update(pair.labels)
 
-    stats = CorpusStats(label_histogram=dict(histogram), errors=errors)
-    return Corpus(pairs, stats)
+    stats = CorpusStats(label_histogram=dict(histogram), errors=errors,
+                        sha256=hashlib.sha256(data).hexdigest(), spans=spans)
+    return Corpus(tuple(pairs), [pair.id for pair in pairs], stats)
 
 
 def split_corpus(pairs: Sequence[CodePair], database_count: int, seed: int) -> CorpusSplit:
@@ -200,6 +225,26 @@ def split_corpus(pairs: Sequence[CodePair], database_count: int, seed: int) -> C
 
 def load_record(corpus: Corpus, record_id: str) -> CodePair:
     try:
-        return corpus.by_id[record_id]
+        row = corpus._rows[record_id]
     except KeyError:
         raise AutopatchError(f"record {record_id!r} is not in the corpus") from None
+    return corpus.pairs[row]
+
+
+def _listed_record(path: Path, data: bytes, start: int, end: int) -> CodePair:
+    """The record on bytes [start, end) of `data`, the corpus file `path`:
+    the line of a record that ingest accepted. A span that holds no record
+    means that the split manifest which gave it is wrong, and raises
+    AutopatchError naming the file and the span's line."""
+    try:
+        return parse_record(loads(data[start:end]), 0)  # a failure's message is replaced below
+    except (ValueError, AutopatchError):  # not UTF-8 JSON, or not a record
+        line_no = data.count(b"\n", 0, start) + 1
+        raise AutopatchError(f"{path}: line {line_no} holds no record at the split manifest's"
+                             f" span [{start}, {end}]") from None
+
+
+def listed_rows(path: Path, data: bytes, spans: array) -> Rows:
+    """The records on the lines of `data`, the corpus file `path`, that
+    `spans` gives: `_listed_record` of each, decoded when it is read."""
+    return Rows(data, spans, functools.partial(_listed_record, path))

@@ -10,9 +10,11 @@ aside).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import time
+from array import array
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,7 +25,7 @@ from ._io import loads, replacing
 from .analyzer import AnalyzerConfig, extract_cfg
 from .cfg import serialize_cfg
 from .cfg_diff import compute_diff, render_diff
-from .corpus import Corpus, CodePair, CorpusSplit, load_record
+from .corpus import Corpus, CodePair, CorpusSplit, listed_rows, load_record
 from .errors import AutopatchError
 from .harness import RunOutcome, RunStatus, ToolchainConfig, compile_program, measure_execution
 from .metrics import LexicalScores, compute_lexical
@@ -107,32 +109,55 @@ def run_ingest(
     corpus = corpus_mod.ingest_pairs(corpus_path, strict=strict)
     split = corpus_mod.split_corpus(corpus.pairs, db_count, seed)
     out_dir = Path(out_dir)
+    # Every kept record is listed, in one set or the other.
     manifest = {
+        "corpus_sha256": corpus.stats.sha256,
         "database_count": db_count,
         "seed": seed,
         "database_ids": [p.id for p in split.database_set],
         "test_ids": [p.id for p in split.test_set],
+        "spans": {record_id: list(span) for record_id, span in corpus.stats.spans.items()},
     }
     manifest_path = out_dir / SPLIT_MANIFEST
     _write_json(manifest_path, manifest)
     return IngestResult(corpus=corpus, split=split, manifest_path=manifest_path)
 
 
-def load_split(corpus: Corpus, manifest_path: Path | str) -> CorpusSplit:
-    path = Path(manifest_path)
+def load_split(corpus_path: Path | str, manifest_path: Path | str) -> tuple[Corpus, CorpusSplit]:
+    """The records that the split manifest lists, as a corpus and a split
+    over the corpus file's bytes: each record is decoded from the span the
+    manifest gives for it when a stage reads it. Raises AutopatchError
+    naming the manifest when it is malformed (a span outside the file
+    included), and naming the corpus when its SHA-256 is not the one the
+    manifest records, since the spans then point into another file."""
+    path, corpus_path = Path(manifest_path), Path(corpus_path)
+    data = corpus_path.read_bytes()
     try:
         manifest = loads(path.read_bytes())
-        listed = Counter([*manifest["database_ids"], *manifest["test_ids"]])
+        database_ids, test_ids = manifest["database_ids"], manifest["test_ids"]
+        listed = Counter([*database_ids, *test_ids])
         if max(listed.values(), default=0) > 1:  # in one set twice, or in both sets
             raise ValueError(f"id listed twice: {', '.join(repr(i) for i, n in listed.items() if n > 1)}")
-        return CorpusSplit(
-            database_set=tuple(load_record(corpus, i) for i in manifest["database_ids"]),
-            test_set=tuple(load_record(corpus, i) for i in manifest["test_ids"]),
-        )
+        recorded = manifest["corpus_sha256"]
+        if not isinstance(recorded, str):
+            raise TypeError(f"corpus_sha256 is {type(recorded).__name__}, not a string")
+        if recorded != hashlib.sha256(data).hexdigest():
+            raise AutopatchError(f"{corpus_path}: the corpus has changed since {path} was written;"
+                                 f" run `autopatch ingest` again")
+        spans = array("q")
+        for record_id in listed:
+            start, end = manifest["spans"][record_id]
+            if not 0 <= start < end <= len(data):
+                raise ValueError(f"span [{start}, {end}] of {record_id!r} is not within the"
+                                 f" corpus's {len(data)} bytes")
+            spans.extend((start, end))
     except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or not the manifest's shape
         raise AutopatchError(f"{path}: malformed split manifest: {type(exc).__name__}: {exc}") from None
-    except AutopatchError as exc:  # an id that the corpus does not hold
-        raise AutopatchError(f"{path}: {exc}") from None
+    cut = 2 * len(database_ids)
+    corpus = Corpus(listed_rows(corpus_path, data, spans), list(listed), None)
+    split = CorpusSplit(database_set=listed_rows(corpus_path, data, spans[:cut]),
+                        test_set=listed_rows(corpus_path, data, spans[cut:]))
+    return corpus, split
 
 
 # --- index ------------------------------------------------------------------
@@ -221,6 +246,7 @@ def run_index(
     becomes a "failed" journal entry with its reason, logged and skipped,
     never fatal, so a rerun reuses exactly the indexed records and retries
     the rest. The journal and the indexes list the records in database order.
+    `corpus` is not read: the split holds the records.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,16 +264,16 @@ def run_index(
     dims: dict[SourceKind, int] = {}  # set by the first record that embeds
 
     def embed(pair: CodePair, entry: dict) -> tuple[IndexRecord, dict]:
-        record = IndexRecord(load_record(corpus, pair.id), entry["diff_text"], entry["rationale"],
-                             entry["cfg_text"])
+        record = IndexRecord(pair, entry["diff_text"], entry["rationale"], entry["cfg_text"])
         vectors = {kind: embed_record(record, kind, provider) for kind in _INDEX_FILES}
         for kind, vector in vectors.items():
             if len(vector) != dims.setdefault(kind, len(vector)):
                 raise AutopatchError(f"record {pair.id}: dim {len(vector)} != {dims[kind]}")
         return record, vectors
 
+    database = tuple(split.database_set)  # a loaded split decodes a record each time it is read
     prepared, skipped, indexed = [], [], []
-    for pair, (entry, reason) in zip(split.database_set, _pooled(prepare, split.database_set)):
+    for pair, (entry, reason) in zip(database, _pooled(prepare, database)):
         embedded, reason = _attempt(embed, pair, entry) if reason is None else (None, reason)
         if reason is not None:
             logger.warning("index: skipping %s: %s", pair.id, reason)
@@ -323,7 +349,7 @@ def run_optimize(
             raise AutopatchError(reason)
         return generate_patch(prompt_text, llm)
 
-    targets = split.test_set
+    targets = tuple(split.test_set)  # a loaded split decodes a record each time it is read
     queries = _pooled(analyze, targets) if PromptMode.CONTEXT in modes else [None] * len(targets)
     built = [
         _attempt(_build_mode_prompt, pair, mode, indexes, corpus, provider, query)
@@ -405,7 +431,8 @@ def run_eval(
     one at a time, so no timed run shares the CPU with a compiler. A patch
     that is missing, undecodable, unscorable or without testcases goes to
     the failures manifest with its reason; one whose source does not compile
-    is a COMPILE_ERROR result with the compiler's reason.
+    is a COMPILE_ERROR result with the compiler's reason. `corpus` is not
+    read: the split holds the records.
     """
     patch_dir = Path(patch_dir)
     out_dir = Path(out_dir)

@@ -128,34 +128,35 @@ class Cassette:
         self._data: dict[str, dict] = {}
         self._rewrite = False  # the first store rewrites the file as lines
         if self.path.exists():
-            self._load(self.path.read_bytes())
+            with self.path.open("rb") as handle:
+                self._load(handle)
 
-    def _load(self, raw: bytes) -> None:
-        try:  # not `loads`, so that a map entry that is not text is named below
-            whole = json.loads(raw)
-        except ValueError:  # JSON Lines hold more than one document
-            whole = None
-        if isinstance(whole, dict) and not isinstance(whole.get("key"), str):
-            for number, (key, entry) in enumerate(whole.items(), start=1):
-                if not (isinstance(entry, dict) and is_text({key: entry})):
-                    raise AutopatchError(f"{self.path}: map entry {number} is not a cassette entry")
-            self._data = whole
-            self._rewrite = True
-            return
-        *lines, torn = raw.split(b"\n")
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = loads(line)
-            except ValueError:  # not UTF-8, not JSON, or not valid Unicode
-                entry = None
-            if not (isinstance(entry, dict) and isinstance(entry.get("key"), str)):
-                raise AutopatchError(f"{self.path}: line {line_no} is not a cassette entry")
-            self._data[entry.pop("key")] = entry
-        if torn:
-            logger.warning("%s: dropping a torn final line of %d bytes", self.path, len(torn))
-            self._rewrite = True
+    def _load(self, handle) -> None:
+        # A first line that is an entry means JSON Lines, which are read a
+        # line at a time; only a file that starts otherwise is decoded whole,
+        # as the older map layout, since that holds all of its text at once.
+        if _entry(handle.readline()) is None:
+            try:  # not `loads`, so that a map entry that is not text is named below
+                whole = json.loads(self.path.read_bytes())
+            except ValueError:  # not one document, so JSON Lines after all
+                whole = None
+            if isinstance(whole, dict) and not isinstance(whole.get("key"), str):
+                for number, (key, entry) in enumerate(whole.items(), start=1):
+                    if not (isinstance(entry, dict) and is_text({key: entry})):
+                        raise AutopatchError(f"{self.path}: map entry {number} is not a cassette entry")
+                self._data = whole
+                self._rewrite = True
+                return
+        handle.seek(0)
+        for line_no, line in enumerate(handle, start=1):
+            if not line.endswith(b"\n"):
+                logger.warning("%s: dropping a torn final line of %d bytes", self.path, len(line))
+                self._rewrite = True
+            elif line.strip():
+                entry = _entry(line)
+                if entry is None:
+                    raise AutopatchError(f"{self.path}: line {line_no} is not a cassette entry")
+                self._data[entry.pop("key")] = entry
 
     def lookup(self, key: str) -> dict | None:
         return self._data.get(key)
@@ -180,6 +181,16 @@ class Cassette:
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(_cassette_line(key, entry))
             self._data[key] = entry
+
+
+def _entry(line: bytes) -> dict | None:
+    """The cassette entry that `line` holds, a JSON object with a string
+    `key`, or None."""
+    try:
+        entry = loads(line)
+    except ValueError:  # not UTF-8, not JSON, or not valid Unicode
+        return None
+    return entry if isinstance(entry, dict) and isinstance(entry.get("key"), str) else None
 
 
 def _cassette_line(key: str, entry: dict) -> str:

@@ -8,8 +8,11 @@ token trigrams.
 
 Index persistence is two files: `<path>` holds a JSON header line followed by
 one JSON metadata line per entry, and `<path>.vec` holds the vectors as
-count x dim little-endian float32, in metadata order. A loaded index keeps
-the metadata file's bytes and decodes a row only when it is read.
+count x dim little-endian float32, in metadata order. The header (version 2)
+lists the record ids and the SHA-256 of the metadata lines and of the `.vec`
+bytes, so a load checks both files by their digests, as git checks its index
+file by the checksum at its end, and decodes no metadata line: a loaded
+index keeps the metadata file's bytes and decodes a row only when it is read.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import http_post_json, loads, replacing, service_error
+from ._io import Rows, http_post_json, loads, replacing, service_error
 from .corpus import CodePair
 from .errors import AutopatchError
 from .metrics import tokenize
@@ -37,6 +40,8 @@ EMBED_KEY_ENV = "AUTOPATCH_EMBED_KEY"
 EMBED_TIMEOUT_S = 60.0
 
 LOCAL_DIM = 256
+
+INDEX_VERSION = 2
 
 
 class SourceKind(Enum):
@@ -148,7 +153,7 @@ class VectorIndex:
     diff text and rationale) describe row i. The matrix is float32 of shape
     (len(ids), dim); it must not be mutated, since its row norms are computed
     once, on the first query. A built index's metadata is a list; a loaded
-    one's is a read-only `_MetadataRows`."""
+    one's is a read-only `_io.Rows` of its metadata file."""
 
     ids: tuple[str, ...]
     matrix: np.ndarray
@@ -230,83 +235,78 @@ def vector_sidecar_path(path: Path | str) -> Path:
 
 def save_index(index: VectorIndex, path: Path | str) -> None:
     path = Path(path)
+    vectors = np.ascontiguousarray(index.matrix, dtype="<f4")
+    rows = [json.dumps({"record_id": record_id, "diff_text": diff_text, "rationale": rationale},
+                       sort_keys=True, ensure_ascii=False).encode("utf-8") + b"\n"
+            for record_id, (diff_text, rationale) in zip(index.ids, index.metadata)]
+    rows_sha256 = hashlib.sha256()
+    for row in rows:  # not over a joined copy of the rows
+        rows_sha256.update(row)
     header = {
-        "version": 1,
+        "version": INDEX_VERSION,
         "dim": index.dim,
         "source_kind": index.source_kind.value,
         "count": len(index.ids),
+        "ids": list(index.ids),
+        "rows_sha256": rows_sha256.hexdigest(),
+        "vec_sha256": hashlib.sha256(vectors).hexdigest(),
     }
     # The vectors first, so the metadata file is never newer than its vectors.
     with replacing(vector_sidecar_path(path), "wb") as handle:
-        index.matrix.astype("<f4").tofile(handle)
-    with replacing(path, "w") as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for record_id, (diff_text, rationale) in zip(index.ids, index.metadata):
-            meta = {"record_id": record_id, "diff_text": diff_text, "rationale": rationale}
-            handle.write(json.dumps(meta, sort_keys=True, ensure_ascii=False) + "\n")
+        vectors.tofile(handle)
+    with replacing(path, "wb") as handle:
+        handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        handle.writelines(rows)
 
 
-class _MetadataRows(Sequence):
-    """The `(diff_text, rationale)` rows of a loaded index, kept as the bytes
-    of its metadata file: row i is `data[spans[2i]:spans[2i + 1]]`, decoded
-    each time it is read. Every row was decoded and checked once, at load."""
-
-    def __init__(self, data: bytes, spans: array):
-        self._data = data
-        self._spans = spans
-
-    def __len__(self) -> int:
-        return len(self._spans) // 2
-
-    def __getitem__(self, i):
-        row = range(len(self))[i]  # an IndexError past either end, like a list's
-        if isinstance(row, range):
-            return [self[j] for j in row]
-        meta = loads(self._data[self._spans[2 * row]:self._spans[2 * row + 1]])
-        return meta["diff_text"], meta["rationale"]
+def _metadata_row(data: bytes, start: int, end: int) -> tuple[str, str]:
+    """The `(diff_text, rationale)` pair on bytes [start, end) of a metadata
+    file whose digest `load_index` checked."""
+    meta = loads(data[start:end])
+    return meta["diff_text"], meta["rationale"]
 
 
 def load_index(path: Path | str) -> VectorIndex:
+    """The index saved at `path`. Its header is decoded and both files are
+    checked against the header's digests; no metadata line is decoded until
+    it is read. Any mismatch, an index of another version or a file cut
+    short raises AutopatchError naming the file."""
     path = Path(path)
     data = path.read_bytes()
-    ids: list[str] = []
-    spans = array("q")  # the start and end of each nonblank metadata line
-    # Checked in the order of a decode of every line, then the header's
-    # fields, then every line's fields: the first of these to fail is named.
-    missing, untyped = None, False
+    start = data.find(b"\n") + 1 or len(data)
     try:
-        start = data.find(b"\n") + 1 or len(data)
         header = loads(data[:start])
-        while start < len(data):
-            end = data.find(b"\n", start) + 1 or len(data)
-            line = data[start:end]
-            if line.strip():
-                meta = loads(line)
-                try:
-                    row = (meta["record_id"], meta["diff_text"], meta["rationale"])
-                except (KeyError, TypeError) as exc:
-                    missing = missing or exc
-                else:
-                    untyped = untyped or not all(isinstance(text, str) for text in row)
-                    ids.append(row[0])
-                spans.extend((start, end))
-            start = end
+        if header["version"] != INDEX_VERSION:
+            raise ValueError(f"index version {header['version']!r} is not {INDEX_VERSION};"
+                             f" build the index again")
         count, dim = operator.index(header["count"]), operator.index(header["dim"])
         source_kind = SourceKind(header["source_kind"])
-        if missing is not None:
-            raise missing
-        if untyped:
-            raise TypeError("index metadata holds a value that is not a string")
+        ids, vec_sha256 = header["ids"], header["vec_sha256"]
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+            raise TypeError("the header's ids are not a list of strings")
+        if len(ids) != count:
+            raise ValueError(f"the header lists {len(ids)} ids for a count of {count}")
+        # Through a memoryview, so the rows are not copied to be hashed.
+        if hashlib.sha256(memoryview(data)[start:]).hexdigest() != header["rows_sha256"]:
+            raise ValueError("the metadata lines do not match the header's rows_sha256")
     except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or not the index's shape
         raise AutopatchError(f"{path}: malformed index file: {type(exc).__name__}: {exc}") from None
-    if len(ids) != count:
-        raise AutopatchError(f"{path}: index metadata truncated: {len(ids)} != {count}")
+    spans = array("q")  # the start and end of each metadata line
+    while start < len(data):
+        end = data.find(b"\n", start) + 1 or len(data)
+        spans.extend((start, end))
+        start = end
+    if len(spans) // 2 != count:
+        raise AutopatchError(f"{path}: index metadata truncated: {len(spans) // 2} != {count}")
     vec_path = vector_sidecar_path(path)
     flat = np.fromfile(vec_path, dtype="<f4")
     if flat.size != count * dim:
         raise AutopatchError(f"{vec_path}: vector blob holds {flat.size} floats, expected {count * dim}")
+    if hashlib.sha256(flat).hexdigest() != vec_sha256:
+        raise AutopatchError(f"{vec_path}: malformed index file: the vectors do not match the"
+                             f" header's vec_sha256")
     return VectorIndex(ids=tuple(ids), matrix=flat.reshape(count, dim),
-                       metadata=_MetadataRows(data, spans), source_kind=source_kind)
+                       metadata=Rows(data, spans, _metadata_row), source_kind=source_kind)
 
 
 # How far a float32 matvec cosine can sit from the exact one, per unit of

@@ -20,9 +20,6 @@ HAVE_GXX = shutil.which("g++") is not None
 
 requires_clang = pytest.mark.skipif(not HAVE_CLANG, reason="clang not on PATH")
 requires_gxx = pytest.mark.skipif(not HAVE_GXX, reason="g++ not on PATH")
-requires_toolchain = pytest.mark.skipif(
-    not (HAVE_CLANG and HAVE_GXX), reason="clang and g++ required"
-)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DUMP_DIR = FIXTURES / "cfg_dumps"

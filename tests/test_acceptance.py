@@ -32,7 +32,7 @@ from autopatch.report import improvement
 from autopatch.retrieval import SourceKind, VectorIndex, cosine_similarity, retrieve_top1
 from autopatch.cli import EXIT_OK, main
 
-from conftest import DUMP_DIR, requires_toolchain
+from conftest import DUMP_DIR, requires_gxx
 from helpers import dp_levenshtein, random_cfg
 from test_cfg_parse import DUMP_EXPECTATIONS
 
@@ -219,7 +219,7 @@ def _normalize_report(payload: dict) -> dict:
     return normalized
 
 
-@requires_toolchain
+@requires_gxx
 def test_end_to_end_offline_replay_is_reproducible(recorded_workspace, tmp_path, monkeypatch):
     with criterion("end-to-end offline run (10-pair corpus, 2 replays)"):
         monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
@@ -283,7 +283,7 @@ def test_end_to_end_offline_replay_is_reproducible(recorded_workspace, tmp_path,
         assert report1["modes"]["zero_shot"]["improvement_pct"] == 0.0
 
 
-@requires_toolchain
+@requires_gxx
 def test_timing_harness_sanity(tmp_path):
     with criterion("timing harness sanity (sleep / wrong output / infinite loop)"):
         toolchain = ToolchainConfig()

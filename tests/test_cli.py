@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from autopatch import pipeline
 from autopatch.cli import EXIT_NO_COMMON_SET, EXIT_OK, EXIT_USAGE, main
 from autopatch.pipeline import INDEX_JOURNAL, run_index, run_ingest, run_optimize
 from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
-from autopatch.retrieval import LocalHashingProvider
+from autopatch.retrieval import IndexRecord, LocalHashingProvider, SourceKind, build_index
 
 from conftest import DB_COUNT, SEED, requires_gxx
 from helpers import fixture_pairs, make_scripted_transport, write_corpus
@@ -384,29 +385,138 @@ def test_malformed_split_manifest_exits_2(tmp_path, capsys, corpus_file):
 
 
 def test_split_naming_an_unknown_id_exits_2(tmp_path, capsys, corpus_file):
+    # The manifest gives no span for p99, so the corpus cannot be read for it.
     manifest = tmp_path / "split.json"
-    manifest.write_text(json.dumps({"database_ids": [], "test_ids": ["p99"]}), encoding="utf-8")
+    digest = hashlib.sha256(corpus_file.read_bytes()).hexdigest()
+    manifest.write_text(json.dumps({"corpus_sha256": digest, "database_ids": [],
+                                    "test_ids": ["p99"], "spans": {}}), encoding="utf-8")
     assert run_cli(
         "eval", "--corpus", str(corpus_file), "--split", str(manifest),
         "--patches", str(tmp_path / "patches"), "--out", str(tmp_path / "eval"),
     ) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"error: {manifest}: record 'p99' is not in the corpus" in err
+    assert f"error: {manifest}: malformed split manifest: KeyError: 'p99'" in err
     assert "Traceback" not in err
+
+
+def _ingested_copy(tmp_path, corpus_file):
+    """A copy of the corpus, ingested: its path and the split manifest's."""
+    corpus = tmp_path / "pairs.jsonl"
+    corpus.write_bytes(corpus_file.read_bytes())
+    return corpus, run_ingest(corpus, DB_COUNT, SEED, tmp_path / "ingest").manifest_path
+
+
+def test_corpus_changed_since_ingest_exits_2(tmp_path, capsys, corpus_file):
+    corpus, manifest = _ingested_copy(tmp_path, corpus_file)
+    data = corpus.read_bytes()
+    for changed in (data + b"\n",                     # a line added, every span still in place
+                    data.replace(b"int main", b"int  main", 1)):  # one record edited
+        corpus.write_bytes(changed)
+        assert run_cli(
+            "eval", "--corpus", str(corpus), "--split", str(manifest),
+            "--patches", str(tmp_path / "patches"), "--out", str(tmp_path / "eval"),
+        ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert (f"error: {corpus}: the corpus has changed since {manifest} was written;"
+                f" run `autopatch ingest` again") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "eval").exists()
+
+
+def test_split_span_outside_the_corpus_exits_2(tmp_path, capsys, corpus_file):
+    corpus, manifest = _ingested_copy(tmp_path, corpus_file)
+    size = corpus.stat().st_size
+    original = json.loads(manifest.read_text(encoding="utf-8"))
+    target = original["test_ids"][0]
+    malformed = f"error: {manifest}: malformed split manifest: "
+    for span, expected in (
+        ([size - 5, size + 10], f"{malformed}ValueError: span [{size - 5}, {size + 10}] of"
+                                f" {target!r} is not within the corpus's {size} bytes"),
+        ([7, 7], f"{malformed}ValueError: span [7, 7]"),
+        ([0, 1.5], f"{malformed}TypeError: "),
+        ([0], f"{malformed}ValueError: "),
+        # Within the file, but not a record's line: found when the record is read.
+        ([1, 20], f"error: {corpus}: line 1 holds no record at the split manifest's span [1, 20]"),
+    ):
+        edited = {**original, "spans": {**original["spans"], target: span}}
+        manifest.write_text(json.dumps(edited), encoding="utf-8")
+        assert run_cli(
+            "eval", "--corpus", str(corpus), "--split", str(manifest),
+            "--patches", str(tmp_path / "patches"), "--out", str(tmp_path / "eval"),
+        ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert expected in err
+        assert "Traceback" not in err
+
+
+def test_damaged_index_exits_2_naming_the_file(tmp_path, capsys, corpus_file):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    metadata = pipeline.index_path(tmp_path / "index", SourceKind.RAW_SOURCE)
+    records = [IndexRecord(pair, f"Δ diff of {pair.id}", f"rationale of {pair.id}", "")
+               for pair in ingest.split.database_set]
+    build_index(records, LocalHashingProvider(), SourceKind.RAW_SOURCE, metadata)
+    vectors = metadata.with_name(metadata.name + ".vec")
+    saved = {path: path.read_bytes() for path in (metadata, vectors)}
+    header, rows = saved[metadata].split(b"\n", 1)
+
+    def optimize() -> tuple[int, str]:  # replay from an empty cassette: every patch misses
+        code = run_cli("optimize", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
+                       "--index", str(tmp_path / "index"), "--mode", "naive",
+                       "--out", str(tmp_path / "patches"), "--replay",
+                       "--cassette", str(tmp_path / "empty.jsonl"))
+        return code, capsys.readouterr().err
+
+    assert optimize()[0] == EXIT_OK
+    flipped = rows.replace(b"rationale of", b"rationale Of", 1)
+    older = json.dumps({**json.loads(header), "version": 1}).encode()
+    vector_bytes = bytearray(saved[vectors])
+    vector_bytes[5] ^= 0x01
+    for path, damaged, expected in (
+        (metadata, header + b"\n" + flipped,
+         f"error: {metadata}: malformed index file: ValueError: the metadata lines do not match"
+         f" the header's rows_sha256"),
+        (metadata, header + b"\n" + rows[:-1],  # cut short by one byte
+         f"error: {metadata}: malformed index file: ValueError: the metadata lines do not match"),
+        (metadata, older + b"\n" + rows,
+         f"error: {metadata}: malformed index file: ValueError: index version 1 is not 2"),
+        (vectors, bytes(vector_bytes),
+         f"error: {vectors}: malformed index file: the vectors do not match the header's vec_sha256"),
+    ):
+        path.write_bytes(damaged)
+        code, err = optimize()
+        assert code == EXIT_USAGE
+        assert expected in err
+        assert "Traceback" not in err
+        path.write_bytes(saved[path])
+    assert optimize()[0] == EXIT_OK
+
+
+def _index_header(rows: bytes, vectors: bytes, **fields) -> str:
+    """A version-2 index header line over these metadata lines and vector
+    bytes, for one row `p01` unless `fields` say otherwise."""
+    header = {"count": 1, "dim": 256, "ids": ["p01"], "source_kind": "raw_source", "version": 2,
+              "rows_sha256": hashlib.sha256(rows).hexdigest(),
+              "vec_sha256": hashlib.sha256(vectors).hexdigest(), **fields}
+    return json.dumps(header) + "\n"
 
 
 def test_malformed_index_file_exits_2(tmp_path, capsys, corpus_file):
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     index_dir = tmp_path / "index"
     index_dir.mkdir()
-    header = {"count": 1, "dim": 256, "source_kind": "raw_source", "version": 1}
+    # Each damaged metadata line sits under a header whose digest is that of
+    # the well-formed line, as when a saved index is edited afterwards.
+    row = b'{"diff_text": "", "rationale": "", "record_id": "p01"}\n'
+    vectors = b"\0" * 1024
+    (index_dir / "index_source.jsonl.vec").write_bytes(vectors)
+    header = _index_header(row, vectors)
     for damaged in ("not json\n",                                  # a header that is not JSON
                     '{"dim": 256}\n',                              # a header without its keys
-                    json.dumps({**header, "count": 1.0}) + "\n",  # a count that is not an integer
-                    json.dumps(header) + '\n{"record_id": "p01"}\n',  # a metadata line without its keys
-                    json.dumps(header) + '\n{"record_id": "p01", "diff_text": "",'
+                    _index_header(row, vectors, count=1.0) + row.decode(),  # a count that is not an integer
+                    header + '{"record_id": "p01"}\n',  # a metadata line without its keys
+                    header + '{"record_id": "p01", "diff_text": "",'
                     ' "rationale": "\\ud800"}\n',  # a rationale that is not valid Unicode
-                    json.dumps(header) + '\n{"record_id": "p01", "diff_text": "",'
+                    header + '{"record_id": "p01", "diff_text": "",'
                     ' "rationale": 5}\n'):  # a rationale that is not a string
         (index_dir / "index_source.jsonl").write_text(damaged, encoding="utf-8")
         assert run_cli(
@@ -415,6 +525,8 @@ def test_malformed_index_file_exits_2(tmp_path, capsys, corpus_file):
         ) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"error: {index_dir / 'index_source.jsonl'}: malformed index file: " in err
+        if damaged.startswith(header):
+            assert "ValueError: the metadata lines do not match the header's rows_sha256" in err
         assert "Traceback" not in err
 
 
@@ -423,15 +535,14 @@ def test_inconsistent_index_files_exit_2_naming_the_file(tmp_path, capsys, corpu
     index_dir = tmp_path / "index"
     index_dir.mkdir()
     metadata = index_dir / "index_source.jsonl"
-    header = {"count": 1, "dim": 256, "source_kind": "raw_source", "version": 1}
-    entry = {"diff_text": "", "rationale": "", "record_id": "p01"}
-    (index_dir / "index_source.jsonl.vec").write_bytes(b"\0" * 12)
-    for count, expected in (
-        (2, f"error: {metadata}: index metadata truncated: 1 != 2"),
-        (1, f"error: {metadata}.vec: vector blob holds 3 floats, expected 256"),
+    row = b'{"diff_text": "", "rationale": "", "record_id": "p01"}\n'
+    vectors = b"\0" * 12
+    (index_dir / "index_source.jsonl.vec").write_bytes(vectors)
+    for ids, expected in (
+        (["p01", "p02"], f"error: {metadata}: index metadata truncated: 1 != 2"),
+        (["p01"], f"error: {metadata}.vec: vector blob holds 3 floats, expected 256"),
     ):
-        metadata.write_text(f"{json.dumps({**header, 'count': count})}\n{json.dumps(entry)}\n",
-                            encoding="utf-8")
+        metadata.write_bytes(_index_header(row, vectors, count=len(ids), ids=ids).encode() + row)
         assert run_cli(
             "optimize", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
             "--index", str(index_dir), "--mode", "naive", "--out", str(tmp_path / "patches"),
@@ -522,10 +633,8 @@ def test_index_skips_unparseable_record(tmp_path, monkeypatch, capsys, analyzer)
     ) == EXIT_OK
 
     from autopatch.pipeline import load_split
-    from autopatch import corpus as corpus_mod
 
-    corpus = corpus_mod.ingest_pairs(corpus_path, strict=True)
-    split = load_split(corpus, out / "split.json")
+    corpus, split = load_split(corpus_path, out / "split.json")
     recorder = LlmClient(
         LlmConfig(), Cassette(tmp_path / "cassette.json"), mode="record",
         transport=make_scripted_transport(pairs),

@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopatch.corpus import (
     CorpusSplit,
@@ -16,6 +18,7 @@ from autopatch.corpus import (
     split_corpus,
 )
 from autopatch.errors import AutopatchError
+from autopatch.pipeline import load_split, run_ingest
 
 from helpers import fixture_pairs, record_to_json, write_corpus
 
@@ -243,3 +246,37 @@ def test_normalize_output_trailing_rules():
     assert normalize_output("5 \n6\t\n\n\n") == "5\n6"
     assert normalize_output("5\n6") == normalize_output("5\n6\n")
     assert normalize_output("a b\n") != normalize_output("a  b\n")
+
+
+# A corpus line: a record (its id drawn from a few, so that some repeat and
+# are skipped as duplicates, its text non-ASCII or escaped at random), or a
+# line that ingest skips: not JSON, not UTF-8, not a record, or blank.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+_RECORD_LINE = st.builds(
+    lambda record_id, code, rationale, ascii_only: json.dumps(
+        {"id": record_id, "problem_id": "p", "original_code": code, "optimized_code": code + ";",
+         "labels": ["loop_optimization"], "testcases": [{"input": code, "expected_output": ""}],
+         **({"rationale": rationale} if rationale else {})},
+        ensure_ascii=ascii_only).encode("utf-8"),
+    st.sampled_from(["a", "b", "c", "Δ", "d e", "😀"]), _TEXT, st.none() | _TEXT, st.booleans())
+_SKIPPED_LINE = st.sampled_from([b"not json", b"\xff\xfe{}", b"[]", b'{"id": "x"}', b"",
+                                 b"   ", b'{"id": "\\ud800", "problem_id": ""}'])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(_RECORD_LINE | _SKIPPED_LINE, max_size=12), final_newline=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_listed_records_equal_a_full_ingest(tmp_path_factory, lines, final_newline, seed):
+    root = tmp_path_factory.mktemp("split")
+    path = root / "pairs.jsonl"
+    path.write_bytes(b"\n".join(lines) + (b"\n" if final_newline else b""))
+    oracle = ingest_pairs(path, strict=False)
+    manifest = run_ingest(path, seed % (len(oracle.pairs) + 1), seed, root).manifest_path
+
+    corpus, split = load_split(path, manifest)
+    listed = json.loads(manifest.read_text(encoding="utf-8"))
+    assert sorted(listed["database_ids"] + listed["test_ids"]) == sorted(p.id for p in oracle.pairs)
+    assert list(split.database_set) == [load_record(oracle, i) for i in listed["database_ids"]]
+    assert list(split.test_set) == [load_record(oracle, i) for i in listed["test_ids"]]
+    for pair in oracle.pairs:
+        assert load_record(corpus, pair.id) == pair

@@ -23,15 +23,21 @@ A process starts in three places only: the analyzer run, whose answer the
 cassette records and replays, the compile and the timed run. A new
 `subprocess` call, or a `from subprocess import`, fails
 `test_processes_start_in_three_places`, so that a process path that
-bypasses the cassette shows up in review."""
+bypasses the cassette shows up in review.
+
+The tests of `test_cfg_extract.py` need clang, so each of their calls is
+also bound to `extract_cfg`'s signature here, where they may not run: a
+call that no longer fits fails `test_clang_gated_calls_bind_to_extract_cfg`."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import autopatch
+from autopatch.analyzer import extract_cfg
 
 SOURCE_DIR = Path(autopatch.__file__).parent
 
@@ -98,6 +104,7 @@ def test_error_types():
 
 
 EXPECTED_CLASSES = [
+    "_io.Rows",
     "analyzer.AnalyzerConfig",
     "cfg.BasicBlock", "cfg.ControlFlowGraph",
     "cfg_diff.Changes", "cfg_diff.StatementEdit", "cfg_diff.ContentChange", "cfg_diff.CfgDiff",
@@ -114,7 +121,6 @@ EXPECTED_CLASSES = [
     "report.EvalResult", "report.ModeReport", "report.EvaluationReport",
     "retrieval.SourceKind", "retrieval.LocalHashingProvider", "retrieval.RemoteEmbeddingProvider",
     "retrieval.IndexEntry", "retrieval.VectorIndex", "retrieval.IndexRecord",
-    "retrieval._MetadataRows",
 ]
 
 
@@ -207,10 +213,8 @@ def test_one_pool_and_one_containment_point():
     for path in sorted(SOURCE_DIR.glob("*.py")):
         pools += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _is_pool)
     assert pools == ["pipeline._pooled"]
-    # load_split only renames an unknown id's error after the manifest's file.
     pipeline = ast.parse((SOURCE_DIR / "pipeline.py").read_text(encoding="utf-8"))
-    assert _sites(pipeline, "pipeline", _catches_autopatch_error) == [
-        "pipeline._attempt", "pipeline.load_split"]
+    assert _sites(pipeline, "pipeline", _catches_autopatch_error) == ["pipeline._attempt"]
 
 
 def _catches_all(node: ast.AST) -> bool:
@@ -239,3 +243,19 @@ def test_processes_start_in_three_places():
     for path in sorted(SOURCE_DIR.glob("*.py")):
         found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _starts_a_process)
     assert found == ["analyzer.run_analyzer", "harness.compile_program", "harness._run_once"]
+
+
+def test_clang_gated_calls_bind_to_extract_cfg():
+    # The tests of `test_cfg_extract.py` run only where clang is on PATH, so
+    # a call there that no longer fits `extract_cfg`, as after it gained its
+    # `llm` parameter, would fail only on such a host. Each call's arguments
+    # must bind to the signature here too.
+    gated = Path(__file__).with_name("test_cfg_extract.py")
+    signature = inspect.signature(extract_cfg)
+    calls = [node for node in ast.walk(ast.parse(gated.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "extract_cfg"]
+    assert len(calls) >= 9
+    for call in calls:
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args), ast.unparse(call)
+        assert all(keyword.arg is not None for keyword in call.keywords), ast.unparse(call)
+        signature.bind(*call.args, **{keyword.arg: keyword.value for keyword in call.keywords})

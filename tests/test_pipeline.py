@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from autopatch.corpus import load_record
 from autopatch.pipeline import (
     INDEX_JOURNAL,
     load_split,
@@ -30,11 +31,13 @@ def small_run(tmp_path, pairs, corpus_file, analyzer):
     return ingest, recorder, tmp_path
 
 
-def test_load_split_round_trips(small_run):
+def test_load_split_round_trips(small_run, corpus_file):
     ingest, _, _ = small_run
-    reloaded = load_split(ingest.corpus, ingest.manifest_path)
-    assert [p.id for p in reloaded.database_set] == [p.id for p in ingest.split.database_set]
-    assert [p.id for p in reloaded.test_set] == [p.id for p in ingest.split.test_set]
+    corpus, reloaded = load_split(corpus_file, ingest.manifest_path)
+    assert list(reloaded.database_set) == list(ingest.split.database_set)
+    assert list(reloaded.test_set) == list(ingest.split.test_set)
+    for pair in ingest.corpus.pairs:
+        assert load_record(corpus, pair.id) == pair
 
 
 def test_index_journal_enables_offline_resume(small_run):
@@ -96,7 +99,7 @@ def test_optimize_context_prompts_draw_on_retrieved_entry(small_run):
     assert set(result.written["context"]) == test_ids
     for target_id in test_ids:
         patch = (tmp_path / "patches" / "context" / f"{target_id}.cpp").read_text()
-        assert patch.strip() == ingest.corpus.by_id[target_id].optimized_code.strip()
+        assert patch.strip() == load_record(ingest.corpus, target_id).optimized_code.strip()
 
 
 def test_optimize_failures_manifest_written(small_run):

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from autopatch import pipeline
 from autopatch.cfg_diff import compute_diff, render_diff
-from autopatch.corpus import CodePair, Corpus, CorpusSplit, CorpusStats
+from autopatch.corpus import CodePair, Corpus, CorpusSplit
 from autopatch.errors import AutopatchError
 from autopatch.prompting import (
     Cassette,
@@ -291,6 +292,38 @@ def test_cassette_legacy_map_is_read_and_converted_once(tmp_path):
     assert [_content(reloaded, k) for k in ("k1", "k2", "k3", "k4")] == ["k1", "k2", "k3", "k4"]
 
 
+def test_loading_a_json_lines_cassette_holds_no_whole_file_text(tmp_path):
+    # About 1.5 MB of recorded chat exchanges, a few with non-ASCII text. A
+    # probe that decoded the whole file as one document, to tell the older
+    # map layout apart, held its text at once: a peak of 4 times the file.
+    rng = random.Random(3)
+    path = tmp_path / "cassette.jsonl"
+    with path.open("w", encoding="utf-8") as handle:
+        for i in range(250):
+            program = "".join(f"  for (int i{j} = 0; i{j} < n; ++i{j}) s += {rng.randrange(99)};\n"
+                              for j in range(60))
+            note = " Δ" if i % 50 == 0 else ""
+            handle.write(json.dumps({
+                "key": f"{i:064x}",
+                "request": {"model": "m", "messages": [
+                    {"role": "system", "content": OPTIMIZER_SYSTEM_TEXT},
+                    {"role": "user", "content": f"```cpp\nint main() {{\n{program}}}\n```{note}"}],
+                    "temperature": 0.0},
+                "response": {"choices": [{"message": {"content": f"```cpp\n{program}```"}}]},
+                "timestamp": "2000-01-01T00:00:00Z",
+            }, ensure_ascii=False) + "\n")
+    size = path.stat().st_size
+    assert size > 1_000_000
+    tracemalloc.start()
+    try:
+        cassette = Cassette(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cassette.lookup(f"{249:064x}") is not None
+    assert peak <= 2 * size, (peak, size)
+
+
 def test_cassette_torn_final_line_is_dropped_then_rewritten(tmp_path, caplog):
     path = tmp_path / "cassette.jsonl"
     whole = _entry_line("a", "a")
@@ -346,7 +379,7 @@ def _refuse_rename(self, target):
 # names the files it replaces and how to rewrite them in a directory.
 _OTHER_REWRITES = {
     "journal rename fails": (["index_journal.jsonl"], lambda out: run_index(
-        Corpus([], CorpusStats({})), CorpusSplit((), ()), out, LocalHashingProvider(),
+        Corpus((), (), None), CorpusSplit((), ()), out, LocalHashingProvider(),
         LlmClient(LlmConfig(), cassette=None, mode="live"), resume=False)),
     "save_index rename fails": (["index.jsonl", "index.jsonl.vec"], lambda out: save_index(
         VectorIndex(("r1",), np.ones((1, 4), np.float32), [("diff", "why")], SourceKind.RAW_SOURCE),

@@ -365,9 +365,13 @@ def test_index_header_format(tmp_path):
                         path=tmp_path / "built.jsonl")
     path = tmp_path / "index.jsonl"
     save_index(index, path)
-    header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-    assert header == {"count": 2, "dim": 256, "source_kind": "raw_source", "version": 1}
+    header_line, rows = path.read_bytes().split(b"\n", 1)
     blob = (tmp_path / "index.jsonl.vec").read_bytes()
+    assert json.loads(header_line) == {
+        "count": 2, "dim": 256, "ids": ["r0", "r1"], "source_kind": "raw_source", "version": 2,
+        "rows_sha256": hashlib.sha256(rows).hexdigest(), "vec_sha256": hashlib.sha256(blob).hexdigest(),
+    }
+    assert [json.loads(line)["record_id"] for line in rows.splitlines()] == ["r0", "r1"]
     assert len(blob) == 2 * 256 * 4  # count x dim little-endian float32
 
 
