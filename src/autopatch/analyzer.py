@@ -24,12 +24,13 @@ never dropped.
 
 `run_analyzer` returns the analyzer's answer, its exit status and stderr
 text, and `parse_answer` reads the CFG from an answer; `extract_cfg` joins
-the two through the `LlmClient` of a stage, which runs, records or replays
-the answer as it does a chat exchange.
+the two through `LlmClient.answer`, the one record/replay rule, which runs,
+records or replays the answer as it does a chat exchange.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shlex
@@ -38,14 +39,11 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .cfg import BasicBlock, ControlFlowGraph, normalize_statement
 from .errors import AutopatchError
 from .preprocess import preprocess_source
-
-if TYPE_CHECKING:  # prompting imports this module
-    from .prompting import LlmClient
+from .prompting import LlmClient, content_key
 
 ANALYZER_PATH_ENV = "AUTOPATCH_ANALYZER_PATH"
 ANALYZER_FLAGS_ENV = "AUTOPATCH_ANALYZER_FLAGS"
@@ -298,7 +296,27 @@ def parse_answer(returncode: int, stderr: str) -> ControlFlowGraph:
     raise AutopatchError(f"function 'main' not in dump (found: {available})")
 
 
+def _answer(response: dict) -> tuple[int, str]:
+    """`(returncode, stderr)` of an analyzer answer; any other shape, such as
+    a cassette entry without a response, raises AutopatchError."""
+    if isinstance(response, dict):
+        returncode, stderr = response.get("returncode"), response.get("stderr")
+        if type(returncode) is int and isinstance(stderr, str):
+            return returncode, stderr
+    raise AutopatchError(f"malformed analyzer answer: {json.dumps(response)[:300]}")
+
+
 def extract_cfg(code: str, config: AnalyzerConfig, llm: LlmClient) -> ControlFlowGraph:
     """Preprocess `code` and parse the CFG of `main` from the analyzer's
-    answer for it, which `llm` runs, records or replays by its mode."""
-    return parse_answer(*llm.analyze(preprocess_source(code).output_code, config))
+    answer for it, keyed by the analyzer's arguments and the preprocessed
+    source, which `llm` runs, records or replays by its mode. A replay miss
+    runs the analyzer. A rejection is an answer and is recorded; a run that
+    gives none, such as a timeout, raises."""
+    source = preprocess_source(code).output_code
+    request = {"analyzer_args": list(config.args), "source": source}
+
+    def send(_request: dict) -> dict:
+        returncode, stderr = run_analyzer(source, config)
+        return {"returncode": returncode, "stderr": stderr}
+
+    return parse_answer(*llm.answer(content_key(request), request, send, _answer, True))

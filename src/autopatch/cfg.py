@@ -76,9 +76,6 @@ class ControlFlowGraph:
     def successors(self, block_id: int) -> tuple[int, ...]:
         return tuple(sorted(dst for src, dst in self.edges if src == block_id))
 
-    def statement_count(self) -> int:
-        return sum(len(b.statements) for b in self.blocks)
-
 
 def serialize_cfg(cfg: ControlFlowGraph) -> str:
     """Canonical one-line-per-block form, ascending block id:

@@ -29,7 +29,7 @@ from .corpus import Corpus, CodePair, CorpusSplit, listed_rows, load_record
 from .errors import AutopatchError
 from .harness import RunOutcome, RunStatus, ToolchainConfig, compile_program, measure_execution
 from .metrics import LexicalScores, compute_lexical
-from .prompting import LlmClient, PromptMode, build_prompt, generate_patch, generate_rationale
+from .prompting import LlmClient, PromptMode, build_prompt, content_key, generate_patch, generate_rationale
 from .report import EvaluationReport, EvalResult, aggregate_report
 from .retrieval import (
     IndexRecord,
@@ -244,8 +244,10 @@ def run_index(
     texts for both indexes; the first to embed sets each index's dimension.
     A record that fails either step, or whose vector has another dimension,
     becomes a "failed" journal entry with its reason, logged and skipped,
-    never fatal, so a rerun reuses exactly the indexed records and retries
-    the rest. The journal and the indexes list the records in database order.
+    never fatal. A rerun reuses an "ok" entry only while its `key` matches:
+    both sources, the stored rationale, the analyzer's arguments and the
+    model of a generated rationale. The journal and the indexes list the
+    records in database order.
     `corpus` is not read: the split holds the records.
     """
     out_dir = Path(out_dir)
@@ -256,10 +258,13 @@ def run_index(
     previous = _load_journal(journal_path) if resume else {}
 
     def prepare(pair: CodePair) -> dict:
+        key = content_key({"sources": [pair.original_code, pair.optimized_code],
+                           "rationale": pair.rationale, "analyzer_args": list(analyzer_config.args),
+                           "model": None if pair.rationale else llm.config.model})
         cached = previous.get(pair.id)
-        if cached is not None and cached.get("status") == "ok":
+        if cached is not None and cached.get("status") == "ok" and cached.get("key") == key:
             return cached
-        return _prepare_record(pair, llm, analyzer_config)
+        return {**_prepare_record(pair, llm, analyzer_config), "key": key}
 
     dims: dict[SourceKind, int] = {}  # set by the first record that embeds
 

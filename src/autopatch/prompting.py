@@ -9,9 +9,9 @@ structural change summary and its stored optimization rationale.
 The client runs in one of three modes: `live` (straight HTTP), `record` (HTTP
 plus cassette capture), and `replay` (cassette only, zero network activity).
 Cassette keys hash (model, system_text, user_text), so recordings are portable
-across runs and machines. The client answers for the static analyzer under the
-same rule, keyed by its arguments and the preprocessed source, so a replay
-runs the analyzer only for a program the cassette has no answer for.
+across runs and machines. `LlmClient.answer` is that record/replay rule for
+any request a caller keys by `content_key`: `complete` sends a chat exchange
+through it, and `analyzer.extract_cfg` a run of the static analyzer.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Callable
 
 from ._io import http_post_json, is_text, loads, replacing, service_error
-from .analyzer import AnalyzerConfig, run_analyzer
 from .cfg_diff import CfgDiff, render_diff
 from .corpus import CodePair
 from .errors import AutopatchError
@@ -97,13 +96,14 @@ def build_prompt(target: CodePair, example: CodePair | None = None,
     return "\n".join(sections)
 
 
-def _content_key(obj: dict) -> str:
+def content_key(obj: dict) -> str:
+    """The SHA-256 (hex) of `obj` as canonical JSON."""
     canonical = json.dumps(obj, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def request_hash(model: str, system_text: str, user_text: str) -> str:
-    return _content_key({"model": model, "system": system_text, "user": user_text})
+    return content_key({"model": model, "system": system_text, "user": user_text})
 
 
 class Cassette:
@@ -217,8 +217,8 @@ Transport = Callable[[dict], dict]
 
 
 class LlmClient:
-    """Chat-completion client with record/replay support, which answers for
-    the static analyzer (`analyze`) under the same rule.
+    """Chat-completion client with record/replay support (`answer`), which
+    the static analyzer's answers go through too.
 
     `transport` maps a request body to a decoded response body; the default
     posts to the configured HTTP service. Replay mode never touches the
@@ -246,7 +246,7 @@ class LlmClient:
             raise service_error(0, "no chat service URL configured")
         return http_post_json(self.config.base_url, request, self.config.api_key, LLM_TIMEOUT_S)
 
-    def _answer(self, key: str, request: dict, send, decode, replay_miss_sends: bool):
+    def answer(self, key: str, request: dict, send, decode, replay_miss_sends: bool):
         """The record/replay rule, for a chat exchange and an analyzer run
         alike: `decode` of the response that `send(request)` returns, which
         record mode then stores under `key`; in replay mode, `decode` of the
@@ -278,22 +278,8 @@ class LlmClient:
             ],
             "temperature": self.config.temperature,
         }
-        return self._answer(request_hash(self.config.model, system_text, user_text), request,
-                            self._transport or self._http_transport, _answer_text, False)
-
-    def analyze(self, source: str, config: AnalyzerConfig) -> tuple[int, str]:
-        """The analyzer's `(exit status, stderr text)` for `source`, a
-        preprocessed program, keyed by the analyzer's arguments and `source`.
-        A replay miss runs the analyzer, so a cassette that holds no
-        analyzer answers still replays. A rejection is an answer and is
-        recorded; a run that gives none, such as a timeout, raises."""
-        request = {"analyzer_args": list(config.args), "source": source}
-
-        def run(_request: dict) -> dict:
-            returncode, stderr = run_analyzer(source, config)
-            return {"returncode": returncode, "stderr": stderr}
-
-        return self._answer(_content_key(request), request, run, _analyzer_answer, True)
+        return self.answer(request_hash(self.config.model, system_text, user_text), request,
+                           self._transport or self._http_transport, _answer_text, False)
 
 
 def _answer_text(response: dict) -> str:
@@ -307,16 +293,6 @@ def _answer_text(response: dict) -> str:
     if not (isinstance(content, str) and is_text(content)):
         raise service_error(0, f"malformed chat response: {json.dumps(response)[:300]}")
     return content
-
-
-def _analyzer_answer(response: dict) -> tuple[int, str]:
-    """`(returncode, stderr)` of an analyzer answer; any other shape, such as
-    a cassette entry without a response, raises AutopatchError."""
-    if isinstance(response, dict):
-        returncode, stderr = response.get("returncode"), response.get("stderr")
-        if type(returncode) is int and isinstance(stderr, str):
-            return returncode, stderr
-    raise AutopatchError(f"malformed analyzer answer: {json.dumps(response)[:300]}")
 
 
 _FENCED_BLOCK = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)

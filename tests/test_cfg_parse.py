@@ -37,7 +37,7 @@ def test_parsed_counts_match_hand_counts(name, blocks, edges, statements):
     cfg = parse_cfg_dump(_load(name))
     assert len(cfg.blocks) == blocks
     assert len(cfg.edges) == edges
-    assert cfg.statement_count() == statements
+    assert sum(len(b.statements) for b in cfg.blocks) == statements
 
 
 @pytest.mark.parametrize("name,blocks,edges,statements", DUMP_EXPECTATIONS)

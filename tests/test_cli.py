@@ -4,10 +4,12 @@ import argparse
 import gc
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from autopatch import pipeline
+from autopatch.analyzer import ANALYZER_FLAGS_ENV
 from autopatch.cli import EXIT_NO_COMMON_SET, EXIT_OK, EXIT_USAGE, main
 from autopatch.pipeline import INDEX_JOURNAL, run_index, run_ingest, run_optimize
 from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
@@ -286,6 +288,79 @@ def test_index_cli_resumes_from_journal(tmp_path, monkeypatch, capsys, pairs, co
     assert calls == 2 * DB_COUNT  # both sides of every record
     assert index() == (0, first)  # every journaled record is ok, so none is redone
     assert index("--no-resume") == (2 * DB_COUNT, first)
+
+
+def _journal_lines(out) -> dict[str, str]:
+    return {json.loads(line)["record_id"]: line
+            for line in (out / INDEX_JOURNAL).read_text(encoding="utf-8").splitlines()}
+
+
+_PREPARE_RECORD = pipeline._prepare_record
+
+
+def _index_counting_prepared(monkeypatch, corpus_path, root, out, pairs) -> list[str]:
+    """Ingest `corpus_path` into `root` and index it into `out`, live on the
+    stub analyzer; returns the sorted ids of the records that were prepared,
+    not reused from the journal."""
+    prepared = []
+
+    def counting(pair, llm, config):
+        prepared.append(pair.id)
+        return _PREPARE_RECORD(pair, llm, config)
+
+    monkeypatch.setattr(pipeline, "_prepare_record", counting)
+    ingest = run_ingest(corpus_path, DB_COUNT, SEED, root)
+    llm = LlmClient(LlmConfig(), None, mode="live", transport=make_scripted_transport(pairs))
+    run_index(ingest.corpus, ingest.split, out, LocalHashingProvider(), llm)
+    return sorted(prepared)
+
+
+def test_index_prepares_an_edited_record_again(tmp_path, monkeypatch, pairs, corpus_file,
+                                               stub_analyzer):
+    out = tmp_path / "index"
+    first = _index_counting_prepared(monkeypatch, corpus_file, tmp_path / "a", out, pairs)
+    assert len(first) == DB_COUNT
+    before = _journal_lines(out)
+
+    edited_id = list(before)[2]
+    edited = [replace(pair, original_code="// edited\n" + pair.original_code)
+              if pair.id == edited_id else pair for pair in pairs]
+    write_corpus(edited, tmp_path / "edited.jsonl")
+    again = _index_counting_prepared(monkeypatch, tmp_path / "edited.jsonl", tmp_path / "b", out,
+                                     edited)
+
+    assert again == [edited_id]  # the others are reused by their key
+    after = _journal_lines(out)
+    assert {i for i in after if after[i] != before[i]} == {edited_id}
+    assert json.loads(after[edited_id])["key"] != json.loads(before[edited_id])["key"]
+
+
+def test_index_prepares_every_record_again_under_other_analyzer_flags(tmp_path, monkeypatch,
+                                                                      pairs, corpus_file,
+                                                                      stub_analyzer):
+    out = tmp_path / "index"
+    first = _index_counting_prepared(monkeypatch, corpus_file, tmp_path, out, pairs)
+    assert len(first) == DB_COUNT
+    assert _index_counting_prepared(monkeypatch, corpus_file, tmp_path, out, pairs) == []
+
+    monkeypatch.setenv(ANALYZER_FLAGS_ENV, "-DAUTOPATCH_FLAGS_CHANGED")
+    assert _index_counting_prepared(monkeypatch, corpus_file, tmp_path, out, pairs) == first
+
+
+def test_index_prepares_a_journal_entry_without_a_key_again(tmp_path, monkeypatch, pairs,
+                                                            corpus_file, stub_analyzer):
+    out = tmp_path / "index"
+    _index_counting_prepared(monkeypatch, corpus_file, tmp_path, out, pairs)
+    lines = _journal_lines(out)
+    older_id = next(iter(lines))
+    entry = json.loads(lines[older_id])
+    del entry["key"]  # as a journal written before entries had keys
+    lines[older_id] = json.dumps(entry, sort_keys=True, ensure_ascii=False)
+    (out / INDEX_JOURNAL).write_text("".join(line + "\n" for line in lines.values()),
+                                     encoding="utf-8")
+
+    assert _index_counting_prepared(monkeypatch, corpus_file, tmp_path, out, pairs) == [older_id]
+    assert "key" in json.loads(_journal_lines(out)[older_id])
 
 
 def _rerun_index_on_a_damaged_journal(tmp_path, monkeypatch, caplog, pairs, corpus_file,

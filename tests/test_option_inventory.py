@@ -25,6 +25,12 @@ cassette records and replays, the compile and the timed run. A new
 `test_processes_start_in_three_places`, so that a process path that
 bypasses the cassette shows up in review.
 
+Imports between the package's modules go one way: the graph of their
+`from .x import` statements, those under `if TYPE_CHECKING:` included, has
+no cycle, and no module imports `TYPE_CHECKING`, so a cycle cannot hide
+behind one. `test_imports_go_one_way` pins both; `analyzer` imports
+`prompting`, never the reverse.
+
 The tests of `test_cfg_extract.py` need clang, so each of their calls is
 also bound to `extract_cfg`'s signature here, where they may not run: a
 call that no longer fits fails `test_clang_gated_calls_bind_to_extract_cfg`."""
@@ -243,6 +249,39 @@ def test_processes_start_in_three_places():
     for path in sorted(SOURCE_DIR.glob("*.py")):
         found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _starts_a_process)
     assert found == ["analyzer.run_analyzer", "harness.compile_program", "harness._run_once"]
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules that `tree` imports by `from .x import` or
+    `from . import x`, anywhere in it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_imports_go_one_way():
+    graph, typing_guards = {}, []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[path.stem] = _package_imports(tree)
+        names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                 for node in ast.walk(tree)}  # a Name, an Attribute, or an imported alias
+        typing_guards += [path.stem] if "TYPE_CHECKING" in names else []
+    assert typing_guards == []
+
+    done: set[str] = set()
+
+    def visit(module: str, path: tuple[str, ...]) -> None:
+        assert module not in path, " -> ".join((*path, module))
+        if module not in done:
+            for imported in sorted(graph.get(module, ())):
+                visit(imported, (*path, module))
+            done.add(module)
+
+    for module in graph:
+        visit(module, ())
 
 
 def test_clang_gated_calls_bind_to_extract_cfg():

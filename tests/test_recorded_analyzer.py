@@ -16,7 +16,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from autopatch import prompting
+from autopatch import analyzer, prompting
 from autopatch.analyzer import ANALYZER_PATH_ENV
 from autopatch.cli import EXIT_OK, main
 from autopatch.corpus import split_corpus
@@ -127,14 +127,14 @@ def test_cassette_of_chat_entries_replays_by_running_the_analyzer(tmp_path, monk
     cassette.write_text("".join(line for line in lines if json.loads(line)["key"] in chat_keys),
                         encoding="utf-8")
     before = cassette.read_bytes()
-    run_analyzer = prompting.run_analyzer
+    run_analyzer = analyzer.run_analyzer
     runs = []
 
     def counting(code, config):
         runs.append(code)
         return run_analyzer(code, config)
 
-    monkeypatch.setattr(prompting, "run_analyzer", counting)
+    monkeypatch.setattr(analyzer, "run_analyzer", counting)
     caplog.set_level("WARNING", logger=prompting.logger.name)
     _replay(tmp_path / "replayed", corpus_file, split, cassette)
 
