@@ -1,6 +1,7 @@
 """The package's byte boundary: how bytes from outside become Python objects,
 how the lines of a file are kept as its bytes and decoded when read, how a
-file is replaced whole, and how a JSON-over-HTTP service call fails."""
+file is replaced whole (a JSON document with `write_json`), and how a
+JSON-over-HTTP service call fails."""
 
 from __future__ import annotations
 
@@ -74,6 +75,13 @@ def replacing(path: Path, mode: str):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: Path, payload) -> None:
+    """Replace `path` whole with `payload` as indented JSON, keys sorted,
+    non-ASCII text kept as UTF-8, and a final newline."""
+    with replacing(path, "w") as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def service_error(status: int, body: str) -> AutopatchError:

@@ -15,9 +15,10 @@ import os
 import sys
 from pathlib import Path
 
+from .corpus import load_split
 from .errors import AutopatchError
 from .harness import DEFAULT_REPS, DEFAULT_TIMEOUT_S
-from .pipeline import load_split, run_eval, run_index, run_ingest, run_optimize
+from .pipeline import run_eval, run_index, run_ingest, run_optimize
 from .prompting import LLM_BASE_ENV, Cassette, LlmClient, LlmConfig, PromptMode
 from .retrieval import EMBED_BASE_ENV, LocalHashingProvider, RemoteEmbeddingProvider
 

@@ -1,4 +1,4 @@
-"""Code-pair dataset: ingestion, validation and splitting.
+"""Code-pair dataset: ingestion, validation, splitting and the split manifest.
 
 The corpus file is UTF-8 line-delimited JSON, one record per line:
 
@@ -7,9 +7,10 @@ The corpus file is UTF-8 line-delimited JSON, one record per line:
      "rationale": ...}          # rationale optional
 
 `ingest_pairs` decodes and checks every line, skipping or rejecting bad ones,
-and finds the file's SHA-256 and each kept record's byte span, which the
-split manifest records. A stage given a split reads the corpus through
-`listed_rows`: only the lines the manifest lists, each decoded when it is
+and finds the file's SHA-256 and each kept record's byte span. This module
+alone knows the split manifest's layout: `write_split` records the split
+with that hash and those spans, and `load_split` reads it back. A loaded
+split reads only the lines the manifest lists, each decoded when it is
 read, once the file's hash shows it unchanged. A corpus is immutable and
 safe for concurrent readers.
 """
@@ -26,7 +27,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from ._io import Rows, loads
+from ._io import Rows, loads, write_json
 from .errors import AutopatchError
 
 
@@ -78,9 +79,9 @@ class CorpusSplit:
 class Corpus:
     """A read-only collection of code pairs, looked up by id with
     `load_record`: `pairs[i]` is the record `ids[i]`. An ingested corpus
-    holds every kept record, decoded, and its `CorpusStats`; a split's
-    (`pipeline.load_split`) holds the listed records as `Rows` of the file's
-    bytes, and no stats."""
+    holds every kept record, decoded, and its `CorpusStats`; a loaded
+    split's (`load_split`) holds its database records, the `Rows` that are
+    also its `database_set`, and no stats."""
 
     def __init__(self, pairs: Sequence[CodePair], ids: Sequence[str], stats: CorpusStats | None):
         self.pairs = pairs
@@ -231,6 +232,20 @@ def load_record(corpus: Corpus, record_id: str) -> CodePair:
     return corpus.pairs[row]
 
 
+def write_split(path: Path, corpus: Corpus, split: CorpusSplit, seed: int) -> None:
+    """Write to `path` the manifest of `split`, drawn with `seed` from an
+    ingested `corpus`: both sets' ids, which list every kept record, and
+    the file's hash and spans, which `load_split` checks and reads by."""
+    write_json(path, {
+        "corpus_sha256": corpus.stats.sha256,
+        "database_count": len(split.database_set),
+        "seed": seed,
+        "database_ids": [p.id for p in split.database_set],
+        "test_ids": [p.id for p in split.test_set],
+        "spans": {record_id: list(span) for record_id, span in corpus.stats.spans.items()},
+    })
+
+
 def _listed_record(path: Path, data: bytes, start: int, end: int) -> CodePair:
     """The record on bytes [start, end) of `data`, the corpus file `path`:
     the line of a record that ingest accepted. A span that holds no record
@@ -244,7 +259,37 @@ def _listed_record(path: Path, data: bytes, start: int, end: int) -> CodePair:
                              f" span [{start}, {end}]") from None
 
 
-def listed_rows(path: Path, data: bytes, spans: array) -> Rows:
-    """The records on the lines of `data`, the corpus file `path`, that
-    `spans` gives: `_listed_record` of each, decoded when it is read."""
-    return Rows(data, spans, functools.partial(_listed_record, path))
+def load_split(corpus_path: Path | str, manifest_path: Path | str) -> tuple[Corpus, CorpusSplit]:
+    """The split that `write_split` recorded, over the corpus file's bytes:
+    each set is `Rows` that decode a record from the span the manifest
+    gives for it when a stage reads it, and the corpus is the database set,
+    the only records a stage looks up by id. Raises AutopatchError naming
+    the manifest when it is malformed (a span outside the file included),
+    and naming the corpus when its SHA-256 is not the one the manifest
+    records, since the spans then point into another file."""
+    path, corpus_path = Path(manifest_path), Path(corpus_path)
+    data = corpus_path.read_bytes()
+    try:
+        manifest = loads(path.read_bytes())
+        database_ids, test_ids = manifest["database_ids"], manifest["test_ids"]
+        listed = Counter([*database_ids, *test_ids])
+        if max(listed.values(), default=0) > 1:  # in one set twice, or in both sets
+            raise ValueError(f"id listed twice: {', '.join(repr(i) for i, n in listed.items() if n > 1)}")
+        recorded = manifest["corpus_sha256"]
+        if not isinstance(recorded, str):
+            raise TypeError(f"corpus_sha256 is {type(recorded).__name__}, not a string")
+        if recorded != hashlib.sha256(data).hexdigest():
+            raise AutopatchError(f"{corpus_path}: the corpus has changed since {path} was written;"
+                                 f" run `autopatch ingest` again")
+        spans = array("q")
+        for record_id in listed:
+            start, end = manifest["spans"][record_id]
+            if not 0 <= start < end <= len(data):
+                raise ValueError(f"span [{start}, {end}] of {record_id!r} is not within the"
+                                 f" corpus's {len(data)} bytes")
+            spans.extend((start, end))
+    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or not the manifest's shape
+        raise AutopatchError(f"{path}: malformed split manifest: {type(exc).__name__}: {exc}") from None
+    decode, cut = functools.partial(_listed_record, corpus_path), 2 * len(database_ids)
+    database = Rows(data, spans[:cut], decode)
+    return Corpus(database, database_ids, None), CorpusSplit(database, Rows(data, spans[cut:], decode))

@@ -1,31 +1,31 @@
-"""End-to-end orchestration behind the CLI subcommands.
+"""End-to-end orchestration behind the CLI subcommands. `run_ingest` writes
+the split manifest through `corpus.write_split`; the other stages take the
+corpus and split that it returns, or that `corpus.load_split` reads back.
 
 Each stage is per-record skip-and-log: one bad program never aborts a batch
 run, it lands in a journal or failures manifest with a reason and the stage
 carries on. `_attempt` turns a record's error into that reason, in a pooled
 phase (`_pooled`) or on the main thread. Given identical inputs, seeds, and
 cassettes, every stage writes byte-identical artifacts (timing measurements
-aside).
+aside), and a rerun into the same directory keeps no earlier output in place
+of one it failed to make.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import time
-from array import array
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from ._io import loads, replacing
+from ._io import loads, replacing, write_json
 from .analyzer import AnalyzerConfig, extract_cfg
 from .cfg import serialize_cfg
 from .cfg_diff import compute_diff, render_diff
-from .corpus import Corpus, CodePair, CorpusSplit, listed_rows, load_record
+from .corpus import Corpus, CodePair, CorpusSplit, load_record
 from .errors import AutopatchError
 from .harness import RunOutcome, RunStatus, ToolchainConfig, compile_program, measure_execution
 from .metrics import LexicalScores, compute_lexical
@@ -40,6 +40,7 @@ from .retrieval import (
     embed_text,
     load_index,
     retrieve_top1,
+    vector_sidecar_path,
 )
 
 logger = logging.getLogger(__name__)
@@ -63,11 +64,6 @@ _MODE_SOURCE_KIND = {
     PromptMode.NAIVE: SourceKind.RAW_SOURCE,
     PromptMode.CONTEXT: SourceKind.CFG_SERIALIZATION,
 }
-
-
-def _write_json(path: Path, payload) -> None:
-    with replacing(path, "w") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _attempt(fn, *args) -> tuple:
@@ -108,56 +104,9 @@ def run_ingest(
 ) -> IngestResult:
     corpus = corpus_mod.ingest_pairs(corpus_path, strict=strict)
     split = corpus_mod.split_corpus(corpus.pairs, db_count, seed)
-    out_dir = Path(out_dir)
-    # Every kept record is listed, in one set or the other.
-    manifest = {
-        "corpus_sha256": corpus.stats.sha256,
-        "database_count": db_count,
-        "seed": seed,
-        "database_ids": [p.id for p in split.database_set],
-        "test_ids": [p.id for p in split.test_set],
-        "spans": {record_id: list(span) for record_id, span in corpus.stats.spans.items()},
-    }
-    manifest_path = out_dir / SPLIT_MANIFEST
-    _write_json(manifest_path, manifest)
+    manifest_path = Path(out_dir) / SPLIT_MANIFEST
+    corpus_mod.write_split(manifest_path, corpus, split, seed)
     return IngestResult(corpus=corpus, split=split, manifest_path=manifest_path)
-
-
-def load_split(corpus_path: Path | str, manifest_path: Path | str) -> tuple[Corpus, CorpusSplit]:
-    """The records that the split manifest lists, as a corpus and a split
-    over the corpus file's bytes: each record is decoded from the span the
-    manifest gives for it when a stage reads it. Raises AutopatchError
-    naming the manifest when it is malformed (a span outside the file
-    included), and naming the corpus when its SHA-256 is not the one the
-    manifest records, since the spans then point into another file."""
-    path, corpus_path = Path(manifest_path), Path(corpus_path)
-    data = corpus_path.read_bytes()
-    try:
-        manifest = loads(path.read_bytes())
-        database_ids, test_ids = manifest["database_ids"], manifest["test_ids"]
-        listed = Counter([*database_ids, *test_ids])
-        if max(listed.values(), default=0) > 1:  # in one set twice, or in both sets
-            raise ValueError(f"id listed twice: {', '.join(repr(i) for i, n in listed.items() if n > 1)}")
-        recorded = manifest["corpus_sha256"]
-        if not isinstance(recorded, str):
-            raise TypeError(f"corpus_sha256 is {type(recorded).__name__}, not a string")
-        if recorded != hashlib.sha256(data).hexdigest():
-            raise AutopatchError(f"{corpus_path}: the corpus has changed since {path} was written;"
-                                 f" run `autopatch ingest` again")
-        spans = array("q")
-        for record_id in listed:
-            start, end = manifest["spans"][record_id]
-            if not 0 <= start < end <= len(data):
-                raise ValueError(f"span [{start}, {end}] of {record_id!r} is not within the"
-                                 f" corpus's {len(data)} bytes")
-            spans.extend((start, end))
-    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or not the manifest's shape
-        raise AutopatchError(f"{path}: malformed split manifest: {type(exc).__name__}: {exc}") from None
-    cut = 2 * len(database_ids)
-    corpus = Corpus(listed_rows(corpus_path, data, spans), list(listed), None)
-    split = CorpusSplit(database_set=listed_rows(corpus_path, data, spans[:cut]),
-                        test_set=listed_rows(corpus_path, data, spans[cut:]))
-    return corpus, split
 
 
 # --- index ------------------------------------------------------------------
@@ -246,8 +195,10 @@ def run_index(
     becomes a "failed" journal entry with its reason, logged and skipped,
     never fatal. A rerun reuses an "ok" entry only while its `key` matches:
     both sources, the stored rationale, the analyzer's arguments and the
-    model of a generated rationale. The journal and the indexes list the
-    records in database order.
+    model of a generated rationale. The indexes list the indexed records in
+    database order; the journal lists them, then the failed ones, each in
+    database order. When no record is indexed, both index files and their
+    vectors are removed, so no older index outlives the run.
     `corpus` is not read: the split holds the records.
     """
     out_dir = Path(out_dir)
@@ -293,11 +244,15 @@ def run_index(
             handle.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
 
     built: dict[SourceKind, Path] = {}
-    if indexed:
-        records = [record for record, _ in indexed]
-        for kind in _INDEX_FILES:
-            built[kind] = index_path(out_dir, kind)
-            assemble_index(records, [vectors[kind] for _, vectors in indexed], kind, built[kind])
+    records = [record for record, _ in indexed]
+    for kind in _INDEX_FILES:
+        path = index_path(out_dir, kind)
+        if indexed:
+            built[kind] = path
+            assemble_index(records, [vectors[kind] for _, vectors in indexed], kind, path)
+        else:  # no index, rather than an older one that optimize would retrieve from
+            path.unlink(missing_ok=True)
+            vector_sidecar_path(path).unlink(missing_ok=True)
 
     return IndexResult(built=built, indexed_count=len(prepared), skipped=skipped)
 
@@ -332,8 +287,10 @@ def run_optimize(
     thread builds each prompt, retrieving its example; then every built
     prompt is sent (`_pooled`). Patches and the failures manifest follow
     (target, mode) order, whatever order the calls finish in. A failed
-    target and mode keeps only its reason, which fails that one patch: a
-    target the analyzer rejects still gets its naive and zero-shot patches.
+    target and mode keeps only its reason, which fails that one patch (and
+    removes an earlier run's): a target the analyzer rejects still gets its
+    naive and zero-shot patches. An index that holds a test record raises
+    AutopatchError before any call, since it was built over another split.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -344,6 +301,13 @@ def run_optimize(
         kind = _MODE_SOURCE_KIND.get(mode)
         if kind is not None and kind not in indexes:
             indexes[kind] = load_index(index_path(index_dir, kind))
+    targets = tuple(split.test_set)  # a loaded split decodes a record each time it is read
+    for kind, index in indexes.items():
+        held = set(index.ids)
+        leaked = ", ".join(repr(pair.id) for pair in targets if pair.id in held)
+        if leaked:  # its example for a target could be the target itself
+            raise AutopatchError(f"{index_path(index_dir, kind)}: the index holds test record(s)"
+                                 f" {leaked}: it was built over another split; run autopatch index again")
 
     def analyze(pair: CodePair) -> str:
         return serialize_cfg(extract_cfg(pair.original_code, analyzer_config, llm))
@@ -354,7 +318,6 @@ def run_optimize(
             raise AutopatchError(reason)
         return generate_patch(prompt_text, llm)
 
-    targets = tuple(split.test_set)  # a loaded split decodes a record each time it is read
     queries = _pooled(analyze, targets) if PromptMode.CONTEXT in modes else [None] * len(targets)
     built = [
         _attempt(_build_mode_prompt, pair, mode, indexes, corpus, provider, query)
@@ -370,12 +333,13 @@ def run_optimize(
         if reason is not None:
             failures.append({"record_id": pair.id, "mode": mode.value, "reason": reason})
             logger.warning("optimize: %s/%s failed: %s", mode.value, pair.id, reason)
+            patch_path(out_dir, mode, pair.id).unlink(missing_ok=True)  # not an earlier run's
             continue
         with replacing(patch_path(out_dir, mode, pair.id), "w") as handle:
             handle.write(code)
         written[mode.value].append(pair.id)
 
-    _write_json(out_dir / FAILURES_MANIFEST, failures)
+    write_json(out_dir / FAILURES_MANIFEST, failures)
     return OptimizeResult(written=written, failures=failures)
 
 
@@ -504,9 +468,9 @@ def run_eval(
     payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
     json_path = out_dir / "report.json"
-    _write_json(json_path, payload)
+    write_json(json_path, payload)
     with replacing(out_dir / "report.txt", "w") as handle:
         handle.write(report.render_text())
-    _write_json(out_dir / FAILURES_MANIFEST, failures)
+    write_json(out_dir / FAILURES_MANIFEST, failures)
 
     return EvalRunResult(report=report, report_json_path=json_path, failures=failures)

@@ -707,7 +707,7 @@ def test_index_skips_unparseable_record(tmp_path, monkeypatch, capsys, analyzer)
         "--out", str(out),
     ) == EXIT_OK
 
-    from autopatch.pipeline import load_split
+    from autopatch.corpus import load_split
 
     corpus, split = load_split(corpus_path, out / "split.json")
     recorder = LlmClient(
@@ -762,6 +762,36 @@ def test_optimize_replay_miss_logged_not_fatal(recorded_workspace, tmp_path, mon
     assert len(failures) == 3
     assert all("no cassette entry" in f["reason"] for f in failures)
     assert "3 failure(s)" in capsys.readouterr().out
+
+
+@requires_gxx
+def test_optimize_with_an_index_of_another_split_exits_2(recorded_workspace, tmp_path, monkeypatch, capsys):
+    # The recorded index holds the seed-7 database set; a seed-8 split of the
+    # same corpus tests a record of it, whose own optimized code it could show.
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    assert run_cli("ingest", "--corpus", str(recorded_workspace.corpus_file),
+                   "--db-count", str(DB_COUNT), "--seed", "8", "--out", str(tmp_path / "ingest")) == EXIT_OK
+    indexed = json.loads(recorded_workspace.split_manifest.read_text())["database_ids"]
+    tested = json.loads((tmp_path / "ingest" / "split.json").read_text())["test_ids"]
+    leaked = [target for target in tested if target in indexed]
+    assert leaked
+    capsys.readouterr()
+
+    index_dir = recorded_workspace.record_dir / "index"
+    code = run_cli(
+        "optimize",
+        "--corpus", str(recorded_workspace.corpus_file),
+        "--split", str(tmp_path / "ingest" / "split.json"),
+        "--index", str(index_dir),
+        "--mode", "naive",
+        "--out", str(tmp_path / "out"),
+        "--replay", "--cassette", str(recorded_workspace.cassette),
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {index_dir / 'index_source.jsonl'}: the index holds test record(s)"
+        f" {', '.join(map(repr, leaked))}: it was built over another split; run autopatch index again\n")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @requires_gxx

@@ -13,12 +13,13 @@ from autopatch.corpus import (
     OptimizationType,
     ingest_pairs,
     load_record,
+    load_split,
     normalize_output,
     parse_record,
     split_corpus,
 )
 from autopatch.errors import AutopatchError
-from autopatch.pipeline import load_split, run_ingest
+from autopatch.pipeline import run_ingest
 
 from helpers import fixture_pairs, record_to_json, write_corpus
 
@@ -278,5 +279,9 @@ def test_listed_records_equal_a_full_ingest(tmp_path_factory, lines, final_newli
     assert sorted(listed["database_ids"] + listed["test_ids"]) == sorted(p.id for p in oracle.pairs)
     assert list(split.database_set) == [load_record(oracle, i) for i in listed["database_ids"]]
     assert list(split.test_set) == [load_record(oracle, i) for i in listed["test_ids"]]
-    for pair in oracle.pairs:
-        assert load_record(corpus, pair.id) == pair
+    for pair in oracle.pairs:  # a loaded corpus holds the database records alone
+        if pair.id in listed["database_ids"]:
+            assert load_record(corpus, pair.id) == pair
+        else:
+            with pytest.raises(AutopatchError, match=f"^record {re.escape(repr(pair.id))} is not in the corpus$"):
+                load_record(corpus, pair.id)

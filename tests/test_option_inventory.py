@@ -31,6 +31,10 @@ no cycle, and no module imports `TYPE_CHECKING`, so a cycle cannot hide
 behind one. `test_imports_go_one_way` pins both; `analyzer` imports
 `prompting`, never the reverse.
 
+The split manifest's layout is known to `corpus` alone, which writes, reads
+and checks it: a manifest key spelled in another module fails
+`test_split_manifest_lives_in_corpus`.
+
 The tests of `test_cfg_extract.py` need clang, so each of their calls is
 also bound to `extract_cfg`'s signature here, where they may not run: a
 call that no longer fits fails `test_clang_gated_calls_bind_to_extract_cfg`."""
@@ -282,6 +286,19 @@ def test_imports_go_one_way():
 
     for module in graph:
         visit(module, ())
+
+
+_MANIFEST_KEYS = {"corpus_sha256", "database_ids", "test_ids", "spans"}
+
+
+def test_split_manifest_lives_in_corpus():
+    found = {}
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        keys = {node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Constant) and node.value in _MANIFEST_KEYS}
+        if keys:
+            found[path.stem] = keys
+    assert found == {"corpus": _MANIFEST_KEYS}
 
 
 def test_clang_gated_calls_bind_to_extract_cfg():

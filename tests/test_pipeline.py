@@ -1,19 +1,22 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from autopatch.corpus import load_record
+from autopatch.corpus import load_record, load_split
+from autopatch.errors import AutopatchError
 from autopatch.pipeline import (
     INDEX_JOURNAL,
-    load_split,
+    patch_path,
+    run_eval,
     run_index,
     run_ingest,
     run_optimize,
 )
 from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
-from autopatch.retrieval import LocalHashingProvider, SourceKind, load_index
+from autopatch.retrieval import LocalHashingProvider, SourceKind, load_index, vector_sidecar_path
 
 from conftest import requires_gxx
 from helpers import make_scripted_transport
@@ -36,8 +39,11 @@ def test_load_split_round_trips(small_run, corpus_file):
     corpus, reloaded = load_split(corpus_file, ingest.manifest_path)
     assert list(reloaded.database_set) == list(ingest.split.database_set)
     assert list(reloaded.test_set) == list(ingest.split.test_set)
-    for pair in ingest.corpus.pairs:
+    for pair in ingest.split.database_set:
         assert load_record(corpus, pair.id) == pair
+    for pair in ingest.split.test_set:  # a loaded corpus holds the database records alone
+        with pytest.raises(AutopatchError, match=f"^record '{pair.id}' is not in the corpus$"):
+            load_record(corpus, pair.id)
 
 
 def test_index_journal_enables_offline_resume(small_run):
@@ -114,3 +120,79 @@ def test_optimize_failures_manifest_written(small_run):
     assert len(result.failures) == len(ingest.split.test_set)
     manifest = json.loads((tmp_path / "patches" / "failures.json").read_text())
     assert manifest == result.failures
+
+
+@pytest.mark.parametrize("source", ["ingested", "loaded"])
+def test_optimize_refuses_an_index_built_over_another_split(small_run, corpus_file, source):
+    ingest, recorder, tmp_path = small_run
+    run_index(ingest.corpus, ingest.split, tmp_path / "index", LocalHashingProvider(), recorder)
+    other = run_ingest(corpus_file, 5, 12, tmp_path / "other")
+    corpus, split = (other.corpus, other.split) if source == "ingested" else load_split(
+        corpus_file, other.manifest_path)
+    indexed = {p.id for p in ingest.split.database_set}
+    leaked = [p.id for p in other.split.test_set if p.id in indexed]
+    assert leaked  # a target whose own optimized code the index could show as the example
+
+    sent = []
+    client = LlmClient(LlmConfig(), cassette=None, mode="live", transport=sent.append)
+    message = (f"{tmp_path / 'index' / 'index_source.jsonl'}: the index holds test record(s)"
+               f" {', '.join(map(repr, leaked))}: it was built over another split;"
+               f" run autopatch index again")
+    with pytest.raises(AutopatchError, match=f"^{re.escape(message)}$"):
+        run_optimize(corpus, split, tmp_path / "index", tmp_path / "patches",
+                     (PromptMode.NAIVE,), client, LocalHashingProvider())
+    assert sent == []
+    assert not (tmp_path / "patches" / "naive").exists()
+
+
+def test_a_failed_patch_keeps_no_patch_from_an_earlier_run(small_run):
+    ingest, recorder, tmp_path = small_run
+    out = tmp_path / "patches"
+    first = run_optimize(ingest.corpus, ingest.split, tmp_path / "index", out,
+                         (PromptMode.ZERO_SHOT,), recorder, LocalHashingProvider())
+    assert not first.failures
+    target = ingest.split.test_set[0]
+    assert patch_path(out, PromptMode.ZERO_SHOT, target.id).exists()
+
+    scripted = make_scripted_transport(list(ingest.corpus.pairs))
+
+    def busy_for_target(request: dict) -> dict:
+        if target.original_code in request["messages"][1]["content"]:
+            raise AutopatchError("service returned 503: busy")
+        return scripted(request)
+
+    client = LlmClient(LlmConfig(), cassette=None, mode="live", transport=busy_for_target)
+    second = run_optimize(ingest.corpus, ingest.split, tmp_path / "index", out,
+                          (PromptMode.ZERO_SHOT,), client, LocalHashingProvider())
+    assert second.failures == [{"record_id": target.id, "mode": "zero_shot",
+                                "reason": "service returned 503: busy"}]
+    assert not patch_path(out, PromptMode.ZERO_SHOT, target.id).exists()
+    assert all(patch_path(out, PromptMode.ZERO_SHOT, p.id).exists() for p in ingest.split.test_set[1:])
+
+    evaluated = run_eval(ingest.corpus, ingest.split, out, tmp_path / "eval",
+                         (PromptMode.ZERO_SHOT,), reps=1, timeout_s=5)
+    assert evaluated.failures == [{"record_id": target.id, "mode": "zero_shot",
+                                   "reason": "patch missing"}]
+
+
+class _DownProvider:
+    def embed(self, text: str):
+        raise AutopatchError("embedding service down")
+
+
+def test_an_index_run_that_indexes_nothing_keeps_no_earlier_index(small_run):
+    ingest, recorder, tmp_path = small_run
+    out = tmp_path / "index"
+    first = run_index(ingest.corpus, ingest.split, out, LocalHashingProvider(), recorder)
+    files = [path for built in first.built.values() for path in (built, vector_sidecar_path(built))]
+    assert len(files) == 4
+    assert all(path.exists() for path in files)
+
+    second = run_index(ingest.corpus, ingest.split, out, _DownProvider(), recorder)
+    assert (second.indexed_count, second.built) == (0, {})
+    assert [entry["reason"] for entry in second.skipped] == [
+        f"record {p.id}: embedding service down" for p in ingest.split.database_set]
+    assert not any(path.exists() for path in files)
+    with pytest.raises(FileNotFoundError):
+        run_optimize(ingest.corpus, ingest.split, out, tmp_path / "patches",
+                     (PromptMode.NAIVE,), recorder, LocalHashingProvider())

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autopatch import pipeline
+from autopatch import _io
 from autopatch.cfg_diff import compute_diff, render_diff
 from autopatch.corpus import CodePair, Corpus, CorpusSplit
 from autopatch.errors import AutopatchError
@@ -384,7 +384,7 @@ _OTHER_REWRITES = {
     "save_index rename fails": (["index.jsonl", "index.jsonl.vec"], lambda out: save_index(
         VectorIndex(("r1",), np.ones((1, 4), np.float32), [("diff", "why")], SourceKind.RAW_SOURCE),
         out / "index.jsonl")),
-    "_write_json rename fails": (["report.json"], lambda out: pipeline._write_json(
+    "_write_json rename fails": (["report.json"], lambda out: _io.write_json(
         out / "report.json", {"ok": True})),
 }
 
