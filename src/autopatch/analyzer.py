@@ -138,32 +138,17 @@ def _parse_error(line_no: int, reason: str) -> AutopatchError:
 def parse_cfg_dump(dump: str) -> ControlFlowGraph:
     """Parse one function's dump section into a ControlFlowGraph.
 
-    Raises AutopatchError, naming the dump line, on unrecognized structural
-    lines, dangling successor references, or a missing ENTRY/EXIT block.
+    Each `[Bn]` header opens a block, `[id, statements, terminator]`, and
+    every indented line after it writes into the last one opened; the
+    BasicBlocks are built once, at the end, with the graph. Raises
+    AutopatchError, naming the dump line, on unrecognized structural lines,
+    dangling successor references, or a missing ENTRY/EXIT block.
     """
-    blocks: list[BasicBlock] = []
+    blocks: list[list] = []
     entry_id: int | None = None
     exit_id: int | None = None
     edges: set[tuple[int, int]] = set()
-
-    current_id: int | None = None
-    current_statements: list[str] = []
-    current_terminator: str | None = None
     seen_signature = False
-
-    def flush():
-        nonlocal current_id, current_statements, current_terminator
-        if current_id is not None:
-            blocks.append(
-                BasicBlock(
-                    id=current_id,
-                    statements=tuple(current_statements),
-                    terminator=current_terminator,
-                )
-            )
-        current_id = None
-        current_statements = []
-        current_terminator = None
 
     for line_no, line in enumerate(dump.splitlines(), start=1):
         if not line.strip():
@@ -171,39 +156,40 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
 
         header = _BLOCK_HEADER.match(line)
         if header is not None:
-            flush()
-            current_id = int(header.group(1))
+            block_id = int(header.group(1))
+            blocks.append([block_id, [], None])
             annotation = header.group(2) or ""
             if "ENTRY" in annotation:
                 if entry_id is not None:
                     raise _parse_error(line_no, "second ENTRY block")
-                entry_id = current_id
+                entry_id = block_id
             if "EXIT" in annotation:
                 if exit_id is not None:
                     raise _parse_error(line_no, "second EXIT block")
-                exit_id = current_id
+                exit_id = block_id
             continue
 
         if not line[0].isspace():
             # Column-0 text is a function signature: one is allowed as the
             # section heading, a second means the caller passed a whole
             # multi-function dump (use split_dump_functions for that).
-            if seen_signature or blocks or current_id is not None:
+            if seen_signature or blocks:
                 raise _parse_error(line_no, f"unexpected section line {line.strip()!r}")
             seen_signature = True
             continue
 
-        if current_id is None:
+        if not blocks:
             raise _parse_error(line_no, f"content outside any block: {line.strip()!r}")
+        block = blocks[-1]
 
         statement = _STATEMENT.match(line)
         if statement is not None:
-            current_statements.append(normalize_statement(statement.group(2)))
+            block[1].append(normalize_statement(statement.group(2)))
             continue
 
         terminator = _TERMINATOR.match(line)
         if terminator is not None:
-            current_terminator = normalize_statement(terminator.group(1))
+            block[2] = normalize_statement(terminator.group(1))
             continue
 
         if _PREDS.match(line) is not None:
@@ -217,14 +203,12 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
                 ref = _SUCC_REF.match(token)
                 if ref is None:
                     raise _parse_error(line_no, f"unrecognized successor {token!r}")
-                edges.add((current_id, int(ref.group(1))))
+                edges.add((block[0], int(ref.group(1))))
             continue
 
         # Anything else indented inside a block (case labels, new element
         # kinds) is kept verbatim as an opaque statement.
-        current_statements.append(normalize_statement(line))
-
-    flush()
+        block[1].append(normalize_statement(line))
 
     if not blocks:
         raise _parse_error(0, "no blocks found in dump")
@@ -235,7 +219,8 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
 
     try:
         return ControlFlowGraph(
-            blocks=tuple(blocks),
+            blocks=tuple(BasicBlock(block_id, tuple(statements), terminator)
+                         for block_id, statements, terminator in blocks),
             entry_id=entry_id,
             exit_id=exit_id,
             edges=frozenset(edges),

@@ -83,50 +83,39 @@ def match_blocks(
     g_o: ControlFlowGraph, g_p: ControlFlowGraph
 ) -> tuple[tuple[tuple[int, int], ...], frozenset[int], frozenset[int]]:
     """The matched `(o_id, p_id)` pairs, ascending, and the ids left
-    unmatched in the original and in the optimized graph."""
+    unmatched in the original and in the optimized graph. Each pass offers
+    its candidates in order to one rule, `take`, which keeps a pair whose
+    blocks are both still free. Blocks of different content never compete
+    for a block, so pass 1 sorts every equal-content pair at once.
+    """
     free_o = {b.id: b for b in g_o.blocks}
     free_p = {b.id: b for b in g_p.blocks}
     pairs: list[tuple[int, int]] = []
 
-    # Pass 1: exact content.
-    by_content_o: dict[tuple[str, ...], list[int]] = {}
-    for block in g_o.blocks:
-        by_content_o.setdefault(block.content_lines(), []).append(block.id)
-    by_content_p: dict[tuple[str, ...], list[int]] = {}
-    for block in g_p.blocks:
-        by_content_p.setdefault(block.content_lines(), []).append(block.id)
-
-    for content, o_ids in sorted(by_content_o.items()):
-        p_ids = by_content_p.get(content)
-        if not p_ids:
-            continue
-        candidates = sorted(
-            ((abs(o - p), o, p) for o in o_ids for p in p_ids),
-        )
-        for _, o_id, p_id in candidates:
+    def take(candidates: list[tuple]) -> None:
+        for *_, o_id, p_id in candidates:  # each ends with the pair it offers
             if o_id in free_o and p_id in free_p:
                 pairs.append((o_id, p_id))
                 del free_o[o_id]
                 del free_p[p_id]
+
+    # Pass 1: exact content.
+    by_content_p: dict[tuple[str, ...], list[int]] = {}
+    for block in g_p.blocks:
+        by_content_p.setdefault(block.content_lines(), []).append(block.id)
+    take(sorted((abs(o.id - p_id), o.id, p_id)
+                for o in g_o.blocks for p_id in by_content_p.get(o.content_lines(), ())))
 
     # Pass 2: greedy token-set similarity over the leftovers.
     if free_o and free_p:
         tokens_o = {o_id: _block_tokens(block) for o_id, block in free_o.items()}
         tokens_p = {p_id: _block_tokens(block) for p_id, block in free_p.items()}
-        scored = sorted(
-            (
-                (-jaccard(tokens_o[o_id], tokens_p[p_id]), abs(o_id - p_id), o_id, p_id)
-                for o_id in free_o
-                for p_id in free_p
-            ),
-        )
-        for neg_sim, _, o_id, p_id in scored:
-            if -neg_sim < JACCARD_ACCEPT_THRESHOLD:
-                break
-            if o_id in free_o and p_id in free_p:
-                pairs.append((o_id, p_id))
-                del free_o[o_id]
-                del free_p[p_id]
+        take(sorted(
+            (-similarity, abs(o_id - p_id), o_id, p_id)
+            for o_id in free_o
+            for p_id in free_p
+            if (similarity := jaccard(tokens_o[o_id], tokens_p[p_id])) >= JACCARD_ACCEPT_THRESHOLD
+        ))
 
     return tuple(sorted(pairs)), frozenset(free_o), frozenset(free_p)
 
@@ -180,43 +169,37 @@ def render_diff(diff: CfgDiff, g_o: ControlFlowGraph | None = None, g_p: Control
     """Human-readable diff text with one labeled section per component;
     stable ordering, so equal diffs render byte-identically.
 
-    When the graphs are supplied, added/removed block entries include the
-    block content to make the text useful in prompts.
+    Each section is its label and its entries, one per line, or `<label>:
+    none` when it has none. When the graphs are supplied, added/removed
+    block entries include the block content to make the text useful in
+    prompts.
     """
+    blocks: list[str] = []
+    for sign, verb, block_ids, graph in (("+", "added", diff.delta_s.added, g_p),
+                                         ("-", "removed", diff.delta_s.removed, g_o)):
+        for block_id in sorted(block_ids):
+            suffix = ""
+            if graph is not None:
+                suffix = f": {_summarize(graph.block(block_id).content_lines())}"
+            blocks.append(f"  {sign} {verb} block B{block_id}{suffix}")
+
+    flow: list[str] = []
+    for sign, edges in (("+", diff.delta_f.added), ("-", diff.delta_f.removed)):
+        for src, dst in sorted(edges):
+            flow.append(f"  {sign} edge {_render_endpoint(src)} -> {_render_endpoint(dst)}")
+
+    content: list[str] = []
+    for change in diff.delta_c:
+        content.append(f"  block B{change.o_id} -> B{change.p_id}:")
+        for edit in change.edits:
+            if edit.op == "insert":
+                content.append(f"    insert: {_summarize(edit.new)}")
+            elif edit.op == "delete":
+                content.append(f"    delete: {_summarize(edit.old)}")
+            else:
+                content.append(f"    replace: {_summarize(edit.old)} -> {_summarize(edit.new)}")
+
     out: list[str] = []
-
-    if diff.delta_s.is_empty():
-        out.append("ΔS: none")
-    else:
-        out.append("ΔS:")
-        for sign, verb, block_ids, graph in (("+", "added", diff.delta_s.added, g_p),
-                                             ("-", "removed", diff.delta_s.removed, g_o)):
-            for block_id in sorted(block_ids):
-                suffix = ""
-                if graph is not None:
-                    suffix = f": {_summarize(graph.block(block_id).content_lines())}"
-                out.append(f"  {sign} {verb} block B{block_id}{suffix}")
-
-    if diff.delta_f.is_empty():
-        out.append("ΔF: none")
-    else:
-        out.append("ΔF:")
-        for sign, edges in (("+", diff.delta_f.added), ("-", diff.delta_f.removed)):
-            for src, dst in sorted(edges):
-                out.append(f"  {sign} edge {_render_endpoint(src)} -> {_render_endpoint(dst)}")
-
-    if not diff.delta_c:
-        out.append("ΔC: none")
-    else:
-        out.append("ΔC:")
-        for change in diff.delta_c:
-            out.append(f"  block B{change.o_id} -> B{change.p_id}:")
-            for edit in change.edits:
-                if edit.op == "insert":
-                    out.append(f"    insert: {_summarize(edit.new)}")
-                elif edit.op == "delete":
-                    out.append(f"    delete: {_summarize(edit.old)}")
-                else:
-                    out.append(f"    replace: {_summarize(edit.old)} -> {_summarize(edit.new)}")
-
+    for label, entries in (("ΔS", blocks), ("ΔF", flow), ("ΔC", content)):
+        out += [f"{label}:", *entries] if entries else [f"{label}: none"]
     return "\n".join(out) + "\n"

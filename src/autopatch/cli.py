@@ -116,11 +116,11 @@ def _build_llm(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Llm
     mode = "replay" if args.replay else "record" if args.record else "live"
     if mode == "replay" and os.environ.get(LLM_BASE_ENV):
         parser.error(f"--replay is offline; unset {LLM_BASE_ENV} to proceed")
-    cassette = None
-    if args.cassette is not None:
-        cassette = Cassette(args.cassette)
-    elif mode in ("record", "replay"):
+    if mode == "live" and args.cassette is not None:  # a live run neither reads nor writes it
+        parser.error("--cassette needs --record or --replay")
+    if mode != "live" and args.cassette is None:
         parser.error(f"--{mode} requires --cassette")
+    cassette = None if args.cassette is None else Cassette(args.cassette)
     return LlmClient(config=LlmConfig.from_env(), cassette=cassette, mode=mode)
 
 

@@ -246,17 +246,22 @@ def write_split(path: Path, corpus: Corpus, split: CorpusSplit, seed: int) -> No
     })
 
 
-def _listed_record(path: Path, data: bytes, start: int, end: int) -> CodePair:
+def _listed_record(path: Path, listed_at: dict[int, str], data: bytes, start: int, end: int) -> CodePair:
     """The record on bytes [start, end) of `data`, the corpus file `path`:
-    the line of a record that ingest accepted. A span that holds no record
-    means that the split manifest which gave it is wrong, and raises
+    the line of the record that ingest accepted and the split manifest
+    lists at `start` in `listed_at`. A span that holds no record, or another
+    record than that, means that the manifest is wrong, and raises
     AutopatchError naming the file and the span's line."""
     try:
-        return parse_record(loads(data[start:end]), 0)  # a failure's message is replaced below
+        pair = parse_record(loads(data[start:end]), 0)  # a failure's message is replaced below
     except (ValueError, AutopatchError):  # not UTF-8 JSON, or not a record
-        line_no = data.count(b"\n", 0, start) + 1
-        raise AutopatchError(f"{path}: line {line_no} holds no record at the split manifest's"
-                             f" span [{start}, {end}]") from None
+        pair = None
+    if pair is not None and pair.id == listed_at[start]:
+        return pair
+    line_no = data.count(b"\n", 0, start) + 1
+    held = "no record" if pair is None else f"record {pair.id!r}, not {listed_at[start]!r},"
+    raise AutopatchError(f"{path}: line {line_no} holds {held} at the split manifest's"
+                         f" span [{start}, {end}]")
 
 
 def load_split(corpus_path: Path | str, manifest_path: Path | str) -> tuple[Corpus, CorpusSplit]:
@@ -264,9 +269,10 @@ def load_split(corpus_path: Path | str, manifest_path: Path | str) -> tuple[Corp
     each set is `Rows` that decode a record from the span the manifest
     gives for it when a stage reads it, and the corpus is the database set,
     the only records a stage looks up by id. Raises AutopatchError naming
-    the manifest when it is malformed (a span outside the file included),
-    and naming the corpus when its SHA-256 is not the one the manifest
-    records, since the spans then point into another file."""
+    the manifest when it is malformed (a span outside the file, or two ids'
+    spans at one offset, included), and naming the corpus when its SHA-256
+    is not the one the manifest records, since the spans then point into
+    another file, or when a record is read whose span holds another one."""
     path, corpus_path = Path(manifest_path), Path(corpus_path)
     data = corpus_path.read_bytes()
     try:
@@ -281,15 +287,19 @@ def load_split(corpus_path: Path | str, manifest_path: Path | str) -> tuple[Corp
         if recorded != hashlib.sha256(data).hexdigest():
             raise AutopatchError(f"{corpus_path}: the corpus has changed since {path} was written;"
                                  f" run `autopatch ingest` again")
-        spans = array("q")
+        spans, listed_at = array("q"), {}
         for record_id in listed:
             start, end = manifest["spans"][record_id]
             if not 0 <= start < end <= len(data):
                 raise ValueError(f"span [{start}, {end}] of {record_id!r} is not within the"
                                  f" corpus's {len(data)} bytes")
             spans.extend((start, end))
+            if start in listed_at:  # one line cannot hold both records
+                raise ValueError(f"span [{start}, {end}] of {record_id!r} starts where"
+                                 f" {listed_at[start]!r}'s does")
+            listed_at[start] = record_id
     except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or not the manifest's shape
         raise AutopatchError(f"{path}: malformed split manifest: {type(exc).__name__}: {exc}") from None
-    decode, cut = functools.partial(_listed_record, corpus_path), 2 * len(database_ids)
+    decode, cut = functools.partial(_listed_record, corpus_path, listed_at), 2 * len(database_ids)
     database = Rows(data, spans[:cut], decode)
     return Corpus(database, database_ids, None), CorpusSplit(database, Rows(data, spans[cut:], decode))

@@ -1,10 +1,12 @@
 """Prompt assembly and the chat-completion client.
 
-All three generation modes share one template skeleton, `build_prompt`, and
-differ only in the sections the optimize stage gives it: the zero-shot prompt
+Every prompt is laid out by one function, `_document`, from its `(heading,
+body)` sections. All three generation modes share `build_prompt` and differ
+only in the sections the optimize stage gives it: the zero-shot prompt
 carries the target program alone, the naive prompt adds exactly one retrieved
 example pair, and the context prompt additionally includes that example's
-structural change summary and its stored optimization rationale.
+structural change summary and its stored optimization rationale. The index
+stage's rationale requests (`generate_rationale`) share the layout too.
 
 The client runs in one of three modes: `live` (straight HTTP), `record` (HTTP
 plus cassette capture), and `replay` (cassette only, zero network activity).
@@ -66,34 +68,27 @@ def _fence(code: str) -> str:
     return f"```cpp\n{code.rstrip()}\n```"
 
 
+def _document(sections: list[tuple[str, str]]) -> str:
+    """The one prompt layout: each `(heading, body)` section as a `## `
+    heading, a blank line and its body, sections a blank line apart."""
+    return "\n\n".join(f"## {heading}\n\n{body}" for heading, body in sections)
+
+
 def build_prompt(target: CodePair, example: CodePair | None = None,
                  context: tuple[str, str] | None = None) -> str:
     """The user text of a patch request: the target program, then the
     example pair when one is given, then the example's `(diff_text,
     rationale)` pair when one is given, then the task."""
-    sections = ["## Target program", "", _fence(target.original_code)]
+    sections = [("Target program", _fence(target.original_code))]
     if example is not None:
-        sections += [
-            "",
-            "## Reference example: original",
-            "",
-            _fence(example.original_code),
-            "",
-            "## Reference example: optimized",
-            "",
-            _fence(example.optimized_code),
-        ]
+        sections += [("Reference example: original", _fence(example.original_code)),
+                     ("Reference example: optimized", _fence(example.optimized_code))]
     if context is not None:
         diff_text, rationale = context
-        sections += ["", "## Control-flow changes in the reference example", "", diff_text.rstrip()]
-        sections += ["", "## Why the reference optimization works", "", rationale.rstrip()]
-    sections += [
-        "",
-        "## Task",
-        "",
-        "Produce an optimized version of the target program.",
-    ]
-    return "\n".join(sections)
+        sections += [("Control-flow changes in the reference example", diff_text.rstrip()),
+                     ("Why the reference optimization works", rationale.rstrip())]
+    sections.append(("Task", "Produce an optimized version of the target program."))
+    return _document(sections)
 
 
 def content_key(obj: dict) -> str:
@@ -323,23 +318,10 @@ def generate_rationale(diff: CfgDiff, pair: CodePair, llm: LlmClient) -> str:
     string without any service call."""
     if diff.is_empty():
         return EMPTY_DIFF_RATIONALE
-    user_text = "\n".join(
-        [
-            "## Original program",
-            "",
-            _fence(pair.original_code),
-            "",
-            "## Optimized program",
-            "",
-            _fence(pair.optimized_code),
-            "",
-            "## Control-flow changes",
-            "",
-            render_diff(diff).rstrip(),
-            "",
-            "## Task",
-            "",
-            "Explain briefly why the optimized program is faster, referencing the blocks above.",
-        ]
-    )
+    user_text = _document([
+        ("Original program", _fence(pair.original_code)),
+        ("Optimized program", _fence(pair.optimized_code)),
+        ("Control-flow changes", render_diff(diff).rstrip()),
+        ("Task", "Explain briefly why the optimized program is faster, referencing the blocks above."),
+    ])
     return llm.complete(RATIONALE_SYSTEM_TEXT, user_text).strip()

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import copy
+import hashlib
+import itertools
 import random
 
-from autopatch.cfg import BasicBlock, ControlFlowGraph
+from autopatch.analyzer import parse_cfg_dump
+from autopatch.cfg import BasicBlock, ControlFlowGraph, serialize_cfg
 from autopatch.cfg_diff import compute_diff, match_blocks, render_diff
 
+from conftest import DUMP_DIR
 from helpers import add_unique_blocks, optimal_matching, random_cfg
 
 
@@ -179,3 +183,22 @@ def test_render_deterministic_and_sectioned():
 def test_render_empty_sections_say_none():
     text = render_diff(compute_diff(BASE, copy.deepcopy(BASE)))
     assert text == "ΔS: none\nΔF: none\nΔC: none\n"
+
+
+# SHA-256 of the texts below: any change to what the dump parser, the block
+# matcher or the diff renderer produce on real clang dumps moves it.
+FIXTURE_TEXTS_SHA256 = "ebceed3a77931a1a3848753ad1c4164a09c845a930d45db814fc90203e01a4cd"
+
+
+def test_clang_fixture_texts_are_pinned():
+    # The committed clang dumps in name order: each one's serialization, then
+    # the rendered diff of every ordered pair of two of them, with content.
+    graphs = [parse_cfg_dump(path.read_text(encoding="utf-8"))
+              for path in sorted(DUMP_DIR.glob("*.txt"))]
+    assert len(graphs) == 12
+    digest = hashlib.sha256()
+    for graph in graphs:
+        digest.update(serialize_cfg(graph).encode("utf-8"))
+    for g_o, g_p in itertools.permutations(graphs, 2):
+        digest.update(render_diff(compute_diff(g_o, g_p), g_o, g_p).encode("utf-8"))
+    assert digest.hexdigest() == FIXTURE_TEXTS_SHA256

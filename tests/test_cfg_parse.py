@@ -92,6 +92,48 @@ def test_missing_entry_is_parse_error():
         parse_cfg_dump(dump)
 
 
+_EXIT = " [B0 (EXIT)]\n   Preds (1): B1\n"
+
+# (dump, exact message): each structural fault names its line, or line 0 when
+# it concerns the dump as a whole.
+PARSE_ERRORS = {
+    "second ENTRY": (
+        "int main()\n [B2 (ENTRY)]\n   Succs (1): B1\n\n [B1 (ENTRY)]\n   Succs (1): B0\n\n" + _EXIT,
+        "dump line 5: second ENTRY block"),
+    "second EXIT": (
+        "int main()\n [B2 (ENTRY)]\n   Succs (1): B0\n\n [B1 (EXIT)]\n\n" + _EXIT,
+        "dump line 7: second EXIT block"),
+    "content before any block": (
+        "int main()\n   1: x\n [B2 (ENTRY)]\n   Succs (1): B0\n\n" + _EXIT,
+        "dump line 2: content outside any block: '1: x'"),
+    "signature twice": (
+        "int main()\nint f()\n [B2 (ENTRY)]\n   Succs (1): B0\n\n" + _EXIT,
+        "dump line 2: unexpected section line 'int f()'"),
+    "signature inside the first block": (
+        " [B2 (ENTRY)]\nint main()\n   Succs (1): B0\n\n" + _EXIT,
+        "dump line 2: unexpected section line 'int main()'"),
+    "unrecognized successor": (
+        "int main()\n [B2 (ENTRY)]\n   Succs (2): B1 C0\n\n [B1]\n   Succs (1): B0\n\n" + _EXIT,
+        "dump line 3: unrecognized successor 'C0'"),
+    "no blocks": ("int main()\n\n", "dump line 0: no blocks found in dump"),
+    "no EXIT block": (
+        "int main()\n [B2 (ENTRY)]\n   Succs (1): B1\n\n [B1]\n   1: x\n",
+        "dump line 0: no EXIT block in dump"),
+    "duplicate block ids": (
+        "int main()\n [B2 (ENTRY)]\n   Succs (1): B1\n\n [B1]\n   Succs (1): B0\n\n"
+        " [B1]\n   1: y\n\n" + _EXIT,
+        "dump line 0: duplicate block ids"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS)
+def test_parse_error_names_its_line(case):
+    dump, message = PARSE_ERRORS[case]
+    with pytest.raises(AutopatchError) as raised:
+        parse_cfg_dump(dump)
+    assert str(raised.value) == message
+
+
 def test_multi_function_dump_rejected_by_single_parser():
     dump = _load("prog01") + "\n" + _load("prog02")
     with pytest.raises(AutopatchError, match=r"^dump line \d+: unexpected section line "):

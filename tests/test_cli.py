@@ -211,6 +211,28 @@ def test_replay_requires_cassette(recorded_workspace, tmp_path, monkeypatch):
 
 
 @requires_gxx
+@pytest.mark.parametrize("command", ["index", "optimize"])
+def test_cassette_without_record_or_replay_exits_2(recorded_workspace, tmp_path, monkeypatch, capsys,
+                                                   command):
+    # A live run neither reads nor writes a cassette, so naming one is a mistake.
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    cassette = tmp_path / "cassette.jsonl"
+    options = {"index": (), "optimize": ("--index", str(recorded_workspace.record_dir / "index"),
+                                         "--mode", "zero-shot")}[command]
+    assert run_cli(
+        command,
+        "--corpus", str(recorded_workspace.corpus_file),
+        "--split", str(recorded_workspace.split_manifest),
+        "--out", str(tmp_path / "out"),
+        "--cassette", str(cassette),
+        *options,
+    ) == EXIT_USAGE
+    assert "error: --cassette needs --record or --replay" in capsys.readouterr().err
+    assert not cassette.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@requires_gxx
 def test_index_replay_builds_both_indexes(recorded_workspace, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
     code = run_cli(
@@ -522,6 +544,58 @@ def test_split_span_outside_the_corpus_exits_2(tmp_path, capsys, corpus_file):
         err = capsys.readouterr().err
         assert expected in err
         assert "Traceback" not in err
+
+
+def _rotated_split(recorded, tmp_path, listed: str) -> tuple:
+    """A copy of the recorded split manifest in which each id of the set
+    `listed` has the next one's span, so that no span of that set holds the
+    record listed at it; its path, and the error that reading that set's
+    first record gives."""
+    manifest = json.loads(recorded.split_manifest.read_text(encoding="utf-8"))
+    ids, spans = manifest[listed], manifest["spans"]
+    manifest["spans"] = {**spans, **{a: spans[b] for a, b in zip(ids, ids[1:] + ids[:1])}}
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    start, end = spans[ids[1]]
+    line_no = recorded.corpus_file.read_bytes().count(b"\n", 0, start) + 1
+    return path, (f"error: {recorded.corpus_file}: line {line_no} holds record {ids[1]!r},"
+                  f" not {ids[0]!r}, at the split manifest's span [{start}, {end}]\n")
+
+
+@requires_gxx
+@pytest.mark.parametrize("command,listed", [("index", "database_ids"), ("optimize", "test_ids"),
+                                            ("eval", "test_ids")])
+def test_a_set_read_whole_with_a_span_of_another_record_exits_2(recorded_workspace, tmp_path,
+                                                                 monkeypatch, capsys, command, listed):
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    split, error = _rotated_split(recorded_workspace, tmp_path, listed)
+    replay = ("--replay", "--cassette", str(recorded_workspace.cassette))
+    options = {
+        "index": replay,
+        "optimize": ("--index", str(recorded_workspace.record_dir / "index"), *replay),
+        "eval": ("--patches", str(recorded_workspace.record_dir / "patches")),
+    }[command]
+    assert run_cli(command, "--corpus", str(recorded_workspace.corpus_file), "--split", str(split),
+                   "--out", str(tmp_path / "out"), *options) == EXIT_USAGE
+    assert capsys.readouterr().err == error
+
+
+@requires_gxx
+def test_an_example_with_a_span_of_another_record_fails_only_its_mode(recorded_workspace, tmp_path,
+                                                                      monkeypatch, capsys):
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    split, _ = _rotated_split(recorded_workspace, tmp_path, "database_ids")
+    assert run_cli(
+        "optimize", "--corpus", str(recorded_workspace.corpus_file), "--split", str(split),
+        "--index", str(recorded_workspace.record_dir / "index"), "--mode", "zero-shot,naive",
+        "--out", str(tmp_path / "out"), "--replay", "--cassette", str(recorded_workspace.cassette),
+    ) == EXIT_OK
+    test_ids = json.loads(split.read_text(encoding="utf-8"))["test_ids"]
+    failures = json.loads((tmp_path / "out" / "failures.json").read_text(encoding="utf-8"))
+    assert [(f["record_id"], f["mode"]) for f in failures] == [(t, "naive") for t in test_ids]
+    assert all(f"{recorded_workspace.corpus_file}: line " in f["reason"] and " holds record " in f["reason"]
+               for f in failures)
+    assert sorted(path.stem for path in (tmp_path / "out" / "zero_shot").iterdir()) == sorted(test_ids)
 
 
 def test_damaged_index_exits_2_naming_the_file(tmp_path, capsys, corpus_file):

@@ -285,3 +285,48 @@ def test_listed_records_equal_a_full_ingest(tmp_path_factory, lines, final_newli
         else:
             with pytest.raises(AutopatchError, match=f"^record {re.escape(repr(pair.id))} is not in the corpus$"):
                 load_record(corpus, pair.id)
+
+
+def _ingest_with_spans(tmp_path, edit) -> tuple:
+    """The fixture corpus's path, ingested, and its split manifest's path
+    and contents after `edit(database_ids, spans)` has changed its spans."""
+    path = tmp_path / "pairs.jsonl"
+    write_corpus(fixture_pairs(), path)
+    manifest_path = run_ingest(path, 4, 3, tmp_path).manifest_path
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    edit(manifest["database_ids"], manifest["spans"])
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    return path, manifest_path, manifest
+
+
+def test_a_span_that_holds_another_record_than_the_one_listed_is_refused(tmp_path):
+    def swap(ids, spans):
+        spans[ids[0]], spans[ids[1]] = spans[ids[1]], spans[ids[0]]
+
+    path, manifest_path, manifest = _ingest_with_spans(tmp_path, swap)
+    first, second = manifest["database_ids"][:2]
+    corpus, split = load_split(path, manifest_path)
+    data = path.read_bytes()
+    for listed, held in ((first, second), (second, first)):
+        start, end = manifest["spans"][listed]
+        line_no = data.count(b"\n", 0, start) + 1
+        message = (f"{path}: line {line_no} holds record {held!r}, not {listed!r},"
+                   f" at the split manifest's span [{start}, {end}]")
+        with pytest.raises(AutopatchError, match=f"^{re.escape(message)}$"):
+            load_record(corpus, listed)
+    with pytest.raises(AutopatchError, match="holds record"):
+        list(split.database_set)
+    assert [pair.id for pair in split.test_set] == manifest["test_ids"]  # its spans are intact
+
+
+def test_two_ids_listed_at_one_span_are_a_malformed_manifest(tmp_path):
+    def share(ids, spans):
+        spans[ids[1]] = spans[ids[0]]
+
+    path, manifest_path, manifest = _ingest_with_spans(tmp_path, share)
+    first, second = manifest["database_ids"][:2]
+    start, end = manifest["spans"][first]
+    message = (f"{manifest_path}: malformed split manifest: ValueError: span [{start}, {end}]"
+               f" of {second!r} starts where {first!r}'s does")
+    with pytest.raises(AutopatchError, match=f"^{re.escape(message)}$"):
+        load_split(path, manifest_path)

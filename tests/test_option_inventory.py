@@ -35,6 +35,10 @@ The split manifest's layout is known to `corpus` alone, which writes, reads
 and checks it: a manifest key spelled in another module fails
 `test_split_manifest_lives_in_corpus`.
 
+Every prompt, a rationale request included, is laid out by
+`prompting._document`: a heading spelled anywhere else fails
+`test_prompt_layout_lives_in_one_function`.
+
 The tests of `test_cfg_extract.py` need clang, so each of their calls is
 also bound to `extract_cfg`'s signature here, where they may not run: a
 call that no longer fits fails `test_clang_gated_calls_bind_to_extract_cfg`."""
@@ -299,6 +303,17 @@ def test_split_manifest_lives_in_corpus():
         if keys:
             found[path.stem] = keys
     assert found == {"corpus": _MANIFEST_KEYS}
+
+
+def _spells_a_heading(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("## ")
+
+
+def test_prompt_layout_lives_in_one_function():
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _spells_a_heading)
+    assert sorted(set(found)) == ["prompting._document"]
 
 
 def test_clang_gated_calls_bind_to_extract_cfg():
