@@ -1,4 +1,5 @@
 """The package's byte boundary: how bytes from outside become Python objects,
+how every JSON Lines line and content key is encoded, split and decoded,
 how the lines of a file are kept as its bytes and decoded when read, how a
 file is replaced whole (a JSON document with `write_json`), and how a
 JSON-over-HTTP service call fails."""
@@ -6,6 +7,7 @@ JSON-over-HTTP service call fails."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import http.client
 import json
 import urllib.error
@@ -36,6 +38,38 @@ def is_text(obj) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def canonical(obj) -> str:
+    """`obj` as one line of canonical JSON, the form of every JSON Lines
+    line the package writes: keys sorted, non-ASCII text kept as it is."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+
+
+def content_key(obj) -> str:
+    """The SHA-256 (hex) of `obj` as canonical JSON."""
+    return hashlib.sha256(canonical(obj).encode("utf-8")).hexdigest()
+
+
+def line_spans(data: bytes, start: int) -> array:
+    """The start and end of each line of `data` from byte `start` on, in
+    turn: line i, its newline included, is `data[spans[2i]:spans[2i + 1]]`."""
+    spans = array("q")
+    while start < len(data):
+        end = data.find(b"\n", start) + 1 or len(data)
+        spans.extend((start, end))
+        start = end
+    return spans
+
+
+def object_line(line: bytes, field: str) -> dict | None:
+    """The JSON object that `line` holds when it has a string `field`, or
+    None, as for a line that `loads` rejects."""
+    try:
+        obj = loads(line)
+    except ValueError:  # not UTF-8, not JSON, or not valid Unicode
+        return None
+    return obj if isinstance(obj, dict) and isinstance(obj.get(field), str) else None
 
 
 class Rows(Sequence):

@@ -40,10 +40,11 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._io import content_key
 from .cfg import BasicBlock, ControlFlowGraph, normalize_statement
 from .errors import AutopatchError
 from .preprocess import preprocess_source
-from .prompting import LlmClient, content_key
+from .prompting import LlmClient
 
 ANALYZER_PATH_ENV = "AUTOPATCH_ANALYZER_PATH"
 ANALYZER_FLAGS_ENV = "AUTOPATCH_ANALYZER_FLAGS"

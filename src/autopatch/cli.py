@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .corpus import load_split
 from .errors import AutopatchError
-from .harness import DEFAULT_REPS, DEFAULT_TIMEOUT_S
+from .harness import DEFAULT_REPS, DEFAULT_TIMEOUT_S, RunStatus
 from .pipeline import run_eval, run_index, run_ingest, run_optimize
 from .prompting import LLM_BASE_ENV, Cassette, LlmClient, LlmConfig, PromptMode
 from .retrieval import EMBED_BASE_ENV, LocalHashingProvider, RemoteEmbeddingProvider
@@ -41,6 +41,8 @@ def _parse_modes(raw: str) -> tuple[PromptMode, ...]:
             raise argparse.ArgumentTypeError(
                 f"unknown mode {name!r} (choose from {', '.join(_MODE_NAMES)})"
             )
+        if _MODE_NAMES[name] in modes:  # its patches would be sent, written and timed twice
+            raise argparse.ArgumentTypeError(f"mode {name!r} given twice")
         modes.append(_MODE_NAMES[name])
     return tuple(modes)
 
@@ -185,6 +187,10 @@ def main(argv: list[str] | None = None) -> int:
                               parameters={"patches": str(args.patches)})
             print(result.report.render_text())
             print(f"report: {result.report_json_path}")
+            for each in result.results:
+                if each.outcome.status is not RunStatus.OK:
+                    print(f"  {each.outcome.status.value} {each.mode}/{each.target_id}: "
+                          f"{each.outcome.detail}", file=sys.stderr)
             if result.failures:
                 print(f"{len(result.failures)} record(s) not evaluated", file=sys.stderr)
             if not result.report.common_executable_ids:

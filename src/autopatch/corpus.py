@@ -27,7 +27,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from ._io import Rows, loads, write_json
+from ._io import Rows, line_spans, loads, write_json
 from .errors import AutopatchError
 
 
@@ -99,7 +99,8 @@ def normalize_output(text: str) -> str:
 
 def parse_record(obj: object, line_no: int) -> CodePair:
     """Validate one JSON object as `_io.loads` decodes it, so its text is
-    valid Unicode, and build a CodePair.
+    valid Unicode, and build a CodePair. The id names one path component,
+    since a patch and an eval build are written under it.
 
     Raises AutopatchError naming the offending line on any violation.
     """
@@ -118,6 +119,8 @@ def parse_record(obj: object, line_no: int) -> CodePair:
         return value
 
     record_id = required_str("id", nonempty=True)
+    if "/" in record_id or "\0" in record_id or record_id in (".", ".."):
+        raise bad(f"field 'id' must name one path component, not {record_id!r}")
     problem_id = required_str("problem_id")
     original = required_str("original_code", nonempty=True)
     optimized = required_str("optimized_code", nonempty=True)
@@ -179,11 +182,9 @@ def ingest_pairs(path: Path | str, strict: bool) -> Corpus:
     errors: list[tuple[int, str]] = []
     histogram: Counter[OptimizationType] = Counter()
 
-    start, line_no = 0, 0
-    while start < len(data):
-        end = data.find(b"\n", start) + 1 or len(data)
-        line, span, start = data[start:end], (start, end), end
-        line_no += 1
+    lines = line_spans(data, 0)
+    for line_no, (start, end) in enumerate(zip(lines[::2], lines[1::2]), start=1):
+        line = data[start:end]
         if not line.strip():
             continue
         try:
@@ -202,7 +203,7 @@ def ingest_pairs(path: Path | str, strict: bool) -> Corpus:
             errors.append((line_no, str(exc)))
             continue
         seen[pair.id] = line_no
-        spans[pair.id] = span
+        spans[pair.id] = (start, end)
         pairs.append(pair)
         histogram.update(pair.labels)
 

@@ -13,7 +13,6 @@ of one it failed to make.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from ._io import loads, replacing, write_json
+from ._io import canonical, content_key, object_line, replacing, write_json
 from .analyzer import AnalyzerConfig, extract_cfg
 from .cfg import serialize_cfg
 from .cfg_diff import compute_diff, render_diff
@@ -29,7 +28,7 @@ from .corpus import Corpus, CodePair, CorpusSplit, load_record
 from .errors import AutopatchError
 from .harness import RunOutcome, RunStatus, ToolchainConfig, compile_program, measure_execution
 from .metrics import LexicalScores, compute_lexical
-from .prompting import LlmClient, PromptMode, build_prompt, content_key, generate_patch, generate_rationale
+from .prompting import LlmClient, PromptMode, build_prompt, generate_patch, generate_rationale
 from .report import EvaluationReport, EvalResult, aggregate_report
 from .retrieval import (
     IndexRecord,
@@ -144,21 +143,12 @@ def _prepare_record(
     }
 
 
-def _is_journal_entry(obj) -> bool:
-    """An object with a string record id; an "ok" entry also holds the
-    strings that run_index reuses."""
-    if not isinstance(obj, dict) or not isinstance(obj.get("record_id"), str):
-        return False
-    return obj.get("status") != "ok" or all(
-        isinstance(obj.get(key), str) for key in ("cfg_text", "diff_text", "rationale")
-    )
-
-
 def _load_journal(path: Path) -> dict[str, dict]:
-    """The journal's entries by record id. A line that is not an entry, such
-    as a torn last line, an "ok" entry that lacks a field or one whose text
-    is not valid Unicode, is skipped with a warning, so its record is
-    prepared again."""
+    """The journal's entries by record id: each line's `_io.object_line` by
+    `record_id`, and an "ok" entry also holds the strings that run_index
+    reuses. A line that is not an entry, such as a torn last line, an "ok"
+    entry that lacks a field or one whose text is not valid Unicode, is
+    skipped with a warning, so its record is prepared again."""
     if not path.exists():
         return {}
     entries = {}
@@ -166,11 +156,9 @@ def _load_journal(path: Path) -> dict[str, dict]:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = loads(line)
-            except ValueError:  # not UTF-8, not JSON, or not valid Unicode
-                obj = None
-            if not _is_journal_entry(obj):
+            obj = object_line(line, "record_id")
+            if obj is None or (obj.get("status") == "ok" and not all(
+                    isinstance(obj.get(key), str) for key in ("cfg_text", "diff_text", "rationale"))):
                 logger.warning("%s:%d: skipping a line that is not a journal entry", path, line_no)
                 continue
             entries[obj["record_id"]] = obj
@@ -241,7 +229,7 @@ def run_index(
     # A crash mid-write leaves the previous journal whole.
     with replacing(journal_path, "w") as handle:
         for entry in prepared + skipped:
-            handle.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
+            handle.write(canonical(entry) + "\n")
 
     built: dict[SourceKind, Path] = {}
     records = [record for record, _ in indexed]
@@ -377,6 +365,7 @@ def _build_mode_prompt(
 class EvalRunResult:
     report: EvaluationReport
     report_json_path: Path
+    results: list[EvalResult]
     failures: list[dict] = field(default_factory=list)
 
 
@@ -400,7 +389,9 @@ def run_eval(
     one at a time, so no timed run shares the CPU with a compiler. A patch
     that is missing, undecodable, unscorable or without testcases goes to
     the failures manifest with its reason; one whose source does not compile
-    is a COMPILE_ERROR result with the compiler's reason. `corpus` is not
+    is a COMPILE_ERROR result with the compiler's reason. The result keeps
+    every scored patch's `EvalResult`, in (target, mode) order, with the
+    detail of its outcome, which the report only counts. `corpus` is not
     read: the split holds the records.
     """
     patch_dir = Path(patch_dir)
@@ -473,4 +464,4 @@ def run_eval(
         handle.write(report.render_text())
     write_json(out_dir / FAILURES_MANIFEST, failures)
 
-    return EvalRunResult(report=report, report_json_path=json_path, failures=failures)
+    return EvalRunResult(report=report, report_json_path=json_path, results=results, failures=failures)

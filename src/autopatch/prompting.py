@@ -10,15 +10,15 @@ stage's rationale requests (`generate_rationale`) share the layout too.
 
 The client runs in one of three modes: `live` (straight HTTP), `record` (HTTP
 plus cassette capture), and `replay` (cassette only, zero network activity).
-Cassette keys hash (model, system_text, user_text), so recordings are portable
-across runs and machines. `LlmClient.answer` is that record/replay rule for
-any request a caller keys by `content_key`: `complete` sends a chat exchange
-through it, and `analyzer.extract_cfg` a run of the static analyzer.
+Cassette keys are the `_io.content_key` of (model, system_text, user_text),
+so recordings are portable across runs and machines, and each cassette line
+is written by `_io.canonical`. `LlmClient.answer` is that record/replay rule
+for any request a caller keys by `content_key`: `complete` sends a chat
+exchange through it, and `analyzer.extract_cfg` a run of the static analyzer.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -30,7 +30,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-from ._io import http_post_json, is_text, loads, replacing, service_error
+from ._io import canonical, content_key, http_post_json, is_text, object_line, replacing, service_error
 from .cfg_diff import CfgDiff, render_diff
 from .corpus import CodePair
 from .errors import AutopatchError
@@ -91,12 +91,6 @@ def build_prompt(target: CodePair, example: CodePair | None = None,
     return _document(sections)
 
 
-def content_key(obj: dict) -> str:
-    """The SHA-256 (hex) of `obj` as canonical JSON."""
-    canonical = json.dumps(obj, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def request_hash(model: str, system_text: str, user_text: str) -> str:
     return content_key({"model": model, "system": system_text, "user": user_text})
 
@@ -130,7 +124,7 @@ class Cassette:
         # A first line that is an entry means JSON Lines, which are read a
         # line at a time; only a file that starts otherwise is decoded whole,
         # as the older map layout, since that holds all of its text at once.
-        if _entry(handle.readline()) is None:
+        if object_line(handle.readline(), "key") is None:
             try:  # not `loads`, so that a map entry that is not text is named below
                 whole = json.loads(self.path.read_bytes())
             except ValueError:  # not one document, so JSON Lines after all
@@ -148,7 +142,7 @@ class Cassette:
                 logger.warning("%s: dropping a torn final line of %d bytes", self.path, len(line))
                 self._rewrite = True
             elif line.strip():
-                entry = _entry(line)
+                entry = object_line(line, "key")
                 if entry is None:
                     raise AutopatchError(f"{self.path}: line {line_no} is not a cassette entry")
                 self._data[entry.pop("key")] = entry
@@ -169,27 +163,13 @@ class Cassette:
                 data = {**self._data, key: entry}
                 with replacing(self.path, "w") as handle:
                     for each_key, each in data.items():
-                        handle.write(_cassette_line(each_key, each))
+                        handle.write(canonical({"key": each_key, **each}) + "\n")
                 self._data = data
                 self._rewrite = False
                 return
             with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(_cassette_line(key, entry))
+                handle.write(canonical({"key": key, **entry}) + "\n")
             self._data[key] = entry
-
-
-def _entry(line: bytes) -> dict | None:
-    """The cassette entry that `line` holds, a JSON object with a string
-    `key`, or None."""
-    try:
-        entry = loads(line)
-    except ValueError:  # not UTF-8, not JSON, or not valid Unicode
-        return None
-    return entry if isinstance(entry, dict) and isinstance(entry.get("key"), str) else None
-
-
-def _cassette_line(key: str, entry: dict) -> str:
-    return json.dumps({"key": key, **entry}, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 @dataclass

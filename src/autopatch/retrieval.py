@@ -21,7 +21,6 @@ import hashlib
 import json
 import operator
 import os
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import Rows, http_post_json, loads, replacing, service_error
+from ._io import Rows, canonical, http_post_json, line_spans, loads, replacing, service_error
 from .corpus import CodePair
 from .errors import AutopatchError
 from .metrics import tokenize
@@ -236,8 +235,8 @@ def vector_sidecar_path(path: Path | str) -> Path:
 def save_index(index: VectorIndex, path: Path | str) -> None:
     path = Path(path)
     vectors = np.ascontiguousarray(index.matrix, dtype="<f4")
-    rows = [json.dumps({"record_id": record_id, "diff_text": diff_text, "rationale": rationale},
-                       sort_keys=True, ensure_ascii=False).encode("utf-8") + b"\n"
+    rows = [canonical({"record_id": record_id, "diff_text": diff_text, "rationale": rationale})
+            .encode("utf-8") + b"\n"
             for record_id, (diff_text, rationale) in zip(index.ids, index.metadata)]
     rows_sha256 = hashlib.sha256()
     for row in rows:  # not over a joined copy of the rows
@@ -255,6 +254,7 @@ def save_index(index: VectorIndex, path: Path | str) -> None:
     with replacing(vector_sidecar_path(path), "wb") as handle:
         vectors.tofile(handle)
     with replacing(path, "wb") as handle:
+        # ASCII, not `canonical`, so a header that lists a non-ASCII id keeps its bytes.
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         handle.writelines(rows)
 
@@ -291,11 +291,7 @@ def load_index(path: Path | str) -> VectorIndex:
             raise ValueError("the metadata lines do not match the header's rows_sha256")
     except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or not the index's shape
         raise AutopatchError(f"{path}: malformed index file: {type(exc).__name__}: {exc}") from None
-    spans = array("q")  # the start and end of each metadata line
-    while start < len(data):
-        end = data.find(b"\n", start) + 1 or len(data)
-        spans.extend((start, end))
-        start = end
+    spans = line_spans(data, start)  # the start and end of each metadata line
     if len(spans) // 2 != count:
         raise AutopatchError(f"{path}: index metadata truncated: {len(spans) // 2} != {count}")
     vec_path = vector_sidecar_path(path)

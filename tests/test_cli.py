@@ -12,7 +12,7 @@ from autopatch import pipeline
 from autopatch.analyzer import ANALYZER_FLAGS_ENV
 from autopatch.cli import EXIT_NO_COMMON_SET, EXIT_OK, EXIT_USAGE, main
 from autopatch.pipeline import INDEX_JOURNAL, run_index, run_ingest, run_optimize
-from autopatch.prompting import Cassette, LlmClient, LlmConfig, PromptMode
+from autopatch.prompting import OPTIMIZER_SYSTEM_TEXT, Cassette, LlmClient, LlmConfig, PromptMode, build_prompt
 from autopatch.retrieval import IndexRecord, LocalHashingProvider, SourceKind, build_index
 
 from conftest import DB_COUNT, SEED, requires_gxx
@@ -757,6 +757,88 @@ def test_eval_rejects_a_timeout_that_is_not_positive_and_finite(tmp_path, capsys
     # 0 or -1 timed every program out; nan died in the first timed run.
     _assert_eval_usage_errors(tmp_path, capsys, corpus_file, "--timeout",
                               ("0", "-1", "-0.5", "nan", "inf", "-inf", "ten"))
+
+
+def test_eval_rejects_a_mode_given_twice_before_any_work(tmp_path, capsys, pairs, corpus_file):
+    # Each of that mode's patches was timed twice and each failure listed twice.
+    _assert_eval_usage_errors(tmp_path, capsys, corpus_file, "--mode",
+                              ("zero-shot,zero-shot", "naive,zero-shot,naive"))
+
+
+def _zero_shot_cassette(tmp_path, pairs) -> str:
+    """A cassette of the zero-shot patch request of each of `pairs`, which
+    `optimize --replay --mode zero-shot` needs and no index."""
+    cassette = tmp_path / "cassette.jsonl"
+    recorder = LlmClient(LlmConfig(), Cassette(cassette), mode="record",
+                         transport=make_scripted_transport(pairs))
+    for pair in pairs:
+        recorder.complete(OPTIMIZER_SYSTEM_TEXT, build_prompt(pair))
+    return str(cassette)
+
+
+def test_optimize_rejects_a_mode_given_twice(tmp_path, monkeypatch, capsys, pairs, corpus_file):
+    # Each of that mode's patches was sent and written twice.
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    cassette = _zero_shot_cassette(tmp_path, ingest.split.test_set)
+    out = tmp_path / "out"
+    assert run_cli(
+        "optimize", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
+        "--index", str(tmp_path / "no-index"), "--mode", "zero-shot,zero-shot", "--out", str(out),
+        "--replay", "--cassette", cassette,
+    ) == EXIT_USAGE
+    assert "argument --mode: mode 'zero-shot' given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record_id", ["../../../escaped", "nul\0byte"])
+def test_an_id_that_is_not_one_path_component_writes_nothing_outside_out(tmp_path, monkeypatch, capsys,
+                                                                         pairs, record_id):
+    # Before ingest refused them, `../../../escaped` wrote `escaped.cpp`
+    # above --out, and a NUL raised ValueError out of the CLI once every
+    # patch request had been sent.
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    good = pairs[:2]
+    corpus_path = tmp_path / "pairs.jsonl"
+    write_corpus([good[0], replace(good[0], id=record_id), good[1]], corpus_path)
+    cassette = _zero_shot_cassette(tmp_path, good)  # the bad record's request is good[0]'s
+    ingest, out = tmp_path / "run" / "ingest", tmp_path / "run" / "out"
+    assert run_cli("ingest", "--corpus", str(corpus_path), "--db-count", "0",
+                   "--out", str(ingest)) == EXIT_OK
+    before = set(tmp_path.rglob("*"))
+
+    assert run_cli(
+        "optimize", "--corpus", str(corpus_path), "--split", str(ingest / "split.json"),
+        "--index", str(tmp_path / "no-index"), "--mode", "zero-shot", "--out", str(out),
+        "--replay", "--cassette", cassette,
+    ) == EXIT_OK
+    assert [path for path in set(tmp_path.rglob("*")) - before if not path.is_relative_to(out)] == []
+    assert sorted(path.name for path in (out / "zero_shot").iterdir()) == sorted(
+        f"{pair.id}.cpp" for pair in good)
+    captured = capsys.readouterr()
+    assert "wrote 2 patch(es); 0 failure(s)" in captured.out
+    assert (f"skipped line 2: line 2: field 'id' must name one path component, not {record_id!r}"
+            in captured.err)
+
+
+@requires_gxx
+def test_eval_names_each_patch_that_did_not_run_ok(tmp_path, capsys, corpus_file):
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    broken, *working = ingest.split.test_set
+    patches = tmp_path / "patches"
+    for pair in ingest.split.test_set:
+        path = pipeline.patch_path(patches, PromptMode.ZERO_SHOT, pair.id)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("int main() { broken" if pair is broken else pair.original_code, encoding="utf-8")
+
+    assert run_cli(
+        "eval", "--corpus", str(corpus_file), "--split", str(ingest.manifest_path),
+        "--patches", str(patches), "--mode", "zero-shot", "--reps", "1", "--timeout", "5",
+        "--out", str(tmp_path / "eval"),
+    ) == EXIT_OK
+    err = capsys.readouterr().err
+    assert f"\n  compile_error zero_shot/{broken.id}: compilation failed: " in "\n" + err, err
+    assert all(f"/{pair.id}:" not in err for pair in working)
 
 
 @requires_gxx

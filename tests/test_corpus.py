@@ -94,6 +94,20 @@ def test_text_that_is_not_unicode_is_a_bad_line(tmp_path, record):
         ingest_pairs(path, strict=True)
 
 
+@pytest.mark.parametrize("record_id", ["../../../escaped", "a/b", "/abs", "nul\0byte", ".", ".."])
+def test_an_id_that_is_not_one_path_component_is_a_bad_line(tmp_path, record_id):
+    # An id names a patch file and an eval build directory, so a separator,
+    # a NUL or a dot directory would write outside them or fail the write.
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [_record("r1"), _record(record_id), _record("r3")])
+    reason = f"line 2: field 'id' must name one path component, not {record_id!r}"
+    corpus = ingest_pairs(path, strict=False)
+    assert [p.id for p in corpus.pairs] == ["r1", "r3"]
+    assert corpus.stats.errors == [(2, reason)]
+    with pytest.raises(AutopatchError, match=f"^{re.escape(reason)}$"):
+        ingest_pairs(path, strict=True)
+
+
 NOT_UTF8_REASON = "line 2: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 

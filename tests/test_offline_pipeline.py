@@ -582,18 +582,6 @@ def _fake_tool(path: Path, body: str) -> Path:
     return path
 
 
-def _capture_results(monkeypatch) -> list[EvalResult]:
-    """Keep the per-patch results that run_eval hands to aggregate_report."""
-    captured: list[EvalResult] = []
-
-    def capture(results, *args, **kwargs):
-        captured[:] = results
-        return aggregate_report(results, *args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "aggregate_report", capture)
-    return captured
-
-
 def test_analyzer_undecodable_stderr_fails_one_record(tmp_path, monkeypatch, pairs, corpus_file):
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     rejected = ingest.split.database_set[1]
@@ -642,17 +630,16 @@ def test_compiler_undecodable_stderr_is_compile_error(tmp_path, monkeypatch, pai
         "os.execvp('g++', ['g++', *sys.argv[1:]])\n"
     ))
     monkeypatch.setenv("AUTOPATCH_CXX", str(compiler))
-    captured = _capture_results(monkeypatch)
 
     result = run_eval(ingest.corpus, split, tmp_path / "patches", tmp_path / "eval", (mode,),
                       reps=1, timeout_s=10.0)
 
     assert result.failures == []
-    assert [(r.target_id, r.outcome.status) for r in captured] == [
+    assert [(r.target_id, r.outcome.status) for r in result.results] == [
         (good.id, RunStatus.OK), (rejected.id, RunStatus.COMPILE_ERROR)
     ]
-    assert captured[0].outcome.mean_s > 0
-    assert "\ufffd" in captured[1].outcome.detail
+    assert result.results[0].outcome.mean_s > 0
+    assert "\ufffd" in result.results[1].outcome.detail
 
 
 def _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler: Path) -> list[EvalResult]:
@@ -669,22 +656,21 @@ def _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler: Path) -> list[E
         path = patch_path(tmp_path / "patches", mode, pair.id)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(pair.original_code, encoding="utf-8")
-    captured = _capture_results(monkeypatch)
 
     result = run_eval(ingest.corpus, ingest.split, tmp_path / "patches", tmp_path / "eval", (mode,),
                       reps=1, timeout_s=10.0)
 
     assert result.failures == []
-    assert [r.target_id for r in captured] == [pair.id for pair in ingest.split.test_set]
-    return captured
+    assert [r.target_id for r in result.results] == [pair.id for pair in ingest.split.test_set]
+    return result.results
 
 
 def test_compiler_launch_error_is_compile_error(tmp_path, monkeypatch, pairs):
     compiler = tmp_path / "fake-cxx"
     compiler.write_text("#!/nonexistent/python\n")
     compiler.chmod(0o755)
-    captured = _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler)
-    for each in captured:
+    results = _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler)
+    for each in results:
         assert each.outcome.status is RunStatus.COMPILE_ERROR
         assert each.outcome.detail == (
             "compilation failed: compiler could not start: No such file or directory: fake-cxx"
@@ -698,8 +684,8 @@ def test_program_that_cannot_start_is_a_crash(tmp_path, monkeypatch, pairs):
         "open(out, 'wb').write(b'\\x7fELF for another machine')\n"
         "os.chmod(out, 0o755)\n"
     ))
-    captured = _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler)
-    for each in captured:
+    results = _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler)
+    for each in results:
         assert each.outcome.status is RunStatus.CRASH
         assert each.outcome.detail == "testcase 0: could not start: Exec format error"
 
@@ -710,8 +696,8 @@ def test_compiler_that_writes_no_program_is_compile_error(tmp_path, monkeypatch,
         stale = tmp_path / "eval" / "bin" / PromptMode.ZERO_SHOT.value / pair.id / "program"
         _fake_tool(stale, "print(sys.stdin.read(), end='')\n")
     compiler = _fake_tool(tmp_path / "fake-cxx", "sys.exit(0)\n")
-    captured = _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler)
-    for pair, each in zip(pairs, captured):
+    results = _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler)
+    for pair, each in zip(pairs, results):
         assert each.outcome.status is RunStatus.COMPILE_ERROR
         assert each.outcome.detail == "compilation failed: the compiler wrote no program"
         assert not (tmp_path / "eval" / "bin" / "zero_shot" / pair.id / "program").exists()
@@ -831,7 +817,6 @@ def test_eval_compiles_every_patch_before_timing_any(tmp_path, monkeypatch, pair
         return 0.01 * (len(slots) - slots.index(slot_of(build_dir)))
 
     fake = FakeBuild(monkeypatch, delay=slower_first)
-    captured = _capture_results(monkeypatch)
 
     result = run_eval(ingest.corpus, split, tmp_path / "patches", tmp_path / "eval", ALL_MODES,
                       reps=2, timeout_s=10.0)
@@ -850,7 +835,7 @@ def test_eval_compiles_every_patch_before_timing_any(tmp_path, monkeypatch, pair
         for slot in timed
     ]
 
-    assert [(r.target_id, r.mode) for r in captured] == scored
+    assert [(r.target_id, r.mode) for r in result.results] == scored
     assert [(f["record_id"], f["mode"]) for f in result.failures] == [missing, undecodable]
     manifest = json.loads((tmp_path / "eval" / pipeline.FAILURES_MANIFEST).read_text())
     assert manifest == result.failures
@@ -882,7 +867,6 @@ def test_eval_compiles_each_distinct_source_once(tmp_path, monkeypatch, pairs):
     }
     _write_patches(tmp_path / "patches", sources)
     fake = FakeBuild(monkeypatch)
-    captured = _capture_results(monkeypatch)
 
     result = run_eval(ingest.corpus, split, tmp_path / "patches", tmp_path / "eval", ALL_MODES,
                       reps=2, timeout_s=10.0)
@@ -900,10 +884,10 @@ def test_eval_compiles_each_distinct_source_once(tmp_path, monkeypatch, pairs):
         for slot in holders
     ]
     assert result.failures == []
-    assert [(r.target_id, r.mode) for r in captured] == list(sources)
-    ok = [slot for slot, r in zip(sources, captured) if r.outcome.status is RunStatus.OK]
+    assert [(r.target_id, r.mode) for r in result.results] == list(sources)
+    ok = [slot for slot, r in zip(sources, result.results) if r.outcome.status is RunStatus.OK]
     assert ok == holders
-    refused = [r.outcome for r in captured if r.outcome.status is RunStatus.COMPILE_ERROR]
+    refused = [r.outcome for r in result.results if r.outcome.status is RunStatus.COMPILE_ERROR]
     assert refused == [RunOutcome.failure(
         RunStatus.COMPILE_ERROR, "compilation failed: fake compiler rejects this patch")] * 2
 

@@ -10,7 +10,10 @@ subclass. A new exception class fails `test_error_types` the way a new
 option fails the inventory, and any new class fails `test_class_inventory`.
 
 Bytes from outside become objects in `_io` alone: a new JSON decoder or
-Unicode check elsewhere fails `test_decoders_live_in_io`.
+Unicode check elsewhere fails `test_decoders_live_in_io`. `_io.canonical`
+is the one encoder of the package's JSON Lines and content keys: a
+`json.dumps` that passes `ensure_ascii=False` in another module fails
+`test_canonical_encoder_lives_in_io`.
 
 Every stage has one shape: `pipeline._pooled` builds the one thread pool,
 and `pipeline._attempt` is the one place a stage turns a record's error
@@ -196,6 +199,23 @@ def test_decoders_live_in_io():
     for path in sorted(SOURCE_DIR.glob("*.py")):
         found += _decoders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sorted(found) == EXPECTED_DECODERS
+
+
+def _keeps_non_ascii(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+            and node.func.attr == "dumps"
+            and any(keyword.arg == "ensure_ascii" and not (isinstance(keyword.value, ast.Constant)
+                                                           and keyword.value.value is True)
+                    for keyword in node.keywords))
+
+
+def test_canonical_encoder_lives_in_io():
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        if path.stem != "_io":
+            found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _keeps_non_ascii)
+    assert found == []
 
 
 def _sites(node: ast.AST, where: str, matches) -> list[str]:
