@@ -1,8 +1,9 @@
 """The package's byte boundary: how bytes from outside become Python objects,
 how every JSON Lines line and content key is encoded, split and decoded,
 how the lines of a file are kept as its bytes and decoded when read, how a
-file is replaced whole (a JSON document with `write_json`), and how a
-JSON-over-HTTP service call fails."""
+file is replaced whole (a JSON document with `write_json`), how a
+JSON-over-HTTP service call fails, and how an outside tool is configured
+(`tool_from_env`), run with no stdin and fails to start (`run_tool`)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,10 @@ import contextlib
 import hashlib
 import http.client
 import json
+import os
+import shlex
+import shutil
+import subprocess
 import urllib.error
 import urllib.request
 from array import array
@@ -150,3 +155,34 @@ def http_post_json(url: str, payload: dict, api_key: str, timeout_s: float) -> d
         return loads(raw)
     except ValueError as exc:
         raise service_error(status, f"response is not JSON: {exc}") from None
+
+
+def tool_from_env(binary_env: str, flags_env: str, binary: str,
+                  flags: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+    """An outside tool's binary and flags: the values of the environment
+    variables `binary_env` and `flags_env` (split as a shell would), or, for
+    a variable that is unset or empty, the default `binary` or `flags`."""
+    env_flags = os.environ.get(flags_env)
+    return os.environ.get(binary_env) or binary, tuple(shlex.split(env_flags)) if env_flags else flags
+
+
+def run_tool(tool: str, binary: str, args: Sequence[str], cwd: Path | str | None,
+             timeout_s: float) -> tuple[int, str]:
+    """Run `binary`, found on PATH, with `args` in `cwd` (None: the caller's)
+    and no stdin, and return its exit status and its stderr text; its stdout
+    is discarded. A binary that is not on PATH, cannot start or times out
+    raises AutopatchError naming `tool`."""
+    found = shutil.which(binary)
+    if found is None:
+        raise AutopatchError(f"{tool} {binary!r} not on PATH")
+    try:
+        proc = subprocess.run([os.path.abspath(found), *args], cwd=cwd, stdin=subprocess.DEVNULL,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        raise AutopatchError(f"{tool} timed out after {timeout_s}s") from None
+    except OSError as exc:  # e.g. a missing script interpreter
+        # Named without its directory, which may be temporary.
+        raise AutopatchError(f"{tool} could not start: {exc.strerror}: {Path(found).name}") from None
+    # Decoded leniently: bytes that are not UTF-8 must not escape as a
+    # UnicodeDecodeError, which no stage contains per record.
+    return proc.returncode, proc.stderr.decode("utf-8", "replace")

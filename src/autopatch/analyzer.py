@@ -31,16 +31,12 @@ records or replays the answer as it does a chat exchange.
 from __future__ import annotations
 
 import json
-import os
 import re
-import shlex
-import shutil
-import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._io import content_key
+from ._io import content_key, run_tool, tool_from_env
 from .cfg import BasicBlock, ControlFlowGraph, normalize_statement
 from .errors import AutopatchError
 from .preprocess import preprocess_source
@@ -75,14 +71,7 @@ class AnalyzerConfig:
 
     @classmethod
     def from_env(cls) -> "AnalyzerConfig":
-        config = cls()
-        env_binary = os.environ.get(ANALYZER_PATH_ENV)
-        if env_binary:
-            config.binary = env_binary
-        env_flags = os.environ.get(ANALYZER_FLAGS_ENV)
-        if env_flags:
-            config.extra_flags = tuple(shlex.split(env_flags))
-        return config
+        return cls(*tool_from_env(ANALYZER_PATH_ENV, ANALYZER_FLAGS_ENV, cls.binary, cls.extra_flags))
 
     @property
     def args(self) -> tuple[str, ...]:
@@ -232,37 +221,15 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
 
 def run_analyzer(code: str, config: AnalyzerConfig) -> tuple[int, str]:
     """Invoke the analyzer on `code`, which `preprocess_source` has accepted,
-    and return its answer: the exit status and the stderr text. A binary
-    that is not on PATH, cannot start or times out gives no answer and
-    raises AutopatchError."""
-    binary = shutil.which(config.binary)
-    if binary is None:
-        raise AutopatchError(f"analyzer binary {config.binary!r} not on PATH")
-
+    through `_io.run_tool`, and return its answer: the exit status and the
+    stderr text. A binary that is not on PATH, cannot start or times out
+    gives no answer and raises AutopatchError."""
     # The analyzer runs inside its temporary directory on relative paths, so
     # its messages never quote that directory's random name.
     with tempfile.TemporaryDirectory(prefix="autopatch-cfg-") as workdir:
         (Path(workdir) / "input.cpp").write_text(code, encoding="utf-8")
-        argv = [os.path.abspath(binary), *config.args, "input.cpp", "-o", "out.plist"]
-        try:
-            proc = subprocess.run(
-                argv,
-                cwd=workdir,
-                capture_output=True,
-                timeout=ANALYZER_TIMEOUT_S,
-            )
-        except subprocess.TimeoutExpired:
-            raise AutopatchError(
-                f"analyzer exited with -1: analyzer timed out after {ANALYZER_TIMEOUT_S}s"
-            ) from None
-        except OSError as exc:  # e.g. a missing script interpreter
-            # Name the binary without its directory, which may be temporary.
-            raise AutopatchError(
-                f"analyzer exited with -1: analyzer could not start: {exc.strerror}: {Path(binary).name}"
-            ) from None
-    # Decoded leniently: bytes that are not UTF-8 must not escape as a
-    # UnicodeDecodeError, which no stage contains per record.
-    return proc.returncode, proc.stderr.decode("utf-8", "replace")
+        return run_tool("analyzer", config.binary, [*config.args, "input.cpp", "-o", "out.plist"],
+                        workdir, ANALYZER_TIMEOUT_S)
 
 
 def parse_answer(returncode: int, stderr: str) -> ControlFlowGraph:

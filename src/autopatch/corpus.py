@@ -30,6 +30,10 @@ from typing import Sequence
 from ._io import Rows, line_spans, loads, write_json
 from .errors import AutopatchError
 
+# 255 bytes is a file name's limit on common Linux file systems, and the
+# longest name a stage writes is the patch's `<id>.cpp.tmp` (`_io.replacing`).
+ID_MAX_BYTES = 255 - len(".cpp.tmp")
+
 
 class OptimizationType(Enum):
     CODE_REFACTORING = "code_refactoring"
@@ -99,8 +103,8 @@ def normalize_output(text: str) -> str:
 
 def parse_record(obj: object, line_no: int) -> CodePair:
     """Validate one JSON object as `_io.loads` decodes it, so its text is
-    valid Unicode, and build a CodePair. The id names one path component,
-    since a patch and an eval build are written under it.
+    valid Unicode, and build a CodePair. The id names one path component of
+    at most ID_MAX_BYTES bytes, since a patch and an eval build are named by it.
 
     Raises AutopatchError naming the offending line on any violation.
     """
@@ -121,6 +125,9 @@ def parse_record(obj: object, line_no: int) -> CodePair:
     record_id = required_str("id", nonempty=True)
     if "/" in record_id or "\0" in record_id or record_id in (".", ".."):
         raise bad(f"field 'id' must name one path component, not {record_id!r}")
+    size = len(record_id.encode("utf-8"))
+    if size > ID_MAX_BYTES:
+        raise bad(f"field 'id' must be at most {ID_MAX_BYTES} bytes of UTF-8, not {size}")
     problem_id = required_str("problem_id")
     original = required_str("original_code", nonempty=True)
     optimized = required_str("optimized_code", nonempty=True)

@@ -7,13 +7,13 @@ comparison uses the corpus normalization rule. Timed runs are meant to have
 the CPU to themselves: `pipeline.run_eval` first compiles each distinct
 patch source once, on a thread pool, in `bin/<mode>/<id>` of the first patch
 that holds it, and only then times every patch, one at a time.
+
+The compiler runs with no stdin, through `_io.run_tool`; `_run_once` starts
+the timed run, the package's only other process.
 """
 
 from __future__ import annotations
 
-import os
-import shlex
-import shutil
 import statistics
 import subprocess
 import time
@@ -22,6 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
+from ._io import run_tool, tool_from_env
 from .corpus import TestCase, normalize_output
 from .errors import AutopatchError
 
@@ -40,14 +41,7 @@ class ToolchainConfig:
 
     @classmethod
     def from_env(cls) -> "ToolchainConfig":
-        config = cls()
-        env_compiler = os.environ.get(CXX_ENV)
-        if env_compiler:
-            config.compiler = env_compiler
-        env_flags = os.environ.get(CXXFLAGS_ENV)
-        if env_flags:
-            config.flags = tuple(shlex.split(env_flags))
-        return config
+        return cls(*tool_from_env(CXX_ENV, CXXFLAGS_ENV, cls.compiler, cls.flags))
 
 
 class RunStatus(Enum):
@@ -73,31 +67,18 @@ class RunOutcome:
 
 def compile_program(code: str, toolchain: ToolchainConfig, out_dir: Path | str) -> Path:
     """Compile to `out_dir/program` (the directory is created if missing)
-    and return its path; the source is written beside it as `program.cpp`."""
-    compiler = shutil.which(toolchain.compiler)
-    if compiler is None:
-        raise AutopatchError(f"compiler {toolchain.compiler!r} not on PATH")
-
+    through `_io.run_tool`, in the caller's working directory, and return
+    its path; the source is written beside it as `program.cpp`."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     source = out_dir / "program.cpp"
     source.write_text(code, encoding="utf-8")
     binary = out_dir / "program"
     binary.unlink(missing_ok=True)  # an earlier run's program must never be timed
-    try:
-        proc = subprocess.run(
-            [compiler, str(source), "-o", str(binary), *toolchain.flags],
-            capture_output=True,
-            timeout=COMPILE_TIMEOUT_S,
-        )
-    except subprocess.TimeoutExpired:
-        raise AutopatchError(f"compilation failed: compiler timed out after {COMPILE_TIMEOUT_S}s") from None
-    except OSError as exc:  # e.g. a missing script interpreter
-        raise AutopatchError(
-            f"compilation failed: compiler could not start: {exc.strerror}: {Path(compiler).name}"
-        ) from None
-    if proc.returncode != 0:
-        stderr = proc.stderr.decode("utf-8", "replace")
+    returncode, stderr = run_tool("compiler", toolchain.compiler,
+                                  [str(source), "-o", str(binary), *toolchain.flags],
+                                  None, COMPILE_TIMEOUT_S)
+    if returncode != 0:
         raise AutopatchError(f"compilation failed: {stderr.strip()[:500]}")
     if not binary.exists():
         raise AutopatchError("compilation failed: the compiler wrote no program")

@@ -277,8 +277,8 @@ def run_optimize(
     (target, mode) order, whatever order the calls finish in. A failed
     target and mode keeps only its reason, which fails that one patch (and
     removes an earlier run's): a target the analyzer rejects still gets its
-    naive and zero-shot patches. An index that holds a test record raises
-    AutopatchError before any call, since it was built over another split.
+    naive and zero-shot patches. An index built over another split (it holds
+    a test record) or of the other kind raises AutopatchError before any call.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -291,6 +291,9 @@ def run_optimize(
             indexes[kind] = load_index(index_path(index_dir, kind))
     targets = tuple(split.test_set)  # a loaded split decodes a record each time it is read
     for kind, index in indexes.items():
+        if index.source_kind is not kind:  # as when one index file is copied over the other
+            raise AutopatchError(f"{index_path(index_dir, kind)}: the index is keyed by"
+                                 f" {index.source_kind.value}, not {kind.value}")
         held = set(index.ids)
         leaked = ", ".join(repr(pair.id) for pair in targets if pair.id in held)
         if leaked:  # its example for a target could be the target itself

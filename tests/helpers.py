@@ -3,13 +3,15 @@ analyzer's dump syntax, a random CFG generator, the ten-pair fixture
 corpus and a corpus-file writer, a scripted transport for recording
 deterministic cassettes without any network, the program a chat request is
 about, a slower variant of the transport for driving the index and optimize
-stages' worker pools out of order, and an index directory's rows by id."""
+stages' worker pools out of order, an index directory's rows by id, and a
+writer of fake tools."""
 
 from __future__ import annotations
 
 import json
 import random
 import re
+import sys
 import textwrap
 import threading
 import time
@@ -671,3 +673,15 @@ def index_slow_first(root, ingest, pairs) -> SlowFirstTransport:
     result = run_index(ingest.corpus, ingest.split, root / "index", LocalHashingProvider(), llm)
     assert result.indexed_count == len(database_ids) and not result.skipped
     return transport
+
+
+# --- fake tools ------------------------------------------------------------------
+
+
+def fake_tool(path: Path, body: str) -> Path:
+    """An executable Python script at `path` that runs `body`, with `os` and
+    `sys` imported: a stand-in for the analyzer, the compiler or a program."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(f"#!{sys.executable}\nimport os, sys\n" + body, encoding="utf-8")
+    path.chmod(0o755)
+    return path

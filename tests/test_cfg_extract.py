@@ -56,7 +56,7 @@ def test_main_extracted_among_other_functions():
 
 def test_analyzer_binary_missing():
     config = AnalyzerConfig(binary="definitely-not-a-real-binary")
-    with pytest.raises(AutopatchError, match="analyzer binary 'definitely-not-a-real-binary' not on PATH"):
+    with pytest.raises(AutopatchError, match="^analyzer 'definitely-not-a-real-binary' not on PATH$"):
         extract_cfg("int main(){return 0;}", config, LIVE)
 
 

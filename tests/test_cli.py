@@ -1,22 +1,31 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import hashlib
+import itertools
 import json
+import os
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from autopatch import pipeline
 from autopatch.analyzer import ANALYZER_FLAGS_ENV
 from autopatch.cli import EXIT_NO_COMMON_SET, EXIT_OK, EXIT_USAGE, main
+from autopatch.corpus import ID_MAX_BYTES, load_split, parse_record
+from autopatch.errors import AutopatchError
 from autopatch.pipeline import INDEX_JOURNAL, run_index, run_ingest, run_optimize
 from autopatch.prompting import OPTIMIZER_SYSTEM_TEXT, Cassette, LlmClient, LlmConfig, PromptMode, build_prompt
 from autopatch.retrieval import IndexRecord, LocalHashingProvider, SourceKind, build_index
 
 from conftest import DB_COUNT, SEED, requires_gxx
-from helpers import fixture_pairs, make_scripted_transport, write_corpus
+from helpers import fake_tool, fixture_pairs, make_scripted_transport, record_to_json, write_corpus
 
 
 def run_cli(*args: str) -> int:
@@ -821,6 +830,122 @@ def test_an_id_that_is_not_one_path_component_writes_nothing_outside_out(tmp_pat
             in captured.err)
 
 
+def _stage_argvs(root: Path, corpus: Path, cassette: Path) -> dict[str, list[str]]:
+    """Each stage's arguments for one run in `root` over `corpus`, with the
+    fixture's split and replaying `cassette`: each stage writes under
+    `root/<stage>`, its `--out`."""
+    split = ["--corpus", str(corpus), "--split", str(root / "ingest" / "split.json")]
+    replay = ["--replay", "--cassette", str(cassette)]
+    return {
+        "ingest": ["ingest", "--corpus", str(corpus), "--db-count", str(DB_COUNT),
+                   "--seed", str(SEED), "--out", str(root / "ingest")],
+        "index": ["index", *split, *replay, "--out", str(root / "index")],
+        "optimize": ["optimize", *split, "--index", str(root / "index"), *replay,
+                     "--out", str(root / "optimize")],
+        "eval": ["eval", *split, "--patches", str(root / "optimize"), "--reps", "1",
+                 "--timeout", "5", "--out", str(root / "eval")],
+    }
+
+
+# Builds, in a few milliseconds, a program that exits 0 and prints nothing.
+_EMPTY_PROGRAM_COMPILER = (
+    "out = sys.argv[sys.argv.index('-o') + 1]\n"
+    "open(out, 'w').write('#!/bin/sh\\n')\n"
+    "os.chmod(out, 0o755)\n"
+)
+# Ids on both sides of the length limit, which `parse_record` sorts.
+_IDS = st.one_of(
+    st.text(min_size=1, max_size=40),
+    st.integers(ID_MAX_BYTES - 6, ID_MAX_BYTES + 2).map(lambda n: "x" * n),
+    st.integers(ID_MAX_BYTES // 2 - 6, ID_MAX_BYTES // 2 + 2).map(lambda n: "\u00e9" * n),
+)
+
+
+def test_every_accepted_id_goes_through_every_stage_writing_only_under_out(
+        recorded_workspace, tmp_path, monkeypatch, capsys, pairs):
+    # A 300-character id once made `optimize` raise `File name too long` out
+    # of its patch write after every chat call, writing no failures manifest.
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    monkeypatch.setenv("AUTOPATCH_CXX", str(fake_tool(tmp_path / "cxx", _EMPTY_PROGRAM_COMPILER)))
+    _, split = load_split(recorded_workspace.corpus_file, recorded_workspace.split_manifest)
+    database_id, test_id = split.database_set[0].id, split.test_set[0].id
+    runs = itertools.count()
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(st.lists(_IDS, min_size=2, max_size=2, unique=True))
+    @example(["x" * ID_MAX_BYTES, "\u00e9" * (ID_MAX_BYTES // 2) + "x"])
+    @example(["a", "x" * 300])  # which ingest skips
+    @example(["-rf", " .. "])
+    @example(["a\nb", ".hidden"])
+    @example(["\x85", "\u2028"])  # line breaks to str.splitlines, not to JSON Lines
+    def check(ids):
+        for record_id in ids:
+            try:
+                parse_record(record_to_json(replace(pairs[0], id=record_id)), 1)
+            except AutopatchError:
+                assume(False)
+        assume(not {pair.id for pair in pairs} & set(ids))
+        # The fixture corpus in its order, so each record keeps its side of the
+        # split, and the recorded cassette holds every request: no prompt shows an id.
+        renamed = {database_id: ids[0], test_id: ids[1]}
+        corpus = tmp_path / f"run{next(runs)}" / "pairs.jsonl"
+        corpus.parent.mkdir()
+        write_corpus([replace(pair, id=renamed.get(pair.id, pair.id)) for pair in pairs], corpus)
+        root = corpus.parent
+
+        for stage, argv in _stage_argvs(root, corpus, recorded_workspace.cassette).items():
+            before = set(tmp_path.rglob("*"))
+            code = run_cli(*argv)
+            err = capsys.readouterr().err
+            # No program prints the expected output, so none is executable.
+            assert code == (EXIT_NO_COMMON_SET if stage == "eval" else EXIT_OK), err
+            assert [path for path in set(tmp_path.rglob("*")) - before
+                    if not path.is_relative_to(root / stage)] == []
+
+        # Split as bytes: an id may hold a character that str.splitlines breaks at.
+        journal = [json.loads(line) for line in (root / "index" / INDEX_JOURNAL).read_bytes().splitlines()]
+        assert {"record_id": ids[0], "status": "ok"}.items() <= journal[0].items()
+        for mode in PromptMode:
+            assert (root / "optimize" / mode.value / f"{ids[1]}.cpp").is_file()
+            assert f"  wrong_output {mode.value}/{ids[1]}: testcase 0: " in err
+
+    check()
+
+
+@pytest.mark.parametrize("stage, culprit", [
+    ("ingest", "split.json.tmp"), ("index", "index_journal.jsonl.tmp"),
+    ("optimize", "{test_id}.cpp.tmp"), ("eval", "program.cpp"),
+])
+def test_a_write_that_fails_for_an_outside_reason_exits_2_naming_the_path(
+        recorded_workspace, tmp_path, monkeypatch, capsys, pairs, stage, culprit):
+    # As a full disk would: no stage contains an OSError as a record's failure.
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    monkeypatch.setenv("AUTOPATCH_CXX", str(fake_tool(tmp_path / "cxx", _EMPTY_PROGRAM_COMPILER)))
+    _, split = load_split(recorded_workspace.corpus_file, recorded_workspace.split_manifest)
+    culprit = culprit.format(test_id=split.test_set[0].id)
+    argvs = _stage_argvs(tmp_path / "run", recorded_workspace.corpus_file, recorded_workspace.cassette)
+    for before in list(argvs)[:list(argvs).index(stage)]:
+        assert run_cli(*argvs[before]) == EXIT_OK
+    capsys.readouterr()
+    opened, full = [], Path.open
+
+    def open_on_a_full_disk(path, mode="r", *args, **kwargs):
+        if path.name == culprit and "w" in mode:
+            opened.append(path)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return full(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_on_a_full_disk)
+
+    assert run_cli(*argvs[stage]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    # Eval's compiles run at once, so more than one may have opened its source.
+    assert errors in ([f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {str(path)!r}"]
+                      for path in opened), err
+    assert "Traceback" not in err
+
+
 @requires_gxx
 def test_eval_names_each_patch_that_did_not_run_ok(tmp_path, capsys, corpus_file):
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
@@ -947,6 +1072,30 @@ def test_optimize_with_an_index_of_another_split_exits_2(recorded_workspace, tmp
     assert capsys.readouterr().err == (
         f"error: {index_dir / 'index_source.jsonl'}: the index holds test record(s)"
         f" {', '.join(map(repr, leaked))}: it was built over another split; run autopatch index again\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_optimize_with_an_index_of_the_other_kind_exits_2(recorded_workspace, tmp_path, monkeypatch,
+                                                          capsys):
+    # Context mode would retrieve with a CFG query over source vectors.
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    index_dir = tmp_path / "index"
+    shutil.copytree(recorded_workspace.record_dir / "index", index_dir)
+    for suffix in ("", ".vec"):
+        shutil.copyfile(index_dir / f"index_source.jsonl{suffix}", index_dir / f"index_cfg.jsonl{suffix}")
+
+    code = run_cli(
+        "optimize",
+        "--corpus", str(recorded_workspace.corpus_file),
+        "--split", str(recorded_workspace.split_manifest),
+        "--index", str(index_dir),
+        "--mode", "context",
+        "--out", str(tmp_path / "out"),
+        "--replay", "--cassette", str(recorded_workspace.cassette),
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: {index_dir / 'index_cfg.jsonl'}: the index is keyed by"
+                                       f" raw_source, not cfg_serialization\n")
     assert list((tmp_path / "out").iterdir()) == []
 
 

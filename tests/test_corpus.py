@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autopatch.corpus import (
+    ID_MAX_BYTES,
     CorpusSplit,
     OptimizationType,
     ingest_pairs,
@@ -106,6 +107,28 @@ def test_an_id_that_is_not_one_path_component_is_a_bad_line(tmp_path, record_id)
     assert corpus.stats.errors == [(2, reason)]
     with pytest.raises(AutopatchError, match=f"^{re.escape(reason)}$"):
         ingest_pairs(path, strict=True)
+
+
+
+@pytest.mark.parametrize("record_id", ["x" * 300, "x" * (ID_MAX_BYTES + 1), "\u00e9" * 124])
+def test_an_id_too_long_to_name_a_file_is_a_bad_line(tmp_path, record_id):
+    # `optimize` writes the patch `<id>.cpp` through `<id>.cpp.tmp`, which must
+    # fit in a file name's 255 bytes.
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [_record("r1"), _record(record_id), _record("r3")])
+    size = len(record_id.encode("utf-8"))
+    reason = f"line 2: field 'id' must be at most 247 bytes of UTF-8, not {size}"
+    corpus = ingest_pairs(path, strict=False)
+    assert [p.id for p in corpus.pairs] == ["r1", "r3"]
+    assert corpus.stats.errors == [(2, reason)]
+    with pytest.raises(AutopatchError, match=f"^{re.escape(reason)}$"):
+        ingest_pairs(path, strict=True)
+
+
+def test_an_id_of_the_longest_length_names_a_writable_file(tmp_path):
+    record_id = "x" * (ID_MAX_BYTES - 2) + "\u00e9"  # 247 bytes, the last character two
+    assert parse_record(_record(record_id), 1).id == record_id
+    (tmp_path / f"{record_id}.cpp.tmp").write_text("")
 
 
 NOT_UTF8_REASON = "line 2: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"

@@ -1,8 +1,9 @@
 """Pipeline behaviour that runs without clang: the index stage's worker
 pool over CFGs parsed from the committed dumps (the `dump_graphs` fixture),
-analyzer and compiler failures from fake tools (a tool that cannot start
-included), an unreachable chat service or a malformed reply (one that is not
-valid Unicode included) failing one record, an embedding that fails (a 503,
+analyzer and compiler failures from fake tools (a tool that cannot start or
+is not on PATH included), tools that read none of the caller's stdin and get
+the arguments they always got, an unreachable chat service or a malformed
+reply (one that is not valid Unicode included) failing one record, an embedding that fails (a 503,
 a zero vector or a vector of another dimension) failing one record and
 leaving the other records' indexes whole, the request keys of a recorded
 cassette (so every prompt byte) and the keys of its analyzer answers, a chat
@@ -20,6 +21,8 @@ import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -32,13 +35,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import autopatch
 from autopatch import pipeline
 from autopatch.analyzer import AnalyzerConfig, parse_answer, run_analyzer
 from autopatch.cfg import serialize_cfg
 from autopatch.corpus import CorpusSplit, load_record
 from autopatch.errors import AutopatchError
 from autopatch._io import service_error
-from autopatch.harness import RunOutcome, RunStatus
+from autopatch.harness import RunOutcome, RunStatus, ToolchainConfig
 from autopatch.metrics import compute_lexical
 from autopatch.pipeline import (
     INDEX_JOURNAL,
@@ -73,6 +77,7 @@ from conftest import ALL_MODES, DB_COUNT, DUMP_DIR, SEED, requires_gxx
 from helpers import (
     SlowFirstTransport,
     cassette_keys,
+    fake_tool,
     index_rows,
     index_slow_first,
     make_scripted_transport,
@@ -575,13 +580,6 @@ def test_eval_contains_empty_ground_truth(tmp_path, pairs):
     assert manifest == result.failures
 
 
-def _fake_tool(path: Path, body: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"#!{sys.executable}\nimport os, sys\n" + body, encoding="utf-8")
-    path.chmod(0o755)
-    return path
-
-
 def test_analyzer_undecodable_stderr_fails_one_record(tmp_path, monkeypatch, pairs, corpus_file):
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     rejected = ingest.split.database_set[1]
@@ -589,7 +587,7 @@ def test_analyzer_undecodable_stderr_fails_one_record(tmp_path, monkeypatch, pai
     reject_file.write_text(preprocess_source(rejected.original_code).output_code, encoding="utf-8")
     # Rejects one program with bytes that are not UTF-8; dumps a fixed CFG
     # for every other.
-    script = _fake_tool(tmp_path / "fake-analyzer", (
+    script = fake_tool(tmp_path / "fake-analyzer", (
         f"if open('input.cpp', encoding='utf-8').read() == open({str(reject_file)!r}, encoding='utf-8').read():\n"
         "    sys.stderr.buffer.write(b'input.cpp: error: \\xff\\xfe\\n')\n"
         "    sys.exit(1)\n"
@@ -623,7 +621,7 @@ def test_compiler_undecodable_stderr_is_compile_error(tmp_path, monkeypatch, pai
         path.write_text(prefix + pair.original_code, encoding="utf-8")
     # Fails on the marked patch with bytes that are not UTF-8; hands every
     # other to g++.
-    compiler = _fake_tool(tmp_path / "fake-cxx", (
+    compiler = fake_tool(tmp_path / "fake-cxx", (
         "if 'reject me' in open(sys.argv[1], encoding='utf-8').read():\n"
         "    sys.stderr.buffer.write(b'error: \\xff\\xfe\\n')\n"
         "    sys.exit(1)\n"
@@ -672,14 +670,12 @@ def test_compiler_launch_error_is_compile_error(tmp_path, monkeypatch, pairs):
     results = _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler)
     for each in results:
         assert each.outcome.status is RunStatus.COMPILE_ERROR
-        assert each.outcome.detail == (
-            "compilation failed: compiler could not start: No such file or directory: fake-cxx"
-        )
+        assert each.outcome.detail == "compiler could not start: No such file or directory: fake-cxx"
 
 
 def test_program_that_cannot_start_is_a_crash(tmp_path, monkeypatch, pairs):
     # What a cross compiler leaves: an executable file this machine cannot run.
-    compiler = _fake_tool(tmp_path / "fake-cxx", (
+    compiler = fake_tool(tmp_path / "fake-cxx", (
         "out = sys.argv[sys.argv.index('-o') + 1]\n"
         "open(out, 'wb').write(b'\\x7fELF for another machine')\n"
         "os.chmod(out, 0o755)\n"
@@ -694,13 +690,64 @@ def test_compiler_that_writes_no_program_is_compile_error(tmp_path, monkeypatch,
     # A program an earlier run built stays where this run's should be.
     for pair in pairs[:2]:
         stale = tmp_path / "eval" / "bin" / PromptMode.ZERO_SHOT.value / pair.id / "program"
-        _fake_tool(stale, "print(sys.stdin.read(), end='')\n")
-    compiler = _fake_tool(tmp_path / "fake-cxx", "sys.exit(0)\n")
+        fake_tool(stale, "print(sys.stdin.read(), end='')\n")
+    compiler = fake_tool(tmp_path / "fake-cxx", "sys.exit(0)\n")
     results = _eval_under_compiler(tmp_path, monkeypatch, pairs, compiler)
     for pair, each in zip(pairs, results):
         assert each.outcome.status is RunStatus.COMPILE_ERROR
         assert each.outcome.detail == "compilation failed: the compiler wrote no program"
         assert not (tmp_path / "eval" / "bin" / "zero_shot" / pair.id / "program").exists()
+
+
+
+# Exits 1 when it can read a byte from stdin; else writes the file after
+# `-o`, as a compiler does, and records its arguments beside itself.
+_STDIN_PROBE = (
+    "if os.read(0, 1):  # one byte, so a later tool still finds the rest\n"
+    "    sys.stderr.write('read the caller\\'s stdin\\n')\n"
+    "    sys.exit(1)\n"
+    "open(sys.argv[sys.argv.index('-o') + 1], 'w').close()\n"
+    "with open(sys.argv[0] + '.args', 'a') as log:\n"
+    "    log.write(json.dumps(sys.argv[1:]) + '\\n')\n"
+)
+
+# Runs the analyzer and the compiler as the probe, from a process whose stdin
+# holds bytes, and prints the analyzer's answer and the compiled path.
+_CHILD = (
+    "import sys\n"
+    "from autopatch.analyzer import AnalyzerConfig, run_analyzer\n"
+    "from autopatch.harness import ToolchainConfig, compile_program\n"
+    "tool, out = sys.argv[1], sys.argv[2]\n"
+    "print(run_analyzer('int main(){}', AnalyzerConfig(binary=tool, extra_flags=('-DX',))))\n"
+    "print(compile_program('int main(){}', ToolchainConfig(compiler=tool), out))\n"
+)
+
+
+def test_tools_read_no_stdin(tmp_path):
+    # A patch that includes `/dev/stdin` must not compile from whatever the
+    # caller's stdin holds; the pipe is closed once written, so a tool that
+    # reads it never waits on a terminal.
+    probe = fake_tool(tmp_path / "probe", "import json\n" + _STDIN_PROBE)
+    env = {**os.environ, "PYTHONPATH": str(Path(autopatch.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", _CHILD, str(probe), str(tmp_path / "bin")],
+                           input=b"bytes the tools must not see\n", capture_output=True,
+                           env=env, timeout=60)
+
+    assert child.returncode == 0, child.stderr.decode("utf-8", "replace")
+    assert child.stdout.decode("utf-8").splitlines() == [
+        "(0, '')", str(tmp_path / "bin" / "program")]
+    # The arguments after argv[0] are those each tool was always given.
+    assert [json.loads(line) for line in (tmp_path / "probe.args").read_text().splitlines()] == [
+        [*AnalyzerConfig().args, "-DX", "input.cpp", "-o", "out.plist"],
+        [str(tmp_path / "bin" / "program.cpp"), "-o", str(tmp_path / "bin" / "program"),
+         *ToolchainConfig().flags],
+    ]
+
+
+def test_analyzer_not_on_path():
+    config = AnalyzerConfig(binary="definitely-not-a-real-binary")
+    with pytest.raises(AutopatchError, match="^analyzer 'definitely-not-a-real-binary' not on PATH$"):
+        run_analyzer("int main(){return 0;}", config)
 
 
 def _sequential_eval(split, patch_dir, out_dir, modes, reps, timeout_s, compile_fn, measure_fn):

@@ -22,11 +22,14 @@ into its reason. A new pool or a new containment point fails
 contained: a new handler that is bare or catches `Exception` or
 `BaseException` fails `test_no_catch_all_handler`.
 
-A process starts in three places only: the analyzer run, whose answer the
-cassette records and replays, the compile and the timed run. A new
-`subprocess` call, or a `from subprocess import`, fails
-`test_processes_start_in_three_places`, so that a process path that
-bypasses the cassette shows up in review.
+A process starts in two places only: `_io.run_tool`, the one launcher of
+outside tools, which runs the analyzer (whose answer the cassette records
+and replays) and the compiler, and `harness._run_once`, the timed run. A
+new `subprocess` call, or a `from subprocess import`, fails
+`test_processes_start_in_two_places`, so that a process path that bypasses
+the cassette shows up in review. A process never reads the caller's stdin:
+a `subprocess` call that passes neither `stdin=` nor `input=` fails
+`test_every_process_is_given_its_stdin`.
 
 Imports between the package's modules go one way: the graph of their
 `from .x import` statements, those under `if TYPE_CHECKING:` included, has
@@ -272,11 +275,23 @@ def _starts_a_process(node: ast.AST) -> bool:
             and isinstance(node.func.value, ast.Name) and node.func.value.id == "subprocess")
 
 
-def test_processes_start_in_three_places():
+def test_processes_start_in_two_places():
     found = []
     for path in sorted(SOURCE_DIR.glob("*.py")):
         found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _starts_a_process)
-    assert found == ["analyzer.run_analyzer", "harness.compile_program", "harness._run_once"]
+    assert found == ["_io.run_tool", "harness._run_once"]
+
+
+def _inherits_stdin(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and _starts_a_process(node)
+            and not any(keyword.arg in ("stdin", "input") for keyword in node.keywords))
+
+
+def test_every_process_is_given_its_stdin():
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _inherits_stdin)
+    assert found == []
 
 
 def _package_imports(tree: ast.Module) -> set[str]:
