@@ -2,8 +2,10 @@
 how every JSON Lines line and content key is encoded, split and decoded,
 how the lines of a file are kept as its bytes and decoded when read, how a
 file is replaced whole (a JSON document with `write_json`), how a
-JSON-over-HTTP service call fails, and how an outside tool is configured
-(`tool_from_env`), run with no stdin and fails to start (`run_tool`)."""
+JSON-over-HTTP service call fails, how an outside tool is configured
+(`tool_from_env`), run with no stdin, two a core at most, and fails
+(`run_tool`), and how a process is fed, read and reaped the moment it exits
+(`communicate`)."""
 
 from __future__ import annotations
 
@@ -12,9 +14,13 @@ import hashlib
 import http.client
 import json
 import os
+import select
+import selectors
 import shlex
 import shutil
 import subprocess
+import threading
+import time
 import urllib.error
 import urllib.request
 from array import array
@@ -166,23 +172,108 @@ def tool_from_env(binary_env: str, flags_env: str, binary: str,
     return os.environ.get(binary_env) or binary, tuple(shlex.split(env_flags)) if env_flags else flags
 
 
+# The outside tools (the analyzer and the compiler) that run at once,
+# however many stage threads wait on them: two a core, since a compile
+# leaves its core idle while it execs, writes temporary files and links.
+_TOOL_SLOTS = threading.BoundedSemaphore(2 * (os.cpu_count() or 1))
+
+# The most stderr a tool may write. The analyzer's stderr is its answer,
+# and the largest stub dump of the benchmark's corpora is about 15 KB; a
+# tool that writes more is killed, rather than read into memory until it
+# exits or times out.
+TOOL_STDERR_LIMIT = 4 << 20
+
+
 def run_tool(tool: str, binary: str, args: Sequence[str], cwd: Path | str | None,
              timeout_s: float) -> tuple[int, str]:
     """Run `binary`, found on PATH, with `args` in `cwd` (None: the caller's)
     and no stdin, and return its exit status and its stderr text; its stdout
-    is discarded. A binary that is not on PATH, cannot start or times out
-    raises AutopatchError naming `tool`."""
+    is discarded. At most two tools a core run at once: a call waits for a
+    slot, and its timeout starts once it has one. A binary that is not on
+    PATH, cannot start, times out or writes more than TOOL_STDERR_LIMIT
+    bytes of stderr raises AutopatchError naming `tool`."""
     found = shutil.which(binary)
     if found is None:
         raise AutopatchError(f"{tool} {binary!r} not on PATH")
-    try:
-        proc = subprocess.run([os.path.abspath(found), *args], cwd=cwd, stdin=subprocess.DEVNULL,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=timeout_s)
-    except subprocess.TimeoutExpired:
-        raise AutopatchError(f"{tool} timed out after {timeout_s}s") from None
-    except OSError as exc:  # e.g. a missing script interpreter
-        # Named without its directory, which may be temporary.
-        raise AutopatchError(f"{tool} could not start: {exc.strerror}: {Path(found).name}") from None
+    with _TOOL_SLOTS:
+        try:
+            proc = subprocess.Popen([os.path.abspath(found), *args], cwd=cwd, stdin=subprocess.DEVNULL,
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        except OSError as exc:  # e.g. a missing script interpreter
+            # Named without its directory, which may be temporary.
+            raise AutopatchError(f"{tool} could not start: {exc.strerror}: {Path(found).name}") from None
+        try:
+            _, stderr = communicate(proc, b"", timeout_s, TOOL_STDERR_LIMIT)
+        except TimeoutError:
+            raise AutopatchError(f"{tool} timed out after {timeout_s}s") from None
+    if len(stderr) > TOOL_STDERR_LIMIT:
+        raise AutopatchError(f"{tool} wrote more than {TOOL_STDERR_LIMIT} bytes of stderr")
     # Decoded leniently: bytes that are not UTF-8 must not escape as a
     # UnicodeDecodeError, which no stage contains per record.
-    return proc.returncode, proc.stderr.decode("utf-8", "replace")
+    return proc.returncode, stderr.decode("utf-8", "replace")
+
+
+def communicate(proc: subprocess.Popen, data: bytes, timeout_s: float,
+                limit: int | None) -> tuple[bytes, bytes]:
+    """Write `data` to the stdin of `proc`, just started, read its stdout and
+    stderr, and reap it the moment it exits: its `returncode` is then set.
+    Returns what the two pipes held (b"" for a stream that is not a pipe).
+
+    A process still running after `timeout_s` seconds is killed, and
+    TimeoutError raised. A pipe that holds more than `limit` bytes (None: no
+    limit) has the process killed at once and is returned as it is, longer
+    than `limit`. Unlike `subprocess.run(timeout=)`, which polls for the exit
+    with sleeps that start at 1 ms and double, the exit is awaited on a pidfd,
+    so neither a tool's slot nor a timed run lasts until the next poll tick.
+    """
+    deadline = time.monotonic() + timeout_s
+    read = {pipe: bytearray() for pipe in (proc.stdout, proc.stderr) if pipe is not None}
+
+    def held() -> tuple[bytes, bytes]:
+        return tuple(bytes(read.get(pipe, b"")) for pipe in (proc.stdout, proc.stderr))
+
+    pidfd = None
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+        with selectors.DefaultSelector() as selector:
+            selector.register(pidfd, selectors.EVENT_READ)  # readable once the process exits
+            for pipe in read:
+                selector.register(pipe, selectors.EVENT_READ)
+            if proc.stdin is not None:
+                if data:
+                    selector.register(proc.stdin, selectors.EVENT_WRITE)
+                else:
+                    proc.stdin.close()
+            written = 0
+            while selector.get_map():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError
+                for key, _ in selector.select(remaining):
+                    if key.fileobj is proc.stdin:
+                        try:  # a pipe that selects writable takes PIPE_BUF bytes without blocking
+                            written += os.write(key.fd, data[written:written + select.PIPE_BUF])
+                        except BrokenPipeError:  # the process reads no more of it
+                            written = len(data)
+                        if written >= len(data):
+                            selector.unregister(proc.stdin)
+                            proc.stdin.close()
+                    elif key.fileobj in read:
+                        chunk = os.read(key.fd, 65536)
+                        if not chunk:
+                            selector.unregister(key.fileobj)
+                        read[key.fileobj] += chunk
+                        if limit is not None and len(read[key.fileobj]) > limit:
+                            return held()
+                    else:
+                        selector.unregister(pidfd)
+            return held()
+    finally:
+        if pidfd is not None:
+            os.close(pidfd)
+        if proc.poll() is None:  # at the deadline, past the limit, or interrupted
+            proc.kill()
+            proc.wait()
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            if pipe is not None:
+                pipe.close()

@@ -8,8 +8,11 @@ the CPU to themselves: `pipeline.run_eval` first compiles each distinct
 patch source once, on a thread pool, in `bin/<mode>/<id>` of the first patch
 that holds it, and only then times every patch, one at a time.
 
-The compiler runs with no stdin, through `_io.run_tool`; `_run_once` starts
-the timed run, the package's only other process.
+The compiler runs with no stdin, through `_io.run_tool`, which runs at most
+two tools a core at once, whatever the width of the compile pool; `_run_once`
+starts the timed run, the package's only other process. Both are reaped
+through `_io.communicate`, the moment they exit, so a timed run does not
+last until a poll tick.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from ._io import run_tool, tool_from_env
+from ._io import communicate, run_tool, tool_from_env
 from .corpus import TestCase, normalize_output
 from .errors import AutopatchError
 
@@ -88,20 +91,18 @@ def compile_program(code: str, toolchain: ToolchainConfig, out_dir: Path | str) 
 def _run_once(binary: Path, testcase: TestCase, timeout_s: float) -> tuple[RunStatus, float, str]:
     start = time.perf_counter()
     try:
-        proc = subprocess.run(
-            [str(binary)],
-            input=testcase.input.encode("utf-8"),
-            capture_output=True,
-            timeout=timeout_s,
-        )
-    except subprocess.TimeoutExpired:
-        return RunStatus.TIMEOUT, timeout_s, f"exceeded {timeout_s}s"
+        proc = subprocess.Popen([str(binary)], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
     except OSError as exc:  # e.g. a program built for another machine
         return RunStatus.CRASH, 0.0, f"could not start: {exc.strerror}"
+    try:
+        stdout, _ = communicate(proc, testcase.input.encode("utf-8"), timeout_s, None)
+    except TimeoutError:
+        return RunStatus.TIMEOUT, timeout_s, f"exceeded {timeout_s}s"
     elapsed = time.perf_counter() - start
     if proc.returncode != 0:
         return RunStatus.CRASH, elapsed, f"exit code {proc.returncode}"
-    actual = normalize_output(proc.stdout.decode("utf-8", "replace"))
+    actual = normalize_output(stdout.decode("utf-8", "replace"))
     expected = normalize_output(testcase.expected_output)
     if actual != expected:
         return RunStatus.WRONG_OUTPUT, elapsed, f"expected {expected!r}, got {actual!r}"

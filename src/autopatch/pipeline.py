@@ -48,11 +48,11 @@ SPLIT_MANIFEST = "split.json"
 INDEX_JOURNAL = "index_journal.jsonl"
 FAILURES_MANIFEST = "failures.json"
 
-# Threads in `_pooled`, for a stage that waits on subprocesses or chat calls:
-# the index stage prepares this many records at once (which also bounds the
-# chat calls in flight), the optimize stage runs this many analyzer runs or
-# chat calls at once, and the eval stage compiles this many patches.
-STAGE_WORKERS = 4
+# Threads in `_pooled`: the calls a stage keeps in flight, records prepared,
+# analyzer requests and chat calls alike. Most of them wait, on a chat
+# service or for a tool, rather than compute, so the pool is wider than the
+# host; `_io.run_tool` alone bounds the tools that run at once, to two a core.
+STAGE_WORKERS = 16
 
 _INDEX_FILES = {
     SourceKind.CFG_SERIALIZATION: "index_cfg.jsonl",
@@ -78,8 +78,9 @@ def _attempt(fn, *args) -> tuple:
 
 def _pooled(fn, items) -> list[tuple]:
     """`[_attempt(fn, item) for item in items]`, with up to STAGE_WORKERS
-    calls at once; the list is in the items' order, whatever order the
-    calls finish in."""
+    calls in flight at once (the tools those calls start still run two a
+    core at most); the list is in the items' order, whatever order the calls
+    finish in."""
     with ThreadPoolExecutor(max_workers=STAGE_WORKERS) as pool:
         return list(pool.map(lambda item: _attempt(fn, item), items))
 
@@ -177,8 +178,10 @@ def run_index(
     database split.
 
     Up to STAGE_WORKERS records are prepared at once (`_pooled`), or taken
-    from the journal; then the main thread embeds each prepared record's
-    texts for both indexes; the first to embed sets each index's dimension.
+    from the journal, so that many rationale calls may be in flight while
+    their analyzer runs share the launcher's slots; then the main thread
+    embeds each prepared record's texts for both indexes; the first to
+    embed sets each index's dimension.
     A record that fails either step, or whose vector has another dimension,
     becomes a "failed" journal entry with its reason, logged and skipped,
     never fatal. A rerun reuses an "ok" entry only while its `key` matches:
@@ -271,14 +274,16 @@ def run_optimize(
 
     Three phases, each in (target, mode) order: when context mode is
     requested, `llm` gets the analyzer's answer for every target (run,
-    recorded or replayed by its mode; `_pooled`); then the main
-    thread builds each prompt, retrieving its example; then every built
-    prompt is sent (`_pooled`). Patches and the failures manifest follow
-    (target, mode) order, whatever order the calls finish in. A failed
-    target and mode keeps only its reason, which fails that one patch (and
-    removes an earlier run's): a target the analyzer rejects still gets its
-    naive and zero-shot patches. An index built over another split (it holds
-    a test record) or of the other kind raises AutopatchError before any call.
+    recorded or replayed by its mode; `_pooled`, with at most two analyzer
+    runs a core at once); then the main thread builds each prompt,
+    retrieving its example; then every built prompt is sent (`_pooled`, up
+    to STAGE_WORKERS chat calls in flight). Patches and the failures
+    manifest follow (target, mode) order, whatever order the calls finish
+    in. A failed target and mode keeps only its reason, which fails that
+    one patch (and removes an earlier run's): a target the analyzer rejects
+    still gets its naive and zero-shot patches. An index built over another
+    split (it holds a test record) or of the other kind raises
+    AutopatchError before any call.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -387,7 +392,8 @@ def run_eval(
 
     Three phases, each in (target, mode) order: score every patch on the
     main thread; compile each distinct source of the scored ones once
-    (`_pooled`), in `bin/<mode>/<id>` of the first patch that holds it;
+    (`_pooled`, with at most two compiles a core at once, the launcher's
+    bound), in `bin/<mode>/<id>` of the first patch that holds it;
     then, once every compile has returned, time every scored patch's binary
     one at a time, so no timed run shares the CPU with a compiler. A patch
     that is missing, undecodable, unscorable or without testcases goes to

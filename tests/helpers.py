@@ -3,14 +3,16 @@ analyzer's dump syntax, a random CFG generator, the ten-pair fixture
 corpus and a corpus-file writer, a scripted transport for recording
 deterministic cassettes without any network, the program a chat request is
 about, a slower variant of the transport for driving the index and optimize
-stages' worker pools out of order, an index directory's rows by id, and a
-writer of fake tools."""
+stages' worker pools out of order, a variant whose calls wait for each
+other, an index directory's rows by id, a writer of fake tools and a
+counting stand-in for `subprocess.Popen`."""
 
 from __future__ import annotations
 
 import json
 import random
 import re
+import subprocess
 import sys
 import textwrap
 import threading
@@ -652,6 +654,24 @@ class SlowFirstTransport:
         return self._inner(request)
 
 
+class BarrierTransport:
+    """The scripted chat service, whose first `parties` calls each wait, for
+    at most `timeout_s`, until all of them are in flight. A pool that keeps
+    fewer calls in flight breaks the barrier: those calls raise
+    `threading.BrokenBarrierError`, which no stage contains."""
+
+    def __init__(self, pairs, parties: int, timeout_s: float):
+        self._inner = make_scripted_transport(pairs)
+        self._barrier = threading.Barrier(parties)
+        self._timeout_s = timeout_s
+        self._calls = count()
+
+    def __call__(self, request: dict) -> dict:
+        if next(self._calls) < self._barrier.parties:  # `next` on a count is atomic
+            self._barrier.wait(self._timeout_s)
+        return self._inner(request)
+
+
 def index_rows(index_dir: Path) -> dict[SourceKind, dict[str, tuple]]:
     """Each index in `index_dir`, as its rows by record id: the vector's bytes
     and the metadata."""
@@ -685,3 +705,38 @@ def fake_tool(path: Path, body: str) -> Path:
     path.write_text(f"#!{sys.executable}\nimport os, sys\n" + body, encoding="utf-8")
     path.chmod(0o755)
     return path
+
+
+def counting_popen() -> type:
+    """A stand-in for `subprocess.Popen` that counts the processes it has
+    started and not yet reaped (through `poll` or `wait`); its `peak` is the
+    most at once."""
+    lock = threading.Lock()
+
+    class CountingPopen(subprocess.Popen):
+        running = peak = 0
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._counted = True
+            with lock:
+                CountingPopen.running += 1
+                CountingPopen.peak = max(CountingPopen.peak, CountingPopen.running)
+
+        def _count_exit(self) -> None:
+            if self.returncode is not None and self._counted:
+                self._counted = False
+                with lock:
+                    CountingPopen.running -= 1
+
+        def poll(self):
+            code = super().poll()
+            self._count_exit()
+            return code
+
+        def wait(self, timeout=None):
+            code = super().wait(timeout)
+            self._count_exit()
+            return code
+
+    return CountingPopen

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import os
+import subprocess
+from dataclasses import replace
+
 from autopatch import pipeline
-from autopatch.analyzer import AnalyzerConfig
+from autopatch.analyzer import ANALYZER_FLAGS_ENV, ANALYZER_PATH_ENV, AnalyzerConfig, extract_cfg
 from autopatch.harness import ToolchainConfig
-from autopatch.pipeline import run_ingest
-from autopatch.prompting import LlmConfig
+from autopatch.pipeline import run_index, run_ingest
+from autopatch.prompting import LlmClient, LlmConfig
+from autopatch.retrieval import LocalHashingProvider
 
 from conftest import DB_COUNT, SEED
-from helpers import index_slow_first
+from helpers import BarrierTransport, counting_popen, index_slow_first, write_corpus
 
 
 def test_analyzer_config_env_overrides(monkeypatch):
@@ -53,9 +58,30 @@ def test_llm_config_env(monkeypatch):
     assert config.temperature == 0.0
 
 
-def test_llm_client_bounds_in_flight_requests(tmp_path, pairs, corpus_file, dump_graphs):
+def test_llm_client_bounds_in_flight_requests(tmp_path, monkeypatch, pairs, corpus_file, dump_graphs,
+                                              stub_launcher):
     # The index stage's worker pool is what bounds chat calls in flight.
     ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
     transport = index_slow_first(tmp_path, ingest, pairs)
     assert 2 <= transport.peak <= pipeline.STAGE_WORKERS
     assert sorted(transport.finished) == list(range(len(ingest.split.database_set)))
+
+    # A chat call waits rather than computes, so the pool is wider than the
+    # host: 16 records are prepared at once, and 8 of their rationale calls
+    # wait for each other. A tool computes, so however many records are in
+    # flight, the launcher runs at most two a core.
+    copies = [replace(pair, id=f"{pair.id}-{n}") for n in range(2) for pair in pairs]
+    write_corpus(copies, tmp_path / "copies.jsonl")
+    ingest = run_ingest(tmp_path / "copies.jsonl", 16, SEED, tmp_path / "copies")
+    monkeypatch.setattr(pipeline, "extract_cfg", extract_cfg)  # the analyzer runs, unlike dump_graphs
+    monkeypatch.setenv(ANALYZER_PATH_ENV, str(stub_launcher))
+    monkeypatch.delenv(ANALYZER_FLAGS_ENV, raising=False)
+    popen = counting_popen()
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    llm = LlmClient(LlmConfig(), None, "live", transport=BarrierTransport(copies, 8, 10.0))
+
+    result = run_index(ingest.corpus, ingest.split, tmp_path / "index16", LocalHashingProvider(), llm)
+
+    assert result.indexed_count == 16 and not result.skipped
+    assert popen.running == 0
+    assert 2 <= popen.peak <= 2 * os.cpu_count()

@@ -36,12 +36,12 @@ import numpy as np
 import pytest
 
 import autopatch
-from autopatch import pipeline
+from autopatch import _io, analyzer, harness, pipeline
 from autopatch.analyzer import AnalyzerConfig, parse_answer, run_analyzer
 from autopatch.cfg import serialize_cfg
 from autopatch.corpus import CorpusSplit, load_record
 from autopatch.errors import AutopatchError
-from autopatch._io import service_error
+from autopatch._io import TOOL_STDERR_LIMIT, run_tool, service_error
 from autopatch.harness import RunOutcome, RunStatus, ToolchainConfig
 from autopatch.metrics import compute_lexical
 from autopatch.pipeline import (
@@ -748,6 +748,64 @@ def test_analyzer_not_on_path():
     config = AnalyzerConfig(binary="definitely-not-a-real-binary")
     with pytest.raises(AutopatchError, match="^analyzer 'definitely-not-a-real-binary' not on PATH$"):
         run_analyzer("int main(){return 0;}", config)
+
+
+# Writes four times the launcher's stderr cap, then hangs: only the cap
+# ends it before its timeout, and a launcher without the cap holds a bounded
+# amount until then.
+_FLOOD = (
+    "import time\n"
+    f"for _ in range({4 * TOOL_STDERR_LIMIT // 65536}):\n"
+    "    os.write(2, b'x' * 65536)\n"
+    "time.sleep(60)\n"
+)
+
+
+def test_a_tool_that_floods_stderr_fails_its_record_or_patch_in_seconds(tmp_path, monkeypatch, pairs,
+                                                                        corpus_file):
+    # Shorter timeouts, so that a launcher without the cap fails this test
+    # rather than hang it for two minutes a tool.
+    monkeypatch.setattr(analyzer, "ANALYZER_TIMEOUT_S", 20.0)
+    monkeypatch.setattr(harness, "COMPILE_TIMEOUT_S", 20.0)
+    flood = fake_tool(tmp_path / "flood", _FLOOD)
+    monkeypatch.setenv("AUTOPATCH_ANALYZER_PATH", str(flood))
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    llm = LlmClient(LlmConfig(), Cassette(tmp_path / "cassette.jsonl"), mode="replay")
+    (tmp_path / "eval").mkdir()
+    start = time.monotonic()
+
+    # More records than the launcher has slots, one failed analyzer run each.
+    result = run_index(ingest.corpus, ingest.split, tmp_path / "index", LocalHashingProvider(), llm)
+    compiled = _eval_under_compiler(tmp_path / "eval", monkeypatch, pairs, flood)
+
+    assert time.monotonic() - start < 10
+    assert result.indexed_count == 0
+    assert [entry["reason"] for entry in result.skipped] == [
+        f"analyzer wrote more than {TOOL_STDERR_LIMIT} bytes of stderr"] * DB_COUNT
+    assert [(each.outcome.status, each.outcome.detail) for each in compiled] == [
+        (RunStatus.COMPILE_ERROR, f"compiler wrote more than {TOOL_STDERR_LIMIT} bytes of stderr")] * 2
+    # Every slot is free again, so the next tool starts at once.
+    slots = 2 * os.cpu_count()
+    taken = [_io._TOOL_SLOTS.acquire(timeout=1) for _ in range(slots)]
+    for _ in range(sum(taken)):
+        _io._TOOL_SLOTS.release()
+    assert taken == [True] * slots
+
+
+def test_a_tool_that_closes_its_stderr_is_still_killed_at_its_timeout(tmp_path):
+    tool = fake_tool(tmp_path / "quiet", (
+        "import time\n"
+        "with open(sys.argv[1], 'w') as out:\n"
+        "    out.write(str(os.getpid()))\n"
+        "os.close(2)\n"
+        "time.sleep(60)\n"
+    ))
+    start = time.monotonic()
+    with pytest.raises(AutopatchError, match=r"^analyzer timed out after 2\.0s$"):
+        run_tool("analyzer", str(tool), [str(tmp_path / "pid")], None, 2.0)
+    assert time.monotonic() - start < 10
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int((tmp_path / "pid").read_text()), 0)
 
 
 def _sequential_eval(split, patch_dir, out_dir, modes, reps, timeout_s, compile_fn, measure_fn):

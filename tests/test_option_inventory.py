@@ -29,7 +29,10 @@ new `subprocess` call, or a `from subprocess import`, fails
 `test_processes_start_in_two_places`, so that a process path that bypasses
 the cassette shows up in review. A process never reads the caller's stdin:
 a `subprocess` call that passes neither `stdin=` nor `input=` fails
-`test_every_process_is_given_its_stdin`.
+`test_every_process_is_given_its_stdin`. Both processes are fed, read and
+reaped by `_io.communicate`, which waits for the exit itself rather than
+poll for it: a `subprocess` call, or a `wait` or `communicate` method call,
+that passes `timeout=` fails `test_no_process_exit_is_polled_for`.
 
 Imports between the package's modules go one way: the graph of their
 `from .x import` statements, those under `if TYPE_CHECKING:` included, has
@@ -291,6 +294,22 @@ def test_every_process_is_given_its_stdin():
     found = []
     for path in sorted(SOURCE_DIR.glob("*.py")):
         found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _inherits_stdin)
+    assert found == []
+
+
+def _polls_for_an_exit(node: ast.AST) -> bool:
+    # `subprocess.run(timeout=)`, `Popen.wait(timeout=)` and
+    # `Popen.communicate(timeout=)` sleep between polls for the exit, so a
+    # process is reaped, and a timed run ends, only at the next poll.
+    return (isinstance(node, ast.Call)
+            and (_starts_a_process(node) or getattr(node.func, "attr", None) in ("wait", "communicate"))
+            and any(keyword.arg == "timeout" for keyword in node.keywords))
+
+
+def test_no_process_exit_is_polled_for():
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _polls_for_an_exit)
     assert found == []
 
 
