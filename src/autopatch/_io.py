@@ -175,7 +175,8 @@ def tool_from_env(binary_env: str, flags_env: str, binary: str,
 # The outside tools (the analyzer and the compiler) that run at once,
 # however many stage threads wait on them: two a core, since a compile
 # leaves its core idle while it execs, writes temporary files and links.
-_TOOL_SLOTS = threading.BoundedSemaphore(2 * (os.cpu_count() or 1))
+TOOL_SLOTS = 2 * (os.cpu_count() or 1)
+_free_slots = threading.BoundedSemaphore(TOOL_SLOTS)
 
 # The most stderr a tool may write. The analyzer's stderr is its answer,
 # and the largest stub dump of the benchmark's corpora is about 15 KB; a
@@ -195,7 +196,7 @@ def run_tool(tool: str, binary: str, args: Sequence[str], cwd: Path | str | None
     found = shutil.which(binary)
     if found is None:
         raise AutopatchError(f"{tool} {binary!r} not on PATH")
-    with _TOOL_SLOTS:
+    with _free_slots:
         try:
             proc = subprocess.Popen([os.path.abspath(found), *args], cwd=cwd, stdin=subprocess.DEVNULL,
                                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from ._io import canonical, content_key, object_line, replacing, write_json
+from ._io import TOOL_SLOTS, canonical, content_key, object_line, replacing, write_json
 from .analyzer import AnalyzerConfig, extract_cfg
 from .cfg import serialize_cfg
 from .cfg_diff import compute_diff, render_diff
@@ -76,12 +76,12 @@ def _attempt(fn, *args) -> tuple:
         return None, str(exc)
 
 
-def _pooled(fn, items) -> list[tuple]:
-    """`[_attempt(fn, item) for item in items]`, with up to STAGE_WORKERS
-    calls in flight at once (the tools those calls start still run two a
-    core at most); the list is in the items' order, whatever order the calls
-    finish in."""
-    with ThreadPoolExecutor(max_workers=STAGE_WORKERS) as pool:
+def _pooled(fn, items, workers: int = STAGE_WORKERS) -> list[tuple]:
+    """`[_attempt(fn, item) for item in items]`, with up to `workers` calls
+    in flight at once (the tools those calls start still run two a core at
+    most); the list is in the items' order, whatever order the calls finish
+    in."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda item: _attempt(fn, item), items))
 
 
@@ -392,8 +392,8 @@ def run_eval(
 
     Three phases, each in (target, mode) order: score every patch on the
     main thread; compile each distinct source of the scored ones once
-    (`_pooled`, with at most two compiles a core at once, the launcher's
-    bound), in `bin/<mode>/<id>` of the first patch that holds it;
+    (`_pooled`, two a core at once, as many as the launcher runs), in
+    `bin/<mode>/<id>` of the first patch that holds it;
     then, once every compile has returned, time every scored patch's binary
     one at a time, so no timed run shares the CPU with a compiler. A patch
     that is missing, undecodable, unscorable or without testcases goes to
@@ -436,8 +436,11 @@ def run_eval(
     build_dirs: dict[str, Path] = {}
     for pair, mode, code, _ in scored:
         build_dirs.setdefault(code, out_dir / "bin" / mode.value / pair.id)
-    # _pooled returns once every compile has.
-    programs = _pooled(lambda job: compile_program(job[0], toolchain, job[1]), build_dirs.items())
+    # _pooled returns once every compile has. A compile is a tool run and
+    # nothing else, so a thread beyond the launcher's slots would only wait
+    # for one.
+    programs = _pooled(lambda job: compile_program(job[0], toolchain, job[1]), build_dirs.items(),
+                       TOOL_SLOTS)
     compiled = dict(zip(build_dirs, programs))
 
     results: list[EvalResult] = []

@@ -785,11 +785,10 @@ def test_a_tool_that_floods_stderr_fails_its_record_or_patch_in_seconds(tmp_path
     assert [(each.outcome.status, each.outcome.detail) for each in compiled] == [
         (RunStatus.COMPILE_ERROR, f"compiler wrote more than {TOOL_STDERR_LIMIT} bytes of stderr")] * 2
     # Every slot is free again, so the next tool starts at once.
-    slots = 2 * os.cpu_count()
-    taken = [_io._TOOL_SLOTS.acquire(timeout=1) for _ in range(slots)]
+    taken = [_io._free_slots.acquire(timeout=1) for _ in range(_io.TOOL_SLOTS)]
     for _ in range(sum(taken)):
-        _io._TOOL_SLOTS.release()
-    assert taken == [True] * slots
+        _io._free_slots.release()
+    assert taken == [True] * _io.TOOL_SLOTS
 
 
 def test_a_tool_that_closes_its_stderr_is_still_killed_at_its_timeout(tmp_path):
