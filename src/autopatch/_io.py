@@ -4,8 +4,8 @@ how the lines of a file are kept as its bytes and decoded when read, how a
 file is replaced whole (a JSON document with `write_json`), how a
 JSON-over-HTTP service call fails, how an outside tool is configured
 (`tool_from_env`), run with no stdin, two a core at most, and fails
-(`run_tool`), and how a process is fed, read and reaped the moment it exits
-(`communicate`)."""
+(`run_tool`), and how every process, a tool or a timed run, is started, fed,
+read on one stream and reaped the moment it exits (`run_process`)."""
 
 from __future__ import annotations
 
@@ -198,55 +198,50 @@ def run_tool(tool: str, binary: str, args: Sequence[str], cwd: Path | str | None
         raise AutopatchError(f"{tool} {binary!r} not on PATH")
     with _free_slots:
         try:
-            proc = subprocess.Popen([os.path.abspath(found), *args], cwd=cwd, stdin=subprocess.DEVNULL,
-                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            returncode, stderr = run_process([os.path.abspath(found), *args], cwd, b"", "stderr",
+                                             timeout_s, TOOL_STDERR_LIMIT)
+        except TimeoutError:  # an OSError too, so caught first
+            raise AutopatchError(f"{tool} timed out after {timeout_s}s") from None
         except OSError as exc:  # e.g. a missing script interpreter
             # Named without its directory, which may be temporary.
             raise AutopatchError(f"{tool} could not start: {exc.strerror}: {Path(found).name}") from None
-        try:
-            _, stderr = communicate(proc, b"", timeout_s, TOOL_STDERR_LIMIT)
-        except TimeoutError:
-            raise AutopatchError(f"{tool} timed out after {timeout_s}s") from None
     if len(stderr) > TOOL_STDERR_LIMIT:
         raise AutopatchError(f"{tool} wrote more than {TOOL_STDERR_LIMIT} bytes of stderr")
     # Decoded leniently: bytes that are not UTF-8 must not escape as a
     # UnicodeDecodeError, which no stage contains per record.
-    return proc.returncode, stderr.decode("utf-8", "replace")
+    return returncode, stderr.decode("utf-8", "replace")
 
 
-def communicate(proc: subprocess.Popen, data: bytes, timeout_s: float,
-                limit: int | None) -> tuple[bytes, bytes]:
-    """Write `data` to the stdin of `proc`, just started, read its stdout and
-    stderr, and reap it the moment it exits: its `returncode` is then set.
-    Returns what the two pipes held (b"" for a stream that is not a pipe).
+def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream: str,
+                timeout_s: float, limit: int | None) -> tuple[int, bytes]:
+    """Start `argv` in `cwd` (None: the caller's), write `data` to its stdin
+    (an empty stdin when `data` is empty), read back its `stream`, "stdout"
+    or "stderr", discard the other, and reap it the moment it exits. Returns
+    its exit status and what `stream` held. The one place a process starts.
 
-    A process still running after `timeout_s` seconds is killed, and
-    TimeoutError raised. A pipe that holds more than `limit` bytes (None: no
-    limit) has the process killed at once and is returned as it is, longer
-    than `limit`. Unlike `subprocess.run(timeout=)`, which polls for the exit
-    with sleeps that start at 1 ms and double, the exit is awaited on a pidfd,
-    so neither a tool's slot nor a timed run lasts until the next poll tick.
+    A process that cannot start raises the OSError of its launch. A process
+    still running after `timeout_s` seconds is killed, and TimeoutError (an
+    OSError) raised. A stream that holds more than `limit` bytes (None: no
+    limit) has the process killed at once and is returned as it is, longer than `limit`.
+    Unlike `subprocess.run(timeout=)`, which polls for the exit with sleeps
+    that start at 1 ms and double, the exit is awaited on a pidfd, so neither
+    a tool's slot nor a timed run lasts until the next poll tick.
     """
     deadline = time.monotonic() + timeout_s
-    read = {pipe: bytearray() for pipe in (proc.stdout, proc.stderr) if pipe is not None}
-
-    def held() -> tuple[bytes, bytes]:
-        return tuple(bytes(read.get(pipe, b"")) for pipe in (proc.stdout, proc.stderr))
-
+    pipes = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL, stream: subprocess.PIPE}
+    proc = subprocess.Popen(argv, cwd=cwd, stdin=subprocess.PIPE if data else subprocess.DEVNULL, **pipes)
+    out = proc.stdout or proc.stderr
+    read = bytearray()
     pidfd = None
     try:
         pidfd = os.pidfd_open(proc.pid)
         with selectors.DefaultSelector() as selector:
             selector.register(pidfd, selectors.EVENT_READ)  # readable once the process exits
-            for pipe in read:
-                selector.register(pipe, selectors.EVENT_READ)
-            if proc.stdin is not None:
-                if data:
-                    selector.register(proc.stdin, selectors.EVENT_WRITE)
-                else:
-                    proc.stdin.close()
+            selector.register(out, selectors.EVENT_READ)
+            if data:
+                selector.register(proc.stdin, selectors.EVENT_WRITE)
             written = 0
-            while selector.get_map():
+            while selector.get_map() and (limit is None or len(read) <= limit):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError
@@ -259,22 +254,20 @@ def communicate(proc: subprocess.Popen, data: bytes, timeout_s: float,
                         if written >= len(data):
                             selector.unregister(proc.stdin)
                             proc.stdin.close()
-                    elif key.fileobj in read:
+                    elif key.fileobj is out:
                         chunk = os.read(key.fd, 65536)
                         if not chunk:
-                            selector.unregister(key.fileobj)
-                        read[key.fileobj] += chunk
-                        if limit is not None and len(read[key.fileobj]) > limit:
-                            return held()
+                            selector.unregister(out)
+                        read += chunk
                     else:
                         selector.unregister(pidfd)
-            return held()
     finally:
         if pidfd is not None:
             os.close(pidfd)
         if proc.poll() is None:  # at the deadline, past the limit, or interrupted
             proc.kill()
             proc.wait()
-        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+        for pipe in (proc.stdin, out):
             if pipe is not None:
                 pipe.close()
+    return proc.returncode, bytes(read)

@@ -9,23 +9,22 @@ patch source once, on a thread pool, in `bin/<mode>/<id>` of the first patch
 that holds it, and only then times every patch, one at a time.
 
 The compiler runs with no stdin, through `_io.run_tool`, which runs at most
-two tools a core at once, whatever the width of the compile pool; `_run_once`
-starts the timed run, the package's only other process. Both are reaped
-through `_io.communicate`, the moment they exit, so a timed run does not
-last until a poll tick.
+two tools a core at once, whatever the width of the compile pool. The timed
+run starts through `_io.run_process` too, which reads back its stdout alone
+(its stderr is discarded) and reaps it the moment it exits, so a timed run
+does not last until a poll tick.
 """
 
 from __future__ import annotations
 
 import statistics
-import subprocess
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from ._io import communicate, run_tool, tool_from_env
+from ._io import run_process, run_tool, tool_from_env
 from .corpus import TestCase, normalize_output
 from .errors import AutopatchError
 
@@ -91,17 +90,15 @@ def compile_program(code: str, toolchain: ToolchainConfig, out_dir: Path | str) 
 def _run_once(binary: Path, testcase: TestCase, timeout_s: float) -> tuple[RunStatus, float, str]:
     start = time.perf_counter()
     try:
-        proc = subprocess.Popen([str(binary)], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE)
+        returncode, stdout = run_process([str(binary)], None, testcase.input.encode("utf-8"), "stdout",
+                                         timeout_s, None)
+    except TimeoutError:  # an OSError too, so caught first
+        return RunStatus.TIMEOUT, timeout_s, f"exceeded {timeout_s}s"
     except OSError as exc:  # e.g. a program built for another machine
         return RunStatus.CRASH, 0.0, f"could not start: {exc.strerror}"
-    try:
-        stdout, _ = communicate(proc, testcase.input.encode("utf-8"), timeout_s, None)
-    except TimeoutError:
-        return RunStatus.TIMEOUT, timeout_s, f"exceeded {timeout_s}s"
     elapsed = time.perf_counter() - start
-    if proc.returncode != 0:
-        return RunStatus.CRASH, elapsed, f"exit code {proc.returncode}"
+    if returncode != 0:
+        return RunStatus.CRASH, elapsed, f"exit code {returncode}"
     actual = normalize_output(stdout.decode("utf-8", "replace"))
     expected = normalize_output(testcase.expected_output)
     if actual != expected:

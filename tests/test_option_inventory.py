@@ -22,17 +22,18 @@ into its reason. A new pool or a new containment point fails
 contained: a new handler that is bare or catches `Exception` or
 `BaseException` fails `test_no_catch_all_handler`.
 
-A process starts in two places only: `_io.run_tool`, the one launcher of
-outside tools, which runs the analyzer (whose answer the cassette records
-and replays) and the compiler, and `harness._run_once`, the timed run. A
-new `subprocess` call, or a `from subprocess import`, fails
-`test_processes_start_in_two_places`, so that a process path that bypasses
+A process starts in one place only: `_io.run_process`, which starts, feeds,
+reads and reaps both the outside tools, through `_io.run_tool` (the
+analyzer, whose answer the cassette records and replays, and the compiler),
+and the timed run of `harness._run_once`, reading back one stream of each.
+A new `subprocess` call, or a `from subprocess import`, fails
+`test_processes_start_in_one_place`, so that a process path that bypasses
 the cassette shows up in review. A process never reads the caller's stdin:
 a `subprocess` call that passes neither `stdin=` nor `input=` fails
-`test_every_process_is_given_its_stdin`. Both processes are fed, read and
-reaped by `_io.communicate`, which waits for the exit itself rather than
-poll for it: a `subprocess` call, or a `wait` or `communicate` method call,
-that passes `timeout=` fails `test_no_process_exit_is_polled_for`.
+`test_every_process_is_given_its_stdin`. `run_process` waits for the exit
+itself rather than poll for it: a `subprocess` call, or a `wait` or
+`communicate` method call, that passes `timeout=` fails
+`test_no_process_exit_is_polled_for`.
 
 Imports between the package's modules go one way: the graph of their
 `from .x import` statements, those under `if TYPE_CHECKING:` included, has
@@ -278,11 +279,11 @@ def _starts_a_process(node: ast.AST) -> bool:
             and isinstance(node.func.value, ast.Name) and node.func.value.id == "subprocess")
 
 
-def test_processes_start_in_two_places():
+def test_processes_start_in_one_place():
     found = []
     for path in sorted(SOURCE_DIR.glob("*.py")):
         found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _starts_a_process)
-    assert found == ["_io.run_tool", "harness._run_once"]
+    assert found == ["_io.run_process"]
 
 
 def _inherits_stdin(node: ast.AST) -> bool:
