@@ -175,7 +175,8 @@ def tool_from_env(binary_env: str, flags_env: str, binary: str,
 # The outside tools (the analyzer and the compiler) that run at once,
 # however many stage threads wait on them: two a core, since a compile
 # leaves its core idle while it execs, writes temporary files and links.
-TOOL_SLOTS = 2 * (os.cpu_count() or 1)
+# The cores are those this process may run on, not the host's.
+TOOL_SLOTS = 2 * len(os.sched_getaffinity(0))
 _free_slots = threading.BoundedSemaphore(TOOL_SLOTS)
 
 # The most stderr a tool may write. The analyzer's stderr is its answer,
@@ -213,7 +214,7 @@ def run_tool(tool: str, binary: str, args: Sequence[str], cwd: Path | str | None
 
 
 def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream: str,
-                timeout_s: float, limit: int | None) -> tuple[int, bytes]:
+                timeout_s: float, limit: int) -> tuple[int, bytes]:
     """Start `argv` in `cwd` (None: the caller's), write `data` to its stdin
     (an empty stdin when `data` is empty), read back its `stream`, "stdout"
     or "stderr", discard the other, and reap it the moment it exits. Returns
@@ -221,8 +222,8 @@ def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream
 
     A process that cannot start raises the OSError of its launch. A process
     still running after `timeout_s` seconds is killed, and TimeoutError (an
-    OSError) raised. A stream that holds more than `limit` bytes (None: no
-    limit) has the process killed at once and is returned as it is, longer than `limit`.
+    OSError) raised. A stream that holds more than `limit` bytes has the
+    process killed at once and is returned as it is, longer than `limit`.
     Unlike `subprocess.run(timeout=)`, which polls for the exit with sleeps
     that start at 1 ms and double, the exit is awaited on a pidfd, so neither
     a tool's slot nor a timed run lasts until the next poll tick.
@@ -241,7 +242,7 @@ def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream
             if data:
                 selector.register(proc.stdin, selectors.EVENT_WRITE)
             written = 0
-            while selector.get_map() and (limit is None or len(read) <= limit):
+            while selector.get_map() and len(read) <= limit:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError

@@ -35,6 +35,13 @@ DEFAULT_REPS = 5
 DEFAULT_TIMEOUT_S = 10.0
 COMPILE_TIMEOUT_S = 120.0
 
+# The most stdout a timed run may write. The benchmark's expected outputs
+# are under 100 bytes, while a program that floods its stdout can write a
+# gigabyte a second until its timeout; one that writes more than this is
+# killed and fails as a wrong output, rather than read into memory until it
+# exits or times out.
+RUN_STDOUT_LIMIT = 64 << 20
+
 
 @dataclass
 class ToolchainConfig:
@@ -91,18 +98,20 @@ def _run_once(binary: Path, testcase: TestCase, timeout_s: float) -> tuple[RunSt
     start = time.perf_counter()
     try:
         returncode, stdout = run_process([str(binary)], None, testcase.input.encode("utf-8"), "stdout",
-                                         timeout_s, None)
+                                         timeout_s, RUN_STDOUT_LIMIT)
     except TimeoutError:  # an OSError too, so caught first
         return RunStatus.TIMEOUT, timeout_s, f"exceeded {timeout_s}s"
     except OSError as exc:  # e.g. a program built for another machine
         return RunStatus.CRASH, 0.0, f"could not start: {exc.strerror}"
     elapsed = time.perf_counter() - start
+    if len(stdout) > RUN_STDOUT_LIMIT:  # killed there, so its exit code says nothing
+        return RunStatus.WRONG_OUTPUT, elapsed, f"wrote more than {RUN_STDOUT_LIMIT} bytes of stdout"
     if returncode != 0:
         return RunStatus.CRASH, elapsed, f"exit code {returncode}"
     actual = normalize_output(stdout.decode("utf-8", "replace"))
     expected = normalize_output(testcase.expected_output)
     if actual != expected:
-        return RunStatus.WRONG_OUTPUT, elapsed, f"expected {expected!r}, got {actual!r}"
+        return RunStatus.WRONG_OUTPUT, elapsed, f"expected {expected[:500]!r}, got {actual[:500]!r}"
     return RunStatus.OK, elapsed, ""
 
 

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import os
 import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
-from autopatch import pipeline
+import autopatch
+from autopatch import _io, pipeline
 from autopatch.analyzer import ANALYZER_FLAGS_ENV, ANALYZER_PATH_ENV, AnalyzerConfig, extract_cfg
 from autopatch.harness import ToolchainConfig
 from autopatch.pipeline import run_index, run_ingest
@@ -84,4 +87,17 @@ def test_llm_client_bounds_in_flight_requests(tmp_path, monkeypatch, pairs, corp
 
     assert result.indexed_count == 16 and not result.skipped
     assert popen.running == 0
-    assert 2 <= popen.peak <= 2 * os.cpu_count()
+    assert 2 <= popen.peak <= _io.TOOL_SLOTS
+
+
+def test_tool_slots_count_the_cpus_this_process_may_run_on():
+    # A process pinned to one CPU gets two slots, however many CPUs the host has.
+    child = subprocess.run(
+        [sys.executable, "-c", "import os\n"
+         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+         "from autopatch import _io\n"
+         "print(_io.TOOL_SLOTS)\n"],
+        env={**os.environ, "PYTHONPATH": str(Path(autopatch.__file__).parents[1])},
+        capture_output=True, timeout=60)
+    assert child.returncode == 0, child.stderr.decode("utf-8", "replace")
+    assert child.stdout == b"2\n"

@@ -1,7 +1,8 @@
 """Pipeline behaviour that runs without clang: the index stage's worker
 pool over CFGs parsed from the committed dumps (the `dump_graphs` fixture),
 analyzer and compiler failures from fake tools (a tool that cannot start or
-is not on PATH included), tools that read none of the caller's stdin and get
+is not on PATH included), timed runs of fake programs that flood their
+stdout or stderr or write a long wrong output, tools that read none of the caller's stdin and get
 the arguments they always got, an unreachable chat service or a malformed
 reply (one that is not valid Unicode included) failing one record, an embedding that fails (a 503,
 a zero vector or a vector of another dimension) failing one record and
@@ -27,6 +28,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import weakref
 import zlib
 from dataclasses import replace
@@ -39,7 +41,7 @@ import autopatch
 from autopatch import _io, analyzer, harness, pipeline
 from autopatch.analyzer import AnalyzerConfig, parse_answer, run_analyzer
 from autopatch.cfg import serialize_cfg
-from autopatch.corpus import CorpusSplit, load_record
+from autopatch.corpus import CorpusSplit, TestCase, load_record
 from autopatch.errors import AutopatchError
 from autopatch._io import TOOL_STDERR_LIMIT, run_tool, service_error
 from autopatch.harness import RunOutcome, RunStatus, ToolchainConfig
@@ -805,6 +807,45 @@ def test_a_tool_that_closes_its_stderr_is_still_killed_at_its_timeout(tmp_path):
     assert time.monotonic() - start < 10
     with pytest.raises(ProcessLookupError):  # killed and reaped
         os.kill(int((tmp_path / "pid").read_text()), 0)
+
+
+def test_a_timed_run_that_floods_stdout_is_a_wrong_output_in_seconds(tmp_path):
+    # One byte past the cap, then a hang: only the cap ends it before its timeout.
+    program = fake_tool(tmp_path / "flood", (
+        "import time\n"
+        f"for _ in range({harness.RUN_STDOUT_LIMIT >> 20}):\n"
+        "    os.write(1, b'x' * (1 << 20))\n"
+        "os.write(1, b'x')\n"
+        "time.sleep(60)\n"
+    ))
+    start = time.monotonic()
+    outcome = harness.measure_execution(program, [TestCase("", "")], reps=1, timeout_s=20.0)
+    assert time.monotonic() - start < 10
+    assert outcome == RunOutcome.failure(
+        RunStatus.WRONG_OUTPUT, f"testcase 0: wrote more than {harness.RUN_STDOUT_LIMIT} bytes of stdout")
+
+
+def test_a_timed_run_s_stderr_is_not_read(tmp_path):
+    program = fake_tool(tmp_path / "noisy", (
+        "for _ in range(64):\n"
+        "    os.write(2, b'x' * (1 << 20))\n"
+        "print('right')\n"
+    ))
+    tracemalloc.start()
+    try:
+        outcome = harness.measure_execution(program, [TestCase("", "right\n")], reps=1, timeout_s=20.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.status is RunStatus.OK
+    assert peak < 4 << 20
+
+
+def test_a_long_wrong_output_is_quoted_in_part(tmp_path):
+    program = fake_tool(tmp_path / "long", "os.write(1, b'x' * (1 << 20))\n")
+    outcome = harness.measure_execution(program, [TestCase("", "right\n")], reps=1, timeout_s=20.0)
+    assert outcome == RunOutcome.failure(
+        RunStatus.WRONG_OUTPUT, f"testcase 0: expected 'right', got {'x' * 500!r}")
 
 
 def _sequential_eval(split, patch_dir, out_dir, modes, reps, timeout_s, compile_fn, measure_fn):
