@@ -231,7 +231,7 @@ def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream
     deadline = time.monotonic() + timeout_s
     pipes = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL, stream: subprocess.PIPE}
     proc = subprocess.Popen(argv, cwd=cwd, stdin=subprocess.PIPE if data else subprocess.DEVNULL, **pipes)
-    out = proc.stdout or proc.stderr
+    out = proc.stdout if stream == "stdout" else proc.stderr
     read = bytearray()
     pidfd = None
     try:

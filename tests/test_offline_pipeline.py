@@ -2,8 +2,8 @@
 pool over CFGs parsed from the committed dumps (the `dump_graphs` fixture),
 analyzer and compiler failures from fake tools (a tool that cannot start or
 is not on PATH included), timed runs of fake programs that flood their
-stdout or stderr or write a long wrong output, tools that read none of the caller's stdin and get
-the arguments they always got, an unreachable chat service or a malformed
+stdout or stderr or write a long wrong output, tools that read none of the
+caller's stdin and get the arguments they always got, an unreachable chat service or a malformed
 reply (one that is not valid Unicode included) failing one record, an embedding that fails (a 503,
 a zero vector or a vector of another dimension) failing one record and
 leaving the other records' indexes whole, the request keys of a recorded
