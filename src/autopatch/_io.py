@@ -3,9 +3,10 @@ how every JSON Lines line and content key is encoded, split and decoded,
 how the lines of a file are kept as its bytes and decoded when read, how a
 file is replaced whole (a JSON document with `write_json`), how a
 JSON-over-HTTP service call fails, how an outside tool is configured
-(`tool_from_env`), run with no stdin, two a core at most, and fails
-(`run_tool`), and how every process, a tool or a timed run, is started, fed,
-read on one stream and reaped the moment it exits (`run_process`)."""
+(`tool_from_env`), run with an empty stdin, two a core at most, and fails
+(`run_tool`), and how every process, a tool or a timed run, is started with
+a file for its stdin, read on one stream and reaped the moment it exits
+(`run_process`)."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import hashlib
 import http.client
 import json
 import os
-import select
 import selectors
 import shlex
 import shutil
@@ -189,7 +189,7 @@ TOOL_STDERR_LIMIT = 4 << 20
 def run_tool(tool: str, binary: str, args: Sequence[str], cwd: Path | str | None,
              timeout_s: float) -> tuple[int, str]:
     """Run `binary`, found on PATH, with `args` in `cwd` (None: the caller's)
-    and no stdin, and return its exit status and its stderr text; its stdout
+    and an empty file for its stdin, and return its exit status and its stderr text; its stdout
     is discarded. At most two tools a core run at once: a call waits for a
     slot, and its timeout starts once it has one. A binary that is not on
     PATH, cannot start, times out or writes more than TOOL_STDERR_LIMIT
@@ -215,10 +215,14 @@ def run_tool(tool: str, binary: str, args: Sequence[str], cwd: Path | str | None
 
 def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream: str,
                 timeout_s: float, limit: int) -> tuple[int, bytes]:
-    """Start `argv` in `cwd` (None: the caller's), write `data` to its stdin
-    (an empty stdin when `data` is empty), read back its `stream`, "stdout"
+    """Start `argv` in `cwd` (None: the caller's) with its stdin a file that
+    holds `data`, as `prog < input` gives, read back its `stream`, "stdout"
     or "stderr", discard the other, and reap it the moment it exits. Returns
     its exit status and what `stream` held. The one place a process starts.
+
+    The file is an anonymous in-memory one (`memfd_create`, Linux 3.17), so
+    a process may `fstat`, `mmap` or seek its stdin, read it in any order or
+    not at all, and the caller writes it whole before the process starts.
 
     A process that cannot start raises the OSError of its launch. A process
     still running after `timeout_s` seconds is killed, and TimeoutError (an
@@ -230,7 +234,10 @@ def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream
     """
     deadline = time.monotonic() + timeout_s
     pipes = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL, stream: subprocess.PIPE}
-    proc = subprocess.Popen(argv, cwd=cwd, stdin=subprocess.PIPE if data else subprocess.DEVNULL, **pipes)
+    with open(os.memfd_create("stdin"), "w+b") as stdin:  # closed once the process holds it
+        stdin.write(data)
+        stdin.seek(0)
+        proc = subprocess.Popen(argv, cwd=cwd, stdin=stdin, **pipes)
     out = proc.stdout if stream == "stdout" else proc.stderr
     read = bytearray()
     pidfd = None
@@ -239,23 +246,12 @@ def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream
         with selectors.DefaultSelector() as selector:
             selector.register(pidfd, selectors.EVENT_READ)  # readable once the process exits
             selector.register(out, selectors.EVENT_READ)
-            if data:
-                selector.register(proc.stdin, selectors.EVENT_WRITE)
-            written = 0
             while selector.get_map() and len(read) <= limit:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError
                 for key, _ in selector.select(remaining):
-                    if key.fileobj is proc.stdin:
-                        try:  # a pipe that selects writable takes PIPE_BUF bytes without blocking
-                            written += os.write(key.fd, data[written:written + select.PIPE_BUF])
-                        except BrokenPipeError:  # the process reads no more of it
-                            written = len(data)
-                        if written >= len(data):
-                            selector.unregister(proc.stdin)
-                            proc.stdin.close()
-                    elif key.fileobj is out:
+                    if key.fileobj is out:
                         chunk = os.read(key.fd, 65536)
                         if not chunk:
                             selector.unregister(out)
@@ -268,7 +264,5 @@ def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream
         if proc.poll() is None:  # at the deadline, past the limit, or interrupted
             proc.kill()
             proc.wait()
-        for pipe in (proc.stdin, out):
-            if pipe is not None:
-                pipe.close()
+        out.close()
     return proc.returncode, bytes(read)

@@ -30,6 +30,15 @@ INFINITE_LOOP = (
 )
 WRONG_OUTPUT = '#include <cstdio>\nint main(){ printf("not it\\n"); return 0; }\n'
 CRASHER = "#include <cstdlib>\nint main(){ abort(); }\n"
+# Fast-input code of the kind PIE's submissions hold: stdin mapped whole,
+# which a file allows and a pipe does not.
+MMAP_SUM = (
+    "#include <cstdio>\n#include <sys/mman.h>\n#include <sys/stat.h>\n"
+    "int main(){ struct stat st; if (fstat(0, &st) != 0 || !S_ISREG(st.st_mode)) return 3;\n"
+    "  char *in = (char *)mmap(nullptr, st.st_size, PROT_READ, MAP_PRIVATE, 0, 0);\n"
+    "  if (in == MAP_FAILED) return 3;\n"
+    "  long a, b; sscanf(in, \"%ld %ld\", &a, &b); printf(\"%ld\\n\", a + b); return 0; }\n"
+)
 
 
 def test_compile_produces_runnable_binary(tmp_path):
@@ -72,6 +81,18 @@ def test_stdin_fed_and_output_compared(tmp_path):
     )
     assert outcome.status is RunStatus.OK
     assert len(outcome.per_testcase_times_s) == 2
+
+
+def test_stdin_is_a_file_as_prog_lt_input_gives(tmp_path):
+    binary = compile_program(MMAP_SUM, ToolchainConfig(), tmp_path)
+    outcome = measure_execution(binary, [TestCase("2 3\n", "5\n")], reps=2, timeout_s=5)
+    assert outcome.status is RunStatus.OK, outcome.detail
+
+
+def test_stdin_the_program_never_reads(tmp_path):
+    binary = compile_program(HELLO, ToolchainConfig(), tmp_path)
+    outcome = measure_execution(binary, [TestCase("7 " * (1 << 19), "hello\n")], reps=2, timeout_s=5)
+    assert outcome.status is RunStatus.OK, outcome.detail
 
 
 def test_sleep_fixture_timing_window(tmp_path):

@@ -22,15 +22,19 @@ into its reason. A new pool or a new containment point fails
 contained: a new handler that is bare or catches `Exception` or
 `BaseException` fails `test_no_catch_all_handler`.
 
-A process starts in one place only: `_io.run_process`, which starts, feeds,
-reads and reaps both the outside tools, through `_io.run_tool` (the
-analyzer, whose answer the cassette records and replays, and the compiler),
-and the timed run of `harness._run_once`, reading back one stream of each.
-A new `subprocess` call, or a `from subprocess import`, fails
-`test_processes_start_in_one_place`, so that a process path that bypasses
-the cassette shows up in review. A process never reads the caller's stdin:
-a `subprocess` call that passes neither `stdin=` nor `input=` fails
-`test_every_process_is_given_its_stdin`. `run_process` waits for the exit
+A process starts in one place only: `_io.run_process`, which starts, reads
+and reaps both the outside tools, through `_io.run_tool` (the analyzer,
+whose answer the cassette records and replays, and the compiler), and the
+timed run of `harness._run_once`, giving each a file for its stdin and
+reading back one stream of each. A new `subprocess` call, or a
+`from subprocess import`, fails `test_processes_start_in_one_place`, so
+that a process path that bypasses the cassette shows up in review. A
+process never reads the caller's stdin: a `subprocess` call that passes
+neither `stdin=` nor `input=` fails `test_every_process_is_given_its_stdin`.
+Nor does it read a pipe, which a program that `fstat`s or `mmap`s its stdin
+cannot use as it uses `prog < input`: a `stdin=` that names
+`subprocess.PIPE` fails `test_no_process_reads_its_stdin_from_a_pipe`.
+`run_process` waits for the exit
 itself rather than poll for it: a `subprocess` call, or a `wait` or
 `communicate` method call, that passes `timeout=` fails
 `test_no_process_exit_is_polled_for`.
@@ -295,6 +299,19 @@ def test_every_process_is_given_its_stdin():
     found = []
     for path in sorted(SOURCE_DIR.glob("*.py")):
         found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _inherits_stdin)
+    assert found == []
+
+
+def _pipes_stdin(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and any(
+        keyword.arg == "stdin" and any(getattr(name, "attr", None) == "PIPE" for name in ast.walk(keyword.value))
+        for keyword in node.keywords)
+
+
+def test_no_process_reads_its_stdin_from_a_pipe():
+    found = []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _pipes_stdin)
     assert found == []
 
 
