@@ -189,11 +189,12 @@ TOOL_STDERR_LIMIT = 4 << 20
 def run_tool(tool: str, binary: str, args: Sequence[str], cwd: Path | str | None,
              timeout_s: float) -> tuple[int, str]:
     """Run `binary`, found on PATH, with `args` in `cwd` (None: the caller's)
-    and an empty file for its stdin, and return its exit status and its stderr text; its stdout
-    is discarded. At most two tools a core run at once: a call waits for a
-    slot, and its timeout starts once it has one. A binary that is not on
-    PATH, cannot start, times out or writes more than TOOL_STDERR_LIMIT
-    bytes of stderr raises AutopatchError naming `tool`."""
+    and an empty file for its stdin, and return its exit status and its
+    stderr text; its stdout is discarded. At most two tools a core run at
+    once: a call waits for a slot, and its timeout starts once it has one.
+    A binary that is not on PATH, cannot start, times out or writes more
+    than TOOL_STDERR_LIMIT bytes of stderr raises AutopatchError naming
+    `tool`."""
     found = shutil.which(binary)
     if found is None:
         raise AutopatchError(f"{tool} {binary!r} not on PATH")
@@ -214,7 +215,7 @@ def run_tool(tool: str, binary: str, args: Sequence[str], cwd: Path | str | None
 
 
 def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream: str,
-                timeout_s: float, limit: int) -> tuple[int, bytes]:
+                timeout_s: float, limit: int) -> tuple[int, bytearray]:
     """Start `argv` in `cwd` (None: the caller's) with its stdin a file that
     holds `data`, as `prog < input` gives, read back its `stream`, "stdout"
     or "stderr", discard the other, and reap it the moment it exits. Returns
@@ -265,4 +266,4 @@ def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream
             proc.kill()
             proc.wait()
         out.close()
-    return proc.returncode, bytes(read)
+    return proc.returncode, read

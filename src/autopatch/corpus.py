@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -99,6 +100,47 @@ def normalize_output(text: str) -> str:
     only there."""
     lines = [line.rstrip() for line in text.splitlines()]
     return "\n".join(lines).rstrip("\n")
+
+
+# The line breaks of `str.splitlines`, "\r\n" being one. Every break is
+# whitespace to `str.rstrip` and to `\s`, which agree on every character.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"[^{_BREAKS}]*(?:\r\n|[{_BREAKS}])|[^{_BREAKS}]+\\Z")  # its break included
+_LINE_END = re.compile(f"[^\\S{_BREAKS}]*(?:\r\n|[{_BREAKS}]|\\Z)")  # trailing whitespace, break
+_BLANK = re.compile(r"\s*")
+
+
+def output_matches(text: str, expected: str) -> bool:
+    """Whether `normalize_output(text) == expected`, for an `expected` that
+    `normalize_output` returned, read a line at a time with no copy of
+    `text`: each expected line must begin a line of `text` that only
+    whitespace follows, and the rest of `text` must be whitespace."""
+    pos = 0
+    for want in expected.split("\n") if expected else ():
+        line_end = text.startswith(want, pos) and _LINE_END.match(text, pos + len(want))
+        if not line_end:
+            return False
+        pos = line_end.end()
+    return _BLANK.fullmatch(text, pos) is not None
+
+
+def normalized_head(text: str, size: int) -> str:
+    """`normalize_output(text)[:size]`, read a line at a time until it is
+    known, with no line copied past `size` characters."""
+    head, gap = "", -1  # gap: the newlines owed before the next line that is not blank
+    for line in _LINE.finditer(text):
+        start, end = line.span()
+        piece = text[start:min(end, start + size)]
+        if _BLANK.fullmatch(text, start + len(piece), end):  # nothing but whitespace past the piece
+            piece = piece.rstrip()
+        gap += 1
+        if piece:
+            head, gap = head + "\n" * gap + piece, 0
+        if len(head) + gap >= size:  # each line adds one to this sum, at least
+            if gap and not _BLANK.fullmatch(text, end):
+                head += "\n" * gap
+            break
+    return head[:size]
 
 
 def parse_record(obj: object, line_no: int) -> CodePair:

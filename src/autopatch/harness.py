@@ -3,16 +3,20 @@
 Timing discipline: per testcase one untimed warmup run, then `reps` timed
 runs; the testcase's time is the median of the reps (suppressing scheduler
 outliers) and the program's time is the mean across testcases. Output
-comparison uses the corpus normalization rule. Timed runs are meant to have
+comparison uses the corpus normalization rule, read a line at a time
+(`corpus.output_matches`) against the expected output, which is normalized
+once per testcase, as its input is encoded once. Timed runs are meant to have
 the CPU to themselves: `pipeline.run_eval` first compiles each distinct
 patch source once, on a thread pool, in `bin/<mode>/<id>` of the first patch
 that holds it, and only then times every patch, one at a time.
 
-The compiler runs with no stdin, through `_io.run_tool`, which runs at most
-two tools a core at once, whatever the width of the compile pool. The timed
-run starts through `_io.run_process` too, which reads back its stdout alone
-(its stderr is discarded) and reaps it the moment it exits, so a timed run
-does not last until a poll tick.
+The compiler runs with an empty file for its stdin, through `_io.run_tool`,
+which runs at most two tools a core at once, whatever the width of the
+compile pool. The timed run starts through `_io.run_process` too, with its
+stdin a file that holds the testcase's input, as `prog < input` gives, so
+a program may `fstat` or `mmap` it; it reads back its stdout alone (its
+stderr is discarded) and reaps it the moment it exits, so a timed run does
+not last until a poll tick.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._io import run_process, run_tool, tool_from_env
-from .corpus import TestCase, normalize_output
+from .corpus import TestCase, normalize_output, normalized_head, output_matches
 from .errors import AutopatchError
 
 CXX_ENV = "AUTOPATCH_CXX"
@@ -94,11 +98,12 @@ def compile_program(code: str, toolchain: ToolchainConfig, out_dir: Path | str) 
     return binary
 
 
-def _run_once(binary: Path, testcase: TestCase, timeout_s: float) -> tuple[RunStatus, float, str]:
+def _run_once(binary: Path, data: bytes, expected: str, timeout_s: float) -> tuple[RunStatus, float, str]:
+    """One run of `binary` with `data` for its stdin, its stdout checked
+    against `expected`, a testcase's output as `normalize_output` returns it."""
     start = time.perf_counter()
     try:
-        returncode, stdout = run_process([str(binary)], None, testcase.input.encode("utf-8"), "stdout",
-                                         timeout_s, RUN_STDOUT_LIMIT)
+        returncode, stdout = run_process([str(binary)], None, data, "stdout", timeout_s, RUN_STDOUT_LIMIT)
     except TimeoutError:  # an OSError too, so caught first
         return RunStatus.TIMEOUT, timeout_s, f"exceeded {timeout_s}s"
     except OSError as exc:  # e.g. a program built for another machine
@@ -108,10 +113,9 @@ def _run_once(binary: Path, testcase: TestCase, timeout_s: float) -> tuple[RunSt
         return RunStatus.WRONG_OUTPUT, elapsed, f"wrote more than {RUN_STDOUT_LIMIT} bytes of stdout"
     if returncode != 0:
         return RunStatus.CRASH, elapsed, f"exit code {returncode}"
-    actual = normalize_output(stdout.decode("utf-8", "replace"))
-    expected = normalize_output(testcase.expected_output)
-    if actual != expected:
-        return RunStatus.WRONG_OUTPUT, elapsed, f"expected {expected[:500]!r}, got {actual[:500]!r}"
+    actual = stdout.decode("utf-8", "replace")
+    if not output_matches(actual, expected):
+        return RunStatus.WRONG_OUTPUT, elapsed, f"expected {expected[:500]!r}, got {normalized_head(actual, 500)!r}"
     return RunStatus.OK, elapsed, ""
 
 
@@ -132,9 +136,10 @@ def measure_execution(
 
     per_testcase: list[float] = []
     for case_no, testcase in enumerate(testcases):
+        data, expected = testcase.input.encode("utf-8"), normalize_output(testcase.expected_output)
         run_times = []
         for _ in range(1 + reps):  # the first run is the untimed warmup
-            status, elapsed, detail = _run_once(binary, testcase, timeout_s)
+            status, elapsed, detail = _run_once(binary, data, expected, timeout_s)
             if status is not RunStatus.OK:
                 return RunOutcome.failure(status, f"testcase {case_no}: {detail}")
             run_times.append(elapsed)

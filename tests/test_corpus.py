@@ -16,6 +16,8 @@ from autopatch.corpus import (
     load_record,
     load_split,
     normalize_output,
+    normalized_head,
+    output_matches,
     parse_record,
     split_corpus,
 )
@@ -284,6 +286,27 @@ def test_normalize_output_trailing_rules():
     assert normalize_output("5 \n6\t\n\n\n") == "5\n6"
     assert normalize_output("5\n6") == normalize_output("5\n6\n")
     assert normalize_output("a b\n") != normalize_output("a  b\n")
+
+
+# Line breaks (`\r\n` one of them), whitespace that is no break (` `, `\t`,
+# `\x1f`, NBSP, the ideographic space) and text, so that outputs often
+# differ in whitespace alone.
+_OUTPUT_PIECES = ["\r\n", "\r", "\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                  " ", "\t", "\x1f", "\xa0", "\u3000", "1", "2", "a"]
+_outputs = st.lists(st.sampled_from(_OUTPUT_PIECES), max_size=12).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_outputs, _outputs, _outputs)
+def test_output_matches_follows_normalize_output(prefix, actual_tail, expected_tail):
+    actual, expected = prefix + actual_tail, normalize_output(prefix + expected_tail)
+    assert output_matches(actual, expected) == (normalize_output(actual) == expected)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_outputs, st.integers(min_value=0, max_value=8))
+def test_normalized_head_follows_normalize_output(text, size):
+    assert normalized_head(text, size) == normalize_output(text)[:size]
 
 
 # A corpus line: a record (its id drawn from a few, so that some repeat and

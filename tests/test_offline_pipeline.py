@@ -841,6 +841,20 @@ def test_a_timed_run_s_stderr_is_not_read(tmp_path):
     assert peak < 4 << 20
 
 
+def test_a_timed_run_s_output_is_checked_without_a_copy_of_each_line(tmp_path):
+    # 4 MiB of short lines: a list of them and their joined copy peaked at 99 MiB.
+    program = fake_tool(tmp_path / "lines", "os.write(1, b'12\\n' * ((4 << 20) // 3))\n")
+    tracemalloc.start()
+    try:
+        outcome = harness.measure_execution(program, [TestCase("", "12\n")], reps=1, timeout_s=20.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    shown = "12\n" * 166 + "12"  # the first 500 characters
+    assert outcome == RunOutcome.failure(RunStatus.WRONG_OUTPUT, f"testcase 0: expected '12', got {shown!r}")
+    assert peak < 16 << 20
+
+
 def test_a_long_wrong_output_is_quoted_in_part(tmp_path):
     program = fake_tool(tmp_path / "long", "os.write(1, b'x' * (1 << 20))\n")
     outcome = harness.measure_execution(program, [TestCase("", "right\n")], reps=1, timeout_s=20.0)
