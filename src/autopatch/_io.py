@@ -189,12 +189,11 @@ TOOL_STDERR_LIMIT = 4 << 20
 def run_tool(tool: str, binary: str, args: Sequence[str], cwd: Path | str | None,
              timeout_s: float) -> tuple[int, str]:
     """Run `binary`, found on PATH, with `args` in `cwd` (None: the caller's)
-    and an empty file for its stdin, and return its exit status and its
-    stderr text; its stdout is discarded. At most two tools a core run at
-    once: a call waits for a slot, and its timeout starts once it has one.
-    A binary that is not on PATH, cannot start, times out or writes more
-    than TOOL_STDERR_LIMIT bytes of stderr raises AutopatchError naming
-    `tool`."""
+    and an empty file for stdin; return its exit status and stderr text,
+    and discard its stdout. At most two tools a core run at once: a call
+    waits for a slot, and its timeout starts once it has one. A binary that
+    is not on PATH, cannot start, times out or writes more than
+    TOOL_STDERR_LIMIT bytes of stderr raises AutopatchError naming `tool`."""
     found = shutil.which(binary)
     if found is None:
         raise AutopatchError(f"{tool} {binary!r} not on PATH")
