@@ -1,7 +1,7 @@
 """Command-line entry point: `autopatch ingest|index|optimize|eval`.
 
-Exit codes: 0 on success (even when individual records failed and were
-logged), 2 on usage or I/O errors, 3 when evaluation finds no program
+Exit codes: 0 on success (even when records failed: each is printed to
+stderr once), 2 on usage or I/O errors, 3 when evaluation finds no program
 executable under every compared mode.
 """
 
@@ -191,8 +191,9 @@ def main(argv: list[str] | None = None) -> int:
                 if each.outcome.status is not RunStatus.OK:
                     print(f"  {each.outcome.status.value} {each.mode}/{each.target_id}: "
                           f"{each.outcome.detail}", file=sys.stderr)
-            if result.failures:
-                print(f"{len(result.failures)} record(s) not evaluated", file=sys.stderr)
+            for failure in result.failures:
+                print(f"  not scored {failure['mode']}/{failure['record_id']}: "
+                      f"{failure['reason']}", file=sys.stderr)
             if not result.report.common_executable_ids:
                 print("no common executable set across modes", file=sys.stderr)
                 return EXIT_NO_COMMON_SET

@@ -73,10 +73,6 @@ class RunOutcome:
     median_s: float | None = None
     detail: str = ""
 
-    @classmethod
-    def failure(cls, status: RunStatus, detail: str) -> "RunOutcome":
-        return cls(status=status, detail=detail)
-
 
 def compile_program(code: str, toolchain: ToolchainConfig, out_dir: Path | str) -> Path:
     """Compile to `out_dir/program` (the directory is created if missing)
@@ -141,7 +137,7 @@ def measure_execution(
         for _ in range(1 + reps):  # the first run is the untimed warmup
             status, elapsed, detail = _run_once(binary, data, expected, timeout_s)
             if status is not RunStatus.OK:
-                return RunOutcome.failure(status, f"testcase {case_no}: {detail}")
+                return RunOutcome(status, detail=f"testcase {case_no}: {detail}")
             run_times.append(elapsed)
         per_testcase.append(statistics.median(run_times[1:]))
 

@@ -2,8 +2,9 @@
 the split manifest through `corpus.write_split`; the other stages take the
 corpus and split that it returns, or that `corpus.load_split` reads back.
 
-Each stage is per-record skip-and-log: one bad program never aborts a batch
-run, it lands in a journal or failures manifest with a reason and the stage
+Each stage contains a record's failure: one bad program never aborts a
+batch run, it lands in the stage's result and its journal or failures
+manifest with a reason, unlogged (the caller tells it once), and the stage
 carries on. `_attempt` turns a record's error into that reason, in a pooled
 phase (`_pooled`) or on the main thread. Given identical inputs, seeds, and
 cassettes, every stage writes byte-identical artifacts (timing measurements
@@ -183,7 +184,7 @@ def run_index(
     embeds each prepared record's texts for both indexes; the first to
     embed sets each index's dimension.
     A record that fails either step, or whose vector has another dimension,
-    becomes a "failed" journal entry with its reason, logged and skipped,
+    becomes a "failed" journal entry with its reason, and is skipped,
     never fatal. A rerun reuses an "ok" entry only while its `key` matches:
     both sources, the stored rationale, the analyzer's arguments and the
     model of a generated rationale. The indexes list the indexed records in
@@ -223,7 +224,6 @@ def run_index(
     for pair, (entry, reason) in zip(database, _pooled(prepare, database)):
         embedded, reason = _attempt(embed, pair, entry) if reason is None else (None, reason)
         if reason is not None:
-            logger.warning("index: skipping %s: %s", pair.id, reason)
             skipped.append({"record_id": pair.id, "status": "failed", "reason": reason})
         else:
             prepared.append(entry)
@@ -328,7 +328,6 @@ def run_optimize(
     for (pair, mode), (code, reason) in zip(slots, patches):
         if reason is not None:
             failures.append({"record_id": pair.id, "mode": mode.value, "reason": reason})
-            logger.warning("optimize: %s/%s failed: %s", mode.value, pair.id, reason)
             patch_path(out_dir, mode, pair.id).unlink(missing_ok=True)  # not an earlier run's
             continue
         with replacing(patch_path(out_dir, mode, pair.id), "w") as handle:
@@ -428,7 +427,6 @@ def run_eval(
             scores, reason = _attempt(score, pair, mode)
             if reason is not None:
                 failures.append({"record_id": pair.id, "mode": mode.value, "reason": reason})
-                logger.warning("eval: %s/%s not scored: %s", mode.value, pair.id, reason)
                 continue
             scored.append((pair, mode, *scores))
 
@@ -447,7 +445,7 @@ def run_eval(
     for pair, mode, code, lexical in scored:
         program, reason = compiled[code]
         if reason is not None:
-            outcome = RunOutcome.failure(RunStatus.COMPILE_ERROR, reason)
+            outcome = RunOutcome(RunStatus.COMPILE_ERROR, detail=reason)
         else:
             outcome = measure_execution(program, pair.testcases, reps, timeout_s)
         results.append(

@@ -468,6 +468,52 @@ def test_index_journal_rewrite_that_fails_keeps_the_previous_journal(tmp_path, m
     assert (out / INDEX_JOURNAL).read_bytes() == journal
 
 
+@requires_gxx
+def test_each_contained_failure_is_told_once(tmp_path, monkeypatch, capsys, caplog, pairs,
+                                             corpus_file, dump_graphs):
+    # One planted failure a stage: the stage's result carries it and the CLI
+    # prints it, so neither a log record nor a second stderr line repeats it.
+    monkeypatch.delenv("AUTOPATCH_LLM_BASE", raising=False)
+    caplog.set_level("INFO")
+    ingest, cassette = _record_index_cassette(tmp_path, pairs, corpus_file)
+    skipped = ingest.split.database_set[0]
+    failed, unreadable = (pair.id for pair in ingest.split.test_set[:2])
+    stub = pipeline.extract_cfg
+
+    def analyzer(code, config, llm):
+        if code == skipped.original_code:
+            raise AutopatchError("planted analyzer failure")
+        return stub(code, config, llm)
+
+    def chat(prompt_text, llm):
+        target = next(pair for pair in ingest.split.test_set if pair.original_code.rstrip() in prompt_text)
+        if target.id == failed:
+            raise AutopatchError("planted chat failure")
+        return target.original_code
+
+    monkeypatch.setattr(pipeline, "extract_cfg", analyzer)
+    monkeypatch.setattr(pipeline, "generate_patch", chat)
+    split, index, patches = str(ingest.manifest_path), tmp_path / "index", tmp_path / "patches"
+    service = ("--replay", "--cassette", str(cassette))
+    assert run_cli("index", "--corpus", str(corpus_file), "--split", split, "--out", str(index),
+                   *service) == EXIT_OK
+    assert run_cli("optimize", "--corpus", str(corpus_file), "--split", split, "--index", str(index),
+                   "--mode", "zero-shot", "--out", str(patches), *service) == EXIT_OK
+    (patches / "zero_shot" / f"{unreadable}.cpp").write_bytes(b"\xff\n")
+    run_cli("eval", "--corpus", str(corpus_file), "--split", split, "--patches", str(patches),
+            "--mode", "zero-shot", "--reps", "1", "--timeout", "5", "--out", str(tmp_path / "eval"))
+
+    err = capsys.readouterr().err
+    told = err + "".join(record.getMessage() + "\n" for record in caplog.records)
+    for reason in ("planted analyzer failure", "planted chat failure", "patch missing",
+                   "patch is not valid UTF-8"):
+        assert told.count(reason) == 1, (reason, told)
+    assert f"  skipped {skipped.id}: planted analyzer failure\n" in err
+    assert f"  failed zero_shot/{failed}: planted chat failure\n" in err
+    assert f"  not scored zero_shot/{failed}: patch missing\n" in err
+    assert f"  not scored zero_shot/{unreadable}: patch is not valid UTF-8\n" in err
+
+
 def test_malformed_split_manifest_exits_2(tmp_path, capsys, corpus_file):
     # An id listed twice, or in both sets, would let a target retrieve itself.
     twice = json.dumps({"database_ids": ["p01", "p02", "p01"], "test_ids": ["p03"]})

@@ -67,8 +67,8 @@ def test_compiler_not_found(tmp_path):
 
 def test_binary_not_found(tmp_path):
     outcome = measure_execution(tmp_path / "missing", [TestCase("", "")], reps=1, timeout_s=5)
-    assert outcome == RunOutcome.failure(
-        RunStatus.CRASH, "testcase 0: could not start: No such file or directory")
+    assert outcome == RunOutcome(
+        RunStatus.CRASH, detail="testcase 0: could not start: No such file or directory")
 
 
 def test_stdin_fed_and_output_compared(tmp_path):

@@ -821,8 +821,8 @@ def test_a_timed_run_that_floods_stdout_is_a_wrong_output_in_seconds(tmp_path):
     start = time.monotonic()
     outcome = harness.measure_execution(program, [TestCase("", "")], reps=1, timeout_s=20.0)
     assert time.monotonic() - start < 10
-    assert outcome == RunOutcome.failure(
-        RunStatus.WRONG_OUTPUT, f"testcase 0: wrote more than {harness.RUN_STDOUT_LIMIT} bytes of stdout")
+    assert outcome == RunOutcome(
+        RunStatus.WRONG_OUTPUT, detail=f"testcase 0: wrote more than {harness.RUN_STDOUT_LIMIT} bytes of stdout")
 
 
 def test_a_timed_run_s_stderr_is_not_read(tmp_path):
@@ -851,15 +851,15 @@ def test_a_timed_run_s_output_is_checked_without_a_copy_of_each_line(tmp_path):
     finally:
         tracemalloc.stop()
     shown = "12\n" * 166 + "12"  # the first 500 characters
-    assert outcome == RunOutcome.failure(RunStatus.WRONG_OUTPUT, f"testcase 0: expected '12', got {shown!r}")
+    assert outcome == RunOutcome(RunStatus.WRONG_OUTPUT, detail=f"testcase 0: expected '12', got {shown!r}")
     assert peak < 16 << 20
 
 
 def test_a_long_wrong_output_is_quoted_in_part(tmp_path):
     program = fake_tool(tmp_path / "long", "os.write(1, b'x' * (1 << 20))\n")
     outcome = harness.measure_execution(program, [TestCase("", "right\n")], reps=1, timeout_s=20.0)
-    assert outcome == RunOutcome.failure(
-        RunStatus.WRONG_OUTPUT, f"testcase 0: expected 'right', got {'x' * 500!r}")
+    assert outcome == RunOutcome(
+        RunStatus.WRONG_OUTPUT, detail=f"testcase 0: expected 'right', got {'x' * 500!r}")
 
 
 def _sequential_eval(split, patch_dir, out_dir, modes, reps, timeout_s, compile_fn, measure_fn):
@@ -876,7 +876,7 @@ def _sequential_eval(split, patch_dir, out_dir, modes, reps, timeout_s, compile_
             try:
                 binary = compile_fn(code, None, out_dir / "bin" / mode.value / pair.id)
             except AutopatchError as exc:
-                outcome = RunOutcome.failure(RunStatus.COMPILE_ERROR, str(exc))
+                outcome = RunOutcome(RunStatus.COMPILE_ERROR, detail=str(exc))
             else:
                 outcome = measure_fn(binary, pair.testcases, reps, timeout_s)
             results.append(EvalResult(pair.id, mode.value, lexical, outcome, pair.labels))
@@ -1047,8 +1047,8 @@ def test_eval_compiles_each_distinct_source_once(tmp_path, monkeypatch, pairs):
     ok = [slot for slot, r in zip(sources, result.results) if r.outcome.status is RunStatus.OK]
     assert ok == holders
     refused = [r.outcome for r in result.results if r.outcome.status is RunStatus.COMPILE_ERROR]
-    assert refused == [RunOutcome.failure(
-        RunStatus.COMPILE_ERROR, "compilation failed: fake compiler rejects this patch")] * 2
+    assert refused == [RunOutcome(
+        RunStatus.COMPILE_ERROR, detail="compilation failed: fake compiler rejects this patch")] * 2
 
     reference = _sequential_eval(split, tmp_path / "patches", tmp_path / "reference", ALL_MODES,
                                  2, 10.0, fake.compile, fake.measure)

@@ -20,7 +20,9 @@ and `pipeline._attempt` is the one place a stage turns a record's error
 into its reason. A new pool or a new containment point fails
 `test_one_pool_and_one_containment_point`. Only `AutopatchError` is
 contained: a new handler that is bare or catches `Exception` or
-`BaseException` fails `test_no_catch_all_handler`.
+`BaseException` fails `test_no_catch_all_handler`. A record's failure is
+told once, by the caller, from the stage's result: a `logger` or `logging`
+call inside a `pipeline.run_*` stage fails `test_stages_log_nothing_they_return`.
 
 A process starts in one place only: `_io.run_process`, which starts, reads
 and reaps both the outside tools, through `_io.run_tool` (the analyzer,
@@ -260,6 +262,18 @@ def test_one_pool_and_one_containment_point():
     assert pools == ["pipeline._pooled"]
     pipeline = ast.parse((SOURCE_DIR / "pipeline.py").read_text(encoding="utf-8"))
     assert _sites(pipeline, "pipeline", _catches_autopatch_error) == ["pipeline._attempt"]
+
+
+def _logs(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in ("logger", "logging"))
+
+
+def test_stages_log_nothing_they_return():
+    pipeline = ast.parse((SOURCE_DIR / "pipeline.py").read_text(encoding="utf-8"))
+    found = [site for site in _sites(pipeline, "pipeline", _logs)
+             if site.partition(".")[2].startswith("run_")]
+    assert found == []
 
 
 def _catches_all(node: ast.AST) -> bool:

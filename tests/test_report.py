@@ -23,7 +23,7 @@ def _scores(value: float = 50.0) -> LexicalScores:
 
 
 def _result(target, mode, seconds=None, status=RunStatus.OK, labels=(), lexical=True):
-    outcome = _ok(seconds) if status is RunStatus.OK else RunOutcome.failure(status, "")
+    outcome = _ok(seconds) if status is RunStatus.OK else RunOutcome(status, detail="")
     return EvalResult(
         target_id=target,
         mode=mode,
