@@ -5,8 +5,9 @@ file is replaced whole (a JSON document with `write_json`), how a
 JSON-over-HTTP service call fails, how an outside tool is configured
 (`tool_from_env`), run with an empty stdin, two a core at most, and fails
 (`run_tool`), and how every process, a tool or a timed run, is started with
-a file for its stdin, read on one stream and reaped the moment it exits
-(`run_process`)."""
+a file for its stdin, as the leader of a process group of its own, read on
+one stream and reaped, with whatever is left in its group killed, the moment
+it exits (`run_process`)."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import os
 import selectors
 import shlex
 import shutil
+import signal
 import subprocess
 import threading
 import time
@@ -224,10 +226,17 @@ def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream
     a process may `fstat`, `mmap` or seek its stdin, read it in any order or
     not at all, and the caller writes it whole before the process starts.
 
+    The process leads a process group of its own (a new session), and one
+    rule ends a run: a run ends when its first process exits, and whatever
+    is left in its group is killed, so a child that holds `stream` open
+    neither keeps the run going nor outlives it. A process that leaves the
+    group, by `setsid` or `setpgid`, escapes the rule.
+
     A process that cannot start raises the OSError of its launch. A process
-    still running after `timeout_s` seconds is killed, and TimeoutError (an
-    OSError) raised. A stream that holds more than `limit` bytes has the
-    process killed at once and is returned as it is, longer than `limit`.
+    still running after `timeout_s` seconds is killed with its group, and
+    TimeoutError (an OSError) raised. A stream that holds more than `limit`
+    bytes has the group killed at once and is returned as it is, longer
+    than `limit`.
     Unlike `subprocess.run(timeout=)`, which polls for the exit with sleeps
     that start at 1 ms and double, the exit is awaited on a pidfd, so neither
     a tool's slot nor a timed run lasts until the next poll tick.
@@ -237,7 +246,7 @@ def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream
     with open(os.memfd_create("stdin"), "w+b") as stdin:  # closed once the process holds it
         stdin.write(data)
         stdin.seek(0)
-        proc = subprocess.Popen(argv, cwd=cwd, stdin=stdin, **pipes)
+        proc = subprocess.Popen(argv, cwd=cwd, stdin=stdin, start_new_session=True, **pipes)
     out = proc.stdout if stream == "stdout" else proc.stderr
     read = bytearray()
     pidfd = None
@@ -256,13 +265,17 @@ def run_process(argv: Sequence[str], cwd: Path | str | None, data: bytes, stream
                         if not chunk:
                             selector.unregister(out)
                         read += chunk
-                    else:
+                    else:  # so no child that holds the stream keeps the run going
                         selector.unregister(pidfd)
+                        with contextlib.suppress(ProcessLookupError):
+                            os.killpg(proc.pid, signal.SIGKILL)
     finally:
         if pidfd is not None:
             os.close(pidfd)
-        if proc.poll() is None:  # at the deadline, past the limit, or interrupted
-            proc.kill()
-            proc.wait()
+        # The process itself at the deadline, past the limit or interrupted,
+        # and any child left in its group; unreaped, it still names the group.
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
         out.close()
     return proc.returncode, read

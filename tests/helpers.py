@@ -707,6 +707,21 @@ def fake_tool(path: Path, body: str) -> Path:
     return path
 
 
+def ended(pid: int, within_s: float = 1.0) -> bool:
+    """Whether process `pid` is gone, or a zombie waiting for its reaper
+    (state `Z` in `/proc/<pid>/stat`), within `within_s` seconds: a process
+    sent SIGKILL dies the next time it is scheduled, not at the send."""
+    deadline = time.monotonic() + within_s
+    while True:
+        try:
+            state = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+        except FileNotFoundError:
+            return True
+        if state == "Z" or time.monotonic() > deadline:
+            return state == "Z"
+        time.sleep(0.01)
+
+
 def counting_popen() -> type:
     """A stand-in for `subprocess.Popen` that counts the processes it has
     started and not yet reaped (through `poll` or `wait`); its `peak` is the

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from autopatch.corpus import TestCase
@@ -13,6 +15,7 @@ from autopatch.harness import (
 )
 
 from conftest import requires_gxx
+from helpers import ended
 
 pytestmark = requires_gxx
 
@@ -38,6 +41,22 @@ MMAP_SUM = (
     "  char *in = (char *)mmap(nullptr, st.st_size, PROT_READ, MAP_PRIVATE, 0, 0);\n"
     "  if (in == MAP_FAILED) return 3;\n"
     "  long a, b; sscanf(in, \"%ld %ld\", &a, &b); printf(\"%ld\\n\", a + b); return 0; }\n"
+)
+
+# Right answers, then a child that outlives the program: one holds stdout
+# for 6 s, the other closes it and spins for 5 s, after the program has
+# written its pid to the file that stdin names.
+HELLO_THEN_A_CHILD_HOLDS_STDOUT = (
+    "#include <cstdio>\n#include <unistd.h>\n"
+    "int main(){ printf(\"hello\\n\"); fflush(stdout); if (fork() == 0) sleep(6); return 0; }\n"
+)
+OK_THEN_A_CHILD_SPINS = (
+    "#include <cstdio>\n#include <ctime>\n#include <unistd.h>\n"
+    "int main(){ char path[4096]; if (scanf(\"%4095s\", path) != 1) return 3;\n"
+    "  pid_t child = fork();\n"
+    "  if (child == 0) { close(1); time_t end = time(nullptr) + 5; while (time(nullptr) < end) {} _exit(0); }\n"
+    "  FILE *out = fopen(path, \"a\"); fprintf(out, \"%d\\n\", (int)child); fclose(out);\n"
+    "  printf(\"ok\\n\"); return 0; }\n"
 )
 
 
@@ -93,6 +112,26 @@ def test_stdin_the_program_never_reads(tmp_path):
     binary = compile_program(HELLO, ToolchainConfig(), tmp_path)
     outcome = measure_execution(binary, [TestCase("7 " * (1 << 19), "hello\n")], reps=2, timeout_s=5)
     assert outcome.status is RunStatus.OK, outcome.detail
+
+
+def test_a_child_that_holds_stdout_ends_with_the_program(tmp_path):
+    # The run ends when the program exits; its child is killed, so a right
+    # answer is not a timeout.
+    binary = compile_program(HELLO_THEN_A_CHILD_HOLDS_STDOUT, ToolchainConfig(), tmp_path)
+    start = time.monotonic()
+    outcome = measure_execution(binary, [TestCase("", "hello\n")], reps=1, timeout_s=3)
+    assert outcome.status is RunStatus.OK, outcome.detail
+    assert time.monotonic() - start < 1.5
+
+
+def test_a_child_that_closes_stdout_does_not_outlive_the_program(tmp_path):
+    binary = compile_program(OK_THEN_A_CHILD_SPINS, ToolchainConfig(), tmp_path)
+    pids = tmp_path / "pids"
+    outcome = measure_execution(binary, [TestCase(f"{pids}\n", "ok\n")], reps=1, timeout_s=3)
+    assert outcome.status is RunStatus.OK, outcome.detail
+    children = [int(line) for line in pids.read_text().split()]
+    assert len(children) == 2  # the warmup's and the rep's
+    assert all(ended(pid) for pid in children)
 
 
 def test_sleep_fixture_timing_window(tmp_path):

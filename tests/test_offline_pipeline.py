@@ -79,6 +79,7 @@ from conftest import ALL_MODES, DB_COUNT, DUMP_DIR, SEED, requires_gxx
 from helpers import (
     SlowFirstTransport,
     cassette_keys,
+    ended,
     fake_tool,
     index_rows,
     index_slow_first,
@@ -807,6 +808,16 @@ def test_a_tool_that_closes_its_stderr_is_still_killed_at_its_timeout(tmp_path):
     assert time.monotonic() - start < 10
     with pytest.raises(ProcessLookupError):  # killed and reaped
         os.kill(int((tmp_path / "pid").read_text()), 0)
+
+
+def test_a_tool_s_children_are_killed_with_it_at_its_timeout(tmp_path):
+    # As a `g++` killed at its timeout would leave `cc1plus`.
+    tool = tmp_path / "forks"
+    tool.write_text('#!/bin/sh\nsleep 7 &\necho $! > "$1"\nexec sleep 30\n', encoding="utf-8")
+    tool.chmod(0o755)
+    with pytest.raises(AutopatchError, match=r"^compiler timed out after 1\.0s$"):
+        run_tool("compiler", str(tool), [str(tmp_path / "pid")], None, 1.0)
+    assert ended(int((tmp_path / "pid").read_text()))
 
 
 def test_a_timed_run_that_floods_stdout_is_a_wrong_output_in_seconds(tmp_path):

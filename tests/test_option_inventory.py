@@ -39,7 +39,10 @@ cannot use as it uses `prog < input`: a `stdin=` that names
 `run_process` waits for the exit
 itself rather than poll for it: a `subprocess` call, or a `wait` or
 `communicate` method call, that passes `timeout=` fails
-`test_no_process_exit_is_polled_for`.
+`test_no_process_exit_is_polled_for`. Its one `Popen` starts each process as
+the leader of a process group of its own, which the run kills whole once the
+process exits, so no child outlives it: a `Popen` that does not pass
+`start_new_session=True` fails `test_every_process_leads_a_group_of_its_own`.
 
 Imports between the package's modules go one way: the graph of their
 `from .x import` statements, those under `if TYPE_CHECKING:` included, has
@@ -327,6 +330,25 @@ def test_no_process_reads_its_stdin_from_a_pipe():
     for path in sorted(SOURCE_DIR.glob("*.py")):
         found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _pipes_stdin)
     assert found == []
+
+
+def _popen(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "Popen"
+
+
+def _leads_a_group(node: ast.AST) -> bool:
+    return _popen(node) and any(
+        keyword.arg == "start_new_session" and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value is True for keyword in node.keywords)
+
+
+def test_every_process_leads_a_group_of_its_own():
+    popens, leaders = [], []
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        popens += _sites(tree, path.stem, _popen)
+        leaders += _sites(tree, path.stem, _leads_a_group)
+    assert popens == leaders == ["_io.run_process"]
 
 
 def _polls_for_an_exit(node: ast.AST) -> bool:
