@@ -16,7 +16,10 @@ compile pool. The timed run starts through `_io.run_process` too, with its
 stdin a file that holds the testcase's input, as `prog < input` gives, so
 a program may `fstat` or `mmap` it; it reads back its stdout alone (its
 stderr is discarded) and reaps it the moment it exits, so a timed run does
-not last until a poll tick.
+not last until a poll tick. The run ends when the program exits, and any
+child left in its process group is killed: a child that holds stdout does
+not turn a right answer into a TIMEOUT, and none spins on while later
+patches are timed.
 """
 
 from __future__ import annotations
