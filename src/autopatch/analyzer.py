@@ -80,19 +80,25 @@ class AnalyzerConfig:
         return (*_DEFAULT_ARGS, *self.extra_flags)
 
 
-_BLOCK_HEADER = re.compile(r"^\s*\[B(\d+)(?:\s*\(([A-Z /]+)\))?\]$")
-_STATEMENT = re.compile(r"^\s+(\d+): (.*)$")
-_TERMINATOR = re.compile(r"^\s+T: (.*)$")
-_PREDS = re.compile(r"^\s+Preds \((\d+)\):(.*)$")
-_SUCCS = re.compile(r"^\s+Succs \((\d+)\):(.*)$")
+# The line patterns match a line with its leading whitespace stripped; the
+# first character left picks the one pattern that can match it.
+_BLOCK_HEADER = re.compile(r"\[B(\d+)(?:\s*\(([A-Z /]+)\))?\]$")
+_STATEMENT = re.compile(r"(\d+): (.*)$")
+_TERMINATOR = re.compile(r"T: (.*)$")
+_PREDS = re.compile(r"Preds \((\d+)\):(.*)$")
+_SUCCS = re.compile(r"Succs \((\d+)\):(.*)$")
 _SUCC_REF = re.compile(r"^B(\d+)(?:\((\w+)\))?$")
 _DIAGNOSTIC = re.compile(r"^\S.*:\d+(?::\d+)?: (?:warning|error|note): ")
 _DIAG_TRAILER = re.compile(r"^\d+ (?:warning|error)s? generated\.$")
+_DIAG_MARKS = (": warning: ", ": error: ", ": note: ", " generated.")  # one is in each
 
 
 def _strip_diagnostics(text: str) -> str:
+    lines = text.splitlines()
+    if not any(mark in text for mark in _DIAG_MARKS):
+        return "\n".join(lines)
     kept = []
-    for line in text.splitlines():
+    for line in lines:
         if _DIAGNOSTIC.match(line) or _DIAG_TRAILER.match(line):
             continue
         kept.append(line)
@@ -141,10 +147,12 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
     seen_signature = False
 
     for line_no, line in enumerate(dump.splitlines(), start=1):
-        if not line.strip():
+        text = line.lstrip()
+        if not text:
             continue
+        first = text[0]
 
-        header = _BLOCK_HEADER.match(line)
+        header = _BLOCK_HEADER.match(text) if first == "[" else None
         if header is not None:
             block_id = int(header.group(1))
             blocks.append([block_id, [], None])
@@ -172,29 +180,30 @@ def parse_cfg_dump(dump: str) -> ControlFlowGraph:
             raise _parse_error(line_no, f"content outside any block: {line.strip()!r}")
         block = blocks[-1]
 
-        statement = _STATEMENT.match(line)
-        if statement is not None:
-            block[1].append(normalize_statement(statement.group(2)))
-            continue
-
-        terminator = _TERMINATOR.match(line)
-        if terminator is not None:
-            block[2] = normalize_statement(terminator.group(1))
-            continue
-
-        if _PREDS.match(line) is not None:
-            continue  # redundant with Succs of the predecessors
-
-        succs = _SUCCS.match(line)
-        if succs is not None:
-            for token in succs.group(2).split():
-                if token == "NULL":
-                    continue
-                ref = _SUCC_REF.match(token)
-                if ref is None:
-                    raise _parse_error(line_no, f"unrecognized successor {token!r}")
-                edges.add((block[0], int(ref.group(1))))
-            continue
+        if first == "T":
+            terminator = _TERMINATOR.match(text)
+            if terminator is not None:
+                block[2] = normalize_statement(terminator.group(1))
+                continue
+        elif first == "P":
+            if _PREDS.match(text) is not None:
+                continue  # redundant with Succs of the predecessors
+        elif first == "S":
+            succs = _SUCCS.match(text)
+            if succs is not None:
+                for token in succs.group(2).split():
+                    if token == "NULL":
+                        continue
+                    ref = _SUCC_REF.match(token)
+                    if ref is None:
+                        raise _parse_error(line_no, f"unrecognized successor {token!r}")
+                    edges.add((block[0], int(ref.group(1))))
+                continue
+        else:
+            statement = _STATEMENT.match(text)
+            if statement is not None:
+                block[1].append(normalize_statement(statement.group(2)))
+                continue
 
         # Anything else indented inside a block (case labels, new element
         # kinds) is kept verbatim as an opaque statement.

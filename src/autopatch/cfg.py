@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-_WS_RUN = re.compile(r"\s+")
 # Dump-internal cross references look like [B8.4]; the block number is an
 # artifact of the dump's numbering and changes whenever blocks shift, so it
 # is masked to keep statement hashes stable across renumbering.
@@ -22,8 +21,8 @@ def normalize_statement(text: str) -> str:
 
     Operator and identifier text from the source is kept verbatim.
     """
-    collapsed = _WS_RUN.sub(" ", text).strip()
-    return _BLOCK_REF.sub("[B_._]", collapsed)
+    collapsed = " ".join(text.split())  # str.split's whitespace is the regex `\s`
+    return _BLOCK_REF.sub("[B_._]", collapsed) if "[B" in collapsed else collapsed
 
 
 @dataclass(frozen=True)
@@ -48,33 +47,37 @@ class ControlFlowGraph:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        ids = [b.id for b in self.blocks]
-        id_set = set(ids)
-        if len(ids) != len(id_set):
+        """Validate the graph and index it once: its blocks by id and each
+        block's successors, ascending, so `block` and `successors` are
+        lookups."""
+        by_id = {b.id: b for b in self.blocks}
+        if len(by_id) != len(self.blocks):
             raise ValueError("duplicate block ids")
         # Canonical order: ascending block id, so graphs parsed from dumps
         # with different emission orders compare equal.
-        object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.id)))
-        if self.entry_id not in id_set:
+        object.__setattr__(self, "blocks", tuple(map(by_id.__getitem__, sorted(by_id))))
+        if self.entry_id not in by_id:
             raise ValueError(f"entry block B{self.entry_id} does not exist")
-        if self.exit_id not in id_set:
+        if self.exit_id not in by_id:
             raise ValueError(f"exit block B{self.exit_id} does not exist")
         for src, dst in self.edges:
-            if src not in id_set or dst not in id_set:
+            if src not in by_id or dst not in by_id:
                 raise ValueError(f"edge B{src}->B{dst} references a missing block")
             if dst == self.entry_id:
                 raise ValueError("entry block has a predecessor")
             if src == self.exit_id:
                 raise ValueError("exit block has a successor")
+        successors: dict[int, tuple[int, ...]] = {}
+        for src, dst in sorted(self.edges):
+            successors[src] = successors.get(src, ()) + (dst,)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_successors", successors)
 
     def block(self, block_id: int) -> BasicBlock:
-        for b in self.blocks:
-            if b.id == block_id:
-                return b
-        raise KeyError(block_id)
+        return self._by_id[block_id]
 
     def successors(self, block_id: int) -> tuple[int, ...]:
-        return tuple(sorted(dst for src, dst in self.edges if src == block_id))
+        return self._successors.get(block_id, ())
 
 
 def serialize_cfg(cfg: ControlFlowGraph) -> str:
@@ -87,6 +90,6 @@ def serialize_cfg(cfg: ControlFlowGraph) -> str:
     lines = []
     for block in cfg.blocks:  # kept in ascending id order by ControlFlowGraph
         content = "; ".join(block.content_lines())
-        succs = ",".join(str(s) for s in cfg.successors(block.id))
+        succs = ",".join(map(str, cfg.successors(block.id)))
         lines.append(f"B{block.id}: {content} -> succ: {succs}")
     return "\n".join(lines) + "\n"

@@ -66,17 +66,14 @@ class CfgDiff:
 
 
 def _block_tokens(block: BasicBlock) -> frozenset[str]:
-    tokens: set[str] = set()
-    for line in block.content_lines():
-        tokens.update(tokenize(line))
-    return frozenset(tokens)
+    return frozenset().union(*map(tokenize, block.content_lines()))
 
 
 def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     if not a and not b:
         return 1.0
-    union = len(a | b)
-    return len(a & b) / union
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)  # the union's size, without building it
 
 
 def match_blocks(
@@ -132,14 +129,10 @@ def _edit_script(old: tuple[str, ...], new: tuple[str, ...]) -> tuple[StatementE
 
 def compute_diff(g_o: ControlFlowGraph, g_p: ControlFlowGraph) -> CfgDiff:
     pairs, unmatched_o, unmatched_p = match_blocks(g_o, g_p)
-    p_to_o = {p: o for o, p in pairs}
+    endpoint_p = {b.id: ("p", b.id) for b in g_p.blocks}
+    endpoint_p.update((p_id, ("o", o_id)) for o_id, p_id in pairs)
 
-    def map_p(block_id: int) -> tuple[str, int]:
-        if block_id in p_to_o:
-            return ("o", p_to_o[block_id])
-        return ("p", block_id)
-
-    mapped_p_edges = frozenset((map_p(src), map_p(dst)) for src, dst in g_p.edges)
+    mapped_p_edges = frozenset((endpoint_p[src], endpoint_p[dst]) for src, dst in g_p.edges)
     o_edges = frozenset((("o", src), ("o", dst)) for src, dst in g_o.edges)
 
     content_changes = []

@@ -81,7 +81,8 @@ def _pooled(fn, items, workers: int = STAGE_WORKERS) -> list[tuple]:
     """`[_attempt(fn, item) for item in items]`, with up to `workers` calls
     in flight at once (the tools those calls start still run two a core at
     most); the list is in the items' order, whatever order the calls finish
-    in."""
+    in. An interrupt, or any error but AutopatchError, cancels the calls not
+    yet started; those running finish first."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda item: _attempt(fn, item), items))
 

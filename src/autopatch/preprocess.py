@@ -53,7 +53,8 @@ STANDARD_HEADERS: tuple[str, ...] = (
 _UMBRELLA_INCLUDE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*[<"]bits/stdc\+\+\.h[>"].*$')
 _INCLUDE_LINE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*[<"][^<>"]+[>"]')
 
-# Attribute constructs the analyzer toolchain rejects or warns about.
+# Attribute constructs the analyzer toolchain rejects or warns about; each
+# holds `__`, as each directive below holds `#`.
 _INLINE_STRIPPERS = tuple(
     re.compile(pattern, re.DOTALL)
     for pattern in (
@@ -63,7 +64,7 @@ _INLINE_STRIPPERS = tuple(
     )
 )
 # Directives removed as whole lines.
-_LINE_STRIPPERS = (re.compile(r"^[ \t]*#[ \t]*pragma[ \t]+GCC[ \t]+(optimize|target)\b.*$"),)
+_PRAGMA_LINE = re.compile(r"^[ \t]*#[ \t]*pragma[ \t]+GCC[ \t]+(optimize|target)\b.*$")
 
 
 @dataclass
@@ -81,27 +82,30 @@ def preprocess_source(code: str) -> PreprocessReport:
     def include_key(text: str) -> str:
         return text.replace(" ", "").replace("\t", "")
 
+    # A pattern runs only on a line holding the text that every match holds.
     for line in code.split("\n"):
-        if _UMBRELLA_INCLUDE.match(line):
-            for header in STANDARD_HEADERS:
-                include = f"#include <{header}>"
-                if include_key(include) not in seen_includes:
-                    seen_includes.add(include_key(include))
-                    out_lines.append(include)
-            continue
-
-        if any(pattern.match(line) for pattern in _LINE_STRIPPERS):
-            continue
-
-        include_match = _INCLUDE_LINE.match(line)
-        if include_match:
-            key = include_key(include_match.group(0))
-            if key in seen_includes:
+        if "#" in line:
+            if _UMBRELLA_INCLUDE.match(line):
+                for header in STANDARD_HEADERS:
+                    include = f"#include <{header}>"
+                    if include_key(include) not in seen_includes:
+                        seen_includes.add(include_key(include))
+                        out_lines.append(include)
                 continue
-            seen_includes.add(key)
 
-        for pattern in _INLINE_STRIPPERS:
-            line = pattern.sub("", line)
+            if _PRAGMA_LINE.match(line):
+                continue
+
+            include_match = _INCLUDE_LINE.match(line)
+            if include_match:
+                key = include_key(include_match.group(0))
+                if key in seen_includes:
+                    continue
+                seen_includes.add(key)
+
+        if "__" in line:
+            for pattern in _INLINE_STRIPPERS:
+                line = pattern.sub("", line)
         out_lines.append(line)
 
     return PreprocessReport(output_code="\n".join(out_lines))

@@ -23,11 +23,14 @@ from typing import Iterable
 
 import numpy as np
 
+from autopatch._io import is_text
 from autopatch.cfg import BasicBlock, ControlFlowGraph
 from autopatch.cfg_diff import _block_tokens, jaccard
 from autopatch.corpus import CodePair, OptimizationType, TestCase
+from autopatch.errors import AutopatchError
 from autopatch.metrics import _TOKEN_PATTERN
 from autopatch.pipeline import index_path, run_index
+from autopatch.preprocess import STANDARD_HEADERS
 from autopatch.prompting import RATIONALE_SYSTEM_TEXT, Cassette, LlmClient, LlmConfig
 from autopatch.retrieval import (LocalHashingProvider, SourceKind, VectorIndex, cosine_similarity,
                                  load_index)
@@ -113,6 +116,177 @@ def optimal_matching(g_o: ControlFlowGraph, g_p: ControlFlowGraph, threshold: fl
     top = max(score for score, _ in best)
     candidates = [pairs for score, pairs in best if abs(score - top) < 1e-12]
     return min(candidates)
+
+
+# The graph lookups, the statement normalizer, the preprocessor and the dump
+# reader as they were before each learned to skip what cannot match: every
+# pattern on every line, and a scan of the whole graph per lookup.
+
+
+def scan_block(cfg: ControlFlowGraph, block_id: int) -> BasicBlock:
+    for b in cfg.blocks:
+        if b.id == block_id:
+            return b
+    raise KeyError(block_id)
+
+
+def scan_successors(cfg: ControlFlowGraph, block_id: int) -> tuple[int, ...]:
+    return tuple(sorted(dst for src, dst in cfg.edges if src == block_id))
+
+
+_WS_RUN = re.compile(r"\s+")
+_BLOCK_REF = re.compile(r"\[B\d+\.\d+\]")
+
+
+def regex_normalize_statement(text: str) -> str:
+    collapsed = _WS_RUN.sub(" ", text).strip()
+    return _BLOCK_REF.sub("[B_._]", collapsed)
+
+
+_UMBRELLA_INCLUDE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*[<"]bits/stdc\+\+\.h[>"].*$')
+_INCLUDE_LINE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*[<"][^<>"]+[>"]')
+_INLINE_STRIPPERS = tuple(
+    re.compile(pattern, re.DOTALL)
+    for pattern in (r"__attribute__\s*\(\(.*?\)\)", r"__forceinline\b", r"__declspec\s*\([^)]*\)")
+)
+_LINE_STRIPPERS = (re.compile(r"^[ \t]*#[ \t]*pragma[ \t]+GCC[ \t]+(optimize|target)\b.*$"),)
+
+
+def every_pattern_preprocess(code: str) -> str:
+    """`preprocess_source(code).output_code`, every pattern tried on every
+    line."""
+    if not is_text(code):
+        raise AutopatchError("source is not valid Unicode: it holds a lone surrogate")
+    out_lines: list[str] = []
+    seen_includes: set[str] = set()
+
+    def include_key(text: str) -> str:
+        return text.replace(" ", "").replace("\t", "")
+
+    for line in code.split("\n"):
+        if _UMBRELLA_INCLUDE.match(line):
+            for header in STANDARD_HEADERS:
+                include = f"#include <{header}>"
+                if include_key(include) not in seen_includes:
+                    seen_includes.add(include_key(include))
+                    out_lines.append(include)
+            continue
+        if any(pattern.match(line) for pattern in _LINE_STRIPPERS):
+            continue
+        include_match = _INCLUDE_LINE.match(line)
+        if include_match:
+            key = include_key(include_match.group(0))
+            if key in seen_includes:
+                continue
+            seen_includes.add(key)
+        for pattern in _INLINE_STRIPPERS:
+            line = pattern.sub("", line)
+        out_lines.append(line)
+    return "\n".join(out_lines)
+
+
+_DIAGNOSTIC = re.compile(r"^\S.*:\d+(?::\d+)?: (?:warning|error|note): ")
+_DIAG_TRAILER = re.compile(r"^\d+ (?:warning|error)s? generated\.$")
+
+
+def every_line_strip_diagnostics(text: str) -> str:
+    kept = []
+    for line in text.splitlines():
+        if _DIAGNOSTIC.match(line) or _DIAG_TRAILER.match(line):
+            continue
+        kept.append(line)
+    return "\n".join(kept)
+
+
+_BLOCK_HEADER = re.compile(r"^\s*\[B(\d+)(?:\s*\(([A-Z /]+)\))?\]$")
+_STATEMENT = re.compile(r"^\s+(\d+): (.*)$")
+_TERMINATOR = re.compile(r"^\s+T: (.*)$")
+_PREDS = re.compile(r"^\s+Preds \((\d+)\):(.*)$")
+_SUCCS = re.compile(r"^\s+Succs \((\d+)\):(.*)$")
+_SUCC_REF = re.compile(r"^B(\d+)(?:\((\w+)\))?$")
+
+
+def every_pattern_parse_cfg_dump(dump: str) -> ControlFlowGraph:
+    """`parse_cfg_dump(dump)`, every pattern tried in turn on every line."""
+
+    def parse_error(line_no: int, reason: str) -> AutopatchError:
+        return AutopatchError(f"dump line {line_no}: {reason}")
+
+    blocks: list[list] = []
+    entry_id = exit_id = None
+    edges: set[tuple[int, int]] = set()
+    seen_signature = False
+    for line_no, line in enumerate(dump.splitlines(), start=1):
+        if not line.strip():
+            continue
+        header = _BLOCK_HEADER.match(line)
+        if header is not None:
+            block_id = int(header.group(1))
+            blocks.append([block_id, [], None])
+            annotation = header.group(2) or ""
+            if "ENTRY" in annotation:
+                if entry_id is not None:
+                    raise parse_error(line_no, "second ENTRY block")
+                entry_id = block_id
+            if "EXIT" in annotation:
+                if exit_id is not None:
+                    raise parse_error(line_no, "second EXIT block")
+                exit_id = block_id
+            continue
+        if not line[0].isspace():
+            if seen_signature or blocks:
+                raise parse_error(line_no, f"unexpected section line {line.strip()!r}")
+            seen_signature = True
+            continue
+        if not blocks:
+            raise parse_error(line_no, f"content outside any block: {line.strip()!r}")
+        block = blocks[-1]
+        statement = _STATEMENT.match(line)
+        if statement is not None:
+            block[1].append(regex_normalize_statement(statement.group(2)))
+            continue
+        terminator = _TERMINATOR.match(line)
+        if terminator is not None:
+            block[2] = regex_normalize_statement(terminator.group(1))
+            continue
+        if _PREDS.match(line) is not None:
+            continue
+        succs = _SUCCS.match(line)
+        if succs is not None:
+            for token in succs.group(2).split():
+                if token == "NULL":
+                    continue
+                ref = _SUCC_REF.match(token)
+                if ref is None:
+                    raise parse_error(line_no, f"unrecognized successor {token!r}")
+                edges.add((block[0], int(ref.group(1))))
+            continue
+        block[1].append(regex_normalize_statement(line))
+
+    if not blocks:
+        raise parse_error(0, "no blocks found in dump")
+    if entry_id is None:
+        raise parse_error(0, "no ENTRY block in dump")
+    if exit_id is None:
+        raise parse_error(0, "no EXIT block in dump")
+    try:
+        return ControlFlowGraph(
+            blocks=tuple(BasicBlock(block_id, tuple(statements), terminator)
+                         for block_id, statements, terminator in blocks),
+            entry_id=entry_id,
+            exit_id=exit_id,
+            edges=frozenset(edges),
+        )
+    except ValueError as exc:
+        raise parse_error(0, str(exc)) from None
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 # --- dump writer ----------------------------------------------------------------

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
-import pytest
+import random
 
-from autopatch.analyzer import parse_cfg_dump, split_dump_functions
-from autopatch.cfg import serialize_cfg
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from autopatch.analyzer import _strip_diagnostics, parse_cfg_dump, split_dump_functions
+from autopatch.cfg import normalize_statement, serialize_cfg
 from autopatch.errors import AutopatchError
 
 from conftest import DUMP_DIR, GOLDEN_DIR
-from helpers import format_as_dump
+from helpers import (every_line_strip_diagnostics, every_pattern_parse_cfg_dump, format_as_dump,
+                     outcome, random_cfg, regex_normalize_statement, scan_block, scan_successors)
 
 # Hand-counted from the committed dump files: unique non-NULL successor edges,
 # statements = numbered elements plus label lines (case/default/goto targets).
@@ -196,3 +201,111 @@ def test_statement_normalization_masks_dump_references():
     statements = [s for b in cfg.blocks for s in b.statements]
     assert any("[B_._]" in s for s in statements)
     assert not any("[B4.1]" in s for s in statements)
+
+
+# --- each fast path against the reference it replaced --------------------------
+#
+# The references in `helpers` try every pattern on every line and scan the
+# whole graph per lookup. The generated text holds each thing a guard keys on:
+# lines with and without a marker; whitespace beyond ASCII that `str.split`
+# and the regex `\s` both take (the separators \x1c-\x1f, NEL, NBSP, the
+# ideographic space), some of which `str.splitlines` also breaks lines at;
+# `[Bn.m]` references; digits that `\d` takes (`٣`) and does not (`²`); lines
+# that start with `[`, `T`, `P` or `S` and match no pattern; opaque lines.
+
+_SPACES = [" ", "   ", "\t", "\x1f", "\xa0", "\u3000", " \x1f\t"]
+_BREAKS = ["\n"] * 6 + ["\r\n", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\x0b"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_SPACES + _BREAKS + ["\u200b", "x", "+", "[B", "[B1.2]", "[B٣.²]",
+                                                    "[B12.٣]", ".", "]", "1", "_"]),
+                max_size=30).map("".join))
+def test_normalize_statement_equals_the_regex_reference(text):
+    assert normalize_statement(text) == regex_normalize_statement(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_graph_lookups_equal_a_scan_of_the_graph(seed):
+    cfg = random_cfg(random.Random(seed))
+    for block_id in range(-1, max(b.id for b in cfg.blocks) + 2):
+        assert outcome(cfg.block, block_id) == outcome(scan_block, cfg, block_id)
+        assert cfg.successors(block_id) == scan_successors(cfg, block_id)
+
+
+_DIAGNOSTIC_LINES = [
+    "input.cpp:3:5: warning: unused variable 'x'", "a.cpp:1: error: bad", "b.cpp:2:1: note: here",
+    " c.cpp:1:1: warning: indented", "x: warning: no line number", "1 warning generated.",
+    "2 errors generated.", "1 warning and 1 error generated.", "generated.", "٣ warnings generated.",
+    "int main()", " [B1]", "   1: x", "",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_DIAGNOSTIC_LINES) | st.text(alphabet=": warnig.\t1xe", max_size=12),
+                max_size=8),
+       st.lists(st.sampled_from(_BREAKS), min_size=8, max_size=8))
+def test_strip_diagnostics_equals_the_every_line_reference(lines, breaks):
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    assert _strip_diagnostics(text) == every_line_strip_diagnostics(text)
+
+
+# Lines a block holds, and lines that match no pattern though they start
+# like one.
+_BODIES = [
+    "1: x = [B1.2] + 1", "2: [B2.1] < [B3.4]", "٣: y", "10:x", "3:\ta \x1f b", "1:",
+    "T: while [B2.2]", "T: if [B1.1]", "T:", "Preds (2): B1 B3", "Preds (1):",
+    "Succs (1): NULL", "Succs (1): B1(Unreachable)", "case 1:", "label:", "x", "x+\xa0[B4.5]",
+]
+_ODD_BODIES = [
+    "²: z", "Tx: y", "T x", "Preds", "P: x", "Succs", "S: x", "[B1", "[B2.1]++", "[x",
+]
+
+
+@st.composite
+def _dumps(draw) -> str:
+    """Dump-shaped text: an optional signature, then blocks, ENTRY first and
+    EXIT last with ids falling from ENTRY's to 0, as clang writes them. Now
+    and then a header, id, body line or successor is off, or a stray line
+    is put in, so every parse error occurs too."""
+    indent = st.sampled_from(_SPACES)
+    body = st.sampled_from(_BODIES)
+    line = st.tuples(indent, st.one_of(*[body] * 7, st.sampled_from(_ODD_BODIES))).map("".join)
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["int main()", "void S::f(int a)"])))
+    count = draw(st.integers(0, 5))
+    for index in range(count):
+        block_id = count - 1 - index
+        usual = "ENTRY" if index == 0 else "EXIT" if block_id == 0 else ""
+        note = draw(st.sampled_from([usual] * 30 + ["ENTRY", "EXIT", "NORETURN", "ENTRY EXIT", "entry"]))
+        number = draw(st.sampled_from([str(block_id)] * 30 + ["0", "1", "٣"]))
+        header = f"[B{number} ({note})]" if note else f"[B{number}]"
+        lines.append(draw(st.sampled_from(["", " "])) + header)
+        lines += draw(st.lists(line, max_size=4))
+        if block_id > 0 or draw(st.integers(0, 9)) == 0:
+            refs = [f"B{max(block_id - 1, 0)}"] * 24 + ["B0", "NULL", f"B{count}", f"B{count - 1}",
+                                                         "Bx", "B²", "C0"]
+            targets = draw(st.lists(st.sampled_from(refs), max_size=2))
+            lines.append(f"   Succs ({len(targets)}): " + " ".join(targets))
+    if draw(st.integers(0, 5)) == 0:
+        stray = draw(st.sampled_from(["int f()", "x", "   1: x", "\x1f", ""]) | line)
+        lines.insert(draw(st.integers(0, len(lines))), stray)
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(text + brk for text, brk in zip(lines, breaks))
+
+
+def _with_examples(texts):
+    def decorate(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_dumps())
+@_with_examples([dump for dump, _ in PARSE_ERRORS.values()])
+def test_parse_cfg_dump_equals_the_every_pattern_reference(dump):
+    assert outcome(parse_cfg_dump, dump) == outcome(every_pattern_parse_cfg_dump, dump)

@@ -11,7 +11,8 @@ through the real `analyzer.run_analyzer`, and an embedding one float short.
 An error that is not an AutopatchError, from a provider or a chat transport
 that the caller supplies, is not contained: it propagates out of the stage,
 which leaves no journal, index, patch or failures manifest behind, and an
-existing journal as it was.
+existing journal as it was. An interrupt in a pooled call cancels the calls
+of the pool that have not started.
 
 `eval` runs through the CLI too, with g++, over patches that each plant one
 fault: a compile error, a nonzero exit, wrong output, a timeout, a patch
@@ -24,6 +25,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import time
 import urllib.error
 from pathlib import Path
 
@@ -268,6 +270,22 @@ def test_a_foreign_error_aborts_optimize_writing_nothing(tmp_path, pairs, corpus
     with pytest.raises(Planted, match=culprit):
         run_optimize(ingest.corpus, ingest.split, index_dir, out, tuple(PromptMode), llm, provider)
     assert _files(out) == {}
+
+
+def test_an_interrupt_cancels_the_calls_not_yet_started():
+    started = []
+
+    def call(item):
+        started.append(item)
+        if item == 0:
+            raise KeyboardInterrupt
+        time.sleep(0.05)
+
+    with pytest.raises(KeyboardInterrupt):
+        pipeline._pooled(call, range(20), workers=2)
+    # The two calls that start at once, and the one a freed worker may take
+    # before the queued calls are cancelled.
+    assert len(started) <= 3
 
 
 WRONG_OUTPUT = '#include <cstdio>\nint main() { printf("wrong\\n"); return 0; }\n'

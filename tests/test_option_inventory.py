@@ -44,6 +44,10 @@ the leader of a process group of its own, which the run kills whole once the
 process exits, so no child outlives it: a `Popen` that does not pass
 `start_new_session=True` fails `test_every_process_leads_a_group_of_its_own`.
 
+A `ControlFlowGraph` indexes its blocks by id and its successors when it is
+built, so a lookup never scans the graph: a loop or comprehension in
+`ControlFlowGraph.block` or `.successors` fails `test_graph_lookups_do_not_scan`.
+
 Imports between the package's modules go one way: the graph of their
 `from .x import` statements, those under `if TYPE_CHECKING:` included, has
 no cycle, and no module imports `TYPE_CHECKING`, so a cycle cannot hide
@@ -365,6 +369,21 @@ def test_no_process_exit_is_polled_for():
     for path in sorted(SOURCE_DIR.glob("*.py")):
         found += _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, _polls_for_an_exit)
     assert found == []
+
+
+def _scans(node: ast.AST) -> bool:
+    return isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+                             ast.DictComp, ast.GeneratorExp))
+
+
+def test_graph_lookups_do_not_scan():
+    tree = ast.parse((SOURCE_DIR / "cfg.py").read_text(encoding="utf-8"))
+    graph, = (node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "ControlFlowGraph")
+    lookups = [node for node in graph.body
+               if isinstance(node, ast.FunctionDef) and node.name in ("block", "successors")]
+    assert [node.name for node in lookups] == ["block", "successors"]
+    assert [site for node in lookups for site in _sites(node, node.name, _scans)] == []
 
 
 def _package_imports(tree: ast.Module) -> set[str]:

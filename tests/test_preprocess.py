@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopatch.errors import AutopatchError
 from autopatch.harness import ToolchainConfig, compile_program
 from autopatch.preprocess import STANDARD_HEADERS, preprocess_source
 
 from conftest import requires_gxx
+from helpers import every_pattern_preprocess, outcome
 
 CLEAN = """#include <cstdio>
 int main() {
@@ -100,3 +103,26 @@ def test_umbrella_rewrite_fixture_still_compiles(tmp_path):
     report = preprocess_source(code)
     binary = compile_program(report.output_code, ToolchainConfig(), tmp_path)
     assert binary.exists()
+
+
+# Pieces of a line: directives that hold `#` (some indented, some that no
+# pattern strips), constructs that hold `__` (some that no pattern strips)
+# and plain code. A line joins up to three of them, so a directive can follow
+# code and a `__` construct can sit anywhere in a line.
+_PIECES = [
+    "#include <cstdio>", "# include <vector>", ' \t#include "a.h"', "#include <bits/stdc++.h>",
+    "#  include<bits/stdc++.h> // all", '#pragma GCC optimize("O3")', '\t#pragma GCC target("avx2")',
+    "#pragma once", "#define X 1", "x # y", "// #include <cstdio>",
+    "__attribute__((always_inline)) ", "__attribute__ ((noinline, cold))", "__declspec(noinline) ",
+    "__forceinline ", "__forceinlined", "a__b", "__", "_", "int main() { return 0; }", "int f();",
+    " ", "\t", "\xa0", "\u3000", "\x1c", "\x85", "\r", "é",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_PIECES), max_size=3).map("".join), max_size=8).map("\n".join),
+       st.sampled_from([""] * 9 + ["\ud800"]))  # now and then a lone surrogate, which is refused
+def test_preprocess_equals_the_every_pattern_reference(code, tail):
+    code += tail
+    assert outcome(lambda text: preprocess_source(text).output_code, code) == outcome(
+        every_pattern_preprocess, code)
