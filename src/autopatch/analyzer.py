@@ -90,7 +90,7 @@ _SUCCS = re.compile(r"Succs \((\d+)\):(.*)$")
 _SUCC_REF = re.compile(r"^B(\d+)(?:\((\w+)\))?$")
 _DIAGNOSTIC = re.compile(r"^\S.*:\d+(?::\d+)?: (?:warning|error|note): ")
 _DIAG_TRAILER = re.compile(r"^\d+ (?:warning|error)s? generated\.$")
-_DIAG_MARKS = (": warning: ", ": error: ", ": note: ", " generated.")  # one is in each
+_DIAG_MARKS = (": warning: ", ": error: ", ": note: ", " generated.")  # in every line those match
 
 
 def _strip_diagnostics(text: str) -> str:

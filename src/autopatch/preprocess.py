@@ -53,8 +53,8 @@ STANDARD_HEADERS: tuple[str, ...] = (
 _UMBRELLA_INCLUDE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*[<"]bits/stdc\+\+\.h[>"].*$')
 _INCLUDE_LINE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*[<"][^<>"]+[>"]')
 
-# Attribute constructs the analyzer toolchain rejects or warns about; each
-# holds `__`, as each directive below holds `#`.
+# Attribute constructs the analyzer toolchain rejects or warns about. Each
+# holds `__`, as each directive pattern holds `#`.
 _INLINE_STRIPPERS = tuple(
     re.compile(pattern, re.DOTALL)
     for pattern in (
