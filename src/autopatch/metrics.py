@@ -17,27 +17,34 @@ from itertools import repeat
 from .errors import AutopatchError, BothEmpty
 
 # Longest-match-first C/C++ operator inventory. Single characters are caught
-# by the catch-all alternative at the end of the master pattern.
+# by the catch-all alternative at the end of the token group.
 _OPERATORS = [
     "<<=", ">>=", "->*", "...", "<=>",
     "::", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
     "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "##",
 ]
 
-# Comments and whitespace match outside the one group, so `findall` yields ""
-# for them; no token alternative can match an empty string.
+# One match per token: the whitespace before it, then the token in the one
+# group. A comment, or the end of the text after any trailing whitespace,
+# matches outside the group, so `findall` yields "" for it. Identifiers and
+# single punctuators, the commonest tokens, come first: no later alternative
+# starts with their characters. `\Z` takes the trailing whitespace in one
+# match, where a scan would restart at each of its characters.
 _TOKEN_PATTERN = re.compile(
     r"""
-    /\*.*?\*/            # block comment
-  | //[^\n]*             # line comment
-  | \s+                  # whitespace
-  | ( "(?:\\.|[^"\\])*"    # string literal
-    | '(?:\\.|[^'\\])*'    # char literal
-    | 0[xX][0-9a-fA-F]+[uUlL]*                       # hex literal
-    | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFlLuU]*  # numeric literal
-    | [A-Za-z_]\w*         # identifier / keyword
-    | OPERATORS
-    | .                    # any other byte, one token each
+    \s*
+    (?: /\*.*?\*/            # block comment
+      | //[^\n]*             # line comment
+      | ( [A-Za-z_]\w*         # identifier / keyword
+        | [;(){},\[\]]         # single punctuator
+        | "(?:\\.|[^"\\])*"    # string literal
+        | '(?:\\.|[^'\\])*'    # char literal
+        | 0[xX][0-9a-fA-F]+[uUlL]*                       # hex literal
+        | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFlLuU]*  # numeric literal
+        | OPERATORS
+        | \S                  # any other character, one token each
+        )
+      | \Z                   # the end, after trailing whitespace
     )
     """.replace("OPERATORS", "|".join(re.escape(op) for op in _OPERATORS)),
     re.VERBOSE | re.DOTALL,

@@ -50,9 +50,11 @@ INDEX_JOURNAL = "index_journal.jsonl"
 FAILURES_MANIFEST = "failures.json"
 
 # Threads in `_pooled`: the calls a stage keeps in flight, records prepared,
-# analyzer requests and chat calls alike. Most of them wait, on a chat
-# service or for a tool, rather than compute, so the pool is wider than the
-# host; `_io.run_tool` alone bounds the tools that run at once, to two a core.
+# analyzer requests and chat calls alike, when its client records or runs
+# live. Most of them wait, on a chat service or for a tool, rather than
+# compute, so the pool is wider than the host; `_io.run_tool` alone bounds
+# the tools that run at once, to two a core. Under replay no call waits, so
+# `_width` keeps one in flight.
 STAGE_WORKERS = 16
 
 _INDEX_FILES = {
@@ -77,12 +79,23 @@ def _attempt(fn, *args) -> tuple:
         return None, str(exc)
 
 
-def _pooled(fn, items, workers: int = STAGE_WORKERS) -> list[tuple]:
+def _width(llm: LlmClient) -> int:
+    """The calls a stage keeps in flight for `llm`: STAGE_WORKERS, or one
+    under replay, where every answer is read from the cassette and no call
+    waits. An analyzer replay miss still runs the analyzer live, with a
+    warning, so under replay one miss runs at a time."""
+    return 1 if llm.mode == "replay" else STAGE_WORKERS
+
+
+def _pooled(fn, items, workers: int) -> list[tuple]:
     """`[_attempt(fn, item) for item in items]`, with up to `workers` calls
     in flight at once (the tools those calls start still run two a core at
     most); the list is in the items' order, whatever order the calls finish
-    in. An interrupt, or any error but AutopatchError, cancels the calls not
-    yet started; those running finish first."""
+    in. At width 1 it is exactly that list, made on the calling thread. An
+    interrupt, or any error but AutopatchError, cancels the calls not yet
+    started; those running finish first."""
+    if workers == 1:
+        return [_attempt(fn, item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda item: _attempt(fn, item), items))
 
@@ -181,9 +194,10 @@ def run_index(
 
     Up to STAGE_WORKERS records are prepared at once (`_pooled`), or taken
     from the journal, so that many rationale calls may be in flight while
-    their analyzer runs share the launcher's slots; then the main thread
-    embeds each prepared record's texts for both indexes; the first to
-    embed sets each index's dimension.
+    their analyzer runs share the launcher's slots; under replay, one at a
+    time on the main thread (`_width`). Then the main thread embeds each
+    prepared record's texts for both indexes; the first to embed sets each
+    index's dimension.
     A record that fails either step, or whose vector has another dimension,
     becomes a "failed" journal entry with its reason, and is skipped,
     never fatal. A rerun reuses an "ok" entry only while its `key` matches:
@@ -222,7 +236,7 @@ def run_index(
 
     database = tuple(split.database_set)  # a loaded split decodes a record each time it is read
     prepared, skipped, indexed = [], [], []
-    for pair, (entry, reason) in zip(database, _pooled(prepare, database)):
+    for pair, (entry, reason) in zip(database, _pooled(prepare, database, _width(llm))):
         embedded, reason = _attempt(embed, pair, entry) if reason is None else (None, reason)
         if reason is not None:
             skipped.append({"record_id": pair.id, "status": "failed", "reason": reason})
@@ -278,12 +292,13 @@ def run_optimize(
     recorded or replayed by its mode; `_pooled`, with at most two analyzer
     runs a core at once); then the main thread builds each prompt,
     retrieving its example; then every built prompt is sent (`_pooled`, up
-    to STAGE_WORKERS chat calls in flight). Patches and the failures
-    manifest follow (target, mode) order, whatever order the calls finish
-    in. A failed target and mode keeps only its reason, which fails that
-    one patch (and removes an earlier run's): a target the analyzer rejects
-    still gets its naive and zero-shot patches. An index built over another
-    split (it holds a test record) or of the other kind raises
+    to STAGE_WORKERS chat calls in flight). Under replay both pooled phases
+    run one call at a time on the main thread (`_width`). Patches and the
+    failures manifest follow (target, mode) order, whatever order the calls
+    finish in. A failed target and mode keeps only its reason, which fails
+    that one patch (and removes an earlier run's): a target the analyzer
+    rejects still gets its naive and zero-shot patches. An index built over
+    another split (it holds a test record) or of the other kind raises
     AutopatchError before any call.
     """
     out_dir = Path(out_dir)
@@ -315,13 +330,15 @@ def run_optimize(
             raise AutopatchError(reason)
         return generate_patch(prompt_text, llm)
 
-    queries = _pooled(analyze, targets) if PromptMode.CONTEXT in modes else [None] * len(targets)
+    width = _width(llm)
+    queries = (_pooled(analyze, targets, width) if PromptMode.CONTEXT in modes
+               else [None] * len(targets))
     built = [
         _attempt(_build_mode_prompt, pair, mode, indexes, corpus, provider, query)
         for pair, query in zip(targets, queries)
         for mode in modes
     ]
-    patches = _pooled(send, built)
+    patches = _pooled(send, built, width)
 
     written: dict[str, list[str]] = {mode.value: [] for mode in modes}
     failures: list[dict] = []

@@ -28,7 +28,6 @@ from autopatch.cfg import BasicBlock, ControlFlowGraph
 from autopatch.cfg_diff import _block_tokens, jaccard
 from autopatch.corpus import CodePair, OptimizationType, TestCase
 from autopatch.errors import AutopatchError
-from autopatch.metrics import _TOKEN_PATTERN
 from autopatch.pipeline import index_path, run_index
 from autopatch.preprocess import STANDARD_HEADERS
 from autopatch.prompting import RATIONALE_SYSTEM_TEXT, Cassette, LlmClient, LlmConfig
@@ -51,14 +50,38 @@ def dp_levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
+# The lexer as it was before it matched once per token: comments and each
+# whitespace run are matches of their own, and the token alternatives are
+# tried strings first.
+_REFERENCE_OPERATORS = [
+    "<<=", ">>=", "->*", "...", "<=>",
+    "::", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
+    "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "##",
+]
+_REFERENCE_TOKEN_PATTERN = re.compile(
+    r"""
+    /\*.*?\*/            # block comment
+  | //[^\n]*             # line comment
+  | \s+                  # whitespace
+  | ( "(?:\\.|[^"\\])*"    # string literal
+    | '(?:\\.|[^'\\])*'    # char literal
+    | 0[xX][0-9a-fA-F]+[uUlL]*                       # hex literal
+    | (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFlLuU]*  # numeric literal
+    | [A-Za-z_]\w*         # identifier / keyword
+    | OPERATORS
+    | .                    # any other character, one token each
+    )
+    """.replace("OPERATORS", "|".join(re.escape(op) for op in _REFERENCE_OPERATORS)),
+    re.VERBOSE | re.DOTALL,
+)
 _COMMENT_OR_WS = re.compile(r"/\*.*?\*/|//[^\n]*|\s+", re.DOTALL)
 
 
 def two_pass_tokenize(code: str) -> list[str]:
-    """Every match of the master pattern, minus those that are whole
+    """Every match of the reference pattern, minus those that are whole
     comments or whitespace."""
     tokens = []
-    for match in _TOKEN_PATTERN.finditer(code):
+    for match in _REFERENCE_TOKEN_PATTERN.finditer(code):
         text = match.group(0)
         if _COMMENT_OR_WS.fullmatch(text):
             continue

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import operator
 import random
 
+try:
+    from re import _parser as sre_parser  # Python 3.11 and later
+except ImportError:  # Python 3.10
+    import sre_parse as sre_parser
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autopatch.errors import AutopatchError, BothEmpty
 from autopatch.metrics import (
+    _TOKEN_PATTERN,
     edit_distance_similarity,
     levenshtein,
     line_overlap,
@@ -60,10 +67,52 @@ _PLAIN = list("abcdxyzABCZ_ \t;(){}[]#!%^|~,?")
 _NON_ASCII = ["é", "λ", "\u0663", "\u00a0", "\u2028", "😀", "\x1c"]
 
 
+_SPACES = " \t\n\r\x0b\x0c\u00a0\u2028"
+_CODE_RUN = st.text(alphabet=st.sampled_from(_LEXICAL + _PLAIN + _NON_ASCII), max_size=80)
+_SPACE_RUN = st.text(alphabet=_SPACES, min_size=20, max_size=400)
+# An ending that leaves whitespace, a comment or a string open at the end.
+_OPEN_END = st.sampled_from(["", " ", "\n\t  \n", " " * 300, "/*", "/* open *", "x /* open\n",
+                             '"', '"open \\"', "'", "// to the end"])
+# Runs of code and long runs of whitespace, then one of those endings.
+_LEXED_TEXT = st.builds(operator.add,
+                        st.lists(st.one_of(_CODE_RUN, _SPACE_RUN), max_size=4).map("".join),
+                        _OPEN_END)
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.text(alphabet=st.sampled_from(_LEXICAL + _PLAIN + _NON_ASCII), max_size=80))
+@example("n = 0x1Ful + 0XaB;")
+@example("x = .5;")
+@example("f(...);")
+@example("i++; // done")
+@given(_LEXED_TEXT)
 def test_tokenize_equals_two_pass_oracle(code):
     assert tokenize(code) == two_pass_tokenize(code)
+
+
+def _opcode_names(node):
+    """The name of every opcode in a parsed pattern, at any depth."""
+    if isinstance(node, sre_parser.SubPattern):
+        node = node.data
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _opcode_names(item)
+    elif hasattr(node, "name"):
+        yield node.name
+
+
+def test_token_pattern_keeps_to_python_3_10_syntax():
+    # The package runs on Python 3.10, which has no atomic group and no
+    # possessive quantifier; one would compile here and fail there.
+    assert _TOKEN_PATTERN.groups == 1
+    names = set(_opcode_names(sre_parser.parse(_TOKEN_PATTERN.pattern, _TOKEN_PATTERN.flags)))
+    assert "MAX_REPEAT" in names
+    assert not names & {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}
+
+
+def test_trailing_whitespace_is_one_match():
+    # Without the end anchor nothing matches there, after a scan that
+    # restarts at every character of the run: quadratic in its length.
+    assert _TOKEN_PATTERN.findall(" \t\n" * 1000) == ["", ""]
 
 
 # --- line overlap -------------------------------------------------------------

@@ -13,8 +13,8 @@ phase order (every compile before any timed run) and its one compile per
 distinct source under fake compile and time functions, and the optimize
 stage's pool: analyzer runs and
 chat calls in flight at once, outputs in (target, mode) order, one analyzer
-run per target and only for context mode, and no failure that keeps the
-loaded indexes alive."""
+run per target and only for context mode, no pool under replay, and no
+failure that keeps the loaded indexes alive."""
 
 from __future__ import annotations
 
@@ -484,6 +484,28 @@ def test_optimize_pools_its_waits_and_keeps_its_order(tmp_path, monkeypatch, pai
                                      LocalHashingProvider())
     assert result == reference
     assert _tree(tmp_path / "patches") == _tree(tmp_path / "reference")
+
+
+def test_replayed_stages_start_no_pool_and_write_the_recording(tmp_path, monkeypatch,
+                                                                recorded_workspace):
+    # Under replay no call waits, so each stage runs its calls in turn on the
+    # calling thread, and writes what the recording run wrote.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a replayed stage started a thread pool")
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+    ingest = run_ingest(recorded_workspace.corpus_file, DB_COUNT, SEED, tmp_path / "ingest")
+    llm = LlmClient(LlmConfig(), Cassette(recorded_workspace.cassette), mode="replay")
+    provider = LocalHashingProvider()
+
+    indexed = run_index(ingest.corpus, ingest.split, tmp_path / "index", provider, llm)
+    optimized = run_optimize(ingest.corpus, ingest.split, tmp_path / "index", tmp_path / "patches",
+                             ALL_MODES, llm, provider)
+
+    assert not indexed.skipped and not optimized.failures
+    recording = recorded_workspace.record_dir
+    assert _tree(tmp_path / "index") == _tree(recording / "index")
+    assert _tree(tmp_path / "patches") == _tree(recording / "patches")
 
 
 def test_optimize_runs_the_analyzer_once_per_target_and_only_for_context(tmp_path, monkeypatch,
