@@ -268,17 +268,22 @@ def _answer(response: dict) -> tuple[int, str]:
     raise AutopatchError(f"malformed analyzer answer: {json.dumps(response)[:300]}")
 
 
+def analyzer_request(code: str, config: AnalyzerConfig) -> dict:
+    """The request of the analyzer's answer for `code`: its arguments and
+    the preprocessed source. Its `content_key` keys the answer."""
+    return {"analyzer_args": list(config.args), "source": preprocess_source(code).output_code}
+
+
 def extract_cfg(code: str, config: AnalyzerConfig, llm: LlmClient) -> ControlFlowGraph:
     """Preprocess `code` and parse the CFG of `main` from the analyzer's
-    answer for it, keyed by the analyzer's arguments and the preprocessed
-    source, which `llm` runs, records or replays by its mode. A replay miss
-    runs the analyzer. A rejection is an answer and is recorded; a run that
-    gives none, such as a timeout, raises."""
-    source = preprocess_source(code).output_code
-    request = {"analyzer_args": list(config.args), "source": source}
+    answer for it (`analyzer_request`), which `llm` runs, records or
+    replays by its mode. A replay miss runs the analyzer. A rejection is an
+    answer and is recorded; a run that gives none, such as a timeout,
+    raises."""
+    request = analyzer_request(code, config)
 
     def send(_request: dict) -> dict:
-        returncode, stderr = run_analyzer(source, config)
+        returncode, stderr = run_analyzer(request["source"], config)
         return {"returncode": returncode, "stderr": stderr}
 
     return parse_answer(*llm.answer(content_key(request), request, send, _answer, True))

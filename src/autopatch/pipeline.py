@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from ._io import TOOL_SLOTS, canonical, content_key, object_line, replacing, write_json
-from .analyzer import AnalyzerConfig, extract_cfg
+from .analyzer import AnalyzerConfig, analyzer_request, extract_cfg
 from .cfg import serialize_cfg
 from .cfg_diff import compute_diff, render_diff
 from .corpus import Corpus, CodePair, CorpusSplit, load_record
@@ -50,11 +50,10 @@ INDEX_JOURNAL = "index_journal.jsonl"
 FAILURES_MANIFEST = "failures.json"
 
 # Threads in `_pooled`: the calls a stage keeps in flight, records prepared,
-# analyzer requests and chat calls alike, when its client records or runs
-# live. Most of them wait, on a chat service or for a tool, rather than
-# compute, so the pool is wider than the host; `_io.run_tool` alone bounds
-# the tools that run at once, to two a core. Under replay no call waits, so
-# `_width` keeps one in flight.
+# analyzer requests and chat calls alike, when one of them can wait. Most of
+# them wait, on a chat service or for a tool, rather than compute, so the
+# pool is wider than the host; `_io.run_tool` alone bounds the tools that
+# run at once, to two a core. `_width` keeps one in flight where none can.
 STAGE_WORKERS = 16
 
 _INDEX_FILES = {
@@ -79,12 +78,22 @@ def _attempt(fn, *args) -> tuple:
         return None, str(exc)
 
 
-def _width(llm: LlmClient) -> int:
-    """The calls a stage keeps in flight for `llm`: STAGE_WORKERS, or one
-    under replay, where every answer is read from the cassette and no call
-    waits. An analyzer replay miss still runs the analyzer live, with a
-    warning, so under replay one miss runs at a time."""
-    return 1 if llm.mode == "replay" else STAGE_WORKERS
+def _width(llm: LlmClient, config: AnalyzerConfig, codes) -> int:
+    """The calls a phase keeps in flight: STAGE_WORKERS when one can wait,
+    else one. A recorded or live call waits, on the chat service or the
+    analyzer. A replayed one reads the cassette, and waits only when it
+    misses an analyzer answer, as that runs the analyzer (a chat miss
+    raises). So under replay a phase keeps one call in flight when the
+    cassette holds the answer for each of `codes`, the programs it asks the
+    analyzer about (none, for a phase of chat calls); a code that fails
+    preprocessing fails before any run."""
+    if llm.mode != "replay":
+        return STAGE_WORKERS
+    for code in codes:
+        request, reason = _attempt(analyzer_request, code, config)
+        if reason is None and llm.cassette.lookup(content_key(request)) is None:
+            return STAGE_WORKERS
+    return 1
 
 
 def _pooled(fn, items, workers: int) -> list[tuple]:
@@ -194,10 +203,10 @@ def run_index(
 
     Up to STAGE_WORKERS records are prepared at once (`_pooled`), or taken
     from the journal, so that many rationale calls may be in flight while
-    their analyzer runs share the launcher's slots; under replay, one at a
-    time on the main thread (`_width`). Then the main thread embeds each
-    prepared record's texts for both indexes; the first to embed sets each
-    index's dimension.
+    their analyzer runs share the launcher's slots; under replay, when the
+    cassette holds every analyzer answer, one at a time on the main thread
+    (`_width`). Then the main thread embeds each prepared record's texts
+    for both indexes; the first to embed sets each index's dimension.
     A record that fails either step, or whose vector has another dimension,
     becomes a "failed" journal entry with its reason, and is skipped,
     never fatal. A rerun reuses an "ok" entry only while its `key` matches:
@@ -235,8 +244,10 @@ def run_index(
         return record, vectors
 
     database = tuple(split.database_set)  # a loaded split decodes a record each time it is read
+    width = _width(llm, analyzer_config,
+                   [code for pair in database for code in (pair.original_code, pair.optimized_code)])
     prepared, skipped, indexed = [], [], []
-    for pair, (entry, reason) in zip(database, _pooled(prepare, database, _width(llm))):
+    for pair, (entry, reason) in zip(database, _pooled(prepare, database, width)):
         embedded, reason = _attempt(embed, pair, entry) if reason is None else (None, reason)
         if reason is not None:
             skipped.append({"record_id": pair.id, "status": "failed", "reason": reason})
@@ -292,13 +303,15 @@ def run_optimize(
     recorded or replayed by its mode; `_pooled`, with at most two analyzer
     runs a core at once); then the main thread builds each prompt,
     retrieving its example; then every built prompt is sent (`_pooled`, up
-    to STAGE_WORKERS chat calls in flight). Under replay both pooled phases
-    run one call at a time on the main thread (`_width`). Patches and the
-    failures manifest follow (target, mode) order, whatever order the calls
-    finish in. A failed target and mode keeps only its reason, which fails
-    that one patch (and removes an earlier run's): a target the analyzer
-    rejects still gets its naive and zero-shot patches. An index built over
-    another split (it holds a test record) or of the other kind raises
+    to STAGE_WORKERS chat calls in flight). Under replay the chat calls run
+    one at a time on the main thread, and so do the analyzer requests when
+    the cassette holds every answer; when it lacks one, which runs the
+    analyzer, they keep their width (`_width`). Patches and the failures
+    manifest follow (target, mode) order, whatever order the calls finish
+    in. A failed target and mode keeps only its reason, which fails that
+    one patch (and removes an earlier run's): a target the analyzer rejects
+    still gets its naive and zero-shot patches. An index built over another
+    split (it holds a test record) or of the other kind raises
     AutopatchError before any call.
     """
     out_dir = Path(out_dir)
@@ -330,15 +343,15 @@ def run_optimize(
             raise AutopatchError(reason)
         return generate_patch(prompt_text, llm)
 
-    width = _width(llm)
-    queries = (_pooled(analyze, targets, width) if PromptMode.CONTEXT in modes
-               else [None] * len(targets))
+    queries = (_pooled(analyze, targets,
+                       _width(llm, analyzer_config, [pair.original_code for pair in targets]))
+               if PromptMode.CONTEXT in modes else [None] * len(targets))
     built = [
         _attempt(_build_mode_prompt, pair, mode, indexes, corpus, provider, query)
         for pair, query in zip(targets, queries)
         for mode in modes
     ]
-    patches = _pooled(send, built, width)
+    patches = _pooled(send, built, _width(llm, analyzer_config, ()))
 
     written: dict[str, list[str]] = {mode.value: [] for mode in modes}
     failures: list[dict] = []

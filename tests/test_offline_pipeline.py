@@ -13,8 +13,9 @@ phase order (every compile before any timed run) and its one compile per
 distinct source under fake compile and time functions, and the optimize
 stage's pool: analyzer runs and
 chat calls in flight at once, outputs in (target, mode) order, one analyzer
-run per target and only for context mode, no pool under replay, and no
-failure that keeps the loaded indexes alive."""
+run per target and only for context mode, no pool under replay while the
+cassette answers every analyzer request, and no failure that keeps the
+loaded indexes alive."""
 
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ from autopatch.harness import RunOutcome, RunStatus, ToolchainConfig
 from autopatch.metrics import compute_lexical
 from autopatch.pipeline import (
     INDEX_JOURNAL,
+    STAGE_WORKERS,
     OptimizeResult,
     index_path,
     patch_path,
@@ -488,8 +490,9 @@ def test_optimize_pools_its_waits_and_keeps_its_order(tmp_path, monkeypatch, pai
 
 def test_replayed_stages_start_no_pool_and_write_the_recording(tmp_path, monkeypatch,
                                                                 recorded_workspace):
-    # Under replay no call waits, so each stage runs its calls in turn on the
-    # calling thread, and writes what the recording run wrote.
+    # With every answer in the cassette no replayed call waits, so each stage
+    # runs its calls in turn on the calling thread, and writes what the
+    # recording run wrote.
     def no_pool(*args, **kwargs):
         raise AssertionError("a replayed stage started a thread pool")
 
@@ -506,6 +509,23 @@ def test_replayed_stages_start_no_pool_and_write_the_recording(tmp_path, monkeyp
     recording = recorded_workspace.record_dir
     assert _tree(tmp_path / "index") == _tree(recording / "index")
     assert _tree(tmp_path / "patches") == _tree(recording / "patches")
+
+
+def test_replay_width_is_one_while_the_cassette_answers_every_analyzer_request(
+        tmp_path, recorded_workspace):
+    ingest = run_ingest(recorded_workspace.corpus_file, DB_COUNT, SEED, tmp_path)
+    codes = [pair.original_code for pair in ingest.split.test_set]
+    config = AnalyzerConfig.from_env()
+    replay = LlmClient(LlmConfig(), Cassette(recorded_workspace.cassette), mode="replay")
+    recorder = LlmClient(LlmConfig(), Cassette(tmp_path / "cassette.json"), mode="record",
+                         transport=lambda request: {})
+
+    assert pipeline._width(replay, config, codes) == 1
+    assert pipeline._width(replay, config, ()) == 1  # chat calls only: a miss raises
+    assert pipeline._width(replay, config, [*codes, "int main() { return 0; }\n"]) == STAGE_WORKERS
+    assert pipeline._width(replay, replace(config, extra_flags=("-O1",)), codes) == STAGE_WORKERS
+    assert pipeline._width(replay, config, [*codes, "int main() {}\ud800"]) == 1  # fails preprocessing
+    assert pipeline._width(recorder, config, ()) == STAGE_WORKERS
 
 
 def test_optimize_runs_the_analyzer_once_per_target_and_only_for_context(tmp_path, monkeypatch,

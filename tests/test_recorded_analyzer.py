@@ -6,13 +6,15 @@ Record mode stores each analyzer run's answer beside the chat entries, so
 analyzer's path naming a missing file they write every byte the recording
 wrote and leave the cassette as it was. A recorded rejection replays with
 its reason; a cassette that holds only chat entries replays by running the
-analyzer, with a warning for each miss, and stores nothing; and a cassette entry that holds no answer,
+analyzer, with a warning for each miss, and stores nothing, running
+those misses side by side; and a cassette entry that holds no answer,
 chat or analyzer, fails only its own (target, mode).
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -144,6 +146,54 @@ def test_cassette_of_chat_entries_replays_by_running_the_analyzer(tmp_path, monk
     assert {key for key in analyzer_keys if any(key in miss for miss in misses)} == analyzer_keys
     assert _outputs(tmp_path / "replayed") == _outputs(recorded)
     assert cassette.read_bytes() == before
+
+
+def test_replayed_analyzer_misses_run_side_by_side(tmp_path, monkeypatch, pairs, stub_analyzer):
+    # A replay miss runs the analyzer, which waits on a process, so the
+    # stages that can miss keep more than one such run in flight.
+    recorded = tmp_path / "recorded"
+    corpus_file, _, cassette = _record(recorded, pairs)
+    chat_keys = set(cassette_keys(cassette, analyzer=False))
+    lines = cassette.read_text("utf-8").splitlines(keepends=True)
+    cassette.write_text("".join(line for line in lines if json.loads(line)["key"] in chat_keys),
+                        encoding="utf-8")
+    run_analyzer = analyzer.run_analyzer
+    lock = threading.Lock()
+    in_flight, runs, peaks = [0], [], []
+    overlapped = threading.Event()
+
+    def overlapping(code, config):
+        with lock:
+            in_flight[0] += 1
+            runs[-1] += 1
+            first = runs[-1] == 1
+            peaks[-1] = max(peaks[-1], in_flight[0])
+            if in_flight[0] > 1:
+                overlapped.set()
+        try:
+            if first:  # a stage's first run waits for a second to start beside it
+                overlapped.wait(5)
+            return run_analyzer(code, config)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(analyzer, "run_analyzer", overlapping)
+    ingest = run_ingest(corpus_file, DB_COUNT, SEED, tmp_path / "replayed")
+    llm = LlmClient(LlmConfig(), Cassette(cassette), mode="replay")
+    provider = LocalHashingProvider()
+    for stage in ("index", "optimize"):
+        runs.append(0)
+        peaks.append(0)
+        overlapped.clear()
+        if stage == "index":
+            run_index(ingest.corpus, ingest.split, tmp_path / "replayed" / "index", provider, llm)
+        else:
+            run_optimize(ingest.corpus, ingest.split, tmp_path / "replayed" / "index",
+                         tmp_path / "replayed" / "patches", ALL_MODES, llm, provider)
+
+    assert all(peak > 1 for peak in peaks), peaks
+    assert _outputs(tmp_path / "replayed") == _outputs(recorded)
 
 
 def _first_target(split: Path, pairs):
